@@ -40,8 +40,8 @@
 //! pipelined p99 alongside the ingest numbers, and `--baseline` gates on
 //! it when both runs measured one. The report also records
 //! `loop_shard_spread` — the server's max/min per-loop-shard
-//! `bytes_read` ratio — so shard-placement skew (and rebalancing wins)
-//! are visible in the perf trajectory.
+//! `bytes_read` ratio — so shard-placement skew is visible in the perf
+//! trajectory.
 //!
 //! `--ingest-sessions N` replaces the per-building ingest layout with N
 //! concurrent sessions: every campus device is assigned to one session
@@ -379,8 +379,6 @@ struct ServerSide {
     bad_requests: u64,
     queue_capacity: usize,
     peak_queue_depth: usize,
-    /// Ingest jobs coalesced under a shared translator-lock acquisition.
-    ingest_coalesced: u64,
     /// Server RSS in KiB at the end of the run.
     rss_kb: Option<u64>,
     /// WAL metrics (durable servers only): segment count, log bytes,
@@ -1421,7 +1419,6 @@ fn main() {
                 bad_requests: m.bad_requests,
                 queue_capacity: m.queue_capacity,
                 peak_queue_depth: m.peak_queue_depth,
-                ingest_coalesced: m.ingest_coalesced,
                 rss_kb: m.rss_kb,
                 wal_segments: m.wal.as_ref().map(|w| w.segments),
                 wal_bytes: m.wal.as_ref().map(|w| w.bytes),
@@ -1438,7 +1435,6 @@ fn main() {
                 bad_requests: 0,
                 queue_capacity: 0,
                 peak_queue_depth: 0,
-                ingest_coalesced: 0,
                 rss_kb: None,
                 wal_segments: None,
                 wal_bytes: None,

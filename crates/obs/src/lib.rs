@@ -29,10 +29,10 @@
 //! bench and endpoint percentile in the workspace reduces through one
 //! implementation.
 //!
-//! A single global switch ([`set_enabled`] / [`enabled`]) turns the whole
-//! layer off (`trips-serve --no-obs`): disabled, instrumented code pays
-//! one relaxed atomic load and skips its clock reads — the delta is
-//! CI-gated under 5% of ingest throughput.
+//! A single global switch ([`set_enabled`] / [`enabled`], on by default)
+//! turns the whole layer off: disabled, instrumented code pays one
+//! relaxed atomic load and skips its clock reads — the delta is CI-gated
+//! under 5% of ingest throughput (`server_load --obs-overhead`).
 
 mod latency;
 mod metrics;

@@ -19,8 +19,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// when off, so scrape endpoints keep working.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Turns the observability layer on or off process-wide
-/// (`trips-serve --no-obs` → off). Cheap to call at any time.
+/// Turns the observability layer on or off process-wide (on by default;
+/// `server_load --obs-overhead` toggles it for its A/B). Cheap to call at
+/// any time.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -44,7 +45,7 @@ pub struct StageNanos {
     /// Inside `RuleEngine::publish` (evaluation + sink delivery).
     pub rules_ns: u64,
     /// Waiting for a translator-shard lock (server layer; accumulated
-    /// here so the coalescing and multi-shard paths attribute alike).
+    /// here so a batch spanning several shards sums its waits).
     pub translator_lock_ns: u64,
 }
 

@@ -360,6 +360,22 @@ fn frame(payload: Vec<u8>) -> Vec<u8> {
     out
 }
 
+/// Splits one complete, CRC-checked frame off the front of `buf`:
+/// `Ok(None)` while it is incomplete, else its payload and the whole
+/// frame's size (header included).
+fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some((len, crc)) = parse_header(buf)? else {
+        return Ok(None);
+    };
+    let total = HEADER_LEN + len;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let payload = &buf[HEADER_LEN..total];
+    check_crc(payload, crc)?;
+    Ok(Some((payload, total)))
+}
+
 /// Verifies the CRC of a complete payload slice against its header value.
 pub fn check_crc(payload: &[u8], crc: u32) -> Result<(), FrameError> {
     if crc32(payload) == crc {
@@ -536,22 +552,136 @@ pub fn encode_request_frame(env: &RequestEnvelope) -> Vec<u8> {
     frame(encode_request_payload(env))
 }
 
-fn decode_request_payload_inner(r: &mut Reader) -> DecodeResult<Request> {
-    let req = match r.u8()? {
-        req_tag::PING => Request::Ping,
-        req_tag::INGEST => {
-            let count = r.usize_count()?;
-            let mut records = Vec::new();
-            for _ in 0..count {
-                let device = DeviceId::new(&r.str()?);
-                let x = r.f64()?;
-                let y = r.f64()?;
-                let floor = r.i16()?;
-                let ts = Timestamp(r.i64()?);
-                records.push(RawRecord::new(device, x, y, floor, ts));
-            }
-            Request::Ingest { records }
+/// Tries to decode one request frame from the front of `buf`.
+///
+/// * `Ok(None)` — the frame is incomplete; read more bytes.
+/// * `Ok(Some((env, consumed)))` — a full frame decoded; drop `consumed`
+///   bytes from the front of the buffer.
+/// * `Err(e)` — see [`FrameError::is_recoverable`].
+///
+/// This is [`decode_request_frame_ref`] with an `Ingest` batch's borrowed
+/// records materialized, so both decoders share one parser.
+pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestEnvelope, usize)>, FrameError> {
+    Ok(decode_request_frame_ref(buf)?.map(|(frame, consumed)| (frame.into_owned(), consumed)))
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy ingest decode
+// ---------------------------------------------------------------------------
+
+/// One ingest record parsed *in place* from a v2 frame payload: the device
+/// id borrows the connection's read buffer instead of allocating a
+/// `String`, and the scalars are copied out of their fixed-width fields.
+///
+/// This is the borrowed twin of [`trips_data::RawRecord`]; the server
+/// resolves `device` against a per-connection intern table and only then
+/// materializes the owned record handed to the translator. Views never
+/// outlive one parse step — the buffer they borrow is consumed as soon as
+/// the frame is dispatched.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RawRecordRef<'a> {
+    /// Raw device id, borrowed from the frame payload (validated UTF-8).
+    pub device: &'a str,
+    /// X coordinate (meters, deployment frame).
+    pub x: f64,
+    /// Y coordinate (meters, deployment frame).
+    pub y: f64,
+    /// Floor number.
+    pub floor: i16,
+    /// Sample timestamp (the raw `i64` of a [`Timestamp`]).
+    pub ts: i64,
+}
+
+impl RawRecordRef<'_> {
+    /// Materializes the owned record (allocates the device id) — how
+    /// [`decode_request_frame`] produces its owned batch. The serving path
+    /// avoids this in favor of its per-connection intern table.
+    pub fn to_record(&self) -> RawRecord {
+        RawRecord::new(
+            DeviceId::new(self.device),
+            self.x,
+            self.y,
+            self.floor,
+            Timestamp(self.ts),
+        )
+    }
+}
+
+/// A v2 `Ingest` frame decoded zero-copy: the correlation id plus record
+/// views borrowing the frame payload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IngestFrameRef<'a> {
+    /// Envelope correlation id.
+    pub id: u64,
+    /// The batch, parsed in place.
+    pub records: Vec<RawRecordRef<'a>>,
+}
+
+/// One decoded request frame, borrowed where it pays.
+///
+/// `Ingest` is the hot path — per-record strings dominate its decode cost,
+/// so it parses into [`RawRecordRef`] views. Every other request decodes
+/// through the owned path (they are rare, small, or both).
+#[derive(Debug, PartialEq)]
+pub enum RequestFrameRef<'a> {
+    /// A v2 `Ingest`, parsed in place.
+    Ingest(IngestFrameRef<'a>),
+    /// Any other request, decoded to its owned form.
+    Owned(RequestEnvelope),
+}
+
+impl RequestFrameRef<'_> {
+    /// The owned envelope: an `Ingest` view's records materialized.
+    fn into_owned(self) -> RequestEnvelope {
+        match self {
+            RequestFrameRef::Ingest(view) => RequestEnvelope {
+                v: FRAME_VERSION as u32,
+                id: view.id,
+                req: Request::Ingest {
+                    records: view.records.iter().map(RawRecordRef::to_record).collect(),
+                },
+            },
+            RequestFrameRef::Owned(env) => env,
         }
+    }
+}
+
+/// Parses the body of an `INGEST` payload (tag already consumed) into
+/// borrowed views. The pre-allocation is clamped by the bytes actually
+/// remaining, so a lying record count cannot balloon memory.
+fn decode_ingest_records<'a>(r: &mut Reader<'a>) -> DecodeResult<Vec<RawRecordRef<'a>>> {
+    /// Minimum encoded record size: device len prefix + x + y + floor + ts.
+    const MIN_RECORD_BYTES: usize = 4 + 8 + 8 + 2 + 8;
+    let count = r.usize_count()?;
+    let remaining = r.data.len() - r.pos;
+    let mut records = Vec::with_capacity(count.min(remaining / MIN_RECORD_BYTES));
+    for _ in 0..count {
+        let device = r.str_ref()?;
+        let x = r.f64()?;
+        let y = r.f64()?;
+        let floor = r.i16()?;
+        let ts = r.i64()?;
+        records.push(RawRecordRef {
+            device,
+            x,
+            y,
+            floor,
+            ts,
+        });
+    }
+    r.done()?;
+    Ok(records)
+}
+
+/// Parses a request body (id already consumed): `Ingest` into borrowed
+/// record views, everything else into its owned form.
+fn decode_request_body<'a>(r: &mut Reader<'a>, id: u64) -> DecodeResult<RequestFrameRef<'a>> {
+    let req = match r.u8()? {
+        req_tag::INGEST => {
+            let records = decode_ingest_records(r)?;
+            return Ok(RequestFrameRef::Ingest(IngestFrameRef { id, records }));
+        }
+        req_tag::PING => Request::Ping,
         req_tag::FLUSH => {
             let device = match r.u8()? {
                 0 => None,
@@ -594,141 +724,11 @@ fn decode_request_payload_inner(r: &mut Reader) -> DecodeResult<Request> {
         other => return Err(format!("unknown request tag {other}")),
     };
     r.done()?;
-    Ok(req)
-}
-
-/// Decodes a request payload (already CRC-checked). `consumed` is the full
-/// frame size, threaded into [`FrameError::Malformed`] so the caller can
-/// resync past the bad frame.
-fn decode_request_payload(payload: &[u8], consumed: usize) -> Result<RequestEnvelope, FrameError> {
-    let mut r = Reader::new(payload);
-    let id = r.u64().map_err(|message| FrameError::Malformed {
-        id: 0,
-        consumed,
-        message,
-    })?;
-    let req = decode_request_payload_inner(&mut r).map_err(|message| FrameError::Malformed {
-        id,
-        consumed,
-        message,
-    })?;
-    Ok(RequestEnvelope {
+    Ok(RequestFrameRef::Owned(RequestEnvelope {
         v: FRAME_VERSION as u32,
         id,
         req,
-    })
-}
-
-/// Tries to decode one request frame from the front of `buf`.
-///
-/// * `Ok(None)` — the frame is incomplete; read more bytes.
-/// * `Ok(Some((env, consumed)))` — a full frame decoded; drop `consumed`
-///   bytes from the front of the buffer.
-/// * `Err(e)` — see [`FrameError::is_recoverable`].
-pub fn decode_request_frame(buf: &[u8]) -> Result<Option<(RequestEnvelope, usize)>, FrameError> {
-    let Some((len, crc)) = parse_header(buf)? else {
-        return Ok(None);
-    };
-    let total = HEADER_LEN + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[HEADER_LEN..total];
-    check_crc(payload, crc)?;
-    let env = decode_request_payload(payload, total)?;
-    Ok(Some((env, total)))
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy ingest decode
-// ---------------------------------------------------------------------------
-
-/// One ingest record parsed *in place* from a v2 frame payload: the device
-/// id borrows the connection's read buffer instead of allocating a
-/// `String`, and the scalars are copied out of their fixed-width fields.
-///
-/// This is the borrowed twin of [`trips_data::RawRecord`]; the server
-/// resolves `device` against a per-connection intern table and only then
-/// materializes the owned record handed to the translator. Views never
-/// outlive one parse step — the buffer they borrow is consumed as soon as
-/// the frame is dispatched.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RawRecordRef<'a> {
-    /// Raw device id, borrowed from the frame payload (validated UTF-8).
-    pub device: &'a str,
-    /// X coordinate (meters, deployment frame).
-    pub x: f64,
-    /// Y coordinate (meters, deployment frame).
-    pub y: f64,
-    /// Floor number.
-    pub floor: i16,
-    /// Sample timestamp (the raw `i64` of a [`Timestamp`]).
-    pub ts: i64,
-}
-
-impl RawRecordRef<'_> {
-    /// Materializes the owned record (allocates the device id). The
-    /// serving path avoids this in favor of its intern table; tests use it
-    /// to check the borrowed decode against the owned one.
-    pub fn to_record(&self) -> RawRecord {
-        RawRecord::new(
-            DeviceId::new(self.device),
-            self.x,
-            self.y,
-            self.floor,
-            Timestamp(self.ts),
-        )
-    }
-}
-
-/// A v2 `Ingest` frame decoded zero-copy: the correlation id plus record
-/// views borrowing the frame payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestFrameRef<'a> {
-    /// Envelope correlation id.
-    pub id: u64,
-    /// The batch, parsed in place.
-    pub records: Vec<RawRecordRef<'a>>,
-}
-
-/// One decoded request frame, borrowed where it pays.
-///
-/// `Ingest` is the hot path — per-record strings dominate its decode cost,
-/// so it parses into [`RawRecordRef`] views. Every other request decodes
-/// through the owned path (they are rare, small, or both).
-#[derive(Debug, PartialEq)]
-pub enum RequestFrameRef<'a> {
-    /// A v2 `Ingest`, parsed in place.
-    Ingest(IngestFrameRef<'a>),
-    /// Any other request, decoded to its owned form.
-    Owned(RequestEnvelope),
-}
-
-/// Parses the body of an `INGEST` payload (tag already consumed) into
-/// borrowed views. The pre-allocation is clamped by the bytes actually
-/// remaining, so a lying record count cannot balloon memory.
-fn decode_ingest_records<'a>(r: &mut Reader<'a>) -> DecodeResult<Vec<RawRecordRef<'a>>> {
-    /// Minimum encoded record size: device len prefix + x + y + floor + ts.
-    const MIN_RECORD_BYTES: usize = 4 + 8 + 8 + 2 + 8;
-    let count = r.usize_count()?;
-    let remaining = r.data.len() - r.pos;
-    let mut records = Vec::with_capacity(count.min(remaining / MIN_RECORD_BYTES));
-    for _ in 0..count {
-        let device = r.str_ref()?;
-        let x = r.f64()?;
-        let y = r.f64()?;
-        let floor = r.i16()?;
-        let ts = r.i64()?;
-        records.push(RawRecordRef {
-            device,
-            x,
-            y,
-            floor,
-            ts,
-        });
-    }
-    r.done()?;
-    Ok(records)
+    }))
 }
 
 /// The zero-copy twin of [`decode_request_frame`]: same contract, same
@@ -740,36 +740,20 @@ fn decode_ingest_records<'a>(r: &mut Reader<'a>) -> DecodeResult<Vec<RawRecordRe
 pub fn decode_request_frame_ref(
     buf: &[u8],
 ) -> Result<Option<(RequestFrameRef<'_>, usize)>, FrameError> {
-    let Some((len, crc)) = parse_header(buf)? else {
+    let Some((payload, total)) = split_frame(buf)? else {
         return Ok(None);
     };
-    let total = HEADER_LEN + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[HEADER_LEN..total];
-    check_crc(payload, crc)?;
-    let mut r = Reader::new(payload);
-    let id = r.u64().map_err(|message| FrameError::Malformed {
-        id: 0,
-        consumed: total,
-        message,
-    })?;
-    if r.u8() == Ok(req_tag::INGEST) {
-        let records = decode_ingest_records(&mut r).map_err(|message| FrameError::Malformed {
+    let malformed = |id| {
+        move |message| FrameError::Malformed {
             id,
             consumed: total,
             message,
-        })?;
-        return Ok(Some((
-            RequestFrameRef::Ingest(IngestFrameRef { id, records }),
-            total,
-        )));
-    }
-    // Anything else (including a truncated tag byte): the owned decode
-    // handles every case and error path identically.
-    let env = decode_request_payload(payload, total)?;
-    Ok(Some((RequestFrameRef::Owned(env), total)))
+        }
+    };
+    let mut r = Reader::new(payload);
+    let id = r.u64().map_err(malformed(0))?;
+    let frame = decode_request_body(&mut r, id).map_err(malformed(id))?;
+    Ok(Some((frame, total)))
 }
 
 /// Encodes a pushed alert (correlation id 0) as one complete v2 frame,
@@ -1235,17 +1219,10 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<ResponseEnvelope, Frame
 /// Tries to decode one response frame from the front of `buf` (see
 /// [`decode_request_frame`] for the contract).
 pub fn decode_response_frame(buf: &[u8]) -> Result<Option<(ResponseEnvelope, usize)>, FrameError> {
-    let Some((len, crc)) = parse_header(buf)? else {
+    let Some((payload, total)) = split_frame(buf)? else {
         return Ok(None);
     };
-    let total = HEADER_LEN + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[HEADER_LEN..total];
-    check_crc(payload, crc)?;
-    let env = decode_response_payload(payload)?;
-    Ok(Some((env, total)))
+    Ok(Some((decode_response_payload(payload)?, total)))
 }
 
 #[cfg(test)]
@@ -1453,7 +1430,6 @@ mod tests {
             bad_requests: 2,
             queue_capacity: 64,
             peak_queue_depth: 9,
-            ingest_coalesced: 3,
             rss_kb: Some(4096),
             event_backend: "poll".into(),
             loop_shards: vec![
@@ -1503,7 +1479,6 @@ mod tests {
             rule_evals: 40,
             rule_fires: 2,
             connections_reaped: 1,
-            connections_rebalanced: 2,
         }));
         roundtrip_response(Response::MetricsProm {
             text: "# TYPE trips_requests_total counter\ntrips_requests_total 100\n".into(),

@@ -125,71 +125,6 @@ pub fn fd_of<T>(_sock: &T) -> i32 {
     -1
 }
 
-/// Upper bound on iovecs per [`writev_fd`] call — comfortably under every
-/// platform's `IOV_MAX` (1024 on Linux) while keeping the on-stack iovec
-/// array small. Callers with more segments just call again.
-pub const WRITEV_BATCH_MAX: usize = 64;
-
-#[cfg(unix)]
-mod writev_sys {
-    use std::io;
-    use std::os::raw::{c_int, c_void};
-
-    /// Kernel `struct iovec`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct IoVec {
-        base: *const c_void,
-        len: usize,
-    }
-
-    extern "C" {
-        fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
-    }
-
-    /// Gather-writes up to [`WRITEV_BATCH_MAX`](super::WRITEV_BATCH_MAX)
-    /// buffers in one syscall, with EINTR retry. Returns total bytes
-    /// written (a short count spanning segment boundaries is normal);
-    /// `WouldBlock` surfaces as the usual `io::ErrorKind`.
-    pub fn writev_fd(fd: i32, bufs: &[&[u8]]) -> io::Result<usize> {
-        let mut iov = [IoVec {
-            base: std::ptr::null(),
-            len: 0,
-        }; super::WRITEV_BATCH_MAX];
-        let n = bufs.len().min(super::WRITEV_BATCH_MAX);
-        for (slot, buf) in iov.iter_mut().zip(&bufs[..n]) {
-            slot.base = buf.as_ptr().cast();
-            slot.len = buf.len();
-        }
-        loop {
-            // Safety: the first `n` iovecs point into slices that outlive
-            // the call; the kernel only reads them.
-            let rc = unsafe { writev(fd, iov.as_ptr(), n as c_int) };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                continue;
-            }
-            return Err(err);
-        }
-    }
-}
-
-#[cfg(unix)]
-pub use writev_sys::writev_fd;
-
-/// Without unix fds there is nothing to gather-write into; the serve loop
-/// only selects the writev flush path on unix backends.
-#[cfg(not(unix))]
-pub fn writev_fd(_fd: i32, _bufs: &[&[u8]]) -> io::Result<usize> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "writev requires unix",
-    ))
-}
-
 #[cfg(target_os = "linux")]
 mod epoll_sys {
     use std::io;
@@ -872,22 +807,6 @@ mod tests {
         assert_eq!(poller.backend_name(), "epoll");
         assert!(poller.edge_triggered());
         waker_roundtrip(poller);
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn writev_fd_gathers_segments_into_one_stream() {
-        use std::io::Read as _;
-        use std::net::{TcpListener, TcpStream};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut rx, _) = listener.accept().unwrap();
-        let bufs: [&[u8]; 3] = [b"ab", b"", b"cdef"];
-        let n = writev_fd(fd_of(&tx), &bufs).unwrap();
-        assert_eq!(n, 6);
-        let mut got = [0u8; 6];
-        rx.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"abcdef");
     }
 
     #[test]

@@ -25,17 +25,17 @@
 //!   ingest batches as borrowed views straight out of the connection
 //!   read buffer;
 //! * [`event`] — `poll(2)`/`epoll(7)` readiness multiplexing, the
-//!   worker→event-loop [`event::Waker`], and raw `writev(2)` /
-//!   `timerfd` bindings for batched flushes and idle-timeout ticks;
+//!   worker→event-loop [`event::Waker`], and a raw `timerfd` binding for
+//!   idle-timeout ticks;
 //! * [`server`] — [`TripsServer`]: sharded event loops driving every
 //!   connection, per-connection sessions with per-device
 //!   refcounts, a fixed worker pool behind a **bounded admission queue**
 //!   that sheds load ([`ServerError::Overloaded`]) instead of growing,
-//!   adaptive ingest micro-batching, segmented write queues flushed via
-//!   `writev`, least-loaded acceptor placement with optional idle
-//!   connection migration, idle-connection reaping, connection limits,
-//!   per-endpoint latency metrics, snapshot save / snapshot boot, and
-//!   graceful drain-and-shutdown;
+//!   translator-shard-parallel ingest, segmented write queues flushed
+//!   with one vectored write, least-loaded acceptor placement,
+//!   idle-connection reaping, connection limits, per-endpoint latency
+//!   metrics, snapshot save / snapshot boot, and graceful
+//!   drain-and-shutdown;
 //! * [`client`] — a blocking [`Client`] speaking either protocol version,
 //!   for tests, tools and the `server_load` generator;
 //! * [`bootstrap`] — DSM + trained-editor assembly from a `trips-sim`

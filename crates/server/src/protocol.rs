@@ -280,9 +280,9 @@ pub struct EndpointMetrics {
 }
 
 /// Per-loop-shard vitals: each event-loop shard owns its fds, buffers and
-/// waker; these gauges show whether the acceptor's round-robin spread the
-/// connection population evenly and whether one shard's completion queue
-/// is backing up.
+/// waker; these gauges show how the acceptor's least-loaded placement
+/// spread the connection population and whether one shard's completion
+/// queue is backing up.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoopShardMetrics {
     pub shard: usize,
@@ -325,11 +325,6 @@ pub struct MetricsReport {
     /// High-water mark of the admission queue (never exceeds
     /// `queue_capacity` — the bounded-memory invariant).
     pub peak_queue_depth: usize,
-    /// Queued `Ingest` jobs a worker executed piggybacked under another
-    /// job's translator-lock acquisition (adaptive micro-batching; see
-    /// the server docs). 0 means the queue never had adjacent ingests.
-    #[serde(default)]
-    pub ingest_coalesced: u64,
     /// Resident set size of the serving process in KiB (Linux
     /// `/proc/self/statm`; `None` where that is unavailable). The
     /// connection-scaling gate watches this for flat memory.
@@ -385,9 +380,6 @@ pub struct MetricsReport {
     /// `--idle-timeout` (0 when reaping is off).
     #[serde(default)]
     pub connections_reaped: u64,
-    /// Idle connections migrated between loop shards by `--rebalance`.
-    #[serde(default)]
-    pub connections_rebalanced: u64,
 }
 
 /// A request plus version + correlation id — one line on the wire.
@@ -605,7 +597,6 @@ mod tests {
                 bad_requests: 2,
                 queue_capacity: 64,
                 peak_queue_depth: 9,
-                ingest_coalesced: 5,
                 rss_kb: Some(10_240),
                 event_backend: "epoll".into(),
                 loop_shards: vec![LoopShardMetrics {
@@ -652,7 +643,6 @@ mod tests {
                 rule_evals: 120,
                 rule_fires: 3,
                 connections_reaped: 1,
-                connections_rebalanced: 4,
             }),
             Response::SnapshotSaved {
                 path: "/tmp/snap.json".into(),
@@ -791,7 +781,6 @@ mod tests {
                 bad_requests: 0,
                 queue_capacity: 64,
                 peak_queue_depth: 1,
-                ingest_coalesced: 0,
                 rss_kb: None,
                 event_backend: "poll".into(),
                 loop_shards: vec![],
@@ -807,7 +796,6 @@ mod tests {
                 rule_evals: 0,
                 rule_fires: 0,
                 connections_reaped: 0,
-                connections_rebalanced: 0,
             }),
         );
         let line = encode_response(&env);

@@ -91,9 +91,7 @@ impl<T> BoundedQueue<T> {
 
     /// Non-blocking pop: returns an item if one is queued right now,
     /// `None` otherwise (empty **or** closed — callers that need to
-    /// distinguish should use [`BoundedQueue::pop`]). Used by workers to
-    /// opportunistically coalesce adjacent ingest jobs under one
-    /// translator lock acquisition without ever waiting for more work.
+    /// distinguish should use [`BoundedQueue::pop`]).
     pub fn try_pop(&self) -> Option<T> {
         self.inner.lock().expect("queue lock").items.pop_front()
     }

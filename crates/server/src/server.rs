@@ -9,8 +9,8 @@
 //! after every thread has exited:
 //!
 //! * the **acceptor** (the calling thread) owns the listener, enforces
-//!   the connection cap, and deals accepted sockets round-robin to the
-//!   loop shards;
+//!   the connection cap, and places each accepted socket on the
+//!   least-loaded loop shard;
 //! * **N event-loop shards** (`ServerConfig::loop_shards`, default
 //!   `min(cores, 4)`) each own their connections' fds, buffers, and a
 //!   wake-up channel, multiplexed by [`crate::event::Poller`] —
@@ -39,14 +39,13 @@
 //! ([`trips_store::device_hash`]) — a device's translator shard and store
 //! shard stay aligned, and since every device lives entirely within one
 //! translator instance, sharded output is bit-identical to a single
-//! translator. Adjacent queued `Ingest` jobs *whose devices hash to the
-//! same shard* are **coalesced**: a worker drains up to
-//! `INGEST_COALESCE_MAX` of them and runs all under a single lock
-//! acquisition, so batches from unrelated devices translate in parallel
-//! while per-device ordering is preserved. Locks are only ever taken one
-//! shard at a time (multi-shard work iterates), so there is no lock-order
-//! deadlock; the `translator_lock_contention` metric counts blocked
-//! acquisitions.
+//! translator. An `Ingest` batch is grouped by translator shard and each
+//! group runs under its own shard's lock, so batches from unrelated
+//! devices translate in parallel while per-device ordering is preserved
+//! (a batch whose devices all share a shard takes one lock). Locks are
+//! only ever taken one shard at a time (multi-shard work iterates), so
+//! there is no lock-order deadlock; the `translator_lock_contention`
+//! metric counts blocked acquisitions.
 //!
 //! ## Overload behavior
 //!
@@ -98,17 +97,14 @@
 //! queryable state.
 
 use crate::codec::{self, FrameError, RequestFrameRef, FRAME_MAGIC, HEADER_LEN, MAX_FRAME_PAYLOAD};
-use crate::event::{
-    fd_of, poll_fds, writev_fd, BackendChoice, Event, PollFd, Poller, Waker, POLLIN,
-    WRITEV_BATCH_MAX,
-};
+use crate::event::{fd_of, poll_fds, BackendChoice, Event, PollFd, Poller, Waker, POLLIN};
 use crate::protocol::{
     EndpointMetrics, HealthReport, LoopShardMetrics, MetricsReport, Request, RequestEnvelope,
     Response, ResponseEnvelope, ServerError,
 };
 use crate::queue::{BoundedQueue, PushError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -130,14 +126,18 @@ const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 /// below this, so a pipelining client cannot balloon server memory.
 const MAX_READ_BUF: usize = MAX_FRAME_PAYLOAD + HEADER_LEN;
 
-/// Default per-event read budget ([`ServerConfig::read_budget`]).
+/// Bytes read per readiness event before a connection yields back to its
+/// loop shard, so one firehose connection cannot starve the rest.
 pub const DEFAULT_READ_BUDGET: usize = 256 * 1024;
 
-/// Most `Ingest` jobs one worker executes under a single translator-lock
-/// acquisition (adaptive micro-batching; purely opportunistic — workers
-/// never wait for more work). Only jobs routing to the *same* translator
-/// shard coalesce.
-const INGEST_COALESCE_MAX: usize = 16;
+/// Event-loop wait timeout — the latency of noticing a drain when no fd
+/// is active (completions interrupt the wait via a waker).
+const LOOP_WAIT_MS: i32 = 10;
+
+/// Most queued segments one flush hands to a single vectored write —
+/// comfortably under every platform's `IOV_MAX` (1024 on Linux); a longer
+/// queue just takes another call.
+const WRITEV_BATCH_MAX: usize = 64;
 
 /// How long a drain waits for connections to finish in-flight work and
 /// flush response bytes before dropping them.
@@ -157,10 +157,10 @@ const ACCEPT_POLL_MS: i32 = 25;
 /// to end is promoted into the slow-log.
 pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 100_000;
 
-/// Default per-loop-shard trace-ring capacity ([`ServerConfig::trace_ring`]).
+/// Per-loop-shard trace-ring capacity.
 pub const DEFAULT_TRACE_RING: usize = 256;
 
-/// Default slow-log capacity ([`ServerConfig::slow_log`]).
+/// Slow-log capacity.
 pub const DEFAULT_SLOW_LOG: usize = 128;
 
 /// Longest HTTP request head the `/metrics` responder reads before
@@ -189,10 +189,6 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// the poll backend's bounded wait laps pace the reap sweep instead).
 const TIMER_TOKEN: u64 = u64::MAX - 1;
 
-/// Most queued bytes the coalesced-write fallback copies into its scratch
-/// buffer per flush attempt (the poll backend's stand-in for `writev`).
-const COALESCE_WRITE_MAX: usize = 64 * 1024;
-
 /// Cap on per-connection interned device ids (zero-copy decode path) —
 /// bounds memory against a client that invents a new id per record.
 const INTERN_MAX: usize = 4096;
@@ -202,10 +198,6 @@ const INTERN_MAX: usize = 4096;
 /// execution cost, so the acceptor's placement signal weighs them as if
 /// they were a 4 KiB read.
 const JOB_LOAD_BYTES: u64 = 4096;
-
-/// How often the acceptor refreshes its per-shard load estimate, and how
-/// often a shard lap looks for a migratable idle connection.
-const REBALANCE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// How often the acceptor decays its observed-load EWMA.
 const LOAD_REFRESH: Duration = Duration::from_millis(100);
@@ -225,18 +217,14 @@ pub struct ServerConfig {
     /// Ignored when booting from a snapshot (the snapshot records its own).
     pub shards: usize,
     /// Event-loop shard count (`0` = `min(cores, 4)`). Each shard is one
-    /// thread owning its connections' fds and buffers; the acceptor deals
-    /// new connections round-robin.
+    /// thread owning its connections' fds and buffers; the acceptor places
+    /// each new connection on the least-loaded shard.
     pub loop_shards: usize,
     /// Translator-lock shard count, rounded up to a power of two
     /// (`0` = `clamp(2·cores, 4, 32)` rounded likewise). Devices are
     /// routed by [`trips_store::device_hash`], so this aligns with the
     /// store's own sharding.
     pub translator_shards: usize,
-    /// Bytes read per readiness event before a connection yields back to
-    /// its loop shard, so one firehose connection cannot starve the rest
-    /// (`0` = [`DEFAULT_READ_BUDGET`]).
-    pub read_budget: usize,
     /// Readiness backend: edge-triggered epoll (Linux), level-triggered
     /// poll(2) (portable), or `Auto` (epoll where available).
     pub backend: BackendChoice,
@@ -257,9 +245,6 @@ pub struct ServerConfig {
     /// mutation before acking. `Snapshot` requests become
     /// checkpoint+compact. Mutually exclusive with `snapshot`.
     pub durability: Option<DurabilityConfig>,
-    /// Event-loop wait timeout — the latency of noticing a drain when no
-    /// fd is active (completions interrupt the wait via a waker).
-    pub poll_interval: Duration,
     /// Cap on concurrently registered standing rules
     /// (`0` = [`trips_store::DEFAULT_RULE_LIMIT`]). Registrations beyond
     /// it are refused with `BadRequest`.
@@ -268,34 +253,16 @@ pub struct ServerConfig {
     /// text exposition) on this address; `None` (the default) serves the
     /// exposition only over the native protocol (`MetricsProm`).
     pub metrics_addr: Option<String>,
-    /// Master observability switch ([`trips_obs::set_enabled`], set at
-    /// `serve` start). Off, instrumented paths skip their clock reads and
-    /// span capture; metric handles keep working and render zeros.
-    pub obs: bool,
     /// End-to-end latency (µs) at or above which a request's span tree is
     /// promoted into the slow-log. `0` promotes every request (the
     /// trace-one-request switch).
     pub slow_threshold_us: u64,
-    /// Per-loop-shard trace-ring capacity (`0` = [`DEFAULT_TRACE_RING`]).
-    pub trace_ring: usize,
-    /// Slow-log capacity (`0` = [`DEFAULT_SLOW_LOG`]).
-    pub slow_log: usize,
     /// Close connections idle (no reads, no in-flight work, nothing
     /// buffered to write) longer than this. `None` (the default) never
     /// reaps — device streams are expected to sit quiet between fixes.
     /// Reaped connections count in `connections_reaped` and tear down
     /// exactly like a client disconnect (sessions settle, rules die).
     pub idle_timeout: Option<Duration>,
-    /// Let loop shards migrate idle connections toward the least-loaded
-    /// shard between laps (off by default — placement alone fixes most
-    /// skew; migration helps when long-lived firehose connections change
-    /// character mid-life).
-    pub rebalance: bool,
-    /// Flush per-connection response queues with one gather-write
-    /// (`writev(2)`) under the epoll backend (default). Off — or under
-    /// the poll backend — segments are coalesced into a bounded scratch
-    /// buffer and written with plain `write`.
-    pub writev_batch: bool,
 }
 
 impl Default for ServerConfig {
@@ -310,22 +277,15 @@ impl Default for ServerConfig {
             shards: 0,
             loop_shards: 0,
             translator_shards: 0,
-            read_budget: DEFAULT_READ_BUDGET,
             backend: BackendChoice::Auto,
             stream: StreamConfig::default(),
             snapshot: None,
             snapshot_root: None,
             durability: None,
-            poll_interval: Duration::from_millis(10),
             max_rules: 0,
             metrics_addr: None,
-            obs: true,
             slow_threshold_us: DEFAULT_SLOW_THRESHOLD_US,
-            trace_ring: 0,
-            slow_log: 0,
             idle_timeout: None,
-            rebalance: false,
-            writev_batch: true,
         }
     }
 }
@@ -383,17 +343,6 @@ fn encode_wire(wire: Wire, env: &ResponseEnvelope) -> Vec<u8> {
     }
 }
 
-/// How a loop shard flushes a connection's queued response segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WriteBatching {
-    /// One `writev(2)` per flush: every queued frame (replies + pushed
-    /// alerts) leaves in a single syscall, no copying (epoll backend).
-    Writev,
-    /// Coalesce small segments into a bounded scratch buffer and `write`
-    /// once (poll backend / `--no-writev-batch`).
-    Coalesce,
-}
-
 /// One queued response segment: bytes this connection owns, or alert
 /// bytes encoded once and shared (refcounted) across subscribers.
 enum Chunk {
@@ -444,30 +393,14 @@ impl WriteQueue {
     /// Fills `bufs` with up to [`WRITEV_BATCH_MAX`] readable slices (the
     /// front segment minus its already-written prefix) and returns how
     /// many were filled.
-    fn gather<'q>(&'q self, bufs: &mut [&'q [u8]; WRITEV_BATCH_MAX]) -> usize {
+    fn gather<'q>(&'q self, bufs: &mut [IoSlice<'q>; WRITEV_BATCH_MAX]) -> usize {
         let mut n = 0;
         for seg in self.segs.iter().take(WRITEV_BATCH_MAX) {
             let s = seg.as_slice();
-            bufs[n] = if n == 0 { &s[self.head..] } else { s };
+            bufs[n] = IoSlice::new(if n == 0 { &s[self.head..] } else { s });
             n += 1;
         }
         n
-    }
-
-    /// Copies up to [`COALESCE_WRITE_MAX`] queued bytes into `scratch`
-    /// (cleared first) — the write fallback when gather-write is off.
-    fn coalesce_into(&self, scratch: &mut Vec<u8>) {
-        scratch.clear();
-        let mut head = self.head;
-        for seg in &self.segs {
-            let s = &seg.as_slice()[head..];
-            head = 0;
-            let room = COALESCE_WRITE_MAX - scratch.len();
-            if room == 0 {
-                break;
-            }
-            scratch.extend_from_slice(&s[..s.len().min(room)]);
-        }
     }
 
     /// Marks `n` bytes written (`n` ≤ `len`), dropping flushed segments.
@@ -500,10 +433,6 @@ struct WorkJob {
     id: u64,
     wire: Wire,
     req: Request,
-    /// For `Ingest`: `Some(s)` when every record's device hashes to
-    /// translator shard `s` (the coalescable fast path), `None` when the
-    /// batch spans shards.
-    tshard: Option<usize>,
     /// Well-formed devices of an `Ingest` batch — attributed to the
     /// session only if the ingest executes.
     batch_devices: Vec<DeviceId>,
@@ -613,14 +542,10 @@ struct ShardState {
     connections: AtomicUsize,
     /// Bytes this shard's connections read off their sockets (monotonic).
     /// With `jobs`, the observed-load signal behind the acceptor's
-    /// least-loaded placement and `--rebalance` migration.
+    /// least-loaded placement.
     bytes_read: AtomicU64,
     /// Work jobs this shard queued for the worker pool (monotonic).
     jobs: AtomicU64,
-    /// Idle connections another shard migrated here (`--rebalance`),
-    /// paired with `waker` like `incoming` — the receiving loop
-    /// re-registers them under their existing tokens.
-    migrations: parking_lot::Mutex<Vec<(u64, Conn)>>,
 }
 
 impl ShardState {
@@ -652,7 +577,6 @@ struct Shared<'env> {
     sessions: parking_lot::Mutex<BTreeMap<DeviceId, usize>>,
     snapshot_root: Option<PathBuf>,
     backend_name: &'static str,
-    read_budget: usize,
     shutdown: AtomicBool,
     active: AtomicUsize,
     started: Instant,
@@ -673,7 +597,6 @@ struct Shared<'env> {
     requests: AtomicU64,
     shed: AtomicU64,
     bad_requests: AtomicU64,
-    ingest_coalesced: AtomicU64,
     translator_contention: AtomicU64,
     conns_accepted: AtomicU64,
     conns_rejected: AtomicU64,
@@ -682,12 +605,7 @@ struct Shared<'env> {
     alerts_dropped_late: AtomicU64,
     /// Connections closed for exceeding [`ServerConfig::idle_timeout`].
     conns_reaped: AtomicU64,
-    /// Idle connections migrated between loop shards (`--rebalance`).
-    conns_rebalanced: AtomicU64,
-    /// How loop shards flush their connections' write queues.
-    batching: WriteBatching,
     idle_timeout: Option<Duration>,
-    rebalance: bool,
 }
 
 /// Validates a wire-supplied snapshot path against the configured root:
@@ -928,11 +846,6 @@ impl<'env> Shared<'env> {
             "Malformed requests answered BadRequest",
             self.bad_requests.load(Ordering::Relaxed),
         );
-        set(
-            "trips_ingest_coalesced_total",
-            "Extra ingest jobs executed under an already-held translator lock",
-            self.ingest_coalesced.load(Ordering::Relaxed),
-        );
         gauge(
             "trips_queue_capacity",
             "Admission queue capacity",
@@ -997,11 +910,6 @@ impl<'env> Shared<'env> {
             "trips_connections_reaped_total",
             "Connections closed for exceeding the idle timeout",
             self.conns_reaped.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_connections_rebalanced_total",
-            "Idle connections migrated between loop shards",
-            self.conns_rebalanced.load(Ordering::Relaxed),
         );
         set(
             "trips_slowlog_evicted_total",
@@ -1080,47 +988,22 @@ impl<'env> Shared<'env> {
         r.render_prometheus()
     }
 
-    /// Executes one `Ingest` with a translator-shard lock already held
-    /// (the coalescing path amortizes one lock over many batches).
-    fn ingest_locked(
-        translator: &mut StreamingTranslator<'env>,
-        records: Vec<trips_data::RawRecord>,
-    ) -> Response {
-        let mut accepted = 0;
-        let mut rejected = 0;
-        let mut emitted = 0;
-        for record in records {
-            if !record.is_well_formed() {
-                rejected += 1;
-                continue;
-            }
-            emitted += translator.push(record).len();
-            accepted += 1;
-        }
-        Response::Ingested {
-            accepted,
-            rejected,
-            emitted,
-        }
-    }
-
-    /// Executes an `Ingest` whose records span translator shards: the
-    /// batch is partitioned by device hash and each partition runs under
-    /// its own shard's lock (taken one at a time), summing the counters.
-    fn ingest_multi(&self, records: Vec<trips_data::RawRecord>) -> Response {
+    /// Executes an `Ingest`: the batch is partitioned by device hash and
+    /// each partition runs under its own shard's lock (taken one at a
+    /// time — a single-shard batch takes one), summing the counters.
+    /// Malformed records are counted as rejected under the same lock.
+    fn ingest_multi(&self, records: Vec<RawRecord>) -> Response {
         let groups = group_by_tshard(records.into_iter().map(|r| (self.tshard(&r.device), r)));
         let (mut accepted, mut rejected, mut emitted) = (0, 0, 0);
         for (shard, group) in groups {
             let mut translator = self.lock_translator(shard);
-            if let Response::Ingested {
-                accepted: a,
-                rejected: r,
-                emitted: e,
-            } = Self::ingest_locked(&mut translator, group)
-            {
-                accepted += a;
-                rejected += r;
-                emitted += e;
+            for record in group {
+                if !record.is_well_formed() {
+                    rejected += 1;
+                    continue;
+                }
+                emitted += translator.push(record).len();
+                accepted += 1;
             }
         }
         Response::Ingested {
@@ -1303,7 +1186,6 @@ impl<'env> Shared<'env> {
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
             queue_capacity: self.queue.capacity(),
             peak_queue_depth: self.queue.peak_depth(),
-            ingest_coalesced: self.ingest_coalesced.load(Ordering::Relaxed),
             rss_kb: read_rss_kb(),
             event_backend: self.backend_name.to_string(),
             loop_shards,
@@ -1320,120 +1202,33 @@ impl<'env> Shared<'env> {
             rule_evals: self.store.rules().evals_total(),
             rule_fires: self.store.rules().fires_total(),
             connections_reaped: self.conns_reaped.load(Ordering::Relaxed),
-            connections_rebalanced: self.conns_rebalanced.load(Ordering::Relaxed),
         })
     }
 
-    /// Routes finished jobs back to their loop shards, grouping wakes so
-    /// a coalesced batch signals each shard once.
-    fn complete_batch(&self, dones: Vec<(usize, Done)>) {
-        let groups = group_by_tshard(dones);
-        for (shard, group) in groups {
-            self.shards[shard].completions.lock().extend(group);
-            self.shards[shard].wake();
-        }
-    }
-
-    /// Worker thread body: pop → (coalesce same-shard ingests) → execute
-    /// → encode → complete.
+    /// Worker thread body: pop → execute → encode → hand the completion
+    /// back to the owning loop shard and wake it.
     fn run_worker(&self) {
-        // A job drained while probing for coalescable ingests; executed
-        // before the next queue pop so FIFO order is preserved.
-        let mut carried: Option<WorkJob> = None;
-        loop {
-            let job = match carried.take() {
-                Some(job) => job,
-                None => match self.queue.pop() {
-                    Some(job) => job,
-                    None => break,
-                },
-            };
-            match (&job.req, job.tshard) {
-                // Single-shard ingest: the coalescable fast path. Only
-                // ingests routing to the *same* translator shard batch
-                // under this lock — others are carried, keeping unrelated
-                // devices free to translate in parallel on other workers.
-                (Request::Ingest { .. }, Some(tshard)) => {
-                    let mut batch = vec![job];
-                    while batch.len() < INGEST_COALESCE_MAX {
-                        match self.queue.try_pop() {
-                            Some(next)
-                                if matches!(next.req, Request::Ingest { .. })
-                                    && next.tshard == Some(tshard) =>
-                            {
-                                batch.push(next)
-                            }
-                            Some(other) => {
-                                carried = Some(other);
-                                break;
-                            }
-                            None => break,
-                        }
-                    }
-                    if batch.len() > 1 {
-                        self.ingest_coalesced
-                            .fetch_add((batch.len() - 1) as u64, Ordering::Relaxed);
-                    }
-                    // Queue wait ends for the whole batch here; the lock
-                    // wait that follows lands in the thread-local stage
-                    // accumulator and is attributed to the first job.
-                    let popped = Instant::now();
-                    let mut dones = Vec::with_capacity(batch.len());
-                    {
-                        let mut translator = self.lock_translator(tshard);
-                        for job in batch {
-                            let WorkJob {
-                                token,
-                                shard,
-                                id,
-                                wire,
-                                req,
-                                batch_devices,
-                                span,
-                                ..
-                            } = job;
-                            let Request::Ingest { records } = req else {
-                                unreachable!("batch contains only ingests");
-                            };
-                            let t0 = Instant::now();
-                            let resp = Self::ingest_locked(&mut translator, records);
-                            let exec = t0.elapsed();
-                            self.record("ingest", exec);
-                            let pending = span.map(|s| {
-                                self.worker_span(s, popped, exec, "ingest", "Ingest", token, shard)
-                            });
-                            dones.push((
-                                shard,
-                                self.finish(token, id, wire, resp, batch_devices, pending),
-                            ));
-                        }
-                    }
-                    self.complete_batch(dones);
-                }
-                _ => {
-                    let t0 = Instant::now();
-                    let endpoint = job.req.endpoint();
-                    let kind = job.req.kind();
-                    let WorkJob {
-                        token,
-                        shard,
-                        id,
-                        wire,
-                        req,
-                        batch_devices,
-                        session_devices,
-                        span,
-                        ..
-                    } = job;
-                    let resp = self.execute(req, &session_devices);
-                    let exec = t0.elapsed();
-                    self.record(endpoint, exec);
-                    let pending =
-                        span.map(|s| self.worker_span(s, t0, exec, endpoint, kind, token, shard));
-                    let done = self.finish(token, id, wire, resp, batch_devices, pending);
-                    self.complete_batch(vec![(shard, done)]);
-                }
-            }
+        while let Some(job) = self.queue.pop() {
+            let t0 = Instant::now();
+            let endpoint = job.req.endpoint();
+            let kind = job.req.kind();
+            let WorkJob {
+                token,
+                shard,
+                id,
+                wire,
+                req,
+                batch_devices,
+                session_devices,
+                span,
+            } = job;
+            let resp = self.execute(req, &session_devices);
+            let exec = t0.elapsed();
+            self.record(endpoint, exec);
+            let pending = span.map(|s| self.worker_span(s, t0, exec, endpoint, kind, token, shard));
+            let done = self.finish(token, id, wire, resp, batch_devices, pending);
+            self.shards[shard].completions.lock().push(done);
+            self.shards[shard].wake();
         }
     }
 
@@ -1516,8 +1311,6 @@ struct Conn {
     stream: TcpStream,
     read_buf: Vec<u8>,
     write_q: WriteQueue,
-    /// Scratch for the coalesced-write fallback (reused across flushes).
-    scratch: Vec<u8>,
     /// Device ids this connection has sent, interned so the zero-copy
     /// ingest decode resolves repeat devices to cheap `Arc` clones
     /// instead of allocating a fresh `Arc<str>` per record. Capped at
@@ -1563,7 +1356,6 @@ impl Conn {
             stream,
             read_buf: Vec::new(),
             write_q: WriteQueue::default(),
-            scratch: Vec::new(),
             interned: BTreeMap::new(),
             last_activity: Instant::now(),
             can_read: true,
@@ -1613,27 +1405,16 @@ impl Conn {
         self.write_q.push(Chunk::Owned(encode_wire(wire, env)));
     }
 
-    /// Writes as much queued output as the socket accepts right now.
-    /// Under [`WriteBatching::Writev`] every queued segment (pipelined
-    /// replies + pushed alerts) goes out in one gather-write per loop
-    /// turn; the fallback coalesces segments into a bounded scratch copy.
-    fn flush_write(&mut self, batching: WriteBatching) {
+    /// Writes as much queued output as the socket accepts right now: every
+    /// queued segment (pipelined replies + pushed alerts) goes out through
+    /// one vectored write (`writev(2)` on unix) per [`WRITEV_BATCH_MAX`]
+    /// segments, without copying. A short write may end mid-segment;
+    /// [`WriteQueue::consume`] keeps the remainder at the queue's head.
+    fn flush_write(&mut self) {
         while !self.write_q.is_empty() {
-            let wrote = match batching {
-                WriteBatching::Writev => {
-                    let mut bufs: [&[u8]; WRITEV_BATCH_MAX] = [&[]; WRITEV_BATCH_MAX];
-                    let n = self.write_q.gather(&mut bufs);
-                    writev_fd(fd_of(&self.stream), &bufs[..n])
-                }
-                WriteBatching::Coalesce => {
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    self.write_q.coalesce_into(&mut scratch);
-                    let res = self.stream.write(&scratch);
-                    self.scratch = scratch;
-                    res
-                }
-            };
-            match wrote {
+            let mut bufs = [IoSlice::new(&[]); WRITEV_BATCH_MAX];
+            let n = self.write_q.gather(&mut bufs);
+            match self.stream.write_vectored(&bufs[..n]) {
                 Ok(0) => {
                     self.dead = true;
                     return;
@@ -1684,23 +1465,13 @@ impl Conn {
     }
 }
 
-/// Ingest routing computed on the parse path (zero-copy v2 decode): the
-/// translator-shard uniformity check and well-formed device list fall out
-/// of the same single pass that materializes the records, so `dispatch`
-/// does not walk the batch again.
-struct IngestRoute {
-    /// Well-formed devices (cheap interned clones) — attributed to the
-    /// session only if the ingest executes.
-    batch_devices: Vec<DeviceId>,
-    /// `Some(s)` when every record routes to translator shard `s`.
-    tshard: Option<usize>,
-}
-
 /// One parse step over a connection's read buffer.
 enum Parsed {
-    /// A complete message, ready to dispatch (with precomputed ingest
-    /// routing when the zero-copy path produced it).
-    Msg(Wire, RequestEnvelope, Option<IngestRoute>),
+    /// A complete message, ready to dispatch. The zero-copy ingest path
+    /// also hands over the batch's well-formed devices (cheap interned
+    /// clones, collected in the pass that materializes the records), so
+    /// `dispatch` does not walk the batch again.
+    Msg(Wire, RequestEnvelope, Option<Vec<DeviceId>>),
     /// An error was answered in-line (bad frame body / bad JSON); parsing
     /// may continue.
     Handled,
@@ -1752,20 +1523,12 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                     // The zero-copy hot path: records materialize straight
                     // out of the read buffer — device ids resolve against
                     // the intern table (no per-record String), and the
-                    // routing pass (well-formed devices + translator-shard
-                    // uniformity) rides along instead of re-walking the
-                    // batch in dispatch.
+                    // well-formed device list rides along instead of
+                    // re-walking the batch in dispatch.
                     let mut records = Vec::with_capacity(view.records.len());
                     let mut batch_devices = Vec::with_capacity(view.records.len());
-                    let mut tshard: Option<Option<usize>> = None;
                     for rec in &view.records {
                         let device = intern_device(&mut conn.interned, rec.device);
-                        let s = shared.tshard(&device);
-                        tshard = Some(match tshard {
-                            None => Some(s),
-                            Some(Some(prev)) if prev == s => Some(s),
-                            Some(_) => None,
-                        });
                         let record =
                             RawRecord::new(device, rec.x, rec.y, rec.floor, Timestamp(rec.ts));
                         if record.is_well_formed() {
@@ -1779,16 +1542,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                         req: Request::Ingest { records },
                     };
                     conn.read_buf.drain(..consumed);
-                    Parsed::Msg(
-                        Wire::V2,
-                        env,
-                        Some(IngestRoute {
-                            batch_devices,
-                            // An empty batch routes to shard 0 trivially
-                            // (the coalescable fast path, same as owned).
-                            tshard: tshard.unwrap_or(Some(0)),
-                        }),
-                    )
+                    Parsed::Msg(Wire::V2, env, Some(batch_devices))
                 }
                 Ok(Some((RequestFrameRef::Owned(env), consumed))) => {
                     conn.read_buf.drain(..consumed);
@@ -1880,7 +1634,9 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             match Self::parse_next(self.shared, conn) {
                 Parsed::NeedMore => return,
                 Parsed::Handled => continue,
-                Parsed::Msg(wire, env, route) => self.dispatch(token, wire, env, route),
+                Parsed::Msg(wire, env, batch_devices) => {
+                    self.dispatch(token, wire, env, batch_devices)
+                }
             }
         }
     }
@@ -1890,7 +1646,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         token: u64,
         wire: Wire,
         env: RequestEnvelope,
-        route: Option<IngestRoute>,
+        batch_devices: Option<Vec<DeviceId>>,
     ) {
         let shared = self.shared;
         let seq = shared.requests.fetch_add(1, Ordering::Relaxed);
@@ -2101,28 +1857,16 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                     inline(conn, Response::Error(ServerError::ShuttingDown));
                     return;
                 }
-                let (batch_devices, tshard) = match (route, &req) {
-                    // The zero-copy parse already routed the batch in its
+                let batch_devices = match (batch_devices, &req) {
+                    // The zero-copy parse already collected them in its
                     // single materialization pass.
-                    (Some(r), _) => (r.batch_devices, r.tshard),
-                    (None, Request::Ingest { records }) => {
-                        let batch: Vec<DeviceId> = records
-                            .iter()
-                            .filter(|r| r.is_well_formed())
-                            .map(|r| r.device.clone())
-                            .collect();
-                        // Single-shard when every record (well-formed or
-                        // not — rejects are counted under the same lock)
-                        // routes to one translator shard. Empty batches
-                        // take the fast path trivially.
-                        let mut shards = records.iter().map(|r| shared.tshard(&r.device));
-                        let tshard = match shards.next() {
-                            None => Some(0),
-                            Some(first) => shards.all(|s| s == first).then_some(first),
-                        };
-                        (batch, tshard)
-                    }
-                    (None, _) => (Vec::new(), None),
+                    (Some(devices), _) => devices,
+                    (None, Request::Ingest { records }) => records
+                        .iter()
+                        .filter(|r| r.is_well_formed())
+                        .map(|r| r.device.clone())
+                        .collect(),
+                    (None, _) => Vec::new(),
                 };
                 let session_devices: Vec<DeviceId> =
                     if matches!(req, Request::Flush { device: None }) {
@@ -2146,7 +1890,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                     id,
                     wire,
                     req,
-                    tshard,
                     batch_devices,
                     session_devices,
                     span,
@@ -2202,75 +1945,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         Ok(())
     }
 
-    /// Re-registers idle connections another shard migrated here
-    /// (`--rebalance`). The token travels with the connection, so workers'
-    /// completions and session accounting keep working unchanged; cached
-    /// readiness is reset to "assume ready" exactly like a fresh
-    /// registration (the next service pass probes the socket).
-    fn adopt_migrations(&mut self) -> io::Result<()> {
-        let migrated: Vec<(u64, Conn)> =
-            std::mem::take(&mut *self.shared.shards[self.id].migrations.lock());
-        for (token, mut conn) in migrated {
-            self.poller
-                .register(fd_of(&conn.stream), token, true, true)?;
-            conn.can_read = true;
-            conn.can_write = true;
-            self.conns.insert(token, conn);
-        }
-        self.shared.shards[self.id]
-            .connections
-            .store(self.conns.len(), Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Migrates one idle connection to the least-loaded shard when this
-    /// shard holds at least two more connections than it. Only fully
-    /// quiescent connections move — nothing in flight, nothing buffered
-    /// in either direction, no standing rules (their alert sinks pin the
-    /// owning shard) — so the hand-off is a pure ownership transfer.
-    fn try_migrate(&mut self) {
-        let my_count = self.conns.len();
-        let Some((target, target_count)) = self
-            .shared
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != self.id)
-            .map(|(i, s)| (i, s.connections.load(Ordering::Relaxed)))
-            .min_by_key(|&(_, n)| n)
-        else {
-            return;
-        };
-        if my_count < target_count + 2 {
-            return;
-        }
-        let Some(token) = self
-            .conns
-            .iter()
-            .find(|(_, c)| {
-                !c.inflight
-                    && !c.closing
-                    && !c.dead
-                    && !c.read_closed
-                    && c.write_q.is_empty()
-                    && c.read_buf.is_empty()
-                    && c.rule_ids.is_empty()
-            })
-            .map(|(&t, _)| t)
-        else {
-            return;
-        };
-        let conn = self.conns.remove(&token).expect("token just found");
-        self.poller.deregister(fd_of(&conn.stream), token);
-        self.shared.shards[self.id]
-            .connections
-            .store(self.conns.len(), Ordering::Relaxed);
-        self.shared.conns_rebalanced.fetch_add(1, Ordering::Relaxed);
-        let state = &self.shared.shards[target];
-        state.migrations.lock().push((token, conn));
-        state.wake();
-    }
-
     /// Marks connections idle past the configured timeout for teardown.
     /// Only truly quiescent connections qualify — in-flight work or
     /// unflushed output means the peer is slow, not absent.
@@ -2317,7 +1991,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                     conn.write_q.push(d.bytes);
                 }
                 if conn.can_write {
-                    conn.flush_write(self.shared.batching);
+                    conn.flush_write();
                 }
                 continue;
             }
@@ -2333,7 +2007,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             }
             conn.write_q.push(d.bytes);
             if conn.can_write {
-                conn.flush_write(self.shared.batching);
+                conn.flush_write();
             }
             if trips_obs::enabled() {
                 // The next buffered request's `loop_ready` epoch: this
@@ -2364,11 +2038,11 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             conn.ready_at = Some(Instant::now());
         }
         if conn.can_write && !conn.write_q.is_empty() {
-            conn.flush_write(self.shared.batching);
+            conn.flush_write();
         }
         if conn.can_read && conn.wants_read() {
             let before = conn.read_buf.len();
-            conn.fill_read(self.shared.read_budget);
+            conn.fill_read(DEFAULT_READ_BUDGET);
             let gained = conn.read_buf.len() - before;
             if gained > 0 {
                 conn.last_activity = Instant::now();
@@ -2380,7 +2054,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         self.pump(token);
         if let Some(conn) = self.conns.get_mut(&token) {
             if conn.can_write && !conn.write_q.is_empty() {
-                conn.flush_write(self.shared.batching);
+                conn.flush_write();
             }
         }
     }
@@ -2449,7 +2123,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
 
     /// The shard's loop: adopt → complete → service → sweep → wait.
     /// Returns when the server drains (or on a poller error).
-    fn run(&mut self, poll_ms: i32) -> io::Result<()> {
+    fn run(&mut self) -> io::Result<()> {
         let state = &self.shared.shards[self.id];
         self.poller
             .register(state.waker.fd(), WAKER_TOKEN, true, false)?;
@@ -2457,7 +2131,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         // the worst-case overshoot at ~25%. Under epoll the interval is
         // additionally armed as a timerfd so a shard whose fds are all
         // silent still wakes to reap; the poll backend's bounded waits
-        // already lap at least every `poll_ms`.
+        // already lap at least every `LOOP_WAIT_MS`.
         let reap_period = self
             .shared
             .idle_timeout
@@ -2472,10 +2146,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             _ => None,
         };
         let mut next_reap = reap_period.map(|p| Instant::now() + p);
-        let mut next_rebalance = self
-            .shared
-            .rebalance
-            .then(|| Instant::now() + REBALANCE_INTERVAL);
         let mut drain_deadline: Option<Instant> = None;
         let mut events: Vec<Event> = Vec::new();
         loop {
@@ -2484,7 +2154,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             // than being swallowed.
             state.waker.drain();
             self.adopt_incoming()?;
-            self.adopt_migrations()?;
             self.apply_completions();
 
             let tokens: Vec<u64> = self.conns.keys().copied().collect();
@@ -2495,12 +2164,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                 if Instant::now() >= due {
                     next_reap = reap_period.map(|p| Instant::now() + p);
                     self.reap_idle(timeout);
-                }
-            }
-            if let Some(due) = next_rebalance {
-                if Instant::now() >= due && !self.shared.draining() {
-                    next_rebalance = Some(Instant::now() + REBALANCE_INTERVAL);
-                    self.try_migrate();
                 }
             }
             let any_left = self.sweep();
@@ -2529,7 +2192,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             let timeout = if self.conns.values().any(|c| c.actionable()) {
                 0
             } else {
-                poll_ms
+                LOOP_WAIT_MS
             };
             // Refresh level-triggered interest (no-op under epoll): only
             // directions whose cached readiness is *exhausted* are armed,
@@ -2820,15 +2483,6 @@ impl TripsServer {
         }
     }
 
-    /// The effective per-event read budget (resolves `0` → default).
-    pub fn read_budget(&self) -> usize {
-        if self.config.read_budget == 0 {
-            DEFAULT_READ_BUDGET
-        } else {
-            self.config.read_budget
-        }
-    }
-
     /// The effective standing-rule cap (resolves `0` → default).
     pub fn max_rules(&self) -> usize {
         if self.config.max_rules == 0 {
@@ -2838,31 +2492,11 @@ impl TripsServer {
         }
     }
 
-    /// The effective per-loop-shard trace-ring capacity (resolves `0` →
-    /// default).
-    pub fn trace_ring_capacity(&self) -> usize {
-        if self.config.trace_ring == 0 {
-            DEFAULT_TRACE_RING
-        } else {
-            self.config.trace_ring
-        }
-    }
-
-    /// The effective slow-log capacity (resolves `0` → default).
-    pub fn slow_log_capacity(&self) -> usize {
-        if self.config.slow_log == 0 {
-            DEFAULT_SLOW_LOG
-        } else {
-            self.config.slow_log
-        }
-    }
-
     /// Serves `listener` until a `Shutdown` request drains the loops.
     /// Blocks; all loop-shard and worker threads are scoped inside this
     /// call (the calling thread runs the acceptor).
     pub fn serve(&self, listener: TcpListener) -> io::Result<ServerReport> {
         listener.set_nonblocking(true)?;
-        trips_obs::set_enabled(self.config.obs);
         let loop_shards = self.loop_shards();
         let translator_shards = self.translator_shards();
 
@@ -2886,7 +2520,6 @@ impl TripsServer {
                 connections: AtomicUsize::new(0),
                 bytes_read: AtomicU64::new(0),
                 jobs: AtomicU64::new(0),
-                migrations: parking_lot::Mutex::new(Vec::new()),
             }));
         }
         let backend_name = pollers[0].backend_name();
@@ -2928,7 +2561,6 @@ impl TripsServer {
             sessions: parking_lot::Mutex::new(BTreeMap::new()),
             snapshot_root: self.config.snapshot_root.clone(),
             backend_name,
-            read_budget: self.read_budget(),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             started: Instant::now(),
@@ -2937,30 +2569,19 @@ impl TripsServer {
             query_hist,
             admin_hist,
             traces: (0..loop_shards)
-                .map(|_| TraceRing::new(self.trace_ring_capacity()))
+                .map(|_| TraceRing::new(DEFAULT_TRACE_RING))
                 .collect(),
-            slowlog: SlowLog::new(self.slow_log_capacity(), self.config.slow_threshold_us),
+            slowlog: SlowLog::new(DEFAULT_SLOW_LOG, self.config.slow_threshold_us),
             slow_requests: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
-            ingest_coalesced: AtomicU64::new(0),
             translator_contention: AtomicU64::new(0),
             conns_accepted: AtomicU64::new(0),
             conns_rejected: AtomicU64::new(0),
             alerts_dropped_late: AtomicU64::new(0),
             conns_reaped: AtomicU64::new(0),
-            conns_rebalanced: AtomicU64::new(0),
-            // Gather-writes need raw unix fds and pair with the
-            // edge-triggered backend; the poll backend (and
-            // `--no-writev-batch`) coalesces into one plain write.
-            batching: if backend_name == "epoll" && self.config.writev_batch {
-                WriteBatching::Writev
-            } else {
-                WriteBatching::Coalesce
-            },
             idle_timeout: self.config.idle_timeout,
-            rebalance: self.config.rebalance,
         };
         // Arm the rule engine for this serve run: the configured rule cap
         // and the DSM's region→floor map (so `floor N` selectors resolve).
@@ -2968,7 +2589,6 @@ impl TripsServer {
         self.store
             .rules()
             .set_region_floors(self.dsm.regions().map(|r| (r.id, r.floor)));
-        let poll_ms = self.config.poll_interval.as_millis().clamp(1, 60_000) as i32;
 
         std::thread::scope(|scope| {
             for _ in 0..self.config.workers.max(1) {
@@ -2989,7 +2609,7 @@ impl TripsServer {
                         conns: BTreeMap::new(),
                         poller,
                     };
-                    let result = shard.run(poll_ms);
+                    let result = shard.run();
                     if result.is_err() {
                         // A dying shard must still let everyone else
                         // drain: flag shutdown, close the queue, wake the
@@ -3193,6 +2813,89 @@ mod tests {
         assert_eq!(groups[&0], vec!["b", "e"]);
         assert_eq!(groups[&1], vec!["a", "c", "f"]);
         assert_eq!(groups[&2], vec!["d"]);
+    }
+
+    /// Everything a queue currently hands to one vectored write.
+    fn gathered(q: &WriteQueue) -> Vec<Vec<u8>> {
+        let mut bufs = [IoSlice::new(&[]); WRITEV_BATCH_MAX];
+        let n = q.gather(&mut bufs);
+        bufs[..n].iter().map(|b| b.to_vec()).collect()
+    }
+
+    #[test]
+    fn write_queue_resumes_a_partial_write_mid_segment() {
+        let mut q = WriteQueue::default();
+        q.push(Chunk::Owned(b"ab".to_vec()));
+        q.push(Chunk::Owned(Vec::new())); // empty segments are skipped
+        q.push(Chunk::Shared(Arc::from(&b"cdef"[..])));
+        q.push(Chunk::Owned(b"gh".to_vec()));
+        assert_eq!(q.len(), 8);
+        assert_eq!(gathered(&q), [&b"ab"[..], b"cdef", b"gh"]);
+
+        // A short write that ends inside the second segment.
+        q.consume(3);
+        assert_eq!(q.len(), 5);
+        assert_eq!(gathered(&q), [&b"def"[..], b"gh"]);
+        // One that crosses a segment boundary.
+        q.consume(4);
+        assert_eq!(gathered(&q), [&b"h"[..]]);
+        q.consume(1);
+        assert!(q.is_empty());
+        assert!(gathered(&q).is_empty());
+
+        // One vectored write takes at most WRITEV_BATCH_MAX segments.
+        for _ in 0..WRITEV_BATCH_MAX + 5 {
+            q.push(Chunk::Owned(vec![1]));
+        }
+        assert_eq!(gathered(&q).len(), WRITEV_BATCH_MAX);
+    }
+
+    #[test]
+    fn flush_write_delivers_every_segment_across_short_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        tx.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(tx, 0);
+        // ~12 MiB in 256 odd-sized segments: more than the socket buffers
+        // hold (so flushes stop mid-queue on `WouldBlock`) and more
+        // segments than one vectored write takes.
+        let mut want = Vec::new();
+        for i in 0..256usize {
+            let seg: Vec<u8> = (0..32 * 1024 + (i * 7919) % (32 * 1024))
+                .map(|j| (i + j) as u8)
+                .collect();
+            want.extend_from_slice(&seg);
+            conn.write_q.push(if i % 3 == 0 {
+                Chunk::Shared(seg.into())
+            } else {
+                Chunk::Owned(seg)
+            });
+        }
+
+        // Nobody reads yet: the first flush fills the socket and blocks.
+        conn.flush_write();
+        assert!(!conn.dead);
+        assert!(!conn.can_write, "the socket buffers filled up");
+        assert!(!conn.write_q.is_empty());
+
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            rx.read_to_end(&mut got).unwrap();
+            got
+        });
+        while !conn.write_q.is_empty() {
+            conn.can_write = true;
+            conn.flush_write();
+            assert!(!conn.dead);
+            if !conn.can_write {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        drop(conn);
+        let got = reader.join().unwrap();
+        assert_eq!(got.len(), want.len());
+        assert!(got == want, "bytes arrive in order, none lost or repeated");
     }
 
     #[test]

@@ -3,22 +3,21 @@
 //! Builds a simulated deployment (a mall DSM + an Event Editor trained on
 //! ground truth — the repo's stand-in for a surveyed site), binds a TCP
 //! listener and serves the wire protocol (NDJSON v1 and binary v2,
-//! detected per message) until a `Shutdown` request drains it. With `--port 0` the OS picks an ephemeral port; the chosen
-//! address is printed as `listening on HOST:PORT` (and flushed) so
-//! scripts can scrape it.
+//! detected per message) until a `Shutdown` request drains it. With
+//! `--port 0` the OS picks an ephemeral port; the chosen address is
+//! printed as `listening on HOST:PORT` (and flushed) so scripts can
+//! scrape it.
 //!
 //! ```text
 //! trips-serve [--host H] [--port P] [--workers N] [--queue N]
 //!             [--max-conns N] [--shards N] [--loop-shards N]
-//!             [--translator-shards N] [--read-budget BYTES]
-//!             [--event-backend auto|epoll|poll] [--max-rules N]
-//!             [--floors N] [--shops N]
+//!             [--translator-shards N] [--event-backend auto|epoll|poll]
+//!             [--max-rules N] [--floors N] [--shops N]
 //!             [--devices N] [--days N] [--seed N] [--snapshot PATH]
 //!             [--snapshot-root DIR] [--wal-dir DIR]
 //!             [--fsync always|every=N|never] [--segment-bytes N]
-//!             [--metrics-addr HOST:PORT] [--no-obs]
-//!             [--slow-threshold-us N] [--trace-ring N] [--slow-log N]
-//!             [--idle-timeout SECS] [--rebalance] [--no-writev-batch]
+//!             [--metrics-addr HOST:PORT] [--slow-threshold-us N]
+//!             [--idle-timeout SECS]
 //! ```
 //!
 //! `--loop-shards` splits the event loop into N independent shards (one
@@ -26,7 +25,6 @@
 //! new connection on the least-loaded shard (observed bytes + jobs,
 //! round-robin when idle). `--translator-shards` partitions the
 //! streaming-translator lock by device hash (rounded to a power of two).
-//! `--read-budget` bounds bytes read per readiness event per connection.
 //! `--event-backend` picks the readiness backend: `epoll`
 //! (edge-triggered, Linux), `poll` (portable), or `auto` (default —
 //! epoll where available). `--max-rules` caps how many standing TQL
@@ -50,18 +48,11 @@
 //! per connection); the chosen address is printed as `metrics on
 //! HOST:PORT`. `--slow-threshold-us` sets the latency above which a
 //! request's span is promoted into the retrievable slow-log (0 promotes
-//! every request — the trace-everything switch); `--trace-ring` /
-//! `--slow-log` size the per-loop-shard trace rings and the slow-log.
-//! `--no-obs` turns span collection off entirely (metrics stay on).
+//! every request — the trace-everything switch).
 //!
 //! `--idle-timeout SECS` reaps connections with no traffic for that long
 //! (default off; epoll shards arm a `timerfd`, the poll backend checks on
 //! its timeout lap) — reaps count in the `connections_reaped` metric.
-//! `--rebalance` lets loop shards migrate fully-idle connections toward
-//! the least-loaded shard between laps (`connections_rebalanced`
-//! metric). `--no-writev-batch` disables the segmented `writev(2)` flush
-//! and coalesces queued responses into single `write` calls instead (the
-//! poll backend always coalesces).
 //!
 //! Clients replaying `generate_campus` traffic must use the same
 //! `--floors/--shops` layout (every campus building shares it); see the
@@ -93,12 +84,11 @@ fn usage_and_exit(message: &str) -> ! {
     eprintln!(
         "usage: trips-serve [--host H] [--port P] [--workers N] [--queue N] \
          [--max-conns N] [--shards N] [--loop-shards N] [--translator-shards N] \
-         [--read-budget BYTES] [--event-backend auto|epoll|poll] [--max-rules N] \
+         [--event-backend auto|epoll|poll] [--max-rules N] \
          [--floors N] [--shops N] [--devices N] [--days N] [--seed N] [--snapshot PATH] \
          [--snapshot-root DIR] [--wal-dir DIR] [--fsync always|every=N|never] \
-         [--segment-bytes N] [--metrics-addr HOST:PORT] [--no-obs] \
-         [--slow-threshold-us N] [--trace-ring N] [--slow-log N] \
-         [--idle-timeout SECS] [--rebalance] [--no-writev-batch]"
+         [--segment-bytes N] [--metrics-addr HOST:PORT] [--slow-threshold-us N] \
+         [--idle-timeout SECS]"
     );
     std::process::exit(2);
 }
@@ -139,7 +129,6 @@ fn parse_args() -> Options {
             "--translator-shards" => {
                 opts.config.translator_shards = parse(&mut args, "--translator-shards")
             }
-            "--read-budget" => opts.config.read_budget = parse(&mut args, "--read-budget"),
             "--max-rules" => opts.config.max_rules = parse(&mut args, "--max-rules"),
             "--event-backend" => {
                 let raw: String = parse(&mut args, "--event-backend");
@@ -178,12 +167,9 @@ fn parse_args() -> Options {
             "--metrics-addr" => {
                 opts.config.metrics_addr = Some(parse::<String>(&mut args, "--metrics-addr"))
             }
-            "--no-obs" => opts.config.obs = false,
             "--slow-threshold-us" => {
                 opts.config.slow_threshold_us = parse(&mut args, "--slow-threshold-us")
             }
-            "--trace-ring" => opts.config.trace_ring = parse(&mut args, "--trace-ring"),
-            "--slow-log" => opts.config.slow_log = parse(&mut args, "--slow-log"),
             "--idle-timeout" => {
                 let secs: u64 = parse(&mut args, "--idle-timeout");
                 if secs == 0 {
@@ -191,8 +177,6 @@ fn parse_args() -> Options {
                 }
                 opts.config.idle_timeout = Some(std::time::Duration::from_secs(secs));
             }
-            "--rebalance" => opts.config.rebalance = true,
-            "--no-writev-batch" => opts.config.writev_batch = false,
             other => usage_and_exit(&format!("unknown argument: {other}")),
         }
     }
@@ -281,12 +265,10 @@ fn main() {
         .local_addr()
         .expect("bound listener has an address");
     eprintln!(
-        "trips-serve: event backend {}, loop shards {}, translator shards {}, \
-         read budget {} bytes, rule cap {}",
+        "trips-serve: event backend {}, loop shards {}, translator shards {}, rule cap {}",
         server.backend(),
         server.loop_shards(),
         server.translator_shards(),
-        server.read_budget(),
         server.max_rules(),
     );
     println!("trips-serve: listening on {addr}");

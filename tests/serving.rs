@@ -1,9 +1,24 @@
 //! The serving layer through the root facade: boot a server from the
-//! prelude types, round-trip ingest → flush → query over TCP.
+//! prelude types, round-trip ingest → flush → query over TCP, and check a
+//! pipelined v2 session against an in-process streaming translator.
 
+use std::sync::Arc;
+use trips::core::stream::{StreamConfig, StreamingTranslator};
 use trips::prelude::*;
-use trips::server::{bootstrap_scenario, Response};
-use trips::store::StoreHealth;
+use trips::server::{bootstrap_scenario, Request, Response};
+use trips::store::{device_hash, StoreHealth};
+
+/// `records` re-attributed to `device` (same positions and times).
+fn relabel(records: &[RawRecord], device: &str) -> Vec<RawRecord> {
+    let device = DeviceId::new(device);
+    records
+        .iter()
+        .map(|r| RawRecord {
+            device: device.clone(),
+            ..r.clone()
+        })
+        .collect()
+}
 
 #[test]
 fn facade_serves_ingest_and_query_over_tcp() {
@@ -28,6 +43,8 @@ fn facade_serves_ingest_and_query_over_tcp() {
         },
     );
 
+    // The oracle below translates with the same deployment in-process.
+    let (dsm, editor) = (boot.dsm.clone(), boot.editor.clone());
     let server = TripsServer::new(boot.dsm, boot.editor, ServerConfig::default()).unwrap();
     let service = server.query_service();
     let handle = server.spawn("127.0.0.1:0").unwrap();
@@ -66,6 +83,85 @@ fn facade_serves_ingest_and_query_over_tcp() {
         }
         other => panic!("health failed: {other:?}"),
     }
+
+    // One v2 connection pipelines a single-device batch and a batch mixing
+    // two devices on different translator shards (their hashes differ in
+    // the low two bits, and there are at least four shards), then flushes
+    // its session — every ingest shape goes through the same path.
+    let solo = relabel(traffic.traces[0].raw.records(), "v2-solo");
+    let (mix_a, mix_b) = ("v2-mix-a", "v2-mix-b");
+    assert_ne!(
+        device_hash(&DeviceId::new(mix_a)) & 3,
+        device_hash(&DeviceId::new(mix_b)) & 3,
+        "the mixed batch must span translator shards"
+    );
+    let (a, b) = (
+        relabel(traffic.traces[0].raw.records(), mix_a),
+        relabel(traffic.traces[1].raw.records(), mix_b),
+    );
+    let mixed: Vec<RawRecord> = (0..a.len().max(b.len()))
+        .flat_map(|i| a.get(i).into_iter().chain(b.get(i)).cloned())
+        .collect();
+    let mut v2 = Client::connect_v2(handle.addr()).unwrap();
+    let replies = v2
+        .call_pipelined(vec![
+            Request::Ingest {
+                records: solo.clone(),
+            },
+            Request::Ingest {
+                records: mixed.clone(),
+            },
+            Request::Flush { device: None },
+        ])
+        .unwrap();
+    for (reply, sent) in replies.iter().zip([solo.len(), mixed.len()]) {
+        match reply {
+            Response::Ingested {
+                accepted, rejected, ..
+            } => assert_eq!((*accepted, *rejected), (sent, 0)),
+            other => panic!("v2 ingest failed: {other:?}"),
+        }
+    }
+    match &replies[2] {
+        Response::Flushed { devices, .. } => assert_eq!(*devices, 3),
+        other => panic!("v2 flush failed: {other:?}"),
+    }
+
+    // The oracle: one in-process streaming translator fed the same records
+    // in the same per-device order, flushed at the same points.
+    let oracle_store = Arc::new(SemanticsStore::new());
+    let mut oracle = StreamingTranslator::from_editor(&dsm, &editor, None, StreamConfig::default())
+        .unwrap()
+        .with_store(oracle_store.clone());
+    for trace in &traffic.traces {
+        for record in trace.raw.records() {
+            oracle.push(record.clone());
+        }
+    }
+    for trace in &traffic.traces {
+        oracle.flush_device(trace.raw.device());
+    }
+    for record in solo.iter().chain(&mixed) {
+        oracle.push(record.clone());
+    }
+    for device in ["v2-solo", mix_a, mix_b] {
+        oracle.flush_device(&DeviceId::new(device));
+    }
+    for query in [Query::Stats, Query::PopularRegions] {
+        let wire = v2
+            .query_parts(SemanticsSelector::all(), query.clone())
+            .unwrap()
+            .unwrap();
+        let want = oracle_store.query(&QueryRequest::new(SemanticsSelector::all(), query));
+        assert_eq!(
+            wire, want,
+            "served store diverged from the in-process translator"
+        );
+        if let QueryResult::Stats(stats) = &wire {
+            assert_eq!(stats.devices, traffic.traces.len() + 3);
+        }
+    }
+    drop(v2);
     drop(client);
     let report = handle.shutdown().unwrap();
     assert_eq!(report.bad_requests, 0);
