@@ -24,9 +24,9 @@
 //!   ([`decode_request_frame_ref`] / [`RawRecordRef`]) that parses v2
 //!   ingest batches as borrowed views straight out of the connection
 //!   read buffer;
-//! * [`event`] — `poll(2)`/`epoll(7)` readiness multiplexing, the
-//!   worker→event-loop [`event::Waker`], and a raw `timerfd` binding for
-//!   idle-timeout ticks;
+//! * [`event`] — level-triggered `poll(2)` readiness multiplexing and
+//!   the worker→event-loop [`event::Waker`] (a connected loopback UDP
+//!   pair);
 //! * [`server`] — [`TripsServer`]: sharded event loops driving every
 //!   connection, per-connection sessions with per-device
 //!   refcounts, a fixed worker pool behind a **bounded admission queue**
@@ -65,7 +65,6 @@ pub use codec::{
     encode_request_frame, encode_response_frame, FrameError, IngestFrameRef, RawRecordRef,
     RequestFrameRef, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
-pub use event::BackendChoice;
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, EndpointMetrics,
     HealthReport, LoopShardMetrics, MetricsReport, Request, RequestEnvelope, Response,

@@ -330,7 +330,8 @@ pub struct MetricsReport {
     /// connection-scaling gate watches this for flat memory.
     #[serde(default)]
     pub rss_kb: Option<u64>,
-    /// The readiness backend the event loops run on (`"epoll"`/`"poll"`).
+    /// The readiness backend the event loops run on: always `"poll"`
+    /// from this server (older servers could also report `"epoll"`).
     #[serde(default)]
     pub event_backend: String,
     /// One entry per event-loop shard.

@@ -13,18 +13,20 @@
 //!   least-loaded loop shard;
 //! * **N event-loop shards** (`ServerConfig::loop_shards`, default
 //!   `min(cores, 4)`) each own their connections' fds, buffers, and a
-//!   wake-up channel, multiplexed by [`crate::event::Poller`] —
-//!   edge-triggered epoll on Linux, poll(2) as the portable fallback
-//!   ([`crate::event::BackendChoice`]). Connections are nonblocking
-//!   sockets with per-connection read/write buffers and cached readiness
-//!   (`can_read`/`can_write`, cleared only on `WouldBlock` — the
-//!   edge-triggered contract), so ten thousand idle device streams cost
-//!   fds and buffers, not parked threads, and a wakeup costs O(ready),
-//!   not O(connections). Each shard parses complete messages (NDJSON v1
-//!   lines or binary v2 frames, detected per message by the first byte),
-//!   answers cheap admin requests inline (`Ping`/`Health`/`Metrics` stay
-//!   observable under overload), and submits real work to the queue —
-//!   one request in flight per connection, so responses stay ordered;
+//!   wake-up channel, multiplexed by [`crate::event::Poller`]
+//!   (level-triggered `poll(2)`). Connections are nonblocking sockets
+//!   with per-connection read/write buffers and cached readiness
+//!   (`can_read`/`can_write`, cleared only on `WouldBlock`; only
+//!   exhausted directions are armed in the poll set, so known readiness
+//!   never spins the loop), so ten thousand idle device streams cost fds
+//!   and buffers, not parked threads. A wakeup is O(connections): each
+//!   lap services every connection and refreshes its interest, then
+//!   `poll(2)` scans the whole set. Each shard parses complete messages
+//!   (NDJSON v1 lines or binary v2 frames, detected per message by the
+//!   first byte), answers cheap admin requests inline
+//!   (`Ping`/`Health`/`Metrics` stay observable under overload), and
+//!   submits real work to the queue — one request in flight per
+//!   connection, so responses stay ordered;
 //! * a **fixed worker pool** pops jobs, executes them against the
 //!   sharded `StreamingTranslator` locks + shared `SemanticsStore`,
 //!   *encodes the response bytes* (the serialization cost parallelizes),
@@ -97,7 +99,7 @@
 //! queryable state.
 
 use crate::codec::{self, FrameError, RequestFrameRef, FRAME_MAGIC, HEADER_LEN, MAX_FRAME_PAYLOAD};
-use crate::event::{fd_of, poll_fds, BackendChoice, Event, PollFd, Poller, Waker, POLLIN};
+use crate::event::{fd_of, poll_fds, Event, PollFd, Poller, Waker, POLLIN};
 use crate::protocol::{
     EndpointMetrics, HealthReport, LoopShardMetrics, MetricsReport, Request, RequestEnvelope,
     Response, ResponseEnvelope, ServerError,
@@ -185,10 +187,6 @@ const _: () = assert!(
 /// The registration token reserved for each shard's waker fd.
 const WAKER_TOKEN: u64 = u64::MAX;
 
-/// The registration token reserved for the idle-reap timerfd (epoll only;
-/// the poll backend's bounded wait laps pace the reap sweep instead).
-const TIMER_TOKEN: u64 = u64::MAX - 1;
-
 /// Cap on per-connection interned device ids (zero-copy decode path) —
 /// bounds memory against a client that invents a new id per record.
 const INTERN_MAX: usize = 4096;
@@ -225,9 +223,6 @@ pub struct ServerConfig {
     /// routed by [`trips_store::device_hash`], so this aligns with the
     /// store's own sharding.
     pub translator_shards: usize,
-    /// Readiness backend: edge-triggered epoll (Linux), level-triggered
-    /// poll(2) (portable), or `Auto` (epoll where available).
-    pub backend: BackendChoice,
     /// Streaming-translator settings (flush gap, buffer cap, translator).
     pub stream: StreamConfig,
     /// Boot the store from this `trips-store` snapshot instead of empty.
@@ -272,12 +267,11 @@ impl Default for ServerConfig {
             queue_capacity: 128,
             // A loop shard costs ~one fd + two buffers per connection, so
             // the default cap is deployment-sized, not thread-sized (the
-            // CI scaling gate holds 2000 under epoll).
+            // CI connection-scaling gate holds 2000).
             max_connections: 4096,
             shards: 0,
             loop_shards: 0,
             translator_shards: 0,
-            backend: BackendChoice::Auto,
             stream: StreamConfig::default(),
             snapshot: None,
             snapshot_root: None,
@@ -576,7 +570,6 @@ struct Shared<'env> {
     /// Teardown flushes + `end_session`s only devices dropping to zero.
     sessions: parking_lot::Mutex<BTreeMap<DeviceId, usize>>,
     snapshot_root: Option<PathBuf>,
-    backend_name: &'static str,
     shutdown: AtomicBool,
     active: AtomicUsize,
     started: Instant,
@@ -1187,7 +1180,8 @@ impl<'env> Shared<'env> {
             queue_capacity: self.queue.capacity(),
             peak_queue_depth: self.queue.peak_depth(),
             rss_kb: read_rss_kb(),
-            event_backend: self.backend_name.to_string(),
+            // The one readiness backend; the field stays on the wire.
+            event_backend: "poll".to_string(),
             loop_shards,
             translator_shards: self.translators.len(),
             translator_lock_contention: self.translator_contention.load(Ordering::Relaxed),
@@ -1319,10 +1313,9 @@ struct Conn {
     /// Last time the connection read bytes or settled a completion — the
     /// idle-reap clock.
     last_activity: Instant,
-    /// Cached readiness (the edge-triggered contract): assumed ready at
-    /// registration, cleared only on `WouldBlock`/EOF, set again by the
-    /// poller's events. Under level-triggered poll the same flags are
-    /// simply refreshed every wait.
+    /// Cached readiness: assumed ready at registration, cleared only on
+    /// `WouldBlock`/EOF, set again by the poller's events. Only a cleared
+    /// direction is armed in the poll set (see `LoopShard::run`).
     can_read: bool,
     can_write: bool,
     /// A queued work request is awaiting its completion; no further
@@ -1393,7 +1386,8 @@ impl Conn {
     /// Whether cached readiness lets this connection make progress right
     /// now (the loop shard re-waits with timeout 0 while any does — a
     /// read-budget or buffer-cap pause must not sleep on the poller,
-    /// because under edge-triggering no new event would ever come).
+    /// because a direction with cached readiness is not armed, so no
+    /// event would come for it).
     fn actionable(&self) -> bool {
         if self.dead {
             return false;
@@ -1433,10 +1427,10 @@ impl Conn {
         }
     }
 
-    /// Reads up to `budget` bytes into the read buffer. Edge-safe:
-    /// `can_read` clears **only** on `WouldBlock`/EOF — a budget or
-    /// buffer-cap stop leaves it set, so the loop shard comes right back
-    /// instead of sleeping on a level change that will never be re-signaled.
+    /// Reads up to `budget` bytes into the read buffer. `can_read` clears
+    /// **only** on `WouldBlock`/EOF — a budget or buffer-cap stop leaves
+    /// it set, so the loop shard comes right back instead of sleeping on
+    /// a direction it has not armed.
     fn fill_read(&mut self, budget: usize) {
         let mut budget = budget.max(1);
         let mut chunk = [0u8; 16 * 1024];
@@ -1916,7 +1910,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
     }
 
     /// Registers sockets the acceptor dealt to this shard.
-    fn adopt_incoming(&mut self) -> io::Result<()> {
+    fn adopt_incoming(&mut self) {
         let incoming: Vec<(TcpStream, Instant)> =
             std::mem::take(&mut *self.shared.shards[self.id].incoming.lock());
         for (stream, handed_off) in incoming {
@@ -1927,11 +1921,9 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                 continue;
             }
             let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-            // Both directions: under epoll this is the one-and-only arming
-            // (edges for reads *and* blocked writes); under poll the
-            // per-lap `set_interest` refresh takes over before the first
-            // wait.
-            self.poller.register(fd_of(&stream), token, true, true)?;
+            // Both directions; the per-lap `set_interest` refresh takes
+            // over before the first wait.
+            self.poller.register(fd_of(&stream), token, true, true);
             let accept_us = if trips_obs::enabled() {
                 handed_off.elapsed().as_micros() as u64
             } else {
@@ -1942,7 +1934,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         self.shared.shards[self.id]
             .connections
             .store(self.conns.len(), Ordering::Relaxed);
-        Ok(())
     }
 
     /// Marks connections idle past the configured timeout for teardown.
@@ -2066,7 +2057,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        self.poller.deregister(fd_of(&conn.stream), token);
+        self.poller.deregister(token);
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
         self.shared.shards[self.id]
             .connections
@@ -2126,25 +2117,15 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
     fn run(&mut self) -> io::Result<()> {
         let state = &self.shared.shards[self.id];
         self.poller
-            .register(state.waker.fd(), WAKER_TOKEN, true, false)?;
+            .register(state.waker.fd(), WAKER_TOKEN, true, false);
         // Idle reaping cadence: a quarter of the timeout (floored) keeps
-        // the worst-case overshoot at ~25%. Under epoll the interval is
-        // additionally armed as a timerfd so a shard whose fds are all
-        // silent still wakes to reap; the poll backend's bounded waits
-        // already lap at least every `LOOP_WAIT_MS`.
+        // the worst-case overshoot at ~25%. A shard whose fds are all
+        // silent still laps at least every `LOOP_WAIT_MS`, so the sweep
+        // needs no timer of its own.
         let reap_period = self
             .shared
             .idle_timeout
             .map(|t| (t / 4).max(Duration::from_millis(100)));
-        #[cfg(target_os = "linux")]
-        let timer: Option<crate::event::TimerFd> = match (reap_period, &self.poller) {
-            (Some(period), Poller::Epoll(_)) => {
-                let t = crate::event::TimerFd::new_interval(period)?;
-                self.poller.register(t.fd(), TIMER_TOKEN, true, false)?;
-                Some(t)
-            }
-            _ => None,
-        };
         let mut next_reap = reap_period.map(|p| Instant::now() + p);
         let mut drain_deadline: Option<Instant> = None;
         let mut events: Vec<Event> = Vec::new();
@@ -2153,7 +2134,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             // signal arriving mid-iteration leaves a wake pending rather
             // than being swallowed.
             state.waker.drain();
-            self.adopt_incoming()?;
+            self.adopt_incoming();
             self.apply_completions();
 
             let tokens: Vec<u64> = self.conns.keys().copied().collect();
@@ -2194,9 +2175,9 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             } else {
                 LOOP_WAIT_MS
             };
-            // Refresh level-triggered interest (no-op under epoll): only
-            // directions whose cached readiness is *exhausted* are armed,
-            // so a level-triggered poll cannot spin on known state.
+            // Refresh interest: only directions whose cached readiness is
+            // *exhausted* are armed, so level-triggered poll cannot spin
+            // on known state.
             for (&token, conn) in &self.conns {
                 let read = conn.wants_read() && !conn.can_read;
                 let write = !conn.write_q.is_empty() && !conn.can_write && !conn.dead;
@@ -2205,16 +2186,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             self.poller.wait(timeout, &mut events)?;
             for ev in &events {
                 if ev.token == WAKER_TOKEN {
-                    continue;
-                }
-                if ev.token == TIMER_TOKEN {
-                    // The idle-reap tick: clear the expiration counter so
-                    // the edge re-arms; the sweep itself runs at the top
-                    // of the lap.
-                    #[cfg(target_os = "linux")]
-                    if let Some(t) = &timer {
-                        t.drain();
-                    }
                     continue;
                 }
                 if let Some(conn) = self.conns.get_mut(&ev.token) {
@@ -2459,11 +2430,6 @@ impl TripsServer {
         QueryService::new(self.store.clone())
     }
 
-    /// The readiness backend this configuration resolves to.
-    pub fn backend(&self) -> BackendChoice {
-        self.config.backend.resolved()
-    }
-
     /// The effective event-loop shard count (resolves `0` → default).
     pub fn loop_shards(&self) -> usize {
         if self.config.loop_shards == 0 {
@@ -2501,7 +2467,7 @@ impl TripsServer {
         let translator_shards = self.translator_shards();
 
         // Build every fallible resource before any thread starts: one
-        // poller + matching waker per loop shard, one translator per
+        // poller + waker per loop shard, one translator per
         // translator shard. Each translator trains its own (identical,
         // deterministic) model from the editor; devices are then routed
         // wholly to one instance, so output matches a single translator
@@ -2509,12 +2475,10 @@ impl TripsServer {
         let mut pollers = Vec::with_capacity(loop_shards);
         let mut shard_states = Vec::with_capacity(loop_shards);
         for _ in 0..loop_shards {
-            let poller = Poller::new(self.config.backend)?;
-            let waker = Waker::for_poller(&poller)?;
-            pollers.push(poller);
+            pollers.push(Poller::new());
             shard_states.push(Arc::new(ShardState {
                 completions: parking_lot::Mutex::new(Vec::new()),
-                waker,
+                waker: Waker::new()?,
                 incoming: parking_lot::Mutex::new(Vec::new()),
                 wakeups: AtomicU64::new(0),
                 connections: AtomicUsize::new(0),
@@ -2522,7 +2486,6 @@ impl TripsServer {
                 jobs: AtomicU64::new(0),
             }));
         }
-        let backend_name = pollers[0].backend_name();
         let mut translators = Vec::with_capacity(translator_shards);
         for _ in 0..translator_shards {
             let translator = StreamingTranslator::from_editor(
@@ -2560,7 +2523,6 @@ impl TripsServer {
             next_token: AtomicU64::new(0),
             sessions: parking_lot::Mutex::new(BTreeMap::new()),
             snapshot_root: self.config.snapshot_root.clone(),
-            backend_name,
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             started: Instant::now(),

@@ -1,17 +1,16 @@
 //! Idle-connection reaping (`--idle-timeout`): connections with no
-//! traffic past the timeout are closed by their event loop (timerfd tick
-//! on epoll, timeout lap on poll), counted in `connections_reaped`, while
-//! active connections ride through untouched.
+//! traffic past the timeout are closed by their event loop (checked on
+//! its bounded wait laps), counted in `connections_reaped`, while active
+//! connections ride through untouched.
 
 use std::io::Read;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use trips_server::{
-    bootstrap_scenario, BackendChoice, Client, Response, ServerConfig, TripsServer,
-};
+use trips_server::{bootstrap_scenario, Client, Response, ServerConfig, TripsServer};
 use trips_sim::ScenarioConfig;
 
-fn spawn_reaping_server(backend: BackendChoice) -> trips_server::ServerHandle {
+#[test]
+fn idle_connections_reaped_active_survive() {
     let boot = bootstrap_scenario(
         1,
         3,
@@ -22,22 +21,17 @@ fn spawn_reaping_server(backend: BackendChoice) -> trips_server::ServerHandle {
             ..ScenarioConfig::default()
         },
     );
-    TripsServer::new(
+    let handle = TripsServer::new(
         boot.dsm,
         boot.editor,
         ServerConfig {
             idle_timeout: Some(Duration::from_millis(300)),
-            backend,
             ..ServerConfig::default()
         },
     )
     .unwrap()
     .spawn("127.0.0.1:0")
-    .unwrap()
-}
-
-fn idle_conns_reaped_active_survive(backend: BackendChoice) {
-    let handle = spawn_reaping_server(backend);
+    .unwrap();
     let addr = handle.addr();
 
     // A raw idle connection: never sends a byte, so it is quiescent from
@@ -75,16 +69,6 @@ fn idle_conns_reaped_active_survive(backend: BackendChoice) {
         other => panic!("metrics failed: {other:?}"),
     }
     handle.shutdown().unwrap();
-}
-
-#[test]
-fn idle_connections_reaped_on_default_backend() {
-    idle_conns_reaped_active_survive(BackendChoice::Auto);
-}
-
-#[test]
-fn idle_connections_reaped_on_poll_backend() {
-    idle_conns_reaped_active_survive(BackendChoice::Poll);
 }
 
 /// With the timeout off (the default), idle connections are never reaped.

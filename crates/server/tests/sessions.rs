@@ -223,14 +223,7 @@ fn sessions_hold_across_loop_shards() {
     // of the four connections; a power-of-two translator shard count.
     match watch.metrics().unwrap() {
         Response::Metrics(m) => {
-            assert_eq!(
-                m.event_backend,
-                if cfg!(target_os = "linux") {
-                    "epoll"
-                } else {
-                    "poll"
-                }
-            );
+            assert_eq!(m.event_backend, "poll");
             assert_eq!(m.loop_shards.len(), 4);
             let conns: Vec<usize> = m.loop_shards.iter().map(|s| s.connections).collect();
             assert_eq!(conns, vec![1, 1, 1, 1], "round-robin spread: {conns:?}");

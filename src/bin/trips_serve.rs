@@ -11,25 +11,22 @@
 //! ```text
 //! trips-serve [--host H] [--port P] [--workers N] [--queue N]
 //!             [--max-conns N] [--shards N] [--loop-shards N]
-//!             [--translator-shards N] [--event-backend auto|epoll|poll]
-//!             [--max-rules N] [--floors N] [--shops N]
-//!             [--devices N] [--days N] [--seed N] [--snapshot PATH]
-//!             [--snapshot-root DIR] [--wal-dir DIR]
-//!             [--fsync always|every=N|never] [--segment-bytes N]
-//!             [--metrics-addr HOST:PORT] [--slow-threshold-us N]
-//!             [--idle-timeout SECS]
+//!             [--translator-shards N] [--max-rules N]
+//!             [--floors N] [--shops N] [--devices N] [--days N]
+//!             [--seed N] [--snapshot PATH] [--snapshot-root DIR]
+//!             [--wal-dir DIR] [--fsync always|every=N|never]
+//!             [--segment-bytes N] [--metrics-addr HOST:PORT]
+//!             [--slow-threshold-us N] [--idle-timeout SECS]
 //! ```
 //!
 //! `--loop-shards` splits the event loop into N independent shards (one
-//! thread each, default `min(cores, 4)`); a single acceptor places each
-//! new connection on the least-loaded shard (observed bytes + jobs,
-//! round-robin when idle). `--translator-shards` partitions the
-//! streaming-translator lock by device hash (rounded to a power of two).
-//! `--event-backend` picks the readiness backend: `epoll`
-//! (edge-triggered, Linux), `poll` (portable), or `auto` (default —
-//! epoll where available). `--max-rules` caps how many standing TQL
-//! rules (`Subscribe` requests) may be registered at once across all
-//! connections (default 1024).
+//! thread each, default `min(cores, 4)`, each a level-triggered
+//! `poll(2)` loop); a single acceptor places each new connection on the
+//! least-loaded shard (observed bytes + jobs, round-robin when idle).
+//! `--translator-shards` partitions the streaming-translator lock by
+//! device hash (rounded to a power of two). `--max-rules` caps how many
+//! standing TQL rules (`Subscribe` requests) may be registered at once
+//! across all connections (default 1024).
 //!
 //! `--snapshot-root` enables wire-level `Snapshot` requests on a
 //! non-durable server: the request's (relative, non-escaping) path
@@ -51,8 +48,8 @@
 //! every request — the trace-everything switch).
 //!
 //! `--idle-timeout SECS` reaps connections with no traffic for that long
-//! (default off; epoll shards arm a `timerfd`, the poll backend checks on
-//! its timeout lap) — reaps count in the `connections_reaped` metric.
+//! (default off; each loop shard checks on its bounded wait laps) —
+//! reaps count in the `connections_reaped` metric.
 //!
 //! Clients replaying `generate_campus` traffic must use the same
 //! `--floors/--shops` layout (every campus building shares it); see the
@@ -60,7 +57,7 @@
 
 use std::io::Write;
 use std::net::TcpListener;
-use trips::server::{bootstrap_scenario, BackendChoice, ServerConfig, TripsServer};
+use trips::server::{bootstrap_scenario, ServerConfig, TripsServer};
 use trips::sim::ScenarioConfig;
 use trips::store::DurabilityConfig;
 use trips::wal::FsyncPolicy;
@@ -84,8 +81,7 @@ fn usage_and_exit(message: &str) -> ! {
     eprintln!(
         "usage: trips-serve [--host H] [--port P] [--workers N] [--queue N] \
          [--max-conns N] [--shards N] [--loop-shards N] [--translator-shards N] \
-         [--event-backend auto|epoll|poll] [--max-rules N] \
-         [--floors N] [--shops N] [--devices N] [--days N] [--seed N] [--snapshot PATH] \
+         [--max-rules N] [--floors N] [--shops N] [--devices N] [--days N] [--seed N] [--snapshot PATH] \
          [--snapshot-root DIR] [--wal-dir DIR] [--fsync always|every=N|never] \
          [--segment-bytes N] [--metrics-addr HOST:PORT] [--slow-threshold-us N] \
          [--idle-timeout SECS]"
@@ -130,15 +126,6 @@ fn parse_args() -> Options {
                 opts.config.translator_shards = parse(&mut args, "--translator-shards")
             }
             "--max-rules" => opts.config.max_rules = parse(&mut args, "--max-rules"),
-            "--event-backend" => {
-                let raw: String = parse(&mut args, "--event-backend");
-                match BackendChoice::parse(&raw) {
-                    Some(choice) => opts.config.backend = choice,
-                    None => usage_and_exit(&format!(
-                        "invalid value {raw:?} for --event-backend (auto|epoll|poll)"
-                    )),
-                }
-            }
             "--floors" => opts.floors = parse(&mut args, "--floors"),
             "--shops" => opts.shops = parse(&mut args, "--shops"),
             "--devices" => opts.devices = parse(&mut args, "--devices"),
@@ -265,8 +252,7 @@ fn main() {
         .local_addr()
         .expect("bound listener has an address");
     eprintln!(
-        "trips-serve: event backend {}, loop shards {}, translator shards {}, rule cap {}",
-        server.backend(),
+        "trips-serve: loop shards {}, translator shards {}, rule cap {}",
         server.loop_shards(),
         server.translator_shards(),
         server.max_rules(),
