@@ -72,15 +72,16 @@
 //! evaluation traces (evals, fires, canonical source) as JSON.
 //! `--rules-overhead N` runs a separate **in-process** A/B: the same
 //! campus traffic through a `StreamingTranslator`-fed store with 0 and
-//! with N registered rules (best of 3 rounds each, so scheduler noise
-//! cannot fail the gate spuriously); the run fails when the with-rules
-//! ingest wall exceeds baseline × 1.10 — the "<10% overhead" acceptance
-//! gate, measured without wire noise.
+//! with N registered rules (best of 7 rounds each; the arm that runs
+//! first alternates per round so scheduler and thermal drift hit both
+//! arms, and every round's walls go into the report); the run fails
+//! when the with-rules ingest wall exceeds baseline × 1.10 — the "<10%
+//! overhead" acceptance gate, measured without wire noise.
 //!
 //! `--obs-overhead` runs the same in-process A/B shape for the
 //! observability layer: identical campus traffic through a
 //! translator-fed store with the `trips-obs` instrumentation globally
-//! disabled and then enabled (best of 3 alternating rounds, repeats
+//! disabled and enabled (best of 7 rounds in alternating order, repeats
 //! summed exactly like `--rules-overhead`); the run fails when the
 //! instrumented ingest wall exceeds baseline × 1.05 — the "<5%
 //! observability overhead" acceptance gate, measured without wire noise.
@@ -409,12 +410,18 @@ struct RulesReport {
 }
 
 /// The `--rules-overhead` A/B: identical traffic through an in-process
-/// translator-fed store with 0 vs N rules, best-of-3 walls.
+/// translator-fed store with 0 vs N rules, best of [`OVERHEAD_ROUNDS`]
+/// rounds whose arm order alternates.
 #[derive(Serialize, Deserialize)]
 struct RulesOverheadReport {
     rules: usize,
     baseline_wall_ms: f64,
     with_rules_wall_ms: f64,
+    /// Every round's wall per arm, in round order.
+    #[serde(default)]
+    baseline_rounds_ms: Vec<f64>,
+    #[serde(default)]
+    with_rules_rounds_ms: Vec<f64>,
     /// `(with - baseline) / baseline`, in percent. May be negative under
     /// runner noise; the gate only fails past +10%.
     overhead_pct: f64,
@@ -425,13 +432,18 @@ struct RulesOverheadReport {
 }
 
 /// The `--obs-overhead` A/B: identical in-process ingest with the
-/// `trips-obs` instrumentation globally disabled vs enabled, best-of-3
-/// alternating rounds (the rules-overhead gate's repeats-summed
-/// methodology applied to the observability layer).
+/// `trips-obs` instrumentation globally disabled vs enabled, best of
+/// [`OVERHEAD_ROUNDS`] alternating rounds (the rules-overhead gate's
+/// repeats-summed methodology applied to the observability layer).
 #[derive(Serialize, Deserialize)]
 struct ObsOverheadReport {
     baseline_wall_ms: f64,
     with_obs_wall_ms: f64,
+    /// Every round's wall per arm, in round order.
+    #[serde(default)]
+    baseline_rounds_ms: Vec<f64>,
+    #[serde(default)]
+    with_obs_rounds_ms: Vec<f64>,
     /// `(with - baseline) / baseline`, in percent. May be negative under
     /// runner noise; the gate only fails past +5%.
     overhead_pct: f64,
@@ -629,8 +641,37 @@ fn timed_ingest(
     total
 }
 
-/// The `--rules-overhead N` gate: same traffic, 0 vs N rules, best of 3
-/// rounds each (alternating, so thermal/scheduler drift hits both arms).
+/// Rounds of each in-process overhead A/B.
+const OVERHEAD_ROUNDS: usize = 7;
+
+/// Runs both arms of an overhead A/B for [`OVERHEAD_ROUNDS`] rounds,
+/// baseline first in even rounds and second in odd ones, so
+/// thermal/scheduler drift hits both arms. Returns each arm's walls in
+/// milliseconds, in round order.
+fn overhead_rounds(
+    mut baseline: impl FnMut() -> std::time::Duration,
+    mut with: impl FnMut() -> std::time::Duration,
+) -> (Vec<f64>, Vec<f64>) {
+    let (mut base_ms, mut with_ms) = (Vec::new(), Vec::new());
+    for round in 0..OVERHEAD_ROUNDS {
+        if round % 2 == 0 {
+            base_ms.push(baseline().as_secs_f64() * 1e3);
+            with_ms.push(with().as_secs_f64() * 1e3);
+        } else {
+            with_ms.push(with().as_secs_f64() * 1e3);
+            base_ms.push(baseline().as_secs_f64() * 1e3);
+        }
+    }
+    (base_ms, with_ms)
+}
+
+/// The smallest of a gate's per-round walls.
+fn best_ms(rounds: &[f64]) -> f64 {
+    rounds.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// The `--rules-overhead N` gate: same traffic, 0 vs N rules, best of
+/// [`OVERHEAD_ROUNDS`] alternating rounds each.
 /// Gate: with-rules wall ≤ baseline × 1.10.
 fn rules_overhead_gate(
     n_rules: usize,
@@ -638,7 +679,8 @@ fn rules_overhead_gate(
     opts: &Options,
 ) -> RulesOverheadReport {
     eprintln!(
-        "server_load: in-process rule-overhead A/B (0 vs {n_rules} rules, best of 3 rounds)..."
+        "server_load: in-process rule-overhead A/B (0 vs {n_rules} rules, best of \
+         {OVERHEAD_ROUNDS} rounds)..."
     );
     let boot = bootstrap_scenario(
         opts.floors,
@@ -669,23 +711,26 @@ fn rules_overhead_gate(
         .flat_map(|b| b.iter().map(|(_, r)| r.len()))
         .sum();
     let repeats = (400_000 / records.max(1)).clamp(1, 64);
-    let mut base_best = std::time::Duration::MAX;
-    let mut with_best = std::time::Duration::MAX;
     let mut alerts_fired = 0u64;
-    for _ in 0..3 {
-        base_best = base_best.min(timed_ingest(&boot, traffic, &[], &sink, repeats));
-        let before = sink.0.load(Ordering::Relaxed);
-        with_best = with_best.min(timed_ingest(&boot, traffic, &specs, &sink, repeats));
-        // Per-pass count: every repeat fires identically on a fresh store.
-        alerts_fired = (sink.0.load(Ordering::Relaxed) - before) / repeats as u64;
-    }
-    let baseline_wall_ms = base_best.as_secs_f64() * 1e3;
-    let with_rules_wall_ms = with_best.as_secs_f64() * 1e3;
+    let (baseline_rounds_ms, with_rules_rounds_ms) = overhead_rounds(
+        || timed_ingest(&boot, traffic, &[], &sink, repeats),
+        || {
+            let before = sink.0.load(Ordering::Relaxed);
+            let wall = timed_ingest(&boot, traffic, &specs, &sink, repeats);
+            // Per-pass count: every repeat fires identically on a fresh store.
+            alerts_fired = (sink.0.load(Ordering::Relaxed) - before) / repeats as u64;
+            wall
+        },
+    );
+    let baseline_wall_ms = best_ms(&baseline_rounds_ms);
+    let with_rules_wall_ms = best_ms(&with_rules_rounds_ms);
     let overhead_pct = (with_rules_wall_ms - baseline_wall_ms) / baseline_wall_ms * 100.0;
     RulesOverheadReport {
         rules: n_rules,
         baseline_wall_ms,
         with_rules_wall_ms,
+        baseline_rounds_ms,
+        with_rules_rounds_ms,
         overhead_pct,
         alerts_fired,
         ok: with_rules_wall_ms <= baseline_wall_ms * 1.10,
@@ -694,16 +739,18 @@ fn rules_overhead_gate(
 
 /// The `--obs-overhead` gate: same traffic through an in-process
 /// translator-fed store with `trips_obs` instrumentation off vs on,
-/// best of 3 alternating rounds. The store/rules hot paths gate their
-/// timing and contention accounting on `trips_obs::enabled()`, so the
-/// toggle isolates exactly the instrumentation cost the server pays.
+/// best of [`OVERHEAD_ROUNDS`] alternating rounds. The store/rules hot
+/// paths gate their timing and contention accounting on
+/// `trips_obs::enabled()`, so the toggle isolates exactly the
+/// instrumentation cost the server pays.
 /// Gate: instrumented wall ≤ baseline × 1.05.
 fn obs_overhead_gate(
     traffic: &[Vec<(DeviceId, Vec<RawRecord>)>],
     opts: &Options,
 ) -> ObsOverheadReport {
     eprintln!(
-        "server_load: in-process observability-overhead A/B (obs off vs on, best of 3 rounds)..."
+        "server_load: in-process observability-overhead A/B (obs off vs on, best of \
+         {OVERHEAD_ROUNDS} rounds)..."
     );
     let boot = bootstrap_scenario(
         opts.floors,
@@ -725,20 +772,20 @@ fn obs_overhead_gate(
     // granularity and scheduler noise.
     let repeats = (400_000 / records.max(1)).clamp(1, 64);
     let was_enabled = trips_obs::enabled();
-    let mut off_best = std::time::Duration::MAX;
-    let mut on_best = std::time::Duration::MAX;
-    for _ in 0..3 {
-        trips_obs::set_enabled(false);
-        off_best = off_best.min(timed_ingest(&boot, traffic, &[], &sink, repeats));
-        trips_obs::set_enabled(true);
-        on_best = on_best.min(timed_ingest(&boot, traffic, &[], &sink, repeats));
-    }
+    let timed_with_obs = |enabled: bool| {
+        trips_obs::set_enabled(enabled);
+        timed_ingest(&boot, traffic, &[], &sink, repeats)
+    };
+    let (baseline_rounds_ms, with_obs_rounds_ms) =
+        overhead_rounds(|| timed_with_obs(false), || timed_with_obs(true));
     trips_obs::set_enabled(was_enabled);
-    let baseline_wall_ms = off_best.as_secs_f64() * 1e3;
-    let with_obs_wall_ms = on_best.as_secs_f64() * 1e3;
+    let baseline_wall_ms = best_ms(&baseline_rounds_ms);
+    let with_obs_wall_ms = best_ms(&with_obs_rounds_ms);
     ObsOverheadReport {
         baseline_wall_ms,
         with_obs_wall_ms,
+        baseline_rounds_ms,
+        with_obs_rounds_ms,
         overhead_pct: (with_obs_wall_ms - baseline_wall_ms) / baseline_wall_ms * 100.0,
         ok: with_obs_wall_ms <= baseline_wall_ms * 1.05,
     }

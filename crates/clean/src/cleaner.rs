@@ -2,7 +2,7 @@
 
 use crate::speed::SpeedChecker;
 use trips_data::{PositioningSequence, RawRecord};
-use trips_dsm::{DigitalSpaceModel, DsmError, PathQuery};
+use trips_dsm::{Anchor, DigitalSpaceModel, DsmError};
 use trips_geom::FloorId;
 
 /// What happened to each input record during cleaning.
@@ -74,7 +74,6 @@ pub struct CleanedSequence {
 pub struct Cleaner<'a> {
     dsm: &'a DigitalSpaceModel,
     checker: SpeedChecker<'a>,
-    pq: PathQuery<'a>,
     config: CleanerConfig,
 }
 
@@ -84,7 +83,6 @@ impl<'a> Cleaner<'a> {
         Ok(Cleaner {
             dsm,
             checker: SpeedChecker::new(dsm, config.max_speed)?,
-            pq: PathQuery::new(dsm)?,
             config,
         })
     }
@@ -99,6 +97,11 @@ impl<'a> Cleaner<'a> {
         let input = seq.records();
         let n = input.len();
         let mut working: Vec<RawRecord> = input.to_vec();
+        // `anchors[i]`: where `working[i]` enters the walking graph, kept in
+        // step with every rewrite of `working[i]`.
+        let pq = self.checker.path_query();
+        let mut anchors: Vec<Option<Anchor>> =
+            working.iter().map(|r| pq.anchor(&r.location)).collect();
         let mut repairs = vec![RepairKind::Valid; n];
         // `alive[i]`: record i currently participates in the output.
         let mut alive = vec![true; n];
@@ -112,7 +115,10 @@ impl<'a> Cleaner<'a> {
         for i in 0..n {
             let ok = match last_valid {
                 None => true, // first record is trusted until contradicted
-                Some(j) => self.checker.feasible(&working[j], &working[i]),
+                Some(j) => {
+                    self.checker
+                        .feasible_anchored(&working[j], anchors[j], &working[i], anchors[i])
+                }
             };
             if ok {
                 settled[i] = true;
@@ -134,9 +140,11 @@ impl<'a> Cleaner<'a> {
                     if target != working[i].location.floor {
                         let mut candidate = working[i].clone();
                         candidate.location = candidate.location.with_floor(target);
-                        if self.repair_fits(&working, prev, next, &candidate) {
+                        let anchor = pq.anchor(&candidate.location);
+                        if self.repair_fits(&working, &anchors, prev, next, &candidate, anchor) {
                             let from = working[i].location.floor;
                             working[i] = candidate;
+                            anchors[i] = anchor;
                             repairs[i] = RepairKind::FloorCorrected { from, to: target };
                             settled[i] = true;
                             continue;
@@ -151,8 +159,17 @@ impl<'a> Cleaner<'a> {
                     if let Some(loc) = self.interpolate(&working[p], &working[nx], &working[i]) {
                         let mut candidate = working[i].clone();
                         candidate.location = loc;
-                        if self.repair_fits(&working, Some(p), Some(nx), &candidate) {
+                        let anchor = pq.anchor(&candidate.location);
+                        if self.repair_fits(
+                            &working,
+                            &anchors,
+                            Some(p),
+                            Some(nx),
+                            &candidate,
+                            anchor,
+                        ) {
                             working[i] = candidate;
+                            anchors[i] = anchor;
                             repairs[i] = RepairKind::Interpolated;
                             settled[i] = true;
                             continue;
@@ -210,22 +227,30 @@ impl<'a> Cleaner<'a> {
         }
     }
 
-    /// Whether a candidate repair satisfies the constraint against both
-    /// neighbours (where they exist).
+    /// Whether a candidate repair (anchored at `anchor`) satisfies the
+    /// constraint against both neighbours (where they exist).
     fn repair_fits(
         &self,
         working: &[RawRecord],
+        anchors: &[Option<Anchor>],
         prev: Option<usize>,
         next: Option<usize>,
         candidate: &RawRecord,
+        anchor: Option<Anchor>,
     ) -> bool {
         if let Some(p) = prev {
-            if !self.checker.feasible(&working[p], candidate) {
+            if !self
+                .checker
+                .feasible_anchored(&working[p], anchors[p], candidate, anchor)
+            {
                 return false;
             }
         }
         if let Some(n) = next {
-            if !self.checker.feasible(candidate, &working[n]) {
+            if !self
+                .checker
+                .feasible_anchored(candidate, anchor, &working[n], anchors[n])
+            {
                 return false;
             }
         }
@@ -247,7 +272,10 @@ impl<'a> Cleaner<'a> {
             return None;
         }
         let frac = ((mid.ts - prev.ts).as_secs_f64() / total).clamp(0.0, 1.0);
-        let path = self.pq.path(&prev.location, &next.location)?;
+        let path = self
+            .checker
+            .path_query()
+            .path(&prev.location, &next.location)?;
         Some(path.point_at_fraction(frac))
     }
 
@@ -441,5 +469,72 @@ mod tests {
             r.valid + r.floor_corrected + r.interpolated + r.dropped,
             r.input_records
         );
+    }
+
+    #[test]
+    fn floor_corrected_record_anchors_the_next_check() {
+        let dsm = mall();
+        let cleaner = Cleaner::with_defaults(&dsm).unwrap();
+        // Standing in the hallway, one record a second: too little time to
+        // take the stairs. Records 3 and 4 both read floor 1. After
+        // record 3 is corrected it is record 4's valid predecessor, so
+        // record 4's repair is checked from record 3's *corrected* place.
+        let mut recs: Vec<RawRecord> = (0..8).map(|i| rec(20.0, 11.0, 0, i)).collect();
+        recs[3] = rec(20.0, 11.0, 1, 3);
+        recs[4] = rec(20.0, 11.0, 1, 4);
+        let out = cleaner.clean(&seq(recs));
+        let corrected = RepairKind::FloorCorrected { from: 1, to: 0 };
+        let mut want = vec![RepairKind::Valid; 8];
+        want[3] = corrected;
+        want[4] = corrected;
+        assert_eq!(out.repairs, want);
+        assert_eq!(
+            out.report,
+            CleaningReport {
+                input_records: 8,
+                valid: 6,
+                floor_corrected: 2,
+                interpolated: 0,
+                dropped: 0,
+            }
+        );
+        assert!(out.sequence.records().iter().all(|r| r.location.floor == 0));
+    }
+
+    #[test]
+    fn interpolated_record_anchors_the_next_check() {
+        let dsm = mall();
+        let cleaner = Cleaner::with_defaults(&dsm).unwrap();
+        // Walking east along the hallway at 1 m/s; records 3 and 4 jump
+        // into the south-east shop. Record 3 is interpolated to (13, 11)
+        // and is then record 4's valid predecessor.
+        let mut recs: Vec<RawRecord> = (0..9).map(|i| rec(10.0 + i as f64, 11.0, 0, i)).collect();
+        recs[3] = rec(35.0, 2.0, 0, 3);
+        recs[4] = rec(35.0, 2.0, 0, 4);
+        let out = cleaner.clean(&seq(recs));
+        let mut want = vec![RepairKind::Valid; 9];
+        want[3] = RepairKind::Interpolated;
+        want[4] = RepairKind::Interpolated;
+        assert_eq!(out.repairs, want);
+        assert_eq!(
+            out.report,
+            CleaningReport {
+                input_records: 9,
+                valid: 7,
+                floor_corrected: 0,
+                interpolated: 2,
+                dropped: 0,
+            }
+        );
+        // Time-proportional places on the hallway line: 13 m and 14 m.
+        let cleaned = out.sequence.records();
+        for (i, x) in [(3, 13.0), (4, 14.0)] {
+            assert!(
+                (cleaned[i].location.xy.x - x).abs() < 1e-9,
+                "{:?}",
+                cleaned[i]
+            );
+            assert!((cleaned[i].location.xy.y - 11.0).abs() < 1e-9);
+        }
     }
 }

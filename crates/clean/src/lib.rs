@@ -16,6 +16,14 @@
 //! The entry point is [`Cleaner`]; its [`Cleaner::clean`] returns both the
 //! cleaned sequence and a per-record audit trail ([`RepairKind`]) that the
 //! Viewer uses to display raw vs cleaned data side by side.
+//!
+//! Each check is exact but cheap: `clean` computes every record's
+//! walking-graph anchor once (and again only when a repair moves the
+//! record), and [`SpeedChecker`] decides cross-area pairs with
+//! `trips_dsm::PathQuery::within` — a lookup in the DSM's shared
+//! node-to-node distance table that defers to the Dijkstra search only
+//! when the implied speed is within a few ulps of the limit. Every
+//! decision, and so every cleaned sequence, is the one the search gives.
 
 mod cleaner;
 mod speed;

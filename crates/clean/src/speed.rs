@@ -1,7 +1,7 @@
 //! The indoor speed constraint.
 
 use trips_data::RawRecord;
-use trips_dsm::{DigitalSpaceModel, DsmError, PathQuery};
+use trips_dsm::{Anchor, DigitalSpaceModel, DsmError, PathQuery};
 
 /// A detected speed-constraint violation between two records.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,7 +16,6 @@ pub struct SpeedViolation {
 
 /// Checks the indoor speed constraint over the minimum walking distance.
 pub struct SpeedChecker<'a> {
-    dsm: &'a DigitalSpaceModel,
     pq: PathQuery<'a>,
     /// Maximum feasible indoor speed, m/s.
     pub max_speed: f64,
@@ -27,25 +26,19 @@ impl<'a> SpeedChecker<'a> {
     pub fn new(dsm: &'a DigitalSpaceModel, max_speed: f64) -> Result<Self, DsmError> {
         assert!(max_speed > 0.0, "max_speed must be positive");
         Ok(SpeedChecker {
-            dsm,
             pq: PathQuery::new(dsm)?,
             max_speed,
         })
     }
 
-    /// Minimum walking distance between two record locations, with a
-    /// same-area fast path (inside one room the walking distance *is* the
-    /// Euclidean distance, no graph search needed).
+    /// The walking-distance engine behind the checker.
+    pub(crate) fn path_query(&self) -> &PathQuery<'a> {
+        &self.pq
+    }
+
+    /// Minimum walking distance between two record locations (inside one
+    /// room it *is* the Euclidean distance, no graph search needed).
     pub fn walking_distance(&self, a: &RawRecord, b: &RawRecord) -> Option<f64> {
-        if a.location.floor == b.location.floor {
-            let ra = self.dsm.locate(&a.location);
-            let rb = self.dsm.locate(&b.location);
-            if let (Some(ra), Some(rb)) = (ra, rb) {
-                if ra.id == rb.id {
-                    return Some(a.location.planar_distance(&b.location));
-                }
-            }
-        }
         self.pq.distance(&a.location, &b.location)
     }
 
@@ -54,14 +47,38 @@ impl<'a> SpeedChecker<'a> {
     /// Infeasible when: timestamps do not advance, the points are mutually
     /// unreachable, or the implied speed exceeds `max_speed`.
     pub fn feasible(&self, a: &RawRecord, b: &RawRecord) -> bool {
+        self.feasible_anchored(
+            a,
+            self.pq.anchor(&a.location),
+            b,
+            self.pq.anchor(&b.location),
+        )
+    }
+
+    /// [`feasible`](Self::feasible) with the records' walking-graph anchors
+    /// already computed (`PathQuery::anchor` of each location).
+    pub(crate) fn feasible_anchored(
+        &self,
+        a: &RawRecord,
+        anchor_a: Option<Anchor>,
+        b: &RawRecord,
+        anchor_b: Option<Anchor>,
+    ) -> bool {
         let dt = (b.ts - a.ts).as_secs_f64();
         if dt <= 0.0 {
             return false;
         }
-        match self.walking_distance(a, b) {
-            None => false,
-            Some(d) => d / dt <= self.max_speed * (1.0 + 1e-9),
-        }
+        let (Some(anchor_a), Some(anchor_b)) = (anchor_a, anchor_b) else {
+            return false;
+        };
+        self.pq.within(
+            &a.location,
+            anchor_a,
+            &b.location,
+            anchor_b,
+            dt,
+            self.max_speed * (1.0 + 1e-9),
+        )
     }
 
     /// Implied speed from `a` to `b` over the walking distance (m/s);

@@ -5,6 +5,24 @@
 //! People cannot cross walls: the shortest walkable route between two indoor
 //! points threads through doors and staircases. This module answers distance
 //! and path queries over the door graph computed by [`crate::topology`].
+//!
+//! [`PathQuery::path`] and [`PathQuery::distance`] run a Dijkstra search
+//! from a virtual source joined to the nodes the first point may enter the
+//! graph through, to a virtual target joined from the second point's;
+//! `distance` skips the predecessor bookkeeping and returns the same value.
+//!
+//! The speed check asks a cheaper question — is the distance within
+//! `dt · limit`? — and [`PathQuery::within`] answers it from a node-to-node
+//! distance table ([`Topology::node_distances`]): one min-plus lookup over
+//! the two points' eligible nodes instead of a search. The table is built
+//! on the first query that needs it (one Dijkstra per node, about 1–2 ms on
+//! the 98-node, 7-floor benchmark mall), not at `freeze()`, and is then
+//! shared by every `PathQuery` of that frozen model, across threads.
+//! Graphs above [`crate::topology::MAX_TABLE_NODES`] nodes get no table and
+//! search instead. The table's estimate can differ from the search's value
+//! in the last bits, so a quotient that lands within a few ulps of the
+//! limit is re-decided by the search: every decision is the one the search
+//! makes (the error argument is on [`PathQuery::within`]).
 
 use crate::entity::EntityId;
 use crate::model::{DigitalSpaceModel, DsmError};
@@ -64,9 +82,9 @@ impl WalkPath {
 
 /// Min-heap entry for Dijkstra.
 #[derive(Debug, Copy, Clone, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: usize,
+pub(crate) struct HeapEntry {
+    pub(crate) dist: f64,
+    pub(crate) node: usize,
 }
 
 impl Eq for HeapEntry {}
@@ -88,6 +106,15 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// Where a point enters the walking graph: the walkable area containing it
+/// (or, outside every area, the nearest one on its floor) and the snap
+/// distance to that area (0 when the point is inside).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Anchor {
+    pub area: EntityId,
+    pub snap: f64,
+}
+
 /// Distance/path query interface over a frozen DSM.
 pub struct PathQuery<'a> {
     dsm: &'a DigitalSpaceModel,
@@ -103,14 +130,19 @@ impl<'a> PathQuery<'a> {
         })
     }
 
-    /// The walkable area containing `p`, falling back to the nearest
-    /// walkable area on the floor. Returns the area id and the snap distance
-    /// (0 when `p` is properly inside).
-    fn anchor_area(&self, p: &IndoorPoint) -> Option<(EntityId, f64)> {
+    /// The anchor every query computes for `p`; `None` when `p`'s floor has
+    /// no walkable area (then nothing is reachable from `p`).
+    pub fn anchor(&self, p: &IndoorPoint) -> Option<Anchor> {
         if let Some(e) = self.dsm.locate(p) {
-            return Some((e.id, 0.0));
+            return Some(Anchor {
+                area: e.id,
+                snap: 0.0,
+            });
         }
-        self.dsm.nearest_walkable(p).map(|(e, d)| (e.id, d))
+        self.dsm.nearest_walkable(p).map(|(e, d)| Anchor {
+            area: e.id,
+            snap: d,
+        })
     }
 
     /// Minimum indoor walking distance between two points.
@@ -118,108 +150,30 @@ impl<'a> PathQuery<'a> {
     /// Returns `None` when no walkable route exists (disconnected floors,
     /// or a floor without walkable areas).
     pub fn distance(&self, a: &IndoorPoint, b: &IndoorPoint) -> Option<f64> {
-        self.path(a, b).map(|p| p.distance)
+        let (anchor_a, anchor_b) = (self.anchor(a)?, self.anchor(b)?);
+        self.anchored_distance(a, anchor_a, b, anchor_b)
     }
 
     /// Shortest walkable path between two points.
     pub fn path(&self, a: &IndoorPoint, b: &IndoorPoint) -> Option<WalkPath> {
-        let (area_a, snap_a) = self.anchor_area(a)?;
-        let (area_b, snap_b) = self.anchor_area(b)?;
-
-        // Same area, same floor: straight line is walkable.
-        if area_a == area_b && a.floor == b.floor {
+        let (anchor_a, anchor_b) = (self.anchor(a)?, self.anchor(b)?);
+        if let Some(distance) = same_area_distance(a, anchor_a, b, anchor_b) {
             return Some(WalkPath {
-                distance: a.xy.distance(b.xy) + snap_a + snap_b,
+                distance,
                 points: vec![*a, *b],
             });
         }
 
         let n = self.topo.nodes.len();
-        if n == 0 {
-            return None;
-        }
-
-        // Virtual source (n) and target (n + 1) connected to the nodes of
-        // their anchor areas.
-        let src_nodes = self.topo.area_nodes.get(&area_a)?;
-        let dst_nodes = self.topo.area_nodes.get(&area_b)?;
-        if src_nodes.is_empty() || dst_nodes.is_empty() {
-            return None;
-        }
-
-        let mut dist = vec![f64::INFINITY; n + 2];
         let mut prev: Vec<Option<usize>> = vec![None; n + 2];
-        let src = n;
-        let dst = n + 1;
-        dist[src] = 0.0;
+        let distance = self.search(a, anchor_a, b, anchor_b, Some(prev.as_mut_slice()))?;
 
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry {
-            dist: 0.0,
-            node: src,
-        });
-
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            if u == dst {
-                break;
-            }
-            // Expand edges.
-            let push = |heap: &mut BinaryHeap<HeapEntry>,
-                        dist: &mut Vec<f64>,
-                        prev: &mut Vec<Option<usize>>,
-                        v: usize,
-                        nd: f64,
-                        u: usize| {
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = Some(u);
-                    heap.push(HeapEntry { dist: nd, node: v });
-                }
-            };
-
-            if u == src {
-                for &v in src_nodes {
-                    // Only connect through nodes on the source floor, except
-                    // inside a staircase cell, whose ports on other floors
-                    // are reachable at the staircase's vertical cost.
-                    let node = self.topo.nodes[v];
-                    if node.floor != a.floor && area_a != node.entity {
-                        continue;
-                    }
-                    let vertical =
-                        (node.floor - a.floor).abs() as f64 * self.dsm.floor_height * 3.0;
-                    let w = snap_a + a.xy.distance(node.point) + vertical;
-                    push(&mut heap, &mut dist, &mut prev, v, d + w, u);
-                }
-                continue;
-            }
-
-            // Regular node: graph edges plus possible hop to the target.
-            for e in &self.topo.edges[u] {
-                push(&mut heap, &mut dist, &mut prev, e.to, d + e.weight, u);
-            }
-            if dst_nodes.contains(&u)
-                && (self.topo.nodes[u].floor == b.floor || area_b == self.topo.nodes[u].entity)
-            {
-                let node = self.topo.nodes[u];
-                let vertical = (node.floor - b.floor).abs() as f64 * self.dsm.floor_height * 3.0;
-                let w = snap_b + b.xy.distance(node.point) + vertical;
-                push(&mut heap, &mut dist, &mut prev, dst, d + w, u);
-            }
-        }
-
-        if !dist[dst].is_finite() {
-            return None;
-        }
-
-        // Reconstruct waypoints.
+        // Reconstruct waypoints; `n` is the virtual source, `n + 1` the
+        // virtual target.
         let mut rev = vec![*b];
-        let mut cur = prev[dst];
+        let mut cur = prev[n + 1];
         while let Some(u) = cur {
-            if u == src {
+            if u == n {
                 break;
             }
             let node = self.topo.nodes[u];
@@ -232,9 +186,223 @@ impl<'a> PathQuery<'a> {
         rev.push(*a);
         rev.reverse();
         Some(WalkPath {
-            distance: dist[dst],
+            distance,
             points: rev,
         })
+    }
+
+    /// Whether `b` is reachable from `a` within `dt` seconds at `limit` m/s:
+    /// the same decision as
+    /// `path(a, b).is_some_and(|p| p.distance / dt <= limit)`, given the
+    /// points' own [`anchor`](Self::anchor)s, without a graph search in
+    /// all but a vanishing share of calls.
+    ///
+    /// A same-area pair evaluates the very expression `path` does. Any other
+    /// pair takes `min over (u, v)` of `(w_a(u) + D[u][v]) + w_b(v)`, where
+    /// `w_a`, `w_b` are the legs from the points to the nodes they may
+    /// enter and leave the graph through (the search's virtual source and
+    /// target edges, same eligibility, same expressions) and `D` is
+    /// [`Topology::node_distances`]. Only when the quotient lands within a
+    /// relative margin `δ = (n + 8)·4·ε` of `limit` does the exact search
+    /// decide.
+    ///
+    /// Why the margin suffices: every term is non-negative and finite, and
+    /// both the search and the table evaluate each candidate route as a
+    /// floating-point sum of at most `n + 2` of the same terms, the search
+    /// in path order and the table in a different order. Rounding is
+    /// monotone, so each computes the minimum over routes of its own sum,
+    /// and either sum of a route lies within a relative `γ = (n + 1)·ε/2`
+    /// (first order) of the route's real length. Both results are
+    /// therefore within `γ` of the real shortest distance and within `2γ`
+    /// of each other; one division adds `ε/2` to each quotient. `δ`
+    /// exceeds `2γ + ε` with room to spare, so outside the margin both
+    /// quotients fall on the same side of `limit`. An unreachable pair has
+    /// no eligible route in either computation (`INFINITY` in the table).
+    pub fn within(
+        &self,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+        dt: f64,
+        limit: f64,
+    ) -> bool {
+        self.within_using(
+            self.topo.node_distances(),
+            a,
+            anchor_a,
+            b,
+            anchor_b,
+            dt,
+            limit,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn within_using(
+        &self,
+        table: Option<&[f64]>,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+        dt: f64,
+        limit: f64,
+    ) -> bool {
+        let exact = || {
+            self.anchored_distance(a, anchor_a, b, anchor_b)
+                .is_some_and(|d| d / dt <= limit)
+        };
+        if let Some(d) = same_area_distance(a, anchor_a, b, anchor_b) {
+            return d / dt <= limit;
+        }
+        let table = match table {
+            Some(table) if dt > 0.0 && limit > 0.0 => table,
+            // Over the node cap, or outside the margin argument's premise
+            // of a positive time and speed.
+            _ => return exact(),
+        };
+        let estimate = self.table_distance(table, a, anchor_a, b, anchor_b);
+        if estimate == f64::INFINITY {
+            return false;
+        }
+        let q = estimate / dt;
+        let margin = (self.topo.nodes.len() + 8) as f64 * 4.0 * f64::EPSILON;
+        if q <= limit * (1.0 - margin) {
+            true
+        } else if q > limit * (1.0 + margin) {
+            false
+        } else {
+            exact()
+        }
+    }
+
+    /// `min over (u, v)` of `(w_a(u) + D[u][v]) + w_b(v)`; `INFINITY` when
+    /// no eligible node pair is connected.
+    fn table_distance(
+        &self,
+        table: &[f64],
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> f64 {
+        let n = self.topo.nodes.len();
+        let (Some(src), Some(dst)) = (
+            self.topo.area_nodes.get(&anchor_a.area),
+            self.topo.area_nodes.get(&anchor_b.area),
+        ) else {
+            return f64::INFINITY;
+        };
+        let mut best = f64::INFINITY;
+        for &u in src {
+            let Some(wa) = self.leg(a, anchor_a, u) else {
+                continue;
+            };
+            let row = &table[u * n..(u + 1) * n];
+            for &v in dst {
+                if let Some(wb) = self.leg(b, anchor_b, v) {
+                    best = best.min((wa + row[v]) + wb);
+                }
+            }
+        }
+        best
+    }
+
+    /// The leg between `p` and graph node `v` of its anchor area, `None`
+    /// when the search may not enter or leave the graph there: only through
+    /// nodes on `p`'s floor, except inside a staircase cell, whose ports on
+    /// other floors are reachable at the staircase's vertical cost.
+    fn leg(&self, p: &IndoorPoint, anchor: Anchor, v: usize) -> Option<f64> {
+        let node = self.topo.nodes[v];
+        if node.floor != p.floor && anchor.area != node.entity {
+            return None;
+        }
+        let vertical = (node.floor - p.floor).abs() as f64 * self.dsm.floor_height * 3.0;
+        Some(anchor.snap + p.xy.distance(node.point) + vertical)
+    }
+
+    fn anchored_distance(
+        &self,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> Option<f64> {
+        same_area_distance(a, anchor_a, b, anchor_b)
+            .or_else(|| self.search(a, anchor_a, b, anchor_b, None))
+    }
+
+    /// Dijkstra over the door graph plus a virtual source (node `n`)
+    /// joined to `a`'s eligible nodes and a virtual target (node `n + 1`)
+    /// joined from `b`'s. Records predecessors only when `prev` is given.
+    fn search(
+        &self,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+        mut prev: Option<&mut [Option<usize>]>,
+    ) -> Option<f64> {
+        let n = self.topo.nodes.len();
+        if n == 0 {
+            return None;
+        }
+        let src_nodes = self.topo.area_nodes.get(&anchor_a.area)?;
+        let dst_nodes = self.topo.area_nodes.get(&anchor_b.area)?;
+        if src_nodes.is_empty() || dst_nodes.is_empty() {
+            return None;
+        }
+
+        let mut dist = vec![f64::INFINITY; n + 2];
+        let src = n;
+        let dst = n + 1;
+        dist[src] = 0.0;
+
+        let mut heap = BinaryHeap::new();
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: src,
+        });
+        let mut relax =
+            |heap: &mut BinaryHeap<HeapEntry>, dist: &mut [f64], v: usize, nd: f64, u| {
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    if let Some(prev) = prev.as_deref_mut() {
+                        prev[v] = Some(u);
+                    }
+                    heap.push(HeapEntry { dist: nd, node: v });
+                }
+            };
+
+        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            if u == dst {
+                break;
+            }
+            if u == src {
+                for &v in src_nodes {
+                    if let Some(w) = self.leg(a, anchor_a, v) {
+                        relax(&mut heap, &mut dist, v, d + w, u);
+                    }
+                }
+                continue;
+            }
+
+            // Regular node: graph edges plus possible hop to the target.
+            for e in &self.topo.edges[u] {
+                relax(&mut heap, &mut dist, e.to, d + e.weight, u);
+            }
+            if dst_nodes.contains(&u) {
+                if let Some(w) = self.leg(b, anchor_b, u) {
+                    relax(&mut heap, &mut dist, dst, d + w, u);
+                }
+            }
+        }
+
+        dist[dst].is_finite().then_some(dist[dst])
     }
 
     /// Maximum feasible walking speed check helper: the minimum time (s)
@@ -244,6 +412,17 @@ impl<'a> PathQuery<'a> {
         assert!(max_speed > 0.0, "max_speed must be positive");
         self.distance(a, b).map(|d| d / max_speed)
     }
+}
+
+/// Inside one area on one floor the straight line is walkable.
+fn same_area_distance(
+    a: &IndoorPoint,
+    anchor_a: Anchor,
+    b: &IndoorPoint,
+    anchor_b: Anchor,
+) -> Option<f64> {
+    (anchor_a.area == anchor_b.area && a.floor == b.floor)
+        .then(|| a.xy.distance(b.xy) + anchor_a.snap + anchor_b.snap)
 }
 
 #[cfg(test)]
@@ -458,5 +637,128 @@ mod tests {
                 &IndoorPoint::new(1.0, 1.0, 0)
             )
             .is_none());
+    }
+
+    /// The speed-check decision `within` must reproduce.
+    fn path_decision(
+        q: &PathQuery<'_>,
+        a: &IndoorPoint,
+        b: &IndoorPoint,
+        dt: f64,
+        limit: f64,
+    ) -> bool {
+        q.path(a, b).is_some_and(|p| p.distance / dt <= limit)
+    }
+
+    /// Points in every room, in the staircase cell, outside the building
+    /// (snapped), on both floors.
+    fn probe_points() -> Vec<IndoorPoint> {
+        let mut pts = Vec::new();
+        for floor in 0..2 {
+            for &(x, y) in &[
+                (3.0, 8.0),
+                (5.0, 5.0),
+                (15.0, 9.0),
+                (15.0, 2.0),
+                (27.0, 2.0),
+                (-2.0, 5.0),
+                (33.0, 12.0),
+                (15.0, -3.0),
+            ] {
+                pts.push(IndoorPoint::new(x, y, floor));
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn within_matches_path_with_and_without_table() {
+        let dsm = model();
+        let q = PathQuery::new(&dsm).unwrap();
+        let limit = 3.0 * (1.0 + 1e-9);
+        let pts = probe_points();
+        for a in &pts {
+            for b in &pts {
+                let (aa, ab) = (q.anchor(a).unwrap(), q.anchor(b).unwrap());
+                for dt in [0.5, 2.0, 4.0, 7.5, 30.0] {
+                    let want = path_decision(&q, a, b, dt, limit);
+                    assert_eq!(
+                        q.within(a, aa, b, ab, dt, limit),
+                        want,
+                        "{a:?} -> {b:?} in {dt}"
+                    );
+                    // The over-cap branch: no table, the search decides.
+                    assert_eq!(q.within_using(None, a, aa, b, ab, dt, limit), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn within_decides_exactly_at_the_limit() {
+        let dsm = model();
+        let q = PathQuery::new(&dsm).unwrap();
+        let table = dsm.topology().unwrap().node_distances().unwrap();
+        let margin = (dsm.topology().unwrap().nodes.len() + 8) as f64 * 4.0 * f64::EPSILON;
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        // Cross-area pairs, the second one across floors.
+        for (a, b) in [
+            (
+                IndoorPoint::new(3.0, 8.0, 0),
+                IndoorPoint::new(27.0, 2.0, 0),
+            ),
+            (
+                IndoorPoint::new(5.0, 1.0, 0),
+                IndoorPoint::new(12.0, 3.0, 1),
+            ),
+        ] {
+            let (aa, ab) = (q.anchor(&a).unwrap(), q.anchor(&b).unwrap());
+            let d = q.distance(&a, &b).unwrap();
+            let dt = 7.0;
+            let limit = d / dt;
+            // The table's estimate lands inside the margin: the search decides.
+            let estimate = q.table_distance(table, &a, aa, &b, ab);
+            assert!((estimate / dt - limit).abs() <= margin * limit);
+            for l in [ulp_down(limit), limit, ulp_up(limit)] {
+                assert_eq!(
+                    q.within(&a, aa, &b, ab, dt, l),
+                    path_decision(&q, &a, &b, dt, l)
+                );
+            }
+            assert!(q.within(&a, aa, &b, ab, dt, limit));
+            assert!(!q.within(&a, aa, &b, ab, dt, ulp_down(limit)));
+            // The same by moving the time one ulp either side.
+            for t in [ulp_down(dt), dt, ulp_up(dt)] {
+                assert_eq!(
+                    q.within(&a, aa, &b, ab, t, limit),
+                    path_decision(&q, &a, &b, t, limit)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn within_is_false_for_unreachable_floor() {
+        let mut dsm = model();
+        let lonely = dsm.next_entity_id();
+        dsm.add_entity(Entity::area(
+            lonely,
+            EntityKind::Room,
+            5,
+            "Lonely",
+            sq(0.0, 0.0, 5.0, 5.0),
+        ))
+        .unwrap();
+        dsm.freeze();
+        let q = PathQuery::new(&dsm).unwrap();
+        let a = IndoorPoint::new(5.0, 5.0, 0);
+        let b = IndoorPoint::new(2.0, 2.0, 5);
+        let (aa, ab) = (q.anchor(&a).unwrap(), q.anchor(&b).unwrap());
+        assert!(!q.within(&a, aa, &b, ab, 1e9, 3.0));
+        assert!(!q.within_using(None, &a, aa, &b, ab, 1e9, 3.0));
+        // Inside the lonely room the straight line still counts.
+        let b2 = IndoorPoint::new(4.0, 2.0, 5);
+        assert!(q.within(&b, ab, &b2, q.anchor(&b2).unwrap(), 1.0, 3.0));
     }
 }

@@ -38,7 +38,7 @@ pub mod validate;
 
 mod model;
 
-pub use distance::{PathQuery, WalkPath};
+pub use distance::{Anchor, PathQuery, WalkPath};
 pub use entity::{Entity, EntityId, EntityKind};
 pub use index::SpatialIndex;
 pub use model::{DigitalSpaceModel, DsmError, FloorInfo};

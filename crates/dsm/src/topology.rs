@@ -2,16 +2,23 @@
 //! areas are adjacent, how semantic regions connect, and the node/edge graph
 //! the walking-distance engine runs on.
 
+use crate::distance::HeapEntry;
 use crate::entity::{EntityId, EntityKind, Footprint};
 use crate::model::DigitalSpaceModel;
 use crate::semantic::RegionId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::sync::OnceLock;
 use trips_geom::{FloorId, Point};
 
 /// How close (metres) a door anchor must be to an area boundary for the door
 /// to be considered an opening of that area.
 pub const DOOR_ATTACH_TOLERANCE: f64 = 0.5;
+
+/// Largest walking graph that gets a node-to-node distance table
+/// ([`Topology::node_distances`]): 2048² entries are 32 MiB. Larger graphs
+/// answer every query with a Dijkstra search instead.
+pub const MAX_TABLE_NODES: usize = 2048;
 
 /// A node of the walking graph: a door anchor or a staircase port.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,6 +53,10 @@ pub struct Topology {
     pub area_nodes: BTreeMap<EntityId, Vec<usize>>,
     /// Adjacency list aligned with `nodes`.
     pub edges: Vec<Vec<GraphEdge>>,
+    /// Row-major `nodes.len()²` shortest walking distances over `edges`,
+    /// built on the first [`node_distances`](Self::node_distances) call.
+    #[serde(skip)]
+    node_distances: OnceLock<Vec<f64>>,
 }
 
 impl Topology {
@@ -252,6 +263,53 @@ impl Topology {
     /// Whether two regions are directly connected.
     pub fn regions_adjacent(&self, a: RegionId, b: RegionId) -> bool {
         self.neighbours(a).contains(&b)
+    }
+
+    /// The node-to-node walking-distance table: entry `u * n + v` is the
+    /// shortest distance from `nodes[u]` to `nodes[v]` over `edges`
+    /// (`f64::INFINITY` when `v` is unreachable from `u`), with
+    /// `n = nodes.len()`.
+    ///
+    /// Built on first use — one Dijkstra search per node — and then shared
+    /// by every reader of this topology; `freeze()` does not pay for it.
+    /// `None` for graphs of more than [`MAX_TABLE_NODES`] nodes.
+    pub fn node_distances(&self) -> Option<&[f64]> {
+        if self.nodes.len() > MAX_TABLE_NODES {
+            return None;
+        }
+        Some(
+            self.node_distances
+                .get_or_init(|| self.build_node_distances()),
+        )
+    }
+
+    fn build_node_distances(&self) -> Vec<f64> {
+        let n = self.nodes.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut table = vec![f64::INFINITY; n * n];
+        let mut heap = BinaryHeap::new();
+        for (s, dist) in table.chunks_exact_mut(n).enumerate() {
+            dist[s] = 0.0;
+            heap.push(HeapEntry { dist: 0.0, node: s });
+            while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+                if d > dist[u] {
+                    continue;
+                }
+                for e in &self.edges[u] {
+                    let nd = d + e.weight;
+                    if nd < dist[e.to] {
+                        dist[e.to] = nd;
+                        heap.push(HeapEntry {
+                            dist: nd,
+                            node: e.to,
+                        });
+                    }
+                }
+            }
+        }
+        table
     }
 }
 
@@ -469,5 +527,28 @@ mod tests {
             .unwrap();
         dsm.freeze();
         assert!(dsm.topology().unwrap().areas_of_door(d).is_empty());
+    }
+
+    #[test]
+    fn no_distance_table_above_the_node_cap() {
+        let node = GraphNode {
+            entity: EntityId(0),
+            point: Point::new(0.0, 0.0),
+            floor: 0,
+        };
+        let over = Topology {
+            nodes: vec![node; MAX_TABLE_NODES + 1],
+            edges: vec![Vec::new(); MAX_TABLE_NODES + 1],
+            ..Topology::default()
+        };
+        assert!(over.node_distances().is_none());
+        let small = Topology {
+            nodes: vec![node; 3],
+            edges: vec![Vec::new(); 3],
+            ..Topology::default()
+        };
+        let table = small.node_distances().unwrap();
+        assert_eq!(table.iter().filter(|d| **d == 0.0).count(), 3);
+        assert_eq!(table.iter().filter(|d| d.is_infinite()).count(), 6);
     }
 }
