@@ -4,11 +4,12 @@
 //! other generated mobility semantics sequences and the spatial information
 //! captured by the DSM."
 
-use crate::infer::map_path;
+use crate::infer::Lattice;
 use crate::knowledge::MobilityKnowledge;
+use std::sync::OnceLock;
 use trips_annotate::MobilitySemantics;
 use trips_data::{Duration, Timestamp};
-use trips_dsm::DigitalSpaceModel;
+use trips_dsm::{DigitalSpaceModel, RegionId};
 
 /// Complementor configuration.
 #[derive(Debug, Clone)]
@@ -38,10 +39,17 @@ impl Default for ComplementorConfig {
 }
 
 /// The Complementor: fills gaps in annotated semantics sequences.
+///
+/// MAP inference runs over one Viterbi lattice per source region, built on
+/// the first gap that leaves the region and shared by every later one (and
+/// every thread): the lattice depends only on the knowledge and `max_hops`,
+/// both fixed for the complementor's lifetime.
 pub struct Complementor<'a> {
     dsm: &'a DigitalSpaceModel,
     knowledge: MobilityKnowledge,
     config: ComplementorConfig,
+    /// Lattice per source region, indexed like `knowledge.regions()`.
+    lattices: Vec<OnceLock<Lattice>>,
 }
 
 impl<'a> Complementor<'a> {
@@ -51,10 +59,16 @@ impl<'a> Complementor<'a> {
         knowledge: MobilityKnowledge,
         config: ComplementorConfig,
     ) -> Self {
+        let lattices = knowledge
+            .regions()
+            .iter()
+            .map(|_| OnceLock::new())
+            .collect();
         Complementor {
             dsm,
             knowledge,
             config,
+            lattices,
         }
     }
 
@@ -65,12 +79,7 @@ impl<'a> Complementor<'a> {
         sequences: &[Vec<MobilitySemantics>],
         config: ComplementorConfig,
     ) -> Self {
-        let knowledge = MobilityKnowledge::build(dsm, sequences, 0.5);
-        Complementor {
-            dsm,
-            knowledge,
-            config,
-        }
+        Self::new(dsm, MobilityKnowledge::build(dsm, sequences, 0.5), config)
     }
 
     /// The knowledge in use.
@@ -115,12 +124,7 @@ impl<'a> Complementor<'a> {
             return vec![self.inferred_sem(prev, prev.region, prev.end, next.start)];
         }
 
-        let Some(path) = map_path(
-            &self.knowledge,
-            prev.region,
-            next.region,
-            self.config.max_hops,
-        ) else {
+        let Some(path) = self.map_path(prev.region, next.region) else {
             return Vec::new(); // direct transition is the best explanation
         };
         if path.is_empty() {
@@ -152,10 +156,20 @@ impl<'a> Complementor<'a> {
         out
     }
 
+    /// [`map_path`](crate::infer::map_path) with this complementor's
+    /// knowledge and `max_hops`, answered from the source's cached lattice.
+    fn map_path(&self, a: RegionId, b: RegionId) -> Option<Vec<RegionId>> {
+        let ia = self.knowledge.index_of(a)?;
+        let ib = self.knowledge.index_of(b)?;
+        self.lattices[ia]
+            .get_or_init(|| Lattice::new(&self.knowledge, ia, self.config.max_hops))
+            .path(&self.knowledge, ib)
+    }
+
     fn inferred_sem(
         &self,
         template: &MobilitySemantics,
-        region: trips_dsm::RegionId,
+        region: RegionId,
         start: Timestamp,
         end: Timestamp,
     ) -> MobilitySemantics {
@@ -187,7 +201,6 @@ mod tests {
     use super::*;
     use trips_data::DeviceId;
     use trips_dsm::builder::MallBuilder;
-    use trips_dsm::RegionId;
 
     fn mall() -> DigitalSpaceModel {
         MallBuilder::new()

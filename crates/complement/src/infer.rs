@@ -4,9 +4,124 @@
 //! (right of the gap), find the region path `a → r₁ → … → rₘ → b` that
 //! maximises the product of transition probabilities under the mobility
 //! knowledge — a Viterbi pass over bounded path lengths.
+//!
+//! The Viterbi layers depend only on the source `a` and the hop budget, not
+//! on `b`, so they are held in a lattice that answers every target by
+//! backtracking. The [`Complementor`](crate::Complementor) keeps one lattice
+//! per source region for the lifetime of its knowledge.
 
 use crate::knowledge::MobilityKnowledge;
 use trips_dsm::RegionId;
+
+/// Back-pointer of a lattice cell no path reaches.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The Viterbi lattice from one source region: for each hop count
+/// `k = 1..=max_hops` and each region `v`, the best log-probability of
+/// reaching `v` from the source in exactly `k` hops, and the region it is
+/// reached from on that best path.
+#[derive(Debug)]
+pub(crate) struct Lattice {
+    n: usize,
+    hops: usize,
+    /// `score[(k - 1) * n + v]`; log-probabilities avoid underflow on long
+    /// paths.
+    score: Vec<f64>,
+    /// `parent[(k - 1) * n + v]`, [`NO_PARENT`] where `score` is `-∞`.
+    parent: Vec<u32>,
+}
+
+impl Lattice {
+    /// Runs the Viterbi recursion from region index `source` over the
+    /// knowledge's sparse log-probability rows, `max_hops` layers deep.
+    ///
+    /// Predecessors are scanned in index order and successors in column
+    /// order, and a candidate replaces the incumbent only when strictly
+    /// better, so ties keep the lowest-index predecessor.
+    pub(crate) fn new(knowledge: &MobilityKnowledge, source: usize, max_hops: usize) -> Self {
+        let n = knowledge.regions().len();
+        let mut score = vec![f64::NEG_INFINITY; max_hops * n];
+        let mut parent = vec![NO_PARENT; max_hops * n];
+        for k in 0..max_hops {
+            let (done, rest) = score.split_at_mut(k * n);
+            let layer = &mut rest[..n];
+            let parents = &mut parent[k * n..(k + 1) * n];
+            let mut relax = |u: usize, prev: f64| {
+                for &(v, lp) in knowledge.log_row(u) {
+                    let cand = prev + lp;
+                    if cand > layer[v] {
+                        layer[v] = cand;
+                        parents[v] = u as u32;
+                    }
+                }
+            };
+            if k == 0 {
+                relax(source, 0.0);
+            } else {
+                for (u, &prev) in done[(k - 1) * n..].iter().enumerate() {
+                    if prev != f64::NEG_INFINITY {
+                        relax(u, prev);
+                    }
+                }
+            }
+        }
+        Lattice {
+            n,
+            hops: max_hops,
+            score,
+            parent,
+        }
+    }
+
+    /// The most likely intermediate regions from the source to region index
+    /// `target` (both exclusive); see [`map_path`] for when this is `None`
+    /// (always, below two hops).
+    pub(crate) fn path(
+        &self,
+        knowledge: &MobilityKnowledge,
+        target: usize,
+    ) -> Option<Vec<RegionId>> {
+        let n = self.n;
+        let at = |k: usize| self.score[k * n + target];
+        if self.hops < 2 {
+            return None;
+        }
+
+        // The direct a→b probability (1 hop) is the null hypothesis: infer
+        // intermediates only when some k ≥ 2 path beats it.
+        let direct = at(0);
+
+        let mut best: Option<(usize, f64)> = None; // (k, log-prob) with k >= 2
+        for k_idx in 1..self.hops {
+            let lp = at(k_idx);
+            if lp == f64::NEG_INFINITY {
+                continue;
+            }
+            if best.map_or(true, |(_, b_lp)| lp > b_lp + 1e-12) {
+                best = Some((k_idx, lp));
+            }
+        }
+        let (k_idx, lp) = best?;
+        if direct != f64::NEG_INFINITY && direct >= lp {
+            return None; // walking straight through is at least as likely
+        }
+
+        // Backtrack: the path has k_idx + 1 hops, i.e. k_idx intermediate
+        // regions, the back-pointers of (0-based) layers k_idx down to 1.
+        let regions = knowledge.regions();
+        let mut path = vec![RegionId(0); k_idx];
+        let mut cur = target;
+        for k in (1..=k_idx).rev() {
+            let p = self.parent[k * n + cur];
+            if p == NO_PARENT {
+                return None;
+            }
+            cur = p as usize;
+            path[k - 1] = regions[cur];
+        }
+        Some(path)
+    }
+}
 
 /// The most likely intermediate region path between `a` and `b` (both
 /// exclusive), allowing at most `max_hops` transitions overall.
@@ -17,6 +132,10 @@ use trips_dsm::RegionId;
 ///
 /// Ties on probability break toward fewer hops: the gap should be filled by
 /// the *simplest* likely explanation.
+///
+/// This runs a fresh Viterbi pass from `a`; the
+/// [`Complementor`](crate::Complementor) answers the same question from its
+/// per-source cache.
 pub fn map_path(
     knowledge: &MobilityKnowledge,
     a: RegionId,
@@ -25,81 +144,7 @@ pub fn map_path(
 ) -> Option<Vec<RegionId>> {
     let ia = knowledge.index_of(a)?;
     let ib = knowledge.index_of(b)?;
-    let n = knowledge.regions().len();
-    if max_hops < 2 {
-        return None;
-    }
-
-    // viterbi[k][r] = best log-prob of reaching r from a in exactly k hops.
-    // Use log to avoid underflow on long paths.
-    let neg_inf = f64::NEG_INFINITY;
-    let mut prev_layer = vec![neg_inf; n];
-    prev_layer[ia] = 0.0;
-    let mut back: Vec<Vec<Option<usize>>> = Vec::with_capacity(max_hops);
-    let mut layers: Vec<Vec<f64>> = Vec::with_capacity(max_hops);
-
-    for _k in 1..=max_hops {
-        let mut layer = vec![neg_inf; n];
-        let mut back_k = vec![None; n];
-        for (u, &prev) in prev_layer.iter().enumerate().take(n) {
-            if prev == neg_inf {
-                continue;
-            }
-            let row = knowledge.row(u);
-            for (v, &p) in row.iter().enumerate() {
-                if p <= 0.0 {
-                    continue;
-                }
-                let cand = prev + p.ln();
-                if cand > layer[v] {
-                    layer[v] = cand;
-                    back_k[v] = Some(u);
-                }
-            }
-        }
-        layers.push(layer.clone());
-        back.push(back_k);
-        prev_layer = layer;
-    }
-
-    // The direct a→b probability (1 hop) is the null hypothesis: infer
-    // intermediates only when some k ≥ 2 path beats it.
-    let direct = layers[0][ib];
-
-    let mut best: Option<(usize, f64)> = None; // (k, log-prob) with k >= 2
-    for (k_idx, layer) in layers.iter().enumerate().skip(1) {
-        let lp = layer[ib];
-        if lp == neg_inf {
-            continue;
-        }
-        if best.map_or(true, |(_, b_lp)| lp > b_lp + 1e-12) {
-            best = Some((k_idx, lp));
-        }
-    }
-    let (k_idx, lp) = best?;
-    if direct != neg_inf && direct >= lp {
-        return None; // walking straight through is at least as likely
-    }
-
-    // Backtrack: path has k_idx+1 hops, i.e. k_idx intermediate regions.
-    let mut path_idx = vec![ib];
-    let mut cur = ib;
-    for k in (0..=k_idx).rev() {
-        let p = back[k][cur]?;
-        path_idx.push(p);
-        cur = p;
-    }
-    path_idx.reverse();
-    debug_assert_eq!(path_idx[0], ia);
-    debug_assert_eq!(*path_idx.last().expect("non-empty"), ib);
-
-    let regions = knowledge.regions();
-    Some(
-        path_idx[1..path_idx.len() - 1]
-            .iter()
-            .map(|&i| regions[i])
-            .collect(),
-    )
+    Lattice::new(knowledge, ia, max_hops).path(knowledge, ib)
 }
 
 #[cfg(test)]

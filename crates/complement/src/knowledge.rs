@@ -18,6 +18,9 @@ pub struct MobilityKnowledge {
     index: BTreeMap<RegionId, usize>,
     /// Row-stochastic transition matrix aligned with `regions`.
     probs: Vec<Vec<f64>>,
+    /// The positive entries of each `probs` row as `(column, ln p)`, in
+    /// column order: the sparse rows MAP inference walks.
+    log_rows: Vec<Vec<(usize, f64)>>,
     /// Mean dwell milliseconds per region (fallback when unobserved).
     mean_dwell_ms: Vec<f64>,
     /// Number of observed transitions that produced `probs`.
@@ -125,12 +128,14 @@ impl MobilityKnowledge {
             regions,
             index,
             probs: vec![vec![0.0; n]; n],
+            log_rows: vec![Vec::new(); n],
             mean_dwell_ms: vec![DEFAULT_DWELL_MS; n],
             observed_transitions: 0,
         }
     }
 
-    /// Normalises counts (+ smoothing over adjacency) into `probs`.
+    /// Normalises counts (+ smoothing over adjacency) into `probs` and
+    /// `log_rows`.
     fn finish(&mut self, dsm: &DigitalSpaceModel, counts: Vec<Vec<f64>>, smoothing: f64) {
         let topo = dsm.topology().expect("frozen DSM");
         let n = self.regions.len();
@@ -149,6 +154,12 @@ impl MobilityKnowledge {
                     *v /= total;
                 }
             }
+            self.log_rows[i] = row
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| p > 0.0)
+                .map(|(j, &p)| (j, p.ln()))
+                .collect();
             self.probs[i] = row;
         }
     }
@@ -179,9 +190,16 @@ impl MobilityKnowledge {
         self.index.get(&r).copied()
     }
 
-    /// Row of the transition matrix (internal use by inference).
+    /// Row of the transition matrix.
+    #[cfg(test)]
     pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.probs[i]
+    }
+
+    /// Sparse log-probability row `i`: `(column, ln p)` for every `p > 0`,
+    /// in column order (internal use by inference).
+    pub(crate) fn log_row(&self, i: usize) -> &[(usize, f64)] {
+        &self.log_rows[i]
     }
 }
 

@@ -31,6 +31,10 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use trips_geom::{IndoorPoint, Polyline};
 
+/// Target legs [`PathQuery::within`] keeps on the stack; an area with more
+/// graph nodes spills them to the heap.
+const STACK_LEGS: usize = 32;
+
 /// A walkable route between two indoor points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalkPath {
@@ -294,16 +298,28 @@ impl<'a> PathQuery<'a> {
         ) else {
             return f64::INFINITY;
         };
+        // Each target leg once, before the `u` loop. An ineligible node's
+        // leg is `INFINITY`, which no `best.min` can pick: the same minimum
+        // as skipping it.
+        let mut stack = [f64::INFINITY; STACK_LEGS];
+        let mut heap = Vec::new();
+        let legs_b = if dst.len() <= STACK_LEGS {
+            &mut stack[..dst.len()]
+        } else {
+            heap.resize(dst.len(), f64::INFINITY);
+            &mut heap[..]
+        };
+        for (leg, &v) in legs_b.iter_mut().zip(dst) {
+            *leg = self.leg(b, anchor_b, v).unwrap_or(f64::INFINITY);
+        }
         let mut best = f64::INFINITY;
         for &u in src {
             let Some(wa) = self.leg(a, anchor_a, u) else {
                 continue;
             };
             let row = &table[u * n..(u + 1) * n];
-            for &v in dst {
-                if let Some(wb) = self.leg(b, anchor_b, v) {
-                    best = best.min((wa + row[v]) + wb);
-                }
+            for (&v, &wb) in dst.iter().zip(&*legs_b) {
+                best = best.min((wa + row[v]) + wb);
             }
         }
         best

@@ -6,23 +6,34 @@
 //! [`nearest_walkable`](crate::DigitalSpaceModel::nearest_walkable),
 //! [`nearest_region`](crate::DigitalSpaceModel::nearest_region)) used to be
 //! an O(entities) linear
-//! scan, making translation O(records × entities). The index buckets
-//! entities and regions per floor into a uniform grid keyed by bounding box,
-//! built once at topology-freeze time, so point and nearest queries touch
-//! only a handful of candidates.
+//! scan, making translation O(records × entities). The index buckets, per
+//! floor, exactly what those queries can return — walkable area entities
+//! and semantic regions — into a uniform grid keyed by bounding box, built
+//! once at topology-freeze time, so point and nearest queries touch only a
+//! handful of candidates.
 //!
 //! **Equivalence contract:** every query answered through the grid returns
 //! *exactly* what the linear scan returns, including tie-breaks. The linear
 //! scans use `Iterator::min_by` over id-ordered iteration, which keeps the
-//! *first* minimal element — i.e. the lowest id among equal keys. The grid
-//! paths therefore compare `(key, id)` lexicographically, and the
-//! nearest-neighbour ring search keeps expanding while a ring could still
-//! contain an *equal*-distance candidate (`lower_bound <= best`), not just a
-//! strictly closer one. The `index_equivalence` proptest pins this down over
-//! random models.
+//! *first* minimal element — i.e. the lowest id among equal keys.
+//!
+//! * Point queries want the smallest containing item. Each layer keeps its
+//!   items sorted by `(area, id)` — the point queries' own key, computed
+//!   once here — and every cell lists its items in that order, so the
+//!   answer is the **first hit in `(area, id)` order**: the first candidate
+//!   whose cached, tolerance-inflated bbox and exact geometry both contain
+//!   the point. Nothing after it is tested.
+//! * Nearest queries compare `(distance, id)` lexicographically, and the
+//!   ring search keeps expanding while a ring could still contain an
+//!   *equal*-distance candidate (`lower_bound <= best`), not just a
+//!   strictly closer one. An item spanning several cells is measured once,
+//!   in the covered cell nearest the query's cell, which sits on the first
+//!   ring that reaches the item.
+//!
+//! The `index_equivalence` proptest pins this down over random models.
 
-use crate::entity::{Entity, EntityId, Footprint};
-use crate::semantic::{RegionId, SemanticRegion};
+use crate::entity::{EntityId, Footprint};
+use crate::semantic::RegionId;
 use std::collections::BTreeMap;
 use trips_geom::{BoundingBox, FloorId, Point};
 
@@ -31,94 +42,122 @@ use trips_geom::{BoundingBox, FloorId, Point};
 /// ~4096 items on one floor.
 const MAX_CELLS_PER_AXIS: usize = 64;
 
-/// Conservative bbox of an entity's footprint, inflated by the geometry
-/// crate's boundary tolerance: `Polygon::contains` accepts points up to
-/// [`trips_geom::EPSILON`] outside the raw bbox (wall-snap pass), and the
-/// grid must register every cell such a point can land in.
-fn entity_bbox(e: &Entity) -> BoundingBox {
-    match &e.footprint {
-        Footprint::Area(p) => p.bbox(),
-        Footprint::Opening { anchor, .. } => BoundingBox::new(*anchor, *anchor),
-        Footprint::Line(l) => l.bbox(),
-    }
-    .inflated(trips_geom::EPSILON)
+/// One indexed entity or region.
+#[derive(Debug, Clone, Copy)]
+struct Item<Id> {
+    id: Id,
+    /// Bounding box inflated by the geometry crate's boundary tolerance:
+    /// `Polygon::contains` accepts points up to [`trips_geom::EPSILON`]
+    /// outside the raw bbox (wall-snap pass), so this is the exact
+    /// prefilter for containment and the extent the grid registers.
+    bbox: BoundingBox,
+    /// Inclusive cell range `[x0, x1] × [y0, y1]` the bbox covers.
+    x0: usize,
+    y0: usize,
+    x1: usize,
+    y1: usize,
 }
 
-/// Conservative bbox of a region (union over its backing polygons), with the
-/// same boundary-tolerance inflation as [`entity_bbox`].
-fn region_bbox(r: &SemanticRegion) -> BoundingBox {
-    r.polygons
-        .iter()
-        .fold(BoundingBox::empty(), |bb, p| bb.union(&p.bbox()))
-        .inflated(trips_geom::EPSILON)
-}
-
-/// One floor's uniform grid. Items are registered in every cell their bbox
-/// overlaps; candidate lists stay in ascending id order by construction.
+/// One query family's items on one floor, sorted by `(area, id)`, and per
+/// cell the positions of the items registered there, ascending — so every
+/// cell lists its candidates in `(area, id)` order.
 #[derive(Debug, Clone)]
-struct FloorGrid {
+struct Layer<Id> {
+    items: Vec<Item<Id>>,
+    /// Cell `c`'s candidates are `entries[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    entries: Vec<u32>,
+}
+
+impl<Id: Copy + Ord> Layer<Id> {
+    /// Sorts `items` by `(area, id)` and registers each in every cell its
+    /// bbox overlaps.
+    fn build(grid: &GridShape, mut items: Vec<(Id, f64, BoundingBox)>) -> Self {
+        items.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .expect("finite areas")
+                .then(a.0.cmp(&b.0))
+        });
+        let items: Vec<Item<Id>> = items
+            .into_iter()
+            .map(|(id, _, bbox)| {
+                let (x0, y0) = grid.cell_of(bbox.min);
+                let (x1, y1) = grid.cell_of(bbox.max);
+                Item {
+                    id,
+                    bbox,
+                    x0,
+                    y0,
+                    x1,
+                    y1,
+                }
+            })
+            .collect();
+        let cells = grid.nx * grid.ny;
+        let nx = grid.nx;
+        let covered = |it: &Item<Id>| {
+            let (x0, x1) = (it.x0, it.x1);
+            (it.y0..=it.y1).flat_map(move |iy| (x0..=x1).map(move |ix| iy * nx + ix))
+        };
+        let mut starts = vec![0u32; cells + 1];
+        for c in items.iter().flat_map(covered) {
+            starts[c + 1] += 1;
+        }
+        for c in 0..cells {
+            starts[c + 1] += starts[c];
+        }
+        let mut fill = starts.clone();
+        let mut entries = vec![0u32; starts[cells] as usize];
+        for (i, it) in items.iter().enumerate() {
+            for c in covered(it) {
+                entries[fill[c] as usize] = i as u32;
+                fill[c] += 1;
+            }
+        }
+        Layer {
+            items,
+            starts,
+            entries,
+        }
+    }
+
+    fn cell(&self, c: usize) -> &[u32] {
+        &self.entries[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+}
+
+/// The geometry of one floor's uniform grid.
+#[derive(Debug, Clone)]
+struct GridShape {
     bounds: BoundingBox,
     nx: usize,
     ny: usize,
     cell_w: f64,
     cell_h: f64,
-    entity_cells: Vec<Vec<EntityId>>,
-    region_cells: Vec<Vec<RegionId>>,
 }
 
-impl FloorGrid {
-    fn build(entities: &[(EntityId, BoundingBox)], regions: &[(RegionId, BoundingBox)]) -> Self {
+impl GridShape {
+    /// A `sqrt(items)`-per-axis grid over the union of the item bboxes.
+    fn covering<'b>(bboxes: impl Iterator<Item = &'b BoundingBox>) -> Self {
         let mut bounds = BoundingBox::empty();
-        for (_, bb) in entities {
+        let mut n_items = 0usize;
+        for bb in bboxes {
             bounds = bounds.union(bb);
+            n_items += 1;
         }
-        for (_, bb) in regions {
-            bounds = bounds.union(bb);
-        }
-        let n_items = entities.len() + regions.len();
         let side = ((n_items as f64).sqrt().ceil() as usize).clamp(1, MAX_CELLS_PER_AXIS);
         let (nx, ny) = (side, side);
         // Degenerate extents (a single point, a vertical wall) still get a
         // positive cell size so index arithmetic stays finite.
         let cell_w = (bounds.width() / nx as f64).max(1e-9);
         let cell_h = (bounds.height() / ny as f64).max(1e-9);
-
-        let mut grid = FloorGrid {
+        GridShape {
             bounds,
             nx,
             ny,
             cell_w,
             cell_h,
-            entity_cells: vec![Vec::new(); nx * ny],
-            region_cells: vec![Vec::new(); nx * ny],
-        };
-        for (id, bb) in entities {
-            for c in grid.covered_cells(*bb) {
-                grid.entity_cells[c].push(*id);
-            }
         }
-        for (id, bb) in regions {
-            for c in grid.covered_cells(*bb) {
-                grid.region_cells[c].push(*id);
-            }
-        }
-        grid
-    }
-
-    /// Indices of every cell the bbox overlaps.
-    fn covered_cells(&self, bb: BoundingBox) -> Vec<usize> {
-        if bb.is_empty() {
-            return Vec::new();
-        }
-        let (x0, y0) = self.cell_of(bb.min);
-        let (x1, y1) = self.cell_of(bb.max);
-        let mut cells = Vec::with_capacity((x1 - x0 + 1) * (y1 - y0 + 1));
-        for iy in y0..=y1 {
-            for ix in x0..=x1 {
-                cells.push(iy * self.nx + ix);
-            }
-        }
-        cells
     }
 
     /// The cell containing `p`, clamped to the grid. The same floor-division
@@ -133,36 +172,38 @@ impl FloorGrid {
         )
     }
 
-    /// Candidate entities for point-containment queries at `p`.
-    fn entities_at(&self, p: Point) -> &[EntityId] {
+    /// The candidates of `layer` whose bbox contains `p`, in `(area, id)`
+    /// order.
+    fn at<'s, Id: Copy + Ord>(
+        &self,
+        layer: &'s Layer<Id>,
+        p: Point,
+    ) -> impl Iterator<Item = Id> + 's {
         let (ix, iy) = self.cell_of(p);
-        &self.entity_cells[iy * self.nx + ix]
+        layer
+            .cell(iy * self.nx + ix)
+            .iter()
+            .map(|&i| &layer.items[i as usize])
+            .filter(move |it| it.bbox.contains(p))
+            .map(|it| it.id)
     }
 
-    /// Candidate regions for point-containment queries at `p`.
-    fn regions_at(&self, p: Point) -> &[RegionId] {
-        let (ix, iy) = self.cell_of(p);
-        &self.region_cells[iy * self.nx + ix]
-    }
-
-    /// Expanding-ring nearest search over one candidate layer.
+    /// Expanding-ring nearest search over one layer.
     ///
-    /// `dist` returns the item's distance to the query point, or `None` when
-    /// the item doesn't participate (filtered kind). The best candidate is
-    /// tracked as `(distance, id)` with the id as tie-break, and rings keep
-    /// expanding while `lower_bound(ring) <= best_distance` so every item
-    /// that could *equal* the best is examined — matching the linear scan's
+    /// The best candidate is tracked as `(distance, id)` with the id as
+    /// tie-break, and rings keep expanding while
+    /// `lower_bound(ring) <= best_distance` so every item that could
+    /// *equal* the best is examined — matching the linear scan's
     /// first-minimal-in-id-order semantics exactly.
     fn nearest<Id: Copy + Ord>(
         &self,
-        cells: &[Vec<Id>],
+        layer: &Layer<Id>,
         p: Point,
-        mut dist: impl FnMut(Id) -> Option<f64>,
+        mut dist: impl FnMut(Id) -> f64,
     ) -> Option<(Id, f64)> {
         let (cx, cy) = self.cell_of(p);
         let cell_min = self.cell_w.min(self.cell_h);
         let max_r = cx.max(self.nx - 1 - cx).max(cy.max(self.ny - 1 - cy));
-        let mut seen: std::collections::BTreeSet<Id> = std::collections::BTreeSet::new();
         let mut best: Option<(Id, f64)> = None;
 
         for r in 0..=max_r {
@@ -177,31 +218,34 @@ impl FloorGrid {
                     break;
                 }
             }
-            self.for_ring(cx, cy, r, |cell| {
-                for &id in &cells[cell] {
-                    if !seen.insert(id) {
+            self.for_ring(cx, cy, r, |ix, iy| {
+                for &i in layer.cell(iy * self.nx + ix) {
+                    let it = &layer.items[i as usize];
+                    // Measure each item once: in its covered cell nearest
+                    // p's cell, the one on the first ring that reaches it.
+                    if (ix, iy) != (cx.clamp(it.x0, it.x1), cy.clamp(it.y0, it.y1)) {
                         continue;
                     }
-                    if let Some(d) = dist(id) {
-                        best = match best {
-                            Some((bid, bd)) if bd < d || (bd == d && bid < id) => Some((bid, bd)),
-                            _ => Some((id, d)),
-                        };
-                    }
+                    let d = dist(it.id);
+                    best = match best {
+                        Some((bid, bd)) if bd < d || (bd == d && bid < it.id) => Some((bid, bd)),
+                        _ => Some((it.id, d)),
+                    };
                 }
             });
         }
         best
     }
 
-    /// Visits every in-bounds cell at Chebyshev distance `r` from `(cx, cy)`.
-    fn for_ring(&self, cx: usize, cy: usize, r: usize, mut visit: impl FnMut(usize)) {
+    /// Visits every in-bounds cell `(ix, iy)` at Chebyshev distance `r` from
+    /// `(cx, cy)`.
+    fn for_ring(&self, cx: usize, cy: usize, r: usize, mut visit: impl FnMut(usize, usize)) {
         let (cx, cy, r) = (cx as isize, cy as isize, r as isize);
         let in_x = |x: isize| x >= 0 && x < self.nx as isize;
         let in_y = |y: isize| y >= 0 && y < self.ny as isize;
         if r == 0 {
             if in_x(cx) && in_y(cy) {
-                visit(cy as usize * self.nx + cx as usize);
+                visit(cx as usize, cy as usize);
             }
             return;
         }
@@ -210,10 +254,10 @@ impl FloorGrid {
                 continue;
             }
             if in_y(cy - r) {
-                visit((cy - r) as usize * self.nx + ix as usize);
+                visit(ix as usize, (cy - r) as usize);
             }
             if in_y(cy + r) {
-                visit((cy + r) as usize * self.nx + ix as usize);
+                visit(ix as usize, (cy + r) as usize);
             }
         }
         for iy in (cy - r + 1)..=(cy + r - 1) {
@@ -221,14 +265,29 @@ impl FloorGrid {
                 continue;
             }
             if in_x(cx - r) {
-                visit(iy as usize * self.nx + (cx - r) as usize);
+                visit((cx - r) as usize, iy as usize);
             }
             if in_x(cx + r) {
-                visit(iy as usize * self.nx + (cx + r) as usize);
+                visit((cx + r) as usize, iy as usize);
             }
         }
     }
 }
+
+/// One floor's grid: walkable area entities (answering `locate` and
+/// `nearest_walkable`) and regions (answering `region_at` and
+/// `nearest_region`) over one shared cell geometry.
+#[derive(Debug, Clone)]
+struct FloorGrid {
+    shape: GridShape,
+    walkable: Layer<EntityId>,
+    regions: Layer<RegionId>,
+}
+
+type FloorItems = (
+    Vec<(EntityId, f64, BoundingBox)>,
+    Vec<(RegionId, f64, BoundingBox)>,
+);
 
 /// The spatial index: one uniform grid per floor, built by
 /// [`freeze`](crate::DigitalSpaceModel::freeze) and invalidated by any
@@ -239,64 +298,107 @@ pub struct SpatialIndex {
 }
 
 impl SpatialIndex {
-    /// Builds the index from a model's current entities and regions.
+    /// Builds the index from `(id, floors, area, inflated bbox)` walkable
+    /// area entities and `(id, floor, area, inflated bbox)` regions.
     pub(crate) fn build(
-        entities: impl Iterator<Item = (EntityId, Vec<FloorId>, BoundingBox)>,
-        regions: impl Iterator<Item = (RegionId, FloorId, BoundingBox)>,
+        walkable: impl Iterator<Item = (EntityId, Vec<FloorId>, f64, BoundingBox)>,
+        regions: impl Iterator<Item = (RegionId, FloorId, f64, BoundingBox)>,
     ) -> Self {
-        type FloorItems = (Vec<(EntityId, BoundingBox)>, Vec<(RegionId, BoundingBox)>);
         let mut per_floor: BTreeMap<FloorId, FloorItems> = BTreeMap::new();
-        for (id, floors, bb) in entities {
+        for (id, floors, area, bb) in walkable {
             for f in floors {
-                per_floor.entry(f).or_default().0.push((id, bb));
+                per_floor.entry(f).or_default().0.push((id, area, bb));
             }
         }
-        for (id, floor, bb) in regions {
-            per_floor.entry(floor).or_default().1.push((id, bb));
+        for (id, floor, area, bb) in regions {
+            per_floor.entry(floor).or_default().1.push((id, area, bb));
         }
         SpatialIndex {
             floors: per_floor
                 .into_iter()
-                .map(|(f, (es, rs))| (f, FloorGrid::build(&es, &rs)))
+                .map(|(f, (es, rs))| {
+                    let shape =
+                        GridShape::covering(es.iter().map(|e| &e.2).chain(rs.iter().map(|r| &r.2)));
+                    let grid = FloorGrid {
+                        walkable: Layer::build(&shape, es),
+                        regions: Layer::build(&shape, rs),
+                        shape,
+                    };
+                    (f, grid)
+                })
                 .collect(),
         }
     }
 
+    /// Indexes what the model's point and nearest queries can return: its
+    /// walkable area entities (only an area footprint contains a point or
+    /// has a distance) and its regions (a region's area and bbox span all
+    /// its backing polygons).
     pub(crate) fn from_model(dsm: &crate::model::DigitalSpaceModel) -> Self {
+        let inflated = |bb: BoundingBox| bb.inflated(trips_geom::EPSILON);
         Self::build(
             dsm.entities()
-                .map(|e| (e.id, e.floors().collect(), entity_bbox(e))),
-            dsm.regions().map(|r| (r.id, r.floor, region_bbox(r))),
+                .filter(|e| e.kind.is_walkable())
+                .filter_map(|e| match &e.footprint {
+                    Footprint::Area(poly) => Some((
+                        e.id,
+                        e.floors().collect(),
+                        poly.area(),
+                        inflated(poly.bbox()),
+                    )),
+                    _ => None,
+                }),
+            dsm.regions().map(|r| {
+                let bb = r
+                    .polygons
+                    .iter()
+                    .fold(BoundingBox::empty(), |bb, p| bb.union(&p.bbox()));
+                (r.id, r.floor, r.area(), inflated(bb))
+            }),
         )
     }
 
-    /// Candidate entity ids whose bbox could contain `p` on `floor`, in
-    /// ascending id order. Exact containment still has to be tested.
-    pub(crate) fn entity_candidates(&self, floor: FloorId, p: Point) -> &[EntityId] {
-        self.floors
-            .get(&floor)
-            .map(|g| g.entities_at(p))
-            .unwrap_or(&[])
-    }
-
-    /// Candidate region ids whose bbox could contain `p` on `floor`.
-    pub(crate) fn region_candidates(&self, floor: FloorId, p: Point) -> &[RegionId] {
-        self.floors
-            .get(&floor)
-            .map(|g| g.regions_at(p))
-            .unwrap_or(&[])
-    }
-
-    /// Nearest entity on `floor` under `dist`, ties broken to the lowest id.
-    pub(crate) fn nearest_entity(
+    /// Walkable area entities on `floor` whose bbox contains `p`, smallest
+    /// area first (ties: lowest id). Exact containment still has to be
+    /// tested; the first entity that passes is `locate`'s answer.
+    pub(crate) fn walkable_at(
         &self,
         floor: FloorId,
         p: Point,
-        dist: impl FnMut(EntityId) -> Option<f64>,
+    ) -> impl Iterator<Item = EntityId> + '_ {
+        self.floors
+            .get(&floor)
+            .map(|g| g.shape.at(&g.walkable, p))
+            .into_iter()
+            .flatten()
+    }
+
+    /// Regions on `floor` whose bbox contains `p`, smallest area first
+    /// (ties: lowest id); the first that contains `p` is `region_at`'s
+    /// answer.
+    pub(crate) fn regions_at(
+        &self,
+        floor: FloorId,
+        p: Point,
+    ) -> impl Iterator<Item = RegionId> + '_ {
+        self.floors
+            .get(&floor)
+            .map(|g| g.shape.at(&g.regions, p))
+            .into_iter()
+            .flatten()
+    }
+
+    /// Nearest walkable area entity on `floor` under `dist`, ties broken to
+    /// the lowest id.
+    pub(crate) fn nearest_walkable(
+        &self,
+        floor: FloorId,
+        p: Point,
+        dist: impl FnMut(EntityId) -> f64,
     ) -> Option<(EntityId, f64)> {
         self.floors
             .get(&floor)
-            .and_then(|g| g.nearest(&g.entity_cells, p, dist))
+            .and_then(|g| g.shape.nearest(&g.walkable, p, dist))
     }
 
     /// Nearest region on `floor` under `dist`, ties broken to the lowest id.
@@ -304,11 +406,11 @@ impl SpatialIndex {
         &self,
         floor: FloorId,
         p: Point,
-        dist: impl FnMut(RegionId) -> Option<f64>,
+        dist: impl FnMut(RegionId) -> f64,
     ) -> Option<(RegionId, f64)> {
         self.floors
             .get(&floor)
-            .and_then(|g| g.nearest(&g.region_cells, p, dist))
+            .and_then(|g| g.shape.nearest(&g.regions, p, dist))
     }
 
     /// Number of indexed floors (diagnostics).
@@ -316,14 +418,14 @@ impl SpatialIndex {
         self.floors.len()
     }
 
-    /// `(cells, bucketed entity entries, bucketed region entries)` for one
-    /// floor — exposed for diagnostics and index tests.
+    /// `(cells, bucketed walkable-entity entries, bucketed region entries)`
+    /// for one floor — exposed for diagnostics and index tests.
     pub fn floor_stats(&self, floor: FloorId) -> Option<(usize, usize, usize)> {
         self.floors.get(&floor).map(|g| {
             (
-                g.nx * g.ny,
-                g.entity_cells.iter().map(Vec::len).sum(),
-                g.region_cells.iter().map(Vec::len).sum(),
+                g.shape.nx * g.shape.ny,
+                g.walkable.entries.len(),
+                g.regions.entries.len(),
             )
         })
     }
@@ -337,11 +439,12 @@ mod tests {
         BoundingBox::new(Point::new(x0, y0), Point::new(x1, y1))
     }
 
+    /// An index of walkable entities `(id, floors, bbox)`, area = bbox area.
     fn index_of(entities: Vec<(u32, Vec<FloorId>, BoundingBox)>) -> SpatialIndex {
         SpatialIndex::build(
             entities
                 .into_iter()
-                .map(|(id, fs, b)| (EntityId(id), fs, b)),
+                .map(|(id, fs, b)| (EntityId(id), fs, b.width() * b.height(), b)),
             std::iter::empty(),
         )
     }
@@ -353,24 +456,33 @@ mod tests {
             (1, vec![0], bb(20.0, 0.0, 30.0, 10.0)),
             (2, vec![1], bb(0.0, 0.0, 10.0, 10.0)),
         ]);
-        let cands = idx.entity_candidates(0, Point::new(5.0, 5.0));
-        assert!(cands.contains(&EntityId(0)));
-        assert!(!cands.contains(&EntityId(2)), "wrong floor");
-        assert!(idx.entity_candidates(7, Point::new(5.0, 5.0)).is_empty());
+        let cands: Vec<EntityId> = idx.walkable_at(0, Point::new(5.0, 5.0)).collect();
+        assert_eq!(cands, vec![EntityId(0)], "bbox-filtered, floor 0 only");
+        assert_eq!(idx.walkable_at(7, Point::new(5.0, 5.0)).count(), 0);
     }
 
     #[test]
-    fn candidates_in_id_order() {
+    fn candidates_in_area_then_id_order() {
+        // Nested boxes: ids descend as the boxes shrink, and two pairs tie
+        // on area.
         let idx = index_of(
-            (0..20)
-                .map(|i| (i, vec![0], bb(0.0, 0.0, 100.0, 100.0)))
+            (0..20u32)
+                .map(|i| {
+                    let half = 50.0 - f64::from(i / 2);
+                    (
+                        i,
+                        vec![0],
+                        bb(50.0 - half, 50.0 - half, 50.0 + half, 50.0 + half),
+                    )
+                })
                 .collect(),
         );
-        let cands = idx.entity_candidates(0, Point::new(50.0, 50.0));
-        let mut sorted = cands.to_vec();
-        sorted.sort();
-        assert_eq!(cands, &sorted[..]);
-        assert_eq!(cands.len(), 20);
+        let cands: Vec<u32> = idx
+            .walkable_at(0, Point::new(50.0, 50.0))
+            .map(|e| e.0)
+            .collect();
+        let expected: Vec<u32> = (0..10u32).rev().flat_map(|k| [2 * k, 2 * k + 1]).collect();
+        assert_eq!(cands, expected);
     }
 
     #[test]
@@ -381,25 +493,43 @@ mod tests {
             (7, vec![0], bb(-11.0, 0.0, -10.0, 1.0)),
         ]);
         let centers = [Point::new(10.0, 0.5), Point::new(-10.0, 0.5)];
-        let got = idx.nearest_entity(0, Point::new(0.0, 0.5), |id| {
+        let got = idx.nearest_walkable(0, Point::new(0.0, 0.5), |id| {
             let c = if id == EntityId(3) {
                 centers[0]
             } else {
                 centers[1]
             };
-            Some(c.distance(Point::new(0.0, 0.5)))
+            c.distance(Point::new(0.0, 0.5))
         });
         assert_eq!(got, Some((EntityId(3), 10.0)));
     }
 
     #[test]
-    fn nearest_none_when_filtered_out() {
+    fn nearest_measures_each_item_once() {
+        // One wide box spanning every cell plus small ones around it.
+        let mut items = vec![(0, vec![0], bb(0.0, 0.0, 100.0, 100.0))];
+        items.extend((1..16).map(|i| {
+            let x = f64::from(i) * 6.0;
+            (i, vec![0], bb(x, x, x + 1.0, x + 1.0))
+        }));
+        let idx = index_of(items);
+        let mut measured = Vec::new();
+        idx.nearest_walkable(0, Point::new(500.0, 500.0), |id| {
+            measured.push(id);
+            f64::from(id.0)
+        });
+        let mut unique = measured.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(measured.len(), unique.len(), "measured twice: {measured:?}");
+        assert!(measured.contains(&EntityId(0)));
+    }
+
+    #[test]
+    fn nearest_none_on_unindexed_floor() {
         let idx = index_of(vec![(0, vec![0], bb(0.0, 0.0, 1.0, 1.0))]);
-        assert_eq!(idx.nearest_entity(0, Point::new(5.0, 5.0), |_| None), None);
-        assert_eq!(
-            idx.nearest_entity(9, Point::new(0.0, 0.0), |_| Some(0.0)),
-            None
-        );
+        assert_eq!(idx.nearest_walkable(9, Point::new(0.0, 0.0), |_| 0.0), None);
+        assert_eq!(idx.nearest_region(0, Point::new(0.0, 0.0), |_| 0.0), None);
     }
 
     #[test]
@@ -407,8 +537,8 @@ mod tests {
         let idx = index_of(vec![(0, vec![0, 1, 2], bb(0.0, 0.0, 2.0, 2.0))]);
         for f in 0..3 {
             assert_eq!(
-                idx.entity_candidates(f, Point::new(1.0, 1.0)),
-                &[EntityId(0)]
+                idx.walkable_at(f, Point::new(1.0, 1.0)).collect::<Vec<_>>(),
+                vec![EntityId(0)]
             );
         }
         assert_eq!(idx.floor_count(), 3);

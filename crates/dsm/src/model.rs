@@ -219,14 +219,9 @@ impl DigitalSpaceModel {
         };
         if let Some(index) = &self.index {
             return index
-                .entity_candidates(p.floor, p.xy)
-                .iter()
-                .filter_map(|&id| {
-                    let e = &self.entities[&id];
-                    walkable_area(e).map(|area| (e, area))
-                })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite areas"))
-                .map(|(e, _)| e);
+                .walkable_at(p.floor, p.xy)
+                .map(|id| &self.entities[&id])
+                .find(|e| e.contains(p.xy));
         }
         self.entities_on_floor(p.floor)
             .filter_map(|e| walkable_area(e).map(|area| (e, area)))
@@ -234,15 +229,14 @@ impl DigitalSpaceModel {
             .map(|(e, _)| e)
     }
 
-    /// The semantic region containing `p`, if any (smallest wins).
+    /// The semantic region containing `p`, if any (smallest wins, ties to
+    /// the lowest id).
     pub fn region_at(&self, p: &IndoorPoint) -> Option<&SemanticRegion> {
         if let Some(index) = &self.index {
             return index
-                .region_candidates(p.floor, p.xy)
-                .iter()
-                .map(|&id| &self.regions[&id])
-                .filter(|r| r.contains(p.xy))
-                .min_by(|a, b| a.area().partial_cmp(&b.area()).expect("finite areas"));
+                .regions_at(p.floor, p.xy)
+                .map(|id| &self.regions[&id])
+                .find(|r| r.contains(p.xy));
         }
         self.regions_on_floor(p.floor)
             .filter(|r| r.contains(p.xy))
@@ -255,14 +249,12 @@ impl DigitalSpaceModel {
     pub fn nearest_walkable(&self, p: &IndoorPoint) -> Option<(&Entity, f64)> {
         if let Some(index) = &self.index {
             return index
-                .nearest_entity(p.floor, p.xy, |id| {
-                    let e = &self.entities[&id];
-                    if !e.kind.is_walkable() {
-                        return None;
-                    }
-                    e.footprint
+                .nearest_walkable(p.floor, p.xy, |id| {
+                    self.entities[&id]
+                        .footprint
                         .as_area()
-                        .map(|poly| poly.distance_to_point(p.xy))
+                        .expect("indexed walkables are areas")
+                        .distance_to_point(p.xy)
                 })
                 .map(|(id, d)| (&self.entities[&id], d));
         }
@@ -281,7 +273,7 @@ impl DigitalSpaceModel {
         if let Some(index) = &self.index {
             return index
                 .nearest_region(p.floor, p.xy, |id| {
-                    Some(self.regions[&id].distance_to_point(p.xy))
+                    self.regions[&id].distance_to_point(p.xy)
                 })
                 .map(|(id, d)| (&self.regions[&id], d));
         }

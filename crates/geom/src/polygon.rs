@@ -125,17 +125,12 @@ impl Polygon {
     /// Point-in-polygon test (boundary counts as inside).
     ///
     /// Ray casting with an explicit boundary pass; robust for the rectilinear
-    /// and mildly irregular shapes floorplans are made of.
+    /// and mildly irregular shapes floorplans are made of. The crossing test
+    /// runs first: the boundary pass (one `sqrt` per edge) only has to decide
+    /// points the crossing test leaves outside.
     pub fn contains(&self, p: Point) -> bool {
         if !self.bbox().inflated(EPSILON).contains(p) {
             return false;
-        }
-        // Boundary pass: positioning records snapped onto a wall belong to
-        // the room.
-        for e in self.edges() {
-            if e.distance_to_point(p) <= 1e-9 {
-                return true;
-            }
         }
         let mut inside = false;
         let n = self.vertices.len();
@@ -150,7 +145,9 @@ impl Polygon {
             }
             j = i;
         }
-        inside
+        // Boundary pass: positioning records snapped onto a wall belong to
+        // the room.
+        inside || self.edges().any(|e| e.distance_to_point(p) <= 1e-9)
     }
 
     /// Distance from `p` to the polygon boundary (0 if on the boundary;
