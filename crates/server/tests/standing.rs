@@ -211,3 +211,64 @@ fn teardown_unregisters_session_rules() {
     drop(observer);
     handle.shutdown().unwrap();
 }
+
+#[test]
+fn rules_subscribed_later_do_not_count_departed_devices() {
+    let boot = deployment();
+    let server = TripsServer::new(boot.dsm, boot.editor, ServerConfig::default()).unwrap();
+    let handle = server.spawn("127.0.0.1:0").unwrap();
+    let addr = handle.addr();
+    let feed = |client: &mut Client, device: &str| {
+        match client.ingest(walk(device, 0)).unwrap() {
+            Response::Ingested { accepted, .. } => assert_eq!(accepted, 20),
+            other => panic!("ingest failed: {other:?}"),
+        }
+        match client.flush(Some(device)).unwrap() {
+            Response::Flushed { .. } => {}
+            other => panic!("flush failed: {other:?}"),
+        }
+    };
+
+    // One session subscribes an occupancy rule and streams a device, so
+    // the device is counted while it is inside the venue.
+    let mut first = Client::connect_v2(addr).unwrap();
+    first
+        .subscribe(r#"WHEN occupancy(region "*") > 1000 ALERT "crowded""#)
+        .unwrap()
+        .unwrap();
+    feed(&mut first, "walker-a");
+
+    // Closing it unregisters the last rule, then ends walker-a's session:
+    // the device leaves while no rule tracks anything.
+    drop(first);
+    let mut observer = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + StdDuration::from_secs(5);
+    while !observer.list_rules().unwrap().unwrap().is_empty() {
+        assert!(Instant::now() < deadline, "rules survived their session");
+        std::thread::sleep(StdDuration::from_millis(25));
+    }
+    // Teardown ends the session's devices right after unregistering; give
+    // it time to, so walker-a has left before the next subscription. The
+    // assertions below hold whichever comes first.
+    std::thread::sleep(StdDuration::from_millis(200));
+
+    // A new subscriber's rule must count only devices present now.
+    let mut second = Client::connect_v2(addr).unwrap();
+    second
+        .subscribe(r#"WHEN occupancy(region "*") >= 2 ALERT "pair""#)
+        .unwrap()
+        .unwrap();
+    feed(&mut observer, "walker-b");
+    let ghost = drain_alerts(&mut second, StdDuration::from_millis(500));
+    assert!(ghost.is_empty(), "walker-a left before walker-b: {ghost:?}");
+    feed(&mut observer, "walker-c");
+    let pair = drain_alerts(&mut second, StdDuration::from_secs(2));
+    assert_eq!(
+        pair.len(),
+        1,
+        "walker-b and walker-c are both inside: {pair:?}"
+    );
+
+    drop((second, observer));
+    handle.shutdown().unwrap();
+}

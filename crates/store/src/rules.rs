@@ -33,11 +33,45 @@
 //! last-fire timestamps, exported as [`RuleTrace`]s for the server's
 //! `Metrics` endpoint.
 //!
-//! State tracking (the per-device last-region map, occupancy and flow
-//! counters) starts when the first rule is registered: counters reflect
-//! movement observed **since registration**, which is the only sound
-//! reading for an incremental engine bolted onto a live stream. A store
-//! with no rules pays one atomic load per ingest batch.
+//! ## Structure and lock budget
+//!
+//! The engine keeps three pieces:
+//!
+//! * a **rule plan** — the priority-ordered rules, the region→floor map
+//!   and the state rules partitioned by the region they watch — compiled
+//!   by every `register` / `unregister` under its write lock, and only
+//!   read by `publish`;
+//! * one **device entry** per device in a sharded map: its last region
+//!   and its ENTERS/DWELLS rules (device globs applied), rebuilt when the
+//!   plan's serial number changes;
+//! * one **state mutex** over everything state rules share: occupancy and
+//!   flow counters, the region names learned from the stream, and each
+//!   state rule's rising-edge / hold flag.
+//!
+//! `publish` takes 2 locks per batch — the plan's read lock and the
+//! device's entry shard — plus the state mutex, the one engine-wide
+//! exclusive lock, at most once per region transition. State rules are
+//! evaluated while it is held, so two publishers cannot both fire one
+//! edge. A store with no rules pays one atomic load per ingest batch.
+//!
+//! ## Tracked state
+//!
+//! Counters reflect movement observed **since registration**, the only
+//! sound reading for an incremental engine bolted onto a live stream.
+//! State is kept only while something maintains it, and dropped the
+//! moment nothing does:
+//!
+//! * device positions are tracked while any rule is registered, and
+//!   dropped with the last rule;
+//! * occupancy and flow counters are maintained while any state rule is
+//!   registered, and dropped with the last state rule;
+//! * [`RuleEngine::reset_state`] (the store was cleared) drops positions
+//!   and counters and re-arms every state rule's edge and hold; the
+//!   registered rules and their traces survive.
+//!
+//! Region names (for name selectors over the counters) are learned at
+//! each transition into a region; a region id's name is fixed by the
+//! DSM.
 //!
 //! ## Delivery
 //!
@@ -51,7 +85,7 @@
 //! [`SemanticsStore::ingest`]: crate::SemanticsStore::ingest
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -62,9 +96,11 @@ use trips_dsm::RegionId;
 
 /// Sentinel for "no timestamp yet" in the atomic trace fields.
 const NO_TS: i64 = i64::MIN;
-/// Shards of the per-device last-region map (leaf mutexes; publish holds
-/// at most one at a time).
+/// Shards of the per-device entry map (publish holds one per batch).
 const DEVICE_SHARDS: usize = 16;
+/// Why a state rule's evaluation can rely on the state mutex: state
+/// rules are candidates only on a region transition, which takes it.
+const HELD: &str = "state rules are evaluated only on transitions, under the state mutex";
 /// Default cap on registered rules (override with [`RuleEngine::set_limit`]).
 pub const DEFAULT_RULE_LIMIT: usize = 1024;
 
@@ -301,11 +337,6 @@ struct Rule {
     fires: AtomicU64,
     last_eval_ms: AtomicI64,
     last_fire_ms: AtomicI64,
-    /// For held state conditions: event time the condition turned true
-    /// ([`NO_TS`] = not pending).
-    pending_since_ms: AtomicI64,
-    /// State condition currently satisfied (edge/re-arm tracking).
-    active: AtomicBool,
 }
 
 impl Rule {
@@ -327,72 +358,201 @@ impl Rule {
     }
 }
 
-/// A device's pre-partitioned view of the rule list: indices (into the
-/// priority-ordered rules vec) of every *event* rule that can fire for
-/// this device, split by trigger — ENTERS on transitions, DWELLS on
-/// stays. Device globs are evaluated when this is built, once per
-/// device per rule-set generation, not per published semantic. State
-/// rules are device-independent and live in [`StateIndex`] instead.
-struct DeviceBuckets {
-    generation: u64,
+/// The compiled rule set. Changed only under the engine's write lock —
+/// recompiled by `register` / `unregister`, its floor map replaced by
+/// `set_region_floors` — and read by every publish for its whole batch,
+/// so a rule-set change never lands inside a batch.
+#[derive(Default)]
+struct RulePlan {
+    /// Bumped by every compile; device entries built from an older plan
+    /// rebuild their partition on next use.
+    serial: u64,
+    /// Priority-ordered (desc, ties by id asc).
+    rules: Vec<Rule>,
+    /// Region id → floor, installed by the embedding layer from its DSM.
+    floors: HashMap<u32, i16>,
+    /// Whether any state rule is registered (counters are maintained).
+    stateful: bool,
+    /// A region transition only changes occupancy rules watching a
+    /// touched region and flow rules ending in the moved-into region, so
+    /// `Id`-selector state rules are bucketed by that id; only selectors
+    /// that need name/floor resolution are tried on every transition.
+    occ_by_region: HashMap<u32, Vec<u32>>,
+    occ_other: Vec<u32>,
+    flow_by_to: HashMap<u32, Vec<u32>>,
+    flow_other: Vec<u32>,
+}
+
+impl RulePlan {
+    /// Re-derives the state-rule partition from `rules` under a new serial.
+    fn compile(&mut self) {
+        self.serial += 1;
+        self.occ_by_region.clear();
+        self.occ_other.clear();
+        self.flow_by_to.clear();
+        self.flow_other.clear();
+        for (idx, rule) in self.rules.iter().enumerate() {
+            let idx = idx as u32;
+            match &rule.spec.condition {
+                Condition::Occupancy {
+                    region: RegionSel::Id(id),
+                    ..
+                } => self.occ_by_region.entry(*id).or_default().push(idx),
+                Condition::Occupancy { .. } => self.occ_other.push(idx),
+                Condition::Flow {
+                    to: RegionSel::Id(id),
+                    ..
+                } => self.flow_by_to.entry(*id).or_default().push(idx),
+                Condition::Flow { .. } => self.flow_other.push(idx),
+                Condition::Enters { .. } | Condition::Dwells { .. } => {}
+            }
+        }
+        self.stateful = self.rules.iter().any(|r| r.spec.condition.is_state());
+    }
+
+    /// Appends the state rules a move from `prev` into `region` can
+    /// change. The buckets are disjoint (a transition has `prev !=
+    /// region`), so no rule is appended twice.
+    fn state_candidates(&self, prev: Option<u32>, region: u32, out: &mut Vec<u32>) {
+        out.extend(self.occ_by_region.get(&region).into_iter().flatten());
+        out.extend_from_slice(&self.occ_other);
+        if let Some(p) = prev {
+            out.extend(self.occ_by_region.get(&p).into_iter().flatten());
+            out.extend(self.flow_by_to.get(&region).into_iter().flatten());
+            out.extend_from_slice(&self.flow_other);
+        }
+    }
+}
+
+/// One device's slice of the engine: where it was last seen and which
+/// event rules can fire for it (indices into the plan's rules, device
+/// globs already applied — once per device per plan, not per semantic).
+#[derive(Default)]
+struct DeviceEntry {
+    /// The plan `enters` / `dwells` were built from. A serial rather than
+    /// a pointer: a freed plan's address can be reused.
+    serial: u64,
+    region: Option<u32>,
     enters: Vec<u32>,
     dwells: Vec<u32>,
 }
 
-/// The device-independent predicate index over *state* rules: a region
-/// transition only needs to re-evaluate occupancy rules watching a
-/// touched region and flow rules ending at the moved-into region, so
-/// `Id`-selector rules are bucketed by that id and only selector
-/// families that need name/floor resolution (`Name` globs, `Floor`)
-/// stay in a walk-every-transition list. Rebuilt lazily per rule-set
-/// generation, shared by every publisher.
-struct StateIndex {
-    generation: u64,
-    /// Occupancy rules watching one region by id, bucketed by it.
-    occ_by_region: HashMap<u32, Vec<u32>>,
-    /// Occupancy rules whose selector needs name/floor resolution.
-    occ_other: Vec<u32>,
-    /// Flow rules with an `Id` destination, bucketed by the `to` region.
-    flow_by_to: HashMap<u32, Vec<u32>>,
-    /// Flow rules whose destination needs name/floor resolution.
-    flow_other: Vec<u32>,
+impl DeviceEntry {
+    fn rebuild(&mut self, plan: &RulePlan, device: &str) {
+        self.serial = plan.serial;
+        self.enters.clear();
+        self.dwells.clear();
+        for (idx, rule) in plan.rules.iter().enumerate() {
+            match &rule.spec.condition {
+                Condition::Enters { device: pat, .. } if device_matches(pat, device) => {
+                    self.enters.push(idx as u32)
+                }
+                Condition::Dwells { device: pat, .. } if device_matches(pat, device) => {
+                    self.dwells.push(idx as u32)
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A state rule's progress towards its next fire.
+enum Edge {
+    /// True since this event time; waiting out the rule's hold.
+    Pending(i64),
+    /// Fired; re-arms when the condition goes false.
+    Fired,
+}
+
+/// Everything state rules share, behind one mutex.
+#[derive(Default)]
+struct RuleState {
+    /// Devices currently in each region.
+    occupancy: HashMap<u32, i64>,
+    /// Observed directed transition counts.
+    flows: HashMap<(u32, u32), u64>,
+    /// Region id → display name, learned from the published stream (used
+    /// by name selectors over maintained counters).
+    names: HashMap<u32, String>,
+    /// Per state rule (by id); absent = armed and not pending.
+    edges: HashMap<u64, Edge>,
+}
+
+impl RuleState {
+    fn learn_name(&mut self, region: u32, name: &str) {
+        if self.names.get(&region).map(String::as_str) != Some(name) {
+            self.names.insert(region, name.to_string());
+        }
+    }
+
+    /// Moves one device from `prev` into `region`; returns the directed
+    /// flow's new count (0 without a `prev`).
+    fn record_move(&mut self, prev: Option<u32>, region: u32) -> u64 {
+        if let Some(n) = prev.and_then(|p| self.occupancy.get_mut(&p)) {
+            *n = (*n - 1).max(0);
+        }
+        *self.occupancy.entry(region).or_insert(0) += 1;
+        prev.map_or(0, |p| {
+            let n = self.flows.entry((p, region)).or_insert(0);
+            *n += 1;
+            *n
+        })
+    }
+
+    /// Current device count over every region the selector matches.
+    fn occupancy_of(&self, sel: &RegionSel, floors: &HashMap<u32, i16>) -> i64 {
+        match sel {
+            RegionSel::Id(id) => self.occupancy.get(id).copied().unwrap_or(0),
+            _ => self
+                .occupancy
+                .iter()
+                .filter(|(rid, _)| {
+                    let name = self.names.get(rid).map_or("", String::as_str);
+                    sel.matches(**rid, name, floors)
+                })
+                .map(|(_, n)| *n)
+                .sum(),
+        }
+    }
+
+    /// Rising-edge firing with optional hold, re-armed when the condition
+    /// goes false. Event-time hold: the condition must stay true across
+    /// `hold_ms` of published timestamps. Returns whether the rule fires.
+    fn advance_edge(&mut self, rule: &Rule, holds: bool, at: i64) -> bool {
+        if !holds {
+            self.edges.remove(&rule.id);
+            return false;
+        }
+        match (self.edges.get(&rule.id), rule.spec.hold_ms) {
+            (Some(Edge::Fired), _) => false,
+            (Some(&Edge::Pending(since)), Some(hold)) if at - since < hold => false,
+            (None, Some(_)) => {
+                self.edges.insert(rule.id, Edge::Pending(at));
+                false
+            }
+            _ => {
+                self.edges.insert(rule.id, Edge::Fired);
+                true
+            }
+        }
+    }
 }
 
 /// The standing-rules engine (see the module docs for the evaluation
 /// model). One lives inside every [`SemanticsStore`](crate::SemanticsStore);
 /// all methods take `&self` and are safe under concurrent publish.
+///
+/// Lock order: plan → device shard → state.
 pub struct RuleEngine {
     /// Registered-rule count, mirrored out of the lock so a store with no
     /// rules pays one relaxed load per ingest batch.
     count: AtomicUsize,
-    /// How many registered rules are state conditions (occupancy/flow
-    /// tracking is maintained only while this is non-zero).
-    state_rules: AtomicUsize,
     next_id: AtomicU64,
     limit: AtomicUsize,
-    /// Priority-ordered (desc, ties by id asc).
-    rules: RwLock<Vec<Arc<Rule>>>,
-    /// Monotonic rule-set version, bumped under the `rules` write lock —
-    /// a reader holding `rules.read()` therefore sees a value consistent
-    /// with the list it is iterating.
-    generation: AtomicU64,
-    /// Per-device [`DeviceBuckets`], validated against `generation` and
-    /// rebuilt lazily on mismatch. Sharded like `device_regions`.
-    bucket_cache: Vec<Mutex<HashMap<String, Arc<DeviceBuckets>>>>,
-    /// The shared [`StateIndex`], validated against `generation` and
-    /// rebuilt lazily on mismatch.
-    state_index: RwLock<Arc<StateIndex>>,
-    /// Last known region per device, sharded by the store's device hash.
-    device_regions: Vec<Mutex<HashMap<String, u32>>>,
-    /// Devices currently in each region (state rules only).
-    occupancy: Mutex<HashMap<u32, i64>>,
-    /// Observed directed transition counts (state rules only).
-    flows: Mutex<HashMap<(u32, u32), u64>>,
-    /// Region id → display name, learned from the published stream (used
-    /// by name selectors over maintained counters).
-    region_names: RwLock<HashMap<u32, String>>,
-    /// Region id → floor, installed by the embedding layer from its DSM.
-    region_floors: RwLock<HashMap<u32, i16>>,
+    plan: RwLock<RulePlan>,
+    /// [`DeviceEntry`]s, sharded by the store's device hash (FNV-1a).
+    devices: Vec<Mutex<HashMap<DeviceId, DeviceEntry>>>,
+    state: Mutex<RuleState>,
     delivered: AtomicU64,
     dropped: AtomicU64,
     /// Engine-wide evaluation count (sum over rules, kept as its own
@@ -412,31 +572,13 @@ impl RuleEngine {
     pub fn new() -> Self {
         RuleEngine {
             count: AtomicUsize::new(0),
-            state_rules: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             limit: AtomicUsize::new(DEFAULT_RULE_LIMIT),
-            rules: RwLock::new(Vec::new()),
-            generation: AtomicU64::new(0),
-            bucket_cache: (0..DEVICE_SHARDS)
+            plan: RwLock::new(RulePlan::default()),
+            devices: (0..DEVICE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            // Generation 0 never matches a publish (publishes only run
-            // with ≥1 registered rule, and registering bumps to ≥1), so
-            // the first one rebuilds.
-            state_index: RwLock::new(Arc::new(StateIndex {
-                generation: 0,
-                occ_by_region: HashMap::new(),
-                occ_other: Vec::new(),
-                flow_by_to: HashMap::new(),
-                flow_other: Vec::new(),
-            })),
-            device_regions: (0..DEVICE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            occupancy: Mutex::new(HashMap::new()),
-            flows: Mutex::new(HashMap::new()),
-            region_names: RwLock::new(HashMap::new()),
-            region_floors: RwLock::new(HashMap::new()),
+            state: Mutex::new(RuleState::default()),
             delivered: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             evals_total: AtomicU64::new(0),
@@ -455,7 +597,7 @@ impl RuleEngine {
     where
         I: IntoIterator<Item = (RegionId, i16)>,
     {
-        *self.region_floors.write() = map.into_iter().map(|(r, f)| (r.0, f)).collect();
+        self.plan.write().floors = map.into_iter().map(|(r, f)| (r.0, f)).collect();
     }
 
     /// Registers a compiled rule; returns its id. `sink` receives this
@@ -468,54 +610,59 @@ impl RuleEngine {
         if spec.hold_ms.is_some() && !spec.condition.is_state() {
             return Err(RuleError::HoldOnEventCondition);
         }
-        let mut rules = self.rules.write();
+        let mut plan = self.plan.write();
         let limit = self.limit.load(Ordering::Relaxed);
-        if rules.len() >= limit {
+        if plan.rules.len() >= limit {
             return Err(RuleError::TooManyRules { limit });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         if spec.name.is_empty() {
             spec.name = format!("rule-{id}");
         }
-        if spec.condition.is_state() {
-            self.state_rules.fetch_add(1, Ordering::Relaxed);
-        }
-        let rule = Arc::new(Rule {
-            id,
-            spec,
-            sink,
-            evals: AtomicU64::new(0),
-            fires: AtomicU64::new(0),
-            last_eval_ms: AtomicI64::new(NO_TS),
-            last_fire_ms: AtomicI64::new(NO_TS),
-            pending_since_ms: AtomicI64::new(NO_TS),
-            active: AtomicBool::new(false),
-        });
-        let pos = rules
+        // Ids only grow, so the newcomer goes after every rule of equal
+        // priority.
+        let pos = plan
+            .rules
             .iter()
-            .position(|r| {
-                (r.spec.priority, std::cmp::Reverse(r.id))
-                    < (rule.spec.priority, std::cmp::Reverse(rule.id))
-            })
-            .unwrap_or(rules.len());
-        rules.insert(pos, rule);
-        self.count.store(rules.len(), Ordering::Relaxed);
-        self.generation.fetch_add(1, Ordering::Relaxed);
+            .position(|r| r.spec.priority < spec.priority)
+            .unwrap_or(plan.rules.len());
+        plan.rules.insert(
+            pos,
+            Rule {
+                id,
+                spec,
+                sink,
+                evals: AtomicU64::new(0),
+                fires: AtomicU64::new(0),
+                last_eval_ms: AtomicI64::new(NO_TS),
+                last_fire_ms: AtomicI64::new(NO_TS),
+            },
+        );
+        plan.compile();
+        self.count.store(plan.rules.len(), Ordering::Relaxed);
         Ok(id)
     }
 
-    /// Removes a rule; returns whether it existed.
+    /// Removes a rule; returns whether it existed. State that nothing
+    /// maintains any more is dropped (see the module docs).
     pub fn unregister(&self, id: u64) -> bool {
-        let mut rules = self.rules.write();
-        let Some(pos) = rules.iter().position(|r| r.id == id) else {
+        let mut plan = self.plan.write();
+        let Some(pos) = plan.rules.iter().position(|r| r.id == id) else {
             return false;
         };
-        let rule = rules.remove(pos);
-        if rule.spec.condition.is_state() {
-            self.state_rules.fetch_sub(1, Ordering::Relaxed);
+        plan.rules.remove(pos);
+        plan.compile();
+        self.count.store(plan.rules.len(), Ordering::Relaxed);
+        if plan.rules.is_empty() {
+            self.clear_state();
+        } else {
+            let mut state = self.state.lock();
+            state.edges.remove(&id);
+            if !plan.stateful {
+                state.occupancy.clear();
+                state.flows.clear();
+            }
         }
-        self.count.store(rules.len(), Ordering::Relaxed);
-        self.generation.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -547,7 +694,7 @@ impl RuleEngine {
 
     /// Per-rule traces, in evaluation (priority) order.
     pub fn traces(&self) -> Vec<RuleTrace> {
-        self.rules.read().iter().map(|r| r.trace()).collect()
+        self.plan.read().rules.iter().map(Rule::trace).collect()
     }
 
     /// Forgets a device's tracked position (its occupancy contribution is
@@ -556,31 +703,31 @@ impl RuleEngine {
         if self.count.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let key = device.as_str();
-        let shard = (crate::fnv1a(key.as_bytes()) as usize) % DEVICE_SHARDS;
-        self.bucket_cache[shard].lock().remove(key);
-        let prev = self.device_regions[shard].lock().remove(key);
-        if let Some(region) = prev {
-            if self.state_rules.load(Ordering::Relaxed) > 0 {
-                let mut occ = self.occupancy.lock();
-                if let Some(n) = occ.get_mut(&region) {
-                    *n = (*n - 1).max(0);
-                }
+        let gone = self.devices[device_shard(device)].lock().remove(device);
+        if let Some(region) = gone.and_then(|entry| entry.region) {
+            if let Some(n) = self.state.lock().occupancy.get_mut(&region) {
+                *n = (*n - 1).max(0);
             }
         }
     }
 
-    /// Drops all tracked state (counters, positions) but keeps registered
-    /// rules. Call when the store is cleared.
+    /// Drops all tracked state (positions, counters) and re-arms every
+    /// state rule, but keeps registered rules and their traces. Call when
+    /// the store is cleared.
     pub fn reset_state(&self) {
-        for shard in &self.device_regions {
+        // The write lock waits out in-flight batches, so none straddles
+        // the reset.
+        let _plan = self.plan.write();
+        self.clear_state();
+    }
+
+    /// Drops positions and all state-rule state. Callers hold the plan's
+    /// write lock.
+    fn clear_state(&self) {
+        for shard in &self.devices {
             shard.lock().clear();
         }
-        for shard in &self.bucket_cache {
-            shard.lock().clear();
-        }
-        self.occupancy.lock().clear();
-        self.flows.lock().clear();
+        *self.state.lock() = RuleState::default();
     }
 
     /// Evaluates every relevant rule against one published batch. Called
@@ -596,214 +743,92 @@ impl RuleEngine {
         let evaluating = trips_obs::enabled().then(std::time::Instant::now);
         let mut fired: Vec<(Arc<dyn AlertSink>, Alert)> = Vec::new();
         {
-            let rules = self.rules.read();
-            let floors = self.region_floors.read();
-            let track_state = self.state_rules.load(Ordering::Relaxed) > 0;
+            let plan = self.plan.read();
+            // The last rule may have gone since the count was read; its
+            // state is dropped and must not be tracked again.
+            if plan.rules.is_empty() {
+                return;
+            }
             let key = device.as_str();
-            let shard = (crate::fnv1a(key.as_bytes()) as usize) % DEVICE_SHARDS;
-            // A device's view of the rule list is constant until the rule
-            // set changes, so its partition is cached across publishes
-            // and rebuilt only on a generation mismatch. `generation` is
-            // read under `rules.read()` (writers bump it inside the write
-            // lock), so it is consistent with the list being walked.
-            let generation = self.generation.load(Ordering::Relaxed);
-            let buckets = {
-                let mut cache = self.bucket_cache[shard].lock();
-                match cache.get(key) {
-                    Some(b) if b.generation == generation => Arc::clone(b),
-                    _ => {
-                        let mut enters = Vec::new();
-                        let mut dwells = Vec::new();
-                        for (idx, rule) in rules.iter().enumerate() {
-                            match &rule.spec.condition {
-                                Condition::Enters { device: dpat, .. } => {
-                                    if device_matches(dpat, key) {
-                                        enters.push(idx as u32);
-                                    }
-                                }
-                                Condition::Dwells { device: dpat, .. } => {
-                                    if device_matches(dpat, key) {
-                                        dwells.push(idx as u32);
-                                    }
-                                }
-                                Condition::Occupancy { .. } | Condition::Flow { .. } => {}
-                            }
-                        }
-                        let b = Arc::new(DeviceBuckets {
-                            generation,
-                            enters,
-                            dwells,
-                        });
-                        cache.insert(key.to_string(), Arc::clone(&b));
-                        b
-                    }
-                }
-            };
-            let state_index = {
-                let cur = self.state_index.read();
-                if cur.generation == generation {
-                    Arc::clone(&cur)
-                } else {
-                    drop(cur);
-                    let mut occ_by_region: HashMap<u32, Vec<u32>> = HashMap::new();
-                    let mut occ_other = Vec::new();
-                    let mut flow_by_to: HashMap<u32, Vec<u32>> = HashMap::new();
-                    let mut flow_other = Vec::new();
-                    for (idx, rule) in rules.iter().enumerate() {
-                        match &rule.spec.condition {
-                            Condition::Occupancy {
-                                region: RegionSel::Id(id),
-                                ..
-                            } => occ_by_region.entry(*id).or_default().push(idx as u32),
-                            Condition::Occupancy { .. } => occ_other.push(idx as u32),
-                            Condition::Flow {
-                                to: RegionSel::Id(id),
-                                ..
-                            } => flow_by_to.entry(*id).or_default().push(idx as u32),
-                            Condition::Flow { .. } => flow_other.push(idx as u32),
-                            Condition::Enters { .. } | Condition::Dwells { .. } => {}
-                        }
-                    }
-                    let built = Arc::new(StateIndex {
-                        generation,
-                        occ_by_region,
-                        occ_other,
-                        flow_by_to,
-                        flow_other,
-                    });
-                    *self.state_index.write() = Arc::clone(&built);
-                    built
-                }
-            };
-            // Candidate rule indices for one semantic, reused across the
-            // batch. Sorted before the walk so delivery keeps the rule
-            // list's priority order across condition families.
-            let mut scratch: Vec<u32> = Vec::new();
+            let mut shard = self.devices[device_shard(device)].lock();
+            let entry = shard.entry(device.clone()).or_default();
+            if entry.serial != plan.serial {
+                entry.rebuild(&plan, key);
+            }
+            // Candidate rule indices for one semantic and the moved-out-of
+            // region's name, both reused across the batch.
+            let mut candidates: Vec<u32> = Vec::new();
+            let mut prev_name = String::new();
             for s in batch {
                 let region = s.region.0;
                 let at = s.end.as_millis();
-                {
-                    let names = self.region_names.read();
-                    let known = names.get(&region).is_some_and(|n| n == &s.region_name);
-                    drop(names);
-                    if !known {
-                        self.region_names
-                            .write()
-                            .insert(region, s.region_name.clone());
-                    }
+                let prev = entry.region.replace(region);
+                candidates.clear();
+                if s.event == "stay" {
+                    candidates.extend_from_slice(&entry.dwells);
                 }
-                let prev = {
-                    // Allocation-free on the steady state: a known device
-                    // updates its slot in place; only first sight inserts.
-                    let mut map = self.device_regions[shard].lock();
-                    match map.get_mut(key) {
-                        Some(slot) => Some(std::mem::replace(slot, region)),
-                        None => {
-                            map.insert(key.to_string(), region);
-                            None
+                // Only a transition moves counters, so only a transition
+                // takes the state mutex; it stays held while this
+                // semantic's rules are evaluated.
+                let mut state = None;
+                let mut flow_count = 0;
+                if prev != Some(region) {
+                    candidates.extend_from_slice(&entry.enters);
+                    let mut st = self.state.lock();
+                    st.learn_name(region, &s.region_name);
+                    if plan.stateful {
+                        flow_count = st.record_move(prev, region);
+                        plan.state_candidates(prev, region, &mut candidates);
+                        prev_name.clear();
+                        if let Some(name) = prev.and_then(|p| st.names.get(&p)) {
+                            prev_name.push_str(name);
                         }
                     }
-                };
-                let transition = prev != Some(region);
-                let mut flow_count = 0u64;
-                if transition && track_state {
-                    {
-                        let mut occ = self.occupancy.lock();
-                        if let Some(p) = prev {
-                            if let Some(n) = occ.get_mut(&p) {
-                                *n = (*n - 1).max(0);
-                            }
-                        }
-                        *occ.entry(region).or_insert(0) += 1;
-                    }
-                    if let Some(p) = prev {
-                        let mut flows = self.flows.lock();
-                        let n = flows.entry((p, region)).or_insert(0);
-                        *n += 1;
-                        flow_count = *n;
-                    }
+                    state = Some(st);
                 }
-                let is_stay = s.event == "stay";
-                scratch.clear();
-                if transition {
-                    scratch.extend_from_slice(&buckets.enters);
-                    // A transition moves occupancy in the entered region
-                    // and (when leaving one) the departed region, and
-                    // extends one directed flow — only rules watching
-                    // those need re-evaluation.
-                    if let Some(v) = state_index.occ_by_region.get(&region) {
-                        scratch.extend_from_slice(v);
-                    }
-                    if let Some(p) = prev {
-                        if let Some(v) = state_index.occ_by_region.get(&p) {
-                            scratch.extend_from_slice(v);
-                        }
-                        if let Some(v) = state_index.flow_by_to.get(&region) {
-                            scratch.extend_from_slice(v);
-                        }
-                        scratch.extend_from_slice(&state_index.flow_other);
-                    }
-                    scratch.extend_from_slice(&state_index.occ_other);
-                }
-                if is_stay {
-                    scratch.extend_from_slice(&buckets.dwells);
-                }
-                if scratch.is_empty() {
+                if candidates.is_empty() {
                     continue;
                 }
-                scratch.sort_unstable();
-                scratch.dedup();
-                // The moved-out-of region's display name, looked up once
-                // per semantic instead of once per state rule.
-                let prev_name: Option<String> = match prev.filter(|_| transition) {
-                    Some(p) => self.region_names.read().get(&p).cloned(),
-                    None => None,
-                };
-                let prev_name_str = prev_name.as_deref().unwrap_or("");
-                for &candidate in &scratch {
-                    let rule = &rules[candidate as usize];
-                    match &rule.spec.condition {
-                        // Reached only on a transition; the device glob
-                        // was checked when the bucket was built.
-                        Condition::Enters { region: rsel, .. } => {
-                            if !rsel.matches(region, &s.region_name, &floors) {
+                // Delivery keeps the plan's priority order across
+                // condition families.
+                candidates.sort_unstable();
+                for &candidate in &candidates {
+                    let rule = &plan.rules[candidate as usize];
+                    let matches =
+                        |sel: &RegionSel| sel.matches(region, &s.region_name, &plan.floors);
+                    let holds = match &rule.spec.condition {
+                        // Candidates only on a transition (ENTERS) or a
+                        // stay (DWELLS); device globs were applied when
+                        // the entry was built.
+                        Condition::Enters { region: sel, .. } => {
+                            if !matches(sel) {
                                 continue;
                             }
-                            self.touch_eval(rule, at);
-                            self.fire_event(rule, s, key, at, &mut fired);
+                            true
                         }
-                        // Reached only on a stay, device pre-checked.
                         Condition::Dwells {
-                            region: rsel,
+                            region: sel,
                             cmp,
                             threshold_ms,
                             ..
                         } => {
-                            if !rsel.matches(region, &s.region_name, &floors) {
+                            if !matches(sel) {
                                 continue;
                             }
-                            self.touch_eval(rule, at);
-                            let dwell = (s.end - s.start).as_millis();
-                            if cmp.holds(dwell, *threshold_ms) {
-                                self.fire_event(rule, s, key, at, &mut fired);
-                            }
+                            cmp.holds((s.end - s.start).as_millis(), *threshold_ms)
                         }
                         Condition::Occupancy {
-                            region: rsel,
+                            region: sel,
                             cmp,
                             count,
                         } => {
-                            // Only transitions move occupancy (this arm is
-                            // only reached on one); re-evaluate when the
-                            // moved-into or moved-out-of region is watched.
-                            let touched = rsel.matches(region, &s.region_name, &floors)
-                                || prev.is_some_and(|p| rsel.matches(p, prev_name_str, &floors));
+                            let touched = matches(sel)
+                                || prev.is_some_and(|p| sel.matches(p, &prev_name, &plan.floors));
                             if !touched {
                                 continue;
                             }
-                            self.touch_eval(rule, at);
-                            let value = self.occupancy_of(rsel, &floors);
-                            self.eval_state(rule, cmp.holds(value, *count), s, key, at, &mut fired);
+                            let st = state.as_deref().expect(HELD);
+                            cmp.holds(st.occupancy_of(sel, &plan.floors), *count)
                         }
                         Condition::Flow {
                             from,
@@ -814,21 +839,21 @@ impl RuleEngine {
                             let Some(p) = prev else {
                                 continue;
                             };
-                            if !to.matches(region, &s.region_name, &floors)
-                                || !from.matches(p, prev_name_str, &floors)
-                            {
+                            if !matches(to) || !from.matches(p, &prev_name, &plan.floors) {
                                 continue;
                             }
-                            self.touch_eval(rule, at);
-                            self.eval_state(
-                                rule,
-                                cmp.holds(flow_count as i64, *count),
-                                s,
-                                key,
-                                at,
-                                &mut fired,
-                            );
+                            cmp.holds(flow_count as i64, *count)
                         }
+                    };
+                    self.touch_eval(rule, at);
+                    let fires = if rule.spec.condition.is_state() {
+                        let st = state.as_deref_mut().expect(HELD);
+                        st.advance_edge(rule, holds, at)
+                    } else {
+                        holds
+                    };
+                    if fires {
+                        self.fire(rule, s, key, at, &mut fired);
                     }
                 }
             }
@@ -845,141 +870,52 @@ impl RuleEngine {
         }
     }
 
-    /// Current device count over every region the selector matches.
-    fn occupancy_of(&self, sel: &RegionSel, floors: &HashMap<u32, i16>) -> i64 {
-        let occ = self.occupancy.lock();
-        match sel {
-            RegionSel::Id(id) => occ.get(id).copied().unwrap_or(0),
-            _ => {
-                let names = self.region_names.read();
-                occ.iter()
-                    .filter(|(rid, _)| {
-                        let name = names.get(rid).map(String::as_str).unwrap_or("");
-                        sel.matches(**rid, name, floors)
-                    })
-                    .map(|(_, n)| *n)
-                    .sum()
-            }
-        }
-    }
-
     fn touch_eval(&self, rule: &Rule, at: i64) {
         rule.evals.fetch_add(1, Ordering::Relaxed);
         rule.last_eval_ms.store(at, Ordering::Relaxed);
         self.evals_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Event conditions: every satisfied evaluation fires.
-    fn fire_event(
-        &self,
-        rule: &Arc<Rule>,
-        s: &MobilitySemantics,
-        device: &str,
-        at: i64,
-        fired: &mut Vec<(Arc<dyn AlertSink>, Alert)>,
-    ) {
-        self.fire(
-            rule,
-            Some(device),
-            Some(s.region.0),
-            Some(&s.region_name),
-            at,
-            fired,
-        );
-    }
-
-    /// State conditions: rising-edge firing with optional hold, re-armed
-    /// when the condition goes false. Event-time hold: the condition must
-    /// stay true across `hold_ms` of published timestamps.
-    fn eval_state(
-        &self,
-        rule: &Arc<Rule>,
-        cond: bool,
-        s: &MobilitySemantics,
-        device: &str,
-        at: i64,
-        fired: &mut Vec<(Arc<dyn AlertSink>, Alert)>,
-    ) {
-        if !cond {
-            rule.active.store(false, Ordering::Relaxed);
-            rule.pending_since_ms.store(NO_TS, Ordering::Relaxed);
-            return;
-        }
-        if rule.active.load(Ordering::Relaxed) {
-            return;
-        }
-        match rule.spec.hold_ms {
-            None => {
-                rule.active.store(true, Ordering::Relaxed);
-                self.fire(
-                    rule,
-                    Some(device),
-                    Some(s.region.0),
-                    Some(&s.region_name),
-                    at,
-                    fired,
-                );
-            }
-            Some(hold) => {
-                let since = rule.pending_since_ms.load(Ordering::Relaxed);
-                if since == NO_TS {
-                    rule.pending_since_ms.store(at, Ordering::Relaxed);
-                } else if at - since >= hold {
-                    rule.active.store(true, Ordering::Relaxed);
-                    self.fire(
-                        rule,
-                        Some(device),
-                        Some(s.region.0),
-                        Some(&s.region_name),
-                        at,
-                        fired,
-                    );
-                }
-            }
-        }
-    }
-
     fn fire(
         &self,
-        rule: &Arc<Rule>,
-        device: Option<&str>,
-        region: Option<u32>,
-        region_name: Option<&str>,
+        rule: &Rule,
+        s: &MobilitySemantics,
+        device: &str,
         at: i64,
         fired: &mut Vec<(Arc<dyn AlertSink>, Alert)>,
     ) {
         let seq = rule.fires.fetch_add(1, Ordering::Relaxed) + 1;
         rule.last_fire_ms.store(at, Ordering::Relaxed);
         self.fires_total.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = &rule.sink {
-            let message = rule.spec.message.clone().unwrap_or_else(|| {
-                format!(
-                    "rule {} fired{}{}",
-                    rule.spec.name,
-                    device
-                        .map(|d| format!(" for device {d}"))
-                        .unwrap_or_default(),
-                    region_name
-                        .filter(|n| !n.is_empty())
-                        .map(|n| format!(" in {n}"))
-                        .unwrap_or_default(),
-                )
-            });
-            fired.push((
-                sink.clone(),
-                Alert {
-                    rule_id: rule.id,
-                    rule_name: rule.spec.name.clone(),
-                    device: device.map(str::to_string),
-                    region,
-                    region_name: region_name.map(str::to_string),
-                    message,
-                    at_ms: at,
-                    seq,
-                },
-            ));
-        }
+        let Some(sink) = &rule.sink else {
+            return;
+        };
+        let message = rule.spec.message.clone().unwrap_or_else(|| {
+            let place = if s.region_name.is_empty() {
+                String::new()
+            } else {
+                format!(" in {}", s.region_name)
+            };
+            format!("rule {} fired for device {device}{place}", rule.spec.name)
+        });
+        fired.push((
+            sink.clone(),
+            Alert {
+                rule_id: rule.id,
+                rule_name: rule.spec.name.clone(),
+                device: Some(device.to_string()),
+                region: Some(s.region.0),
+                region_name: Some(s.region_name.clone()),
+                message,
+                at_ms: at,
+                seq,
+            },
+        ));
     }
+}
+
+fn device_shard(device: &DeviceId) -> usize {
+    (crate::fnv1a(device.as_str().as_bytes()) as usize) % DEVICE_SHARDS
 }
 
 fn device_matches(pattern: &Option<String>, device: &str) -> bool {
@@ -1262,7 +1198,76 @@ mod tests {
     fn zero_rules_is_a_noop_and_tracks_nothing() {
         let engine = RuleEngine::new();
         engine.publish(&DeviceId::new("a"), &[sem("a", 5, "hall", "stay", 0, 10)]);
-        assert!(engine.occupancy.lock().is_empty());
-        assert!(engine.device_regions.iter().all(|s| s.lock().is_empty()));
+        assert!(engine.state.lock().occupancy.is_empty());
+        assert!(engine.devices.iter().all(|s| s.lock().is_empty()));
+    }
+
+    fn occupancy_at_least(region: u32, count: i64) -> RuleSpec {
+        spec(Condition::Occupancy {
+            region: RegionSel::Id(region),
+            cmp: CmpOp::Ge,
+            count,
+        })
+    }
+
+    #[test]
+    fn removing_the_last_rule_drops_tracked_state() {
+        let engine = RuleEngine::new();
+        let first = engine.register(occupancy_at_least(5, 9), None).unwrap();
+        engine.publish(&DeviceId::new("a"), &[sem("a", 5, "hall", "stay", 0, 10)]);
+        assert!(engine.unregister(first));
+        // Untracked: with no rules, nothing follows `a` out of region 5.
+        engine.publish(&DeviceId::new("a"), &[sem("a", 9, "exit", "stay", 10, 20)]);
+        let sink = CollectingSink::new();
+        engine
+            .register(occupancy_at_least(5, 2), Some(sink.clone()))
+            .unwrap();
+        engine.publish(&DeviceId::new("b"), &[sem("b", 5, "hall", "stay", 20, 30)]);
+        assert!(sink.is_empty(), "only b is in region 5: {:?}", sink.take());
+        let tracked: usize = engine.devices.iter().map(|s| s.lock().len()).sum();
+        assert_eq!(tracked, 1, "a was dropped with the last rule");
+    }
+
+    #[test]
+    fn removing_the_last_state_rule_drops_counters() {
+        let engine = RuleEngine::new();
+        // An unrelated event rule keeps positions tracked throughout.
+        engine
+            .register(
+                spec(Condition::Enters {
+                    device: None,
+                    region: RegionSel::Id(1),
+                }),
+                None,
+            )
+            .unwrap();
+        let first = engine.register(occupancy_at_least(5, 9), None).unwrap();
+        engine.publish(&DeviceId::new("a"), &[sem("a", 5, "hall", "stay", 0, 10)]);
+        assert!(engine.unregister(first));
+        engine.publish(&DeviceId::new("a"), &[sem("a", 9, "exit", "stay", 10, 20)]);
+        let sink = CollectingSink::new();
+        engine
+            .register(occupancy_at_least(5, 2), Some(sink.clone()))
+            .unwrap();
+        engine.publish(&DeviceId::new("b"), &[sem("b", 5, "hall", "stay", 20, 30)]);
+        assert!(sink.is_empty(), "only b is in region 5: {:?}", sink.take());
+        engine.publish(&DeviceId::new("c"), &[sem("c", 5, "hall", "stay", 30, 40)]);
+        assert_eq!(sink.len(), 1, "b and c are in region 5");
+    }
+
+    #[test]
+    fn reset_state_rearms_state_rules() {
+        let engine = RuleEngine::new();
+        let sink = CollectingSink::new();
+        engine
+            .register(occupancy_at_least(5, 1), Some(sink.clone()))
+            .unwrap();
+        let a = DeviceId::new("a");
+        engine.publish(&a, &[sem("a", 5, "hall", "stay", 0, 10)]);
+        assert_eq!(sink.len(), 1);
+        engine.reset_state();
+        engine.publish(&a, &[sem("a", 5, "hall", "stay", 10, 20)]);
+        assert_eq!(sink.len(), 2, "the wipe re-arms the rising edge");
+        assert_eq!(engine.traces()[0].fires, 2, "traces survive the wipe");
     }
 }

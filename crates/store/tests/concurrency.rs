@@ -4,11 +4,14 @@
 //! applied to the store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use trips_annotate::MobilitySemantics;
 use trips_data::{DeviceId, Duration, Timestamp};
 use trips_dsm::RegionId;
-use trips_store::{SemanticsSelector, SemanticsStore};
+use trips_store::{
+    CmpOp, CollectingSink, Condition, RegionSel, RuleEngine, RuleSpec, SemanticsSelector,
+    SemanticsStore,
+};
 
 const WRITERS: usize = 8;
 const READERS: usize = 8;
@@ -210,4 +213,129 @@ fn concurrent_snapshot_while_writing_is_consistent() {
         assert!(final_sems.contains(&s), "snapshot held unknown semantics");
     }
     assert!(snapshot.semantics_count() <= store.semantics_count());
+}
+
+/// Standing rules under concurrent publish: 4 threads on disjoint devices
+/// against `Id`-selector occupancy and flow rules. Which rule a
+/// transition evaluates depends only on that device's own movement, so
+/// per-rule `evals` must equal a serial run; flow counts only rise, so
+/// each flow rule has exactly one rising edge and its `fires` must match
+/// too. A final probe checks the occupancy counters lost no update.
+#[test]
+fn concurrent_rule_publish_equals_serial_publish() {
+    const THREADS: usize = 4;
+    let data: Vec<_> = workload().into_iter().take(THREADS).collect();
+    let engine = || {
+        let engine = RuleEngine::new();
+        for r in 0..REGIONS {
+            let occupancy = Condition::Occupancy {
+                region: RegionSel::Id(r),
+                cmp: CmpOp::Ge,
+                count: 3,
+            };
+            // Every step moves a device from region r to r + 1 (mod 6).
+            let flow = |to: u32, count| Condition::Flow {
+                from: RegionSel::Id(r),
+                to: RegionSel::Id(to % REGIONS),
+                cmp: CmpOp::Gt,
+                count,
+            };
+            for condition in [
+                occupancy,
+                flow(r + 1, 40 + i64::from(r) * 20),
+                flow(r + 2, 0),
+            ] {
+                engine.register(rule(condition), None).unwrap();
+            }
+        }
+        engine
+    };
+
+    let serial = engine();
+    for writer in &data {
+        for (device, sems) in writer {
+            for chunk in sems.chunks(7) {
+                serial.publish(device, chunk);
+            }
+        }
+    }
+    let concurrent = engine();
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for writer in &data {
+            let (engine, start) = (&concurrent, &start);
+            scope.spawn(move || {
+                start.wait();
+                for (device, sems) in writer {
+                    for chunk in sems.chunks(7) {
+                        engine.publish(device, chunk);
+                    }
+                }
+            });
+        }
+    });
+
+    let (want, got) = (serial.traces(), concurrent.traces());
+    assert_eq!(want.len(), got.len());
+    for (w, g) in want.iter().zip(&got) {
+        assert_eq!((w.id, w.evals), (g.id, g.evals), "evals of {}", w.source);
+        if w.source.starts_with("flow") {
+            assert_eq!(w.fires, g.fires, "fires of {}", w.source);
+        }
+    }
+    let flow_fires: u64 = want
+        .iter()
+        .filter(|t| t.source.starts_with("flow"))
+        .map(|t| t.fires)
+        .sum();
+    assert_eq!(
+        flow_fires,
+        u64::from(REGIONS),
+        "each r → r + 1 flow crosses once"
+    );
+
+    // Final occupancy: a probe device visiting each region makes it one
+    // more than the devices that ended there, which a fresh `=` rule per
+    // region must see exactly.
+    let mut last = vec![0i64; REGIONS as usize];
+    for writer in &data {
+        for (_, sems) in writer {
+            last[sems.last().unwrap().region.0 as usize] += 1;
+        }
+    }
+    let probe = DeviceId::new("probe");
+    for engine in [&serial, &concurrent] {
+        let sink = CollectingSink::new();
+        for (r, n) in last.iter().enumerate() {
+            let condition = Condition::Occupancy {
+                region: RegionSel::Id(r as u32),
+                cmp: CmpOp::Eq,
+                count: n + 1,
+            };
+            engine
+                .register(rule(condition), Some(sink.clone()))
+                .unwrap();
+        }
+        for r in 0..REGIONS {
+            engine.publish(&probe, &[sem(&probe, r, "stay", 10_000, 10_001)]);
+        }
+        let mut regions: Vec<u32> = sink.take().iter().filter_map(|a| a.region).collect();
+        regions.sort_unstable();
+        assert_eq!(regions, (0..REGIONS).collect::<Vec<_>>());
+    }
+}
+
+fn rule(condition: Condition) -> RuleSpec {
+    let source = match &condition {
+        Condition::Flow { .. } => "flow",
+        _ => "occupancy",
+    };
+    RuleSpec {
+        name: String::new(),
+        priority: 0,
+        condition,
+        hold_ms: None,
+        message: None,
+        source: source.to_string(),
+    }
 }
