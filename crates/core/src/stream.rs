@@ -8,14 +8,14 @@
 //! per session). Semantics for a quiet device are identical to what the
 //! batch Translator would produce for that session's records.
 
-use crate::translator::{ModelChoice, TranslatorConfig};
+use crate::translator::TranslatorConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use trips_annotate::{Annotator, EventEditor, EventModel, MobilitySemantics};
 use trips_clean::Cleaner;
 use trips_complement::{Complementor, MobilityKnowledge};
 use trips_data::{DeviceId, Duration, PositioningSequence, RawRecord};
-use trips_dsm::DigitalSpaceModel;
+use trips_dsm::{DigitalSpaceModel, DsmError};
 use trips_store::SemanticsStore;
 
 /// Streaming configuration.
@@ -60,20 +60,15 @@ pub struct StreamingTranslator<'a> {
 }
 
 impl<'a> StreamingTranslator<'a> {
-    /// Creates a streaming translator from a trained editor.
-    pub fn from_editor(
+    /// Creates a streaming translator with a pre-trained event model (so
+    /// one training run can back many translators).
+    pub fn new(
         dsm: &'a DigitalSpaceModel,
-        editor: &EventEditor,
+        model: EventModel,
+        labels: Vec<String>,
         knowledge: Option<MobilityKnowledge>,
         config: StreamConfig,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
-        let (model, labels): (EventModel, Vec<String>) = match config.translator.model {
-            ModelChoice::DecisionTree => editor.train_default_model()?,
-            ModelChoice::RandomForest(n) => {
-                editor.train_forest(n, config.translator.forest_seed)?
-            }
-            ModelChoice::Knn(k) => editor.train_knn(k)?,
-        };
+    ) -> Result<Self, DsmError> {
         let cleaner = Cleaner::new(dsm, config.translator.cleaner.clone())?;
         let annotator = Annotator::new(dsm, model, labels, config.translator.annotator.clone());
         let complementor =
@@ -88,6 +83,19 @@ impl<'a> StreamingTranslator<'a> {
             emitted: 0,
             store: None,
         })
+    }
+
+    /// Trains the model from an editor and creates a streaming translator.
+    pub fn from_editor(
+        dsm: &'a DigitalSpaceModel,
+        editor: &EventEditor,
+        knowledge: Option<MobilityKnowledge>,
+        config: StreamConfig,
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        let (model, labels) = config.translator.train(editor)?;
+        Ok(StreamingTranslator::new(
+            dsm, model, labels, knowledge, config,
+        )?)
     }
 
     /// Attaches a live [`SemanticsStore`]: every semantics batch emitted by

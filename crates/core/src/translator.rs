@@ -1,7 +1,7 @@
 //! The Translator: Cleaning → Annotation → Complementing over each selected
 //! positioning sequence (paper §2/§3), "without manual interventions".
 
-use trips_annotate::{Annotator, AnnotatorConfig, EventModel, MobilitySemantics};
+use trips_annotate::{Annotator, AnnotatorConfig, EventEditor, EventModel, MobilitySemantics};
 use trips_clean::{CleanedSequence, Cleaner, CleanerConfig};
 use trips_complement::{Complementor, ComplementorConfig, MobilityKnowledge};
 use trips_data::PositioningSequence;
@@ -63,6 +63,19 @@ impl TranslatorConfig {
             threads: n,
             ..Self::standard()
         }
+    }
+
+    /// Trains the configured event model from an editor (deterministic:
+    /// the same editor and config always yield the same model).
+    pub fn train(
+        &self,
+        editor: &EventEditor,
+    ) -> Result<(EventModel, Vec<String>), Box<dyn std::error::Error>> {
+        Ok(match self.model {
+            ModelChoice::DecisionTree => editor.train_default_model()?,
+            ModelChoice::RandomForest(n) => editor.train_forest(n, self.forest_seed)?,
+            ModelChoice::Knn(k) => editor.train_knn(k)?,
+        })
     }
 }
 
@@ -150,14 +163,10 @@ impl<'a> Translator<'a> {
     /// (the paper's step (3) → step (4) hand-off).
     pub fn from_editor(
         dsm: &'a DigitalSpaceModel,
-        editor: &trips_annotate::EventEditor,
+        editor: &EventEditor,
         config: TranslatorConfig,
     ) -> Result<Self, Box<dyn std::error::Error>> {
-        let (model, labels) = match config.model {
-            ModelChoice::DecisionTree => editor.train_default_model()?,
-            ModelChoice::RandomForest(n) => editor.train_forest(n, config.forest_seed)?,
-            ModelChoice::Knn(k) => editor.train_knn(k)?,
-        };
+        let (model, labels) = config.train(editor)?;
         Ok(Translator::new(dsm, model, labels, config)?)
     }
 

@@ -1462,6 +1462,8 @@ mod tests {
                 mean_us: 80.0,
             }],
             wal: None,
+            recovery_us: 21_500,
+            recovery_replayed_records: 1200,
             rules: vec![RuleTrace {
                 id: 2,
                 name: "crowded".into(),

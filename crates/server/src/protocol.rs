@@ -352,6 +352,13 @@ pub struct MetricsReport {
     /// growth between checkpoints and how stale the last checkpoint is.
     #[serde(default)]
     pub wal: Option<WalStats>,
+    /// Wall time of boot recovery in microseconds (snapshot load + WAL
+    /// replay + WAL open); 0 without a durability layer.
+    #[serde(default)]
+    pub recovery_us: u64,
+    /// WAL records boot recovery replayed; 0 without a durability layer.
+    #[serde(default)]
+    pub recovery_replayed_records: u64,
     /// Per-rule execution traces (priority-ordered), covering every
     /// standing rule registered via [`Request::Subscribe`].
     #[serde(default)]
@@ -627,6 +634,8 @@ mod tests {
                     fsyncs: 3,
                     rotations: 0,
                 }),
+                recovery_us: 900,
+                recovery_replayed_records: 0,
                 rules: vec![RuleTrace {
                     id: 1,
                     name: "crowded".into(),
@@ -789,6 +798,8 @@ mod tests {
                 translator_lock_contention: 0,
                 endpoints: vec![],
                 wal: None,
+                recovery_us: 0,
+                recovery_replayed_records: 0,
                 rules: vec![],
                 alerts_delivered: 0,
                 alerts_dropped: 0,

@@ -570,6 +570,8 @@ struct Shared<'env> {
     /// Teardown flushes + `end_session`s only devices dropping to zero.
     sessions: parking_lot::Mutex<BTreeMap<DeviceId, usize>>,
     snapshot_root: Option<PathBuf>,
+    /// What boot recovery found and cost (`None` without durability).
+    recovery: Option<RecoveryReport>,
     shutdown: AtomicBool,
     active: AtomicUsize,
     started: Instant,
@@ -917,6 +919,18 @@ impl<'env> Shared<'env> {
         if let Some(rss) = read_rss_kb() {
             gauge("trips_rss_kb", "Resident set size (KiB)", rss as i64);
         }
+        if let Some(r) = &self.recovery {
+            gauge(
+                "trips_recovery_us",
+                "Wall time of boot recovery (microseconds)",
+                r.elapsed_us as i64,
+            );
+            gauge(
+                "trips_recovery_replayed_records",
+                "WAL records replayed by boot recovery",
+                r.replayed_records as i64,
+            );
+        }
         if let Some(wal) = self.store.wal_stats() {
             gauge(
                 "trips_wal_segments",
@@ -1187,6 +1201,8 @@ impl<'env> Shared<'env> {
             translator_lock_contention: self.translator_contention.load(Ordering::Relaxed),
             endpoints,
             wal: self.store.wal_stats(),
+            recovery_us: self.recovery.as_ref().map_or(0, |r| r.elapsed_us),
+            recovery_replayed_records: self.recovery.as_ref().map_or(0, |r| r.replayed_records),
             rules: self.store.rules().traces(),
             alerts_delivered: self.store.rules().alerts_delivered(),
             alerts_dropped: self.store.rules().alerts_dropped()
@@ -2468,10 +2484,9 @@ impl TripsServer {
 
         // Build every fallible resource before any thread starts: one
         // poller + waker per loop shard, one translator per
-        // translator shard. Each translator trains its own (identical,
-        // deterministic) model from the editor; devices are then routed
-        // wholly to one instance, so output matches a single translator
-        // bit for bit.
+        // translator shard. The event model is trained once and each
+        // translator gets a clone; devices are then routed wholly to one
+        // instance, so output matches a single translator bit for bit.
         let mut pollers = Vec::with_capacity(loop_shards);
         let mut shard_states = Vec::with_capacity(loop_shards);
         for _ in 0..loop_shards {
@@ -2486,15 +2501,24 @@ impl TripsServer {
                 jobs: AtomicU64::new(0),
             }));
         }
+        let invalid =
+            |e: &dyn std::fmt::Display| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
+        let (model, labels) = self
+            .config
+            .stream
+            .translator
+            .train(&self.editor)
+            .map_err(|e| invalid(&e))?;
         let mut translators = Vec::with_capacity(translator_shards);
         for _ in 0..translator_shards {
-            let translator = StreamingTranslator::from_editor(
+            let translator = StreamingTranslator::new(
                 &self.dsm,
-                &self.editor,
+                model.clone(),
+                labels.clone(),
                 None,
                 self.config.stream.clone(),
             )
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
+            .map_err(|e| invalid(&e))?
             .with_store(self.store.clone());
             translators.push(parking_lot::Mutex::new(translator));
         }
@@ -2523,6 +2547,7 @@ impl TripsServer {
             next_token: AtomicU64::new(0),
             sessions: parking_lot::Mutex::new(BTreeMap::new()),
             snapshot_root: self.config.snapshot_root.clone(),
+            recovery: self.recovery.clone(),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             started: Instant::now(),

@@ -7,13 +7,15 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
+use trips_annotate::MobilitySemantics;
 use trips_data::{DeviceId, RawRecord};
+use trips_dsm::RegionId;
 use trips_obs::{validate_exposition, STAGE_COUNT};
 use trips_server::{
     bootstrap_scenario, Client, Response, ServerBootstrap, ServerConfig, TripsServer,
 };
 use trips_sim::ScenarioConfig;
-use trips_store::{Query, QueryRequest, SemanticsSelector};
+use trips_store::{DurabilityConfig, Query, QueryRequest, SemanticsSelector, SemanticsStore};
 
 const FLOORS: u16 = 1;
 const SHOPS: usize = 3;
@@ -120,6 +122,79 @@ fn http_metrics_endpoint_serves_valid_exposition_and_404s_elsewhere() {
     assert!(wire_parsed.contains_key("trips_requests_total"));
 
     handle.shutdown().unwrap();
+}
+
+/// Boot recovery's cost is exported: the `Metrics` report and the
+/// Prometheus gauges carry the same replayed-record count and wall time
+/// as the server's `RecoveryReport`; a non-durable server has neither.
+#[test]
+fn recovery_cost_is_exported_by_metrics_and_prometheus() {
+    let dir = std::env::temp_dir().join(format!("trips-obs-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityConfig::new(&dir);
+    {
+        // Journal three batches for the server to replay.
+        let (store, _) = SemanticsStore::recover(&durability, 0).unwrap();
+        for (device, records) in traffic(3, 0xB007) {
+            let semantics: Vec<MobilitySemantics> = records
+                .iter()
+                .take(2)
+                .map(|r| MobilitySemantics {
+                    device: device.clone(),
+                    event: "stay".into(),
+                    region: RegionId(1),
+                    region_name: "Shop".into(),
+                    start: r.ts,
+                    end: r.ts,
+                    inferred: false,
+                    display_point: None,
+                })
+                .collect();
+            store.ingest(&device, &semantics);
+        }
+    }
+    for durable in [true, false] {
+        let boot = deployment();
+        let server = TripsServer::new(
+            boot.dsm,
+            boot.editor,
+            ServerConfig {
+                metrics_addr: Some("127.0.0.1:0".to_string()),
+                durability: durable.then(|| durability.clone()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let report = server.recovery_report().cloned();
+        assert_eq!(report.is_some(), durable);
+        let handle = server.spawn("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let Response::Metrics(m) = client.metrics().unwrap() else {
+            panic!("metrics request failed");
+        };
+        assert_eq!(m.recovery_us, report.as_ref().map_or(0, |r| r.elapsed_us));
+        assert_eq!(
+            m.recovery_replayed_records,
+            report.as_ref().map_or(0, |r| r.replayed_records)
+        );
+        let (_, body) = http_get(handle.metrics_addr().unwrap(), "/metrics");
+        let parsed = validate_exposition(&body).expect("exposition parses");
+        match &report {
+            Some(r) => {
+                assert_eq!(r.replayed_records, 3, "one record per journaled batch");
+                assert!(r.elapsed_us > 0);
+                assert_eq!(parsed["trips_recovery_replayed_records"], 3.0);
+                assert_eq!(parsed["trips_recovery_us"], r.elapsed_us as f64);
+            }
+            None => {
+                assert!(!parsed.contains_key("trips_recovery_us"));
+                assert!(!parsed.contains_key("trips_recovery_replayed_records"));
+            }
+        }
+        drop(client);
+        handle.shutdown().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -32,6 +32,24 @@
 //! memory and never reach the WAL, so replay is step-for-step equivalent
 //! to the original execution.
 //!
+//! ## Boot
+//!
+//! [`SemanticsStore::recover`] is one pass over the log with no copies:
+//! the checkpoint snapshot (if any) is loaded, then a single
+//! `trips-wal` [`trips_wal::Replay`] reads each segment once and CRC-checks
+//! each frame once, lending each payload out as a slice of its read
+//! buffer. The codec decodes the op's device id once and shares it
+//! (`DeviceId` is an `Arc<str>`) with every semantics of the batch, and
+//! the decoded semantics are moved into the shard — a replayed semantics
+//! costs its two owned strings (event and region name) and nothing else.
+//! The finished scan then opens the WAL for appending
+//! ([`trips_wal::Replay::into_wal`]), truncating a torn tail where the
+//! scan found it instead of reading the last segment again. Replay is
+//! deliberately single-threaded: per-shard replay threads were measured
+//! faster but raised resident memory past the benchmark bound (glibc
+//! per-thread malloc arenas). [`RecoveryReport::elapsed_us`] records what
+//! a boot cost.
+//!
 //! ## Ordering
 //!
 //! A writer appends while holding its device's **shard write lock**, so
@@ -57,7 +75,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 use trips_annotate::MobilitySemantics;
 use trips_data::DeviceId;
 use trips_wal::{FsyncPolicy, Wal, WalConfig};
@@ -193,18 +211,19 @@ impl Drop for Flusher {
     }
 }
 
-/// One journaled store mutation (owned form, used on replay).
+/// One journaled store mutation (owned form, used on replay). The op's
+/// device id is decoded once and shared by every semantics that names it.
 #[derive(Debug)]
 pub(crate) enum WalOp {
     Ingest {
-        device: String,
+        device: DeviceId,
         semantics: Vec<MobilitySemantics>,
     },
     Register {
-        device: String,
+        device: DeviceId,
     },
     EndSession {
-        device: String,
+        device: DeviceId,
     },
     Clear,
 }
@@ -410,13 +429,13 @@ mod codec {
         }
         let op = match r.u8()? {
             0 => {
-                let device = r.str()?.to_string();
+                let device = DeviceId::new(r.str()?);
                 let count = r.u32()? as usize;
                 let mut semantics = Vec::with_capacity(count.min(64 * 1024));
                 for _ in 0..count {
                     let sem_device = match r.u8()? {
                         0 => device.clone(),
-                        1 => r.str()?.to_string(),
+                        1 => DeviceId::new(r.str()?),
                         other => return Err(format!("bad device flag {other}")),
                     };
                     let event = r.str()?.to_string();
@@ -440,7 +459,7 @@ mod codec {
                         other => return Err(format!("bad display-point flag {other}")),
                     };
                     semantics.push(MobilitySemantics {
-                        device: DeviceId::new(&sem_device),
+                        device: sem_device,
                         event,
                         region,
                         region_name,
@@ -453,10 +472,10 @@ mod codec {
                 WalOp::Ingest { device, semantics }
             }
             1 => WalOp::Register {
-                device: r.str()?.to_string(),
+                device: DeviceId::new(r.str()?),
             },
             2 => WalOp::EndSession {
-                device: r.str()?.to_string(),
+                device: DeviceId::new(r.str()?),
             },
             3 => WalOp::Clear,
             other => return Err(format!("unknown wal op tag {other}")),
@@ -495,7 +514,7 @@ pub struct WalStats {
     pub rotations: u64,
 }
 
-/// What [`SemanticsStore::recover`] found and did.
+/// What [`SemanticsStore::recover`] found and did, and what it cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Whether a checkpoint snapshot was loaded.
@@ -508,6 +527,11 @@ pub struct RecoveryReport {
     pub segments: usize,
     /// Segment sequence replay resumed from.
     pub checkpoint_seq: u64,
+    /// Wall time of the whole recovery — snapshot load, replay, and
+    /// opening the WAL for appending — in microseconds: the restart cost
+    /// a crash right now would incur (with `replayed_records`, the share
+    /// of it that is replay).
+    pub elapsed_us: u64,
 }
 
 /// What [`SemanticsStore::checkpoint`] wrote and retired.
@@ -630,11 +654,8 @@ impl SemanticsStore {
         config: &DurabilityConfig,
         shards: usize,
     ) -> Result<(SemanticsStore, RecoveryReport), SemanticsStoreError> {
-        // Open first: validates the tail and truncates a torn final
-        // frame, so the replay below reads a clean log.
-        let wal = Wal::open(&config.dir, config.wal_config())?;
-        let torn_tail_truncated = wal.truncated_tail().is_some();
-
+        let started = Instant::now();
+        std::fs::create_dir_all(&config.dir).map_err(trips_wal::WalError::from)?;
         let snapshot_path = config.snapshot_path();
         let (mut store, checkpoint_seq, snapshot_loaded, snapshot_mtime) = if snapshot_path.exists()
         {
@@ -653,25 +674,30 @@ impl SemanticsStore {
             (store, 0, false, None)
         };
 
-        // Replay. The store has no durability handle yet, so applying
-        // through the public methods cannot re-append.
+        // Replay, one pass: each segment is read and CRC-checked once,
+        // each record decoded straight from the read buffer, and its
+        // semantics moved into the shards. The store has no durability
+        // handle yet, so applying cannot re-append. The replay stops at a
+        // torn tail; `into_wal` then truncates it and positions the
+        // writer there without scanning the last segment again.
         let mut replay = Wal::replay_from(&config.dir, checkpoint_seq)?;
         let mut replayed_records = 0u64;
-        for entry in replay.by_ref() {
-            let entry = entry?;
-            let op = codec::decode(&entry.payload).map_err(|e| {
+        while let Some(record) = replay.next_record() {
+            let record = record?;
+            let op = codec::decode(record.payload).map_err(|e| {
                 SemanticsStoreError::Serde(format!(
                     "wal record in segment {} does not decode: {e}",
-                    entry.segment
+                    record.segment
                 ))
             })?;
             store.apply(op);
             replayed_records += 1;
         }
+        let mut wal = replay.into_wal(config.wal_config())?;
+        let torn_tail_truncated = wal.truncated_tail().is_some();
 
         // A crash between snapshot-rename and retirement leaves covered
         // segments behind; finish the job.
-        let mut wal = wal;
         wal.retire_below(checkpoint_seq)?;
         let segments = wal.segment_count();
 
@@ -689,19 +715,26 @@ impl SemanticsStore {
                 torn_tail_truncated,
                 segments,
                 checkpoint_seq,
+                elapsed_us: started.elapsed().as_micros() as u64,
             },
         ))
     }
 
     /// Applies a replayed op without journaling (recovery path; the op is
-    /// already in the log).
+    /// already in the log). An ingest moves its decoded semantics into
+    /// the shard and skips the rule engine: a store under recovery has no
+    /// standing rules yet.
     fn apply(&self, op: WalOp) {
         match op {
             WalOp::Ingest { device, semantics } => {
-                self.ingest(&DeviceId::new(&device), &semantics);
+                if !semantics.is_empty() {
+                    self.shards()[self.shard_index(&device)]
+                        .write()
+                        .ingest_owned(&device, semantics);
+                }
             }
-            WalOp::Register { device } => self.register_device(&DeviceId::new(&device)),
-            WalOp::EndSession { device } => self.end_session(&DeviceId::new(&device)),
+            WalOp::Register { device } => self.register_device(&device),
+            WalOp::EndSession { device } => self.end_session(&device),
             WalOp::Clear => self.clear(),
         }
     }
@@ -868,15 +901,81 @@ mod tests {
                         semantics: s,
                     },
                 ) => {
-                    assert_eq!(d, device);
+                    assert_eq!(d.as_str(), *device);
                     assert_eq!(s.as_slice(), *semantics, "bit-exact semantics roundtrip");
                 }
                 (WalOpRef::Register { device }, WalOp::Register { device: d })
                 | (WalOpRef::EndSession { device }, WalOp::EndSession { device: d }) => {
-                    assert_eq!(d, device);
+                    assert_eq!(d.as_str(), *device);
                 }
                 (WalOpRef::Clear, WalOp::Clear) => {}
                 (_, other) => panic!("variant mismatch: {other:?}"),
+            }
+        }
+    }
+
+    /// Flow names come from the device's last stored semantics: a flow
+    /// across an ingest batch boundary names both ends, a session break
+    /// suppresses the flow, and the replayed path (decode + move into the
+    /// shard) builds exactly the live path's flows.
+    #[test]
+    fn flow_names_across_batch_and_session_boundaries() {
+        let at = |region: u32, name: &str, start_s: i64| MobilitySemantics {
+            region: RegionId(region),
+            region_name: name.into(),
+            start: Timestamp::from_millis(start_s * 1000),
+            end: Timestamp::from_millis(start_s * 1000 + 60_000),
+            ..sem("dev-a", true)
+        };
+        let batches = [
+            vec![at(1, "Nike", 0), at(2, "Hall", 100)],
+            vec![at(3, "Cafe", 200)], // Hall → Cafe crosses the batch boundary
+            vec![at(1, "Nike", 400)], // after end_session: no Cafe → Nike
+            vec![at(2, "Hall", 500)],
+        ];
+        let ops: Vec<WalOpRef<'_>> = vec![
+            WalOpRef::Ingest {
+                device: "dev-a",
+                semantics: &batches[0],
+            },
+            WalOpRef::Ingest {
+                device: "dev-a",
+                semantics: &batches[1],
+            },
+            WalOpRef::EndSession { device: "dev-a" },
+            WalOpRef::Ingest {
+                device: "dev-a",
+                semantics: &batches[2],
+            },
+            WalOpRef::Ingest {
+                device: "dev-a",
+                semantics: &batches[3],
+            },
+        ];
+        let live = SemanticsStore::with_shards(2);
+        let replayed = SemanticsStore::with_shards(2);
+        let dev = DeviceId::new("dev-a");
+        for op in &ops {
+            match op {
+                WalOpRef::Ingest { semantics, .. } => live.ingest(&dev, semantics),
+                _ => live.end_session(&dev),
+            }
+            replayed.apply(codec::decode(&codec::encode(op)).unwrap());
+        }
+        let flow = |from: u32, from_name: &str, to: u32, to_name: &str, count| crate::Flow {
+            from: RegionId(from),
+            from_name: from_name.into(),
+            to: RegionId(to),
+            to_name: to_name.into(),
+            count,
+        };
+        let want = vec![flow(1, "Nike", 2, "Hall", 2), flow(2, "Hall", 3, "Cafe", 1)];
+        for (path, store) in [("live", &live), ("replayed", &replayed)] {
+            for selector in [
+                crate::SemanticsSelector::all(),
+                crate::SemanticsSelector::all().with_device_pattern("dev-*"),
+            ] {
+                assert_eq!(store.top_flows(&selector, 10), want, "{path}");
             }
         }
     }

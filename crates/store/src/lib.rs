@@ -305,7 +305,7 @@ impl SemanticsStore {
             let mut shard = self.shards[self.shard_index(device)].write();
             let durable = self.durability.as_ref();
             if let Some(entry) = shard.devices.get_mut(device) {
-                if entry.last.is_some() {
+                if entry.session_last().is_some() {
                     // Journal only effective boundaries (a second
                     // end_session in a row is a no-op).
                     if let Some(d) = durable {
@@ -313,7 +313,6 @@ impl SemanticsStore {
                             device: device.as_str(),
                         });
                     }
-                    entry.last = None;
                     entry.breaks.push(entry.semantics.len());
                 }
             }

@@ -254,7 +254,7 @@ impl SemanticsStore {
                     let mut breaks = entry.breaks.iter().peekable();
                     for (i, s) in entry.semantics.iter().enumerate() {
                         // Session boundaries suppress flows on the fast
-                        // path (entry.last reset); mirror that here.
+                        // path (`DeviceEntry::session_last`); mirror that here.
                         while breaks.peek().is_some_and(|b| **b <= i) {
                             prev = None;
                             breaks.next();

@@ -17,13 +17,20 @@ pub(crate) struct DeviceEntry {
     pub stays: usize,
     /// Total time accounted for by semantics (ms).
     pub accounted_ms: i64,
-    /// Region of the last ingested semantics — carries directed-flow
-    /// counting across ingest batch boundaries.
-    pub last: Option<(RegionId, String)>,
     /// Indices into `semantics` where a session ended (`end_session`):
     /// no flow is counted across these boundaries, and snapshots split at
     /// them so the suppression survives persist/load.
     pub breaks: Vec<usize>,
+}
+
+impl DeviceEntry {
+    /// The last ingested semantics, if the current session has one — the
+    /// origin of the directed flow the next ingested semantics may close
+    /// (carried across ingest batch boundaries, cut by `end_session`).
+    pub fn session_last(&self) -> Option<&MobilitySemantics> {
+        let session_start = self.breaks.last().copied().unwrap_or(0);
+        self.semantics[session_start..].last()
+    }
 }
 
 /// Running per-region popularity aggregate.
@@ -56,11 +63,36 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// Applies a batch borrowed from the caller (the live ingest path,
+    /// which still hands the batch to the rule engine afterwards).
     pub fn ingest(&mut self, device: &DeviceId, semantics: &[MobilitySemantics]) {
-        let entry = self.devices.entry(device.clone()).or_default();
+        self.ingest_iter(device, semantics.iter().cloned());
+    }
+
+    /// Applies a batch the caller no longer needs (WAL replay), moving
+    /// each semantics into the device's sequence instead of cloning it.
+    pub fn ingest_owned(&mut self, device: &DeviceId, semantics: Vec<MobilitySemantics>) {
+        self.ingest_iter(device, semantics);
+    }
+
+    fn ingest_iter<I>(&mut self, device: &DeviceId, semantics: I)
+    where
+        I: IntoIterator<Item = MobilitySemantics>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let semantics = semantics.into_iter();
+        let Shard {
+            devices,
+            regions,
+            flows,
+            dwell,
+            semantics_count,
+        } = self;
+        let entry = devices.entry(device.clone()).or_default();
+        entry.semantics.reserve(semantics.len());
         for s in semantics {
             let dur_ms = s.duration().as_millis();
-            let region = self.regions.entry(s.region).or_insert_with(|| RegionAgg {
+            let region = regions.entry(s.region).or_insert_with(|| RegionAgg {
                 name: s.region_name.clone(),
                 stays: 0,
                 pass_bys: 0,
@@ -72,27 +104,26 @@ impl Shard {
                 region.dwell_ms += dur_ms;
                 region.stayers.insert(device.clone());
                 entry.stays += 1;
-                *self.dwell.entry(dur_ms).or_default() += 1;
+                *dwell.entry(dur_ms).or_default() += 1;
             } else {
                 region.pass_bys += 1;
             }
-            if let Some((prev, prev_name)) = &entry.last {
-                if *prev != s.region {
-                    self.flows
-                        .entry((*prev, s.region))
+            if let Some(prev) = entry.session_last() {
+                if prev.region != s.region {
+                    flows
+                        .entry((prev.region, s.region))
                         .or_insert_with(|| FlowAgg {
-                            from_name: prev_name.clone(),
+                            from_name: prev.region_name.clone(),
                             to_name: s.region_name.clone(),
                             count: 0,
                         })
                         .count += 1;
                 }
             }
-            entry.last = Some((s.region, s.region_name.clone()));
             entry.regions.insert(s.region);
             entry.accounted_ms += dur_ms;
-            entry.semantics.push(s.clone());
-            self.semantics_count += 1;
+            entry.semantics.push(s);
+            *semantics_count += 1;
         }
     }
 }

@@ -1,6 +1,9 @@
-//! Record framing: `len u32 LE | crc32 u32 LE | payload`, plus the frame
-//! scanner shared by replay (read) and open (tail validation/truncation),
-//! so both always agree on where a torn tail begins.
+//! Record framing: `len u32 LE | crc32 u32 LE | payload`, plus the one
+//! frame scanner. Replay and open (tail validation/truncation) both read
+//! segments through [`crate::Replay`], which scans with it, so they always
+//! agree on where a torn tail begins.
+
+use std::ops::Range;
 
 /// Hard cap on one record's payload; a `len` beyond it is treated as
 /// frame corruption rather than an allocation request.
@@ -123,8 +126,9 @@ pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// Outcome of scanning one frame at `offset` within a segment's byte
 /// slice (past the segment header).
 pub(crate) enum FrameScan {
-    /// A valid frame: the payload and the offset just past it.
-    Record { payload: Vec<u8>, next: usize },
+    /// A valid frame: where its payload lies in the scanned slice (the
+    /// payload ends where the next frame starts).
+    Record { payload: Range<usize> },
     /// Clean end of data (offset is exactly the end).
     End,
     /// The bytes at `offset` are not a valid frame — a torn tail if this
@@ -176,8 +180,7 @@ pub(crate) fn scan_frame(data: &[u8], offset: usize) -> FrameScan {
         };
     }
     FrameScan::Record {
-        payload: payload.to_vec(),
-        next: start + len,
+        payload: start..start + len,
     }
 }
 
@@ -205,9 +208,9 @@ mod tests {
     fn frame_roundtrip_and_torn_variants() {
         let frame = encode_frame(b"hello wal");
         match scan_frame(&frame, 0) {
-            FrameScan::Record { payload, next } => {
-                assert_eq!(payload, b"hello wal");
-                assert_eq!(next, frame.len());
+            FrameScan::Record { payload } => {
+                assert_eq!(&frame[payload.clone()], b"hello wal");
+                assert_eq!(payload.end, frame.len());
             }
             _ => panic!("valid frame must scan"),
         }

@@ -25,9 +25,10 @@
 //! non-zero (zero-length frames are reserved so the zero padding of a
 //! pre-sized mapped segment can never read as valid records). Appends go
 //! to the highest-numbered segment — on unix via a `MAP_SHARED` mapping
-//! of the zero-prefilled active segment, a memcpy into the page cache
-//! with no per-record syscall (see the [`Wal`] module docs); when it
-//! exceeds [`WalConfig::segment_bytes`] the writer **rotates** to a
+//! of the active segment, zero-prefilled [`PRESIZE_STEP`] (1 MiB) past
+//! the write position and grown by that step, a memcpy into the page
+//! cache with no per-record syscall (see the [`Wal`] module docs); when
+//! it exceeds [`WalConfig::segment_bytes`] the writer **rotates** to a
 //! fresh segment, truncating and syncing the sealed one. Rotation is
 //! what makes checkpoint compaction possible: a checkpoint rotates,
 //! snapshots everything up to the rotation point, and then retires
@@ -57,6 +58,12 @@
 //! [`WalError::Corrupt`]. [`Wal::open`] physically truncates the torn
 //! tail before appending resumes, so the un-acked partial record can
 //! never resurrect.
+//!
+//! Both go through one scanner: [`Replay`] reads each segment once into a
+//! reused buffer and [`Replay::next_record`] lends out each payload as a
+//! slice of it. A boot that replays the whole log then calls
+//! [`Replay::into_wal`], which positions the writer where the scan
+//! stopped instead of reading and CRC-checking the last segment again.
 
 mod frame;
 #[cfg(unix)]
@@ -66,8 +73,8 @@ mod segment;
 mod wal;
 
 pub use frame::{crc32, MAX_RECORD_BYTES};
-pub use replay::{Replay, TornTail, WalEntry};
-pub use wal::{Wal, WalConfig};
+pub use replay::{Replay, TornTail, WalEntry, WalRecord};
+pub use wal::{Wal, WalConfig, PRESIZE_STEP};
 
 use std::fmt;
 use std::path::PathBuf;

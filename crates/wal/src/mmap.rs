@@ -36,10 +36,17 @@ const PROT_READ: c_int = 0x1;
 const PROT_WRITE: c_int = 0x2;
 const MAP_SHARED: c_int = 0x1;
 
-/// A writable shared mapping of the leading `len` bytes of a file. The
-/// file must be at least `len` bytes long for the mapping's lifetime
-/// (writes beyond EOF through a mapping are fatal), which `Wal` upholds
-/// by `set_len`-ing before mapping and unmapping before truncating.
+/// A writable shared mapping of the leading `len` bytes of a file.
+///
+/// Invariant (upheld by `Wal`): the file is at least `len` bytes long for
+/// the mapping's lifetime — writes beyond EOF through a mapping are
+/// fatal — and every byte past the real data was zero-filled by
+/// `write(2)` before the mapping was made, so no store through the
+/// mapping ever allocates disk blocks (a full disk fails the `write`, not
+/// a later store with SIGBUS). `Wal` pre-sizes one step (1 MiB, capped at
+/// the rotation threshold) past the write position, grows by unmapping,
+/// zero-filling the next step and remapping, and unmaps before it
+/// truncates the padding away on seal or drop.
 pub(crate) struct Region {
     ptr: *mut u8,
     len: usize,
@@ -78,7 +85,8 @@ impl Region {
     }
 
     /// Touches one byte per page from `from` (which must be inside the
-    /// zero padding) to the end of the region, installing writable PTEs
+    /// zero padding; `Wal` passes the start of the padding this mapping
+    /// added) to the end of the region, installing writable PTEs
     /// up front so appends never pay the first-touch minor fault +
     /// `page_mkwrite` on their critical path. Writing a zero over the
     /// padding's zero is a no-op data-wise.

@@ -3,22 +3,23 @@
 //!
 //! ## Append path
 //!
-//! On unix the active segment is pre-sized to the rotation threshold and
-//! `MAP_SHARED`-mapped: an append is a bounds-checked `memcpy` into the
-//! page cache — no syscall per record — with identical crash semantics
-//! to `write(2)` (dirty mapped pages belong to the file's page cache and
-//! are flushed by the same `fdatasync`). The unwritten tail of a
-//! pre-sized segment is zeros, which the frame scanner rejects as
-//! invalid (zero-length frames are forbidden), so after a crash the
-//! padding reads as a torn tail and is truncated like any other tear.
-//! Sealed segments are truncated to their real length on rotation and on
-//! clean shutdown. Elsewhere a plain `write(2)` path is used.
+//! On unix the active segment is pre-sized one step ([`PRESIZE_STEP`],
+//! 1 MiB or the rotation threshold if smaller) past the write position
+//! and `MAP_SHARED`-mapped: an append is a bounds-checked `memcpy` into
+//! the page cache — no syscall per record — with identical crash
+//! semantics to `write(2)` (dirty mapped pages belong to the file's page
+//! cache and are flushed by the same `fdatasync`). An append that would
+//! cross the end of the mapping grows the file by the next step and
+//! remaps. The unwritten tail of a pre-sized segment is zeros, which the
+//! frame scanner rejects as invalid (zero-length frames are forbidden),
+//! so after a crash the padding reads as a torn tail and is truncated
+//! like any other tear. Sealed segments are truncated to their real
+//! length on rotation and on clean shutdown. Elsewhere a plain
+//! `write(2)` path is used.
 
-use crate::frame::{scan_frame, FrameScan, MAX_RECORD_BYTES};
-use crate::replay::{Replay, TornTail};
-use crate::segment::{
-    check_segment_header, encode_segment_header, list_segments, segment_path, SEGMENT_HEADER_BYTES,
-};
+use crate::frame::MAX_RECORD_BYTES;
+use crate::replay::{Replay, ScannedTail, TornTail};
+use crate::segment::{encode_segment_header, list_segments, segment_path, SEGMENT_HEADER_BYTES};
 use crate::{FsyncPolicy, WalError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -28,7 +29,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Rotate to a fresh segment once the active one reaches this size
-    /// (also the pre-sizing granularity of the mapped active segment).
+    /// (the mapped active segment grows toward it in 1 MiB steps).
     pub segment_bytes: u64,
     /// When appended records are flushed to stable storage.
     pub fsync: FsyncPolicy,
@@ -79,78 +80,51 @@ impl Wal {
     /// a torn final frame — the signature of a crash mid-append — is
     /// **truncated away** (retrievable via [`Wal::truncated_tail`]).
     /// Segments before the last are not scanned here; [`Wal::replay_from`]
-    /// validates them and surfaces mid-log corruption.
+    /// validates them and surfaces mid-log corruption (and
+    /// [`Replay::into_wal`] opens the log from a finished replay without
+    /// scanning the last segment a second time).
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Wal, WalError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let segments = list_segments(&dir)?;
-        let mut truncated_tail = None;
+        match list_segments(&dir)?.pop() {
+            None => Wal::attach(dir, config, None, None),
+            Some(last) => Replay::over(dir, vec![last]).into_wal(config),
+        }
+    }
 
-        let (active_seq, mut file, active_bytes) = match segments.last() {
+    /// Positions a writer on a scanned last segment (`None`: an empty
+    /// directory, so segment 1 is created): a short header is rebuilt in
+    /// place, a torn tail is truncated, and the segment is mapped.
+    pub(crate) fn attach(
+        dir: PathBuf,
+        config: WalConfig,
+        tail: Option<ScannedTail>,
+        truncated_tail: Option<TornTail>,
+    ) -> Result<Wal, WalError> {
+        let (active_seq, mut file, active_bytes) = match tail {
             None => {
                 let seq = 1;
                 let file = create_segment(&dir, seq)?;
                 (seq, file, SEGMENT_HEADER_BYTES as u64)
             }
-            Some((seq, path)) => {
-                let seq = *seq;
-                let data = fs::read(path)?;
-                let valid_end = if data.len() < SEGMENT_HEADER_BYTES {
+            Some(tail) => {
+                let mut file = OpenOptions::new().read(true).write(true).open(&tail.path)?;
+                if tail.valid_end == 0 {
                     // Only a crash during segment creation can leave a
                     // short header: nothing in this segment is real.
                     // Rebuild the header in place.
-                    truncated_tail = Some(TornTail {
-                        segment: seq,
-                        offset: 0,
-                        reason: format!("short segment header ({} bytes)", data.len()),
-                    });
-                    0
-                } else {
-                    if let Err(reason) = check_segment_header(&data, seq) {
-                        // A full-length header that is *wrong* (bad
-                        // magic, future format version, sequence
-                        // mismatch) is not a crash shape — the segment
-                        // may be full of synced acked records this
-                        // build must not wipe. Typed error, operator
-                        // decides.
-                        return Err(WalError::BadSegment {
-                            path: path.clone(),
-                            reason,
-                        });
-                    }
-                    {
-                        let mut offset = SEGMENT_HEADER_BYTES;
-                        loop {
-                            match scan_frame(&data, offset) {
-                                FrameScan::Record { next, .. } => offset = next,
-                                FrameScan::End => break,
-                                FrameScan::Invalid { reason } => {
-                                    truncated_tail = Some(TornTail {
-                                        segment: seq,
-                                        offset: offset as u64,
-                                        reason,
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                        offset
-                    }
-                };
-                let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-                if valid_end == 0 {
                     file.set_len(0)?;
                     file.seek(SeekFrom::Start(0))?;
-                    file.write_all(&encode_segment_header(seq))?;
+                    file.write_all(&encode_segment_header(tail.seq))?;
                     file.sync_data()?;
-                    (seq, file, SEGMENT_HEADER_BYTES as u64)
+                    (tail.seq, file, SEGMENT_HEADER_BYTES as u64)
                 } else {
-                    if (valid_end as u64) < data.len() as u64 {
-                        file.set_len(valid_end as u64)?;
+                    if tail.valid_end < tail.file_len {
+                        file.set_len(tail.valid_end)?;
                         file.sync_data()?;
                     }
-                    file.seek(SeekFrom::Start(valid_end as u64))?;
-                    (seq, file, valid_end as u64)
+                    file.seek(SeekFrom::Start(tail.valid_end))?;
+                    (tail.seq, file, tail.valid_end)
                 }
             }
         };
@@ -254,16 +228,11 @@ impl Wal {
         let needed = self.active_bytes as usize + frame_len;
         let map_len = self.map.as_ref().map_or(0, crate::mmap::Region::len);
         if needed > map_len {
-            // A frame larger than the remaining pre-sized space: grow the
-            // file in rotation-threshold steps and remap (unmap first —
+            // The frame does not fit the pre-sized space: grow the file to
+            // one step past the frame's end and remap (unmap first —
             // never shrink or race a live mapping).
-            let step = self.config.segment_bytes.max(1) as usize;
-            let new_len = needed.div_ceil(step) * step;
             self.map = None;
-            zero_extend(&mut self.file, new_len as u64)?;
-            let mut region = crate::mmap::Region::map(&self.file, new_len)?;
-            region.prefault_padding(self.active_bytes as usize);
-            self.map = Some(region);
+            self.map = map_active(&mut self.file, needed as u64, &self.config)?;
         }
         let slot = self
             .map
@@ -453,28 +422,46 @@ impl Drop for Wal {
     }
 }
 
-/// Pre-sizes the active segment for its mapping and maps it. The file
-/// is grown to at least one rotation threshold (never shrunk here — the
-/// real data length is tracked by the caller).
+/// How far ahead of the write position the mapped active segment is
+/// pre-sized: 1 MiB, or the rotation threshold if that is smaller. A
+/// segment grows by this step as appends reach its end, so opening a log
+/// zero-fills at most one step rather than a whole segment.
+pub const PRESIZE_STEP: u64 = 1024 * 1024;
+
+/// The pre-sized length for a write position `pos`: the first multiple of
+/// the step strictly past it.
+#[cfg(unix)]
+fn presized_len(pos: u64, config: &WalConfig) -> u64 {
+    let step = PRESIZE_STEP.min(config.segment_bytes).max(1);
+    (pos / step + 1) * step
+}
+
+/// Pre-sizes the active segment to one step past `pos` (the write
+/// position, or the end of the frame about to be written) and maps it.
+/// The file is never shrunk here — the real data length is tracked by the
+/// caller.
 ///
-/// Growth is **zero-fill writes**, not `set_len` holes or `fallocate`
-/// extents: first-touch of a sparse/unwritten page through the mapping
-/// costs microseconds (fault + block allocation + `page_mkwrite`),
-/// turning every append into the slow path, while pages already in the
-/// cache cost ~0.3 µs (measured; PostgreSQL's `wal_init_zero` makes the
-/// same call). The fill is one-time work at segment creation.
+/// The mapping invariant ([`crate::mmap::Region`]): every mapped byte past
+/// the real data is padding that was **zero-filled by `write(2)`** before
+/// the mapping existed — not `set_len` holes or `fallocate` extents, whose
+/// first touch through the mapping costs microseconds (fault + block
+/// allocation + `page_mkwrite`) and, on a full disk, is a SIGBUS instead
+/// of an I/O error from the fill. Only the padding this call adds is
+/// prefaulted (the data before it is never touched), so appends
+/// are a ~0.3 µs copy into cached pages (measured; PostgreSQL's
+/// `wal_init_zero` makes the same call). Seal and drop truncate the
+/// padding away.
 #[cfg(unix)]
 fn map_active(
     file: &mut File,
-    active_bytes: u64,
+    pos: u64,
     config: &WalConfig,
 ) -> Result<Option<crate::mmap::Region>, WalError> {
-    let step = config.segment_bytes.max(1);
-    let target = active_bytes.max(1).div_ceil(step) * step;
-    zero_extend(file, target)?;
+    let padding_start = fs::File::metadata(file)?.len().min(pos);
+    zero_extend(file, presized_len(pos, config))?;
     let len = fs::File::metadata(file)?.len() as usize;
     let mut region = crate::mmap::Region::map(file, len)?;
-    region.prefault_padding(active_bytes as usize);
+    region.prefault_padding(padding_start as usize);
     Ok(Some(region))
 }
 

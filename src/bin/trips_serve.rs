@@ -226,7 +226,7 @@ fn main() {
     };
     if let Some(r) = server.recovery_report() {
         eprintln!(
-            "trips-serve: recovery — snapshot {}, {} wal records replayed over {} segments{}",
+            "trips-serve: recovery — snapshot {}, {} wal records replayed over {} segments in {:.1} ms{}",
             if r.snapshot_loaded {
                 "loaded"
             } else {
@@ -234,6 +234,7 @@ fn main() {
             },
             r.replayed_records,
             r.segments,
+            r.elapsed_us as f64 / 1e3,
             if r.torn_tail_truncated {
                 ", torn tail truncated"
             } else {
