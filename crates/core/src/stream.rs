@@ -7,6 +7,14 @@
 //! finalized mobility semantics as soon as a device goes quiet (micro-batch
 //! per session). Semantics for a quiet device are identical to what the
 //! batch Translator would produce for that session's records.
+//!
+//! The work splits in two. A [`TranslatorCore`] — the Cleaner, the
+//! Annotator, the optional Complementor and the session rule — is built
+//! once and is `Sync`, so any number of threads can translate through it.
+//! The per-device session buffers ([`DeviceBuffers`]) are plain data the
+//! caller owns and locks as it likes: a [`StreamingTranslator`] is one core
+//! plus one buffer map, and the server shares one core across many
+//! independently locked maps.
 
 use crate::translator::TranslatorConfig;
 use std::collections::BTreeMap;
@@ -41,50 +49,130 @@ impl Default for StreamConfig {
     }
 }
 
-/// The online translator.
+/// Open sessions: each device's buffered, not yet translated records.
+pub type DeviceBuffers = BTreeMap<DeviceId, Vec<RawRecord>>;
+
+/// The shared half of online translation: Clean → Annotate → Complement
+/// plus the rule that decides when a buffered session is complete.
 ///
 /// Knowledge for the Complementing layer must be pre-built (e.g. from a
 /// historical batch run) — a stream has no "all other sequences" to learn
 /// from on day one. Pass `None` to skip complementing.
-pub struct StreamingTranslator<'a> {
-    dsm: &'a DigitalSpaceModel,
+pub struct TranslatorCore<'a> {
     cleaner: Cleaner<'a>,
     annotator: Annotator<'a>,
     complementor: Option<Complementor<'a>>,
-    config: StreamConfig,
-    buffers: BTreeMap<DeviceId, Vec<RawRecord>>,
-    emitted: usize,
+    flush_gap: Duration,
+    max_buffer: usize,
     /// Optional live store: every emitted batch is also published here,
     /// so concurrent readers can query mid-stream.
     store: Option<Arc<SemanticsStore>>,
 }
 
-impl<'a> StreamingTranslator<'a> {
-    /// Creates a streaming translator with a pre-trained event model (so
-    /// one training run can back many translators).
+impl<'a> TranslatorCore<'a> {
+    /// Builds the core from a pre-trained event model.
     pub fn new(
         dsm: &'a DigitalSpaceModel,
         model: EventModel,
         labels: Vec<String>,
         knowledge: Option<MobilityKnowledge>,
-        config: StreamConfig,
+        config: &StreamConfig,
     ) -> Result<Self, DsmError> {
-        let cleaner = Cleaner::new(dsm, config.translator.cleaner.clone())?;
-        let annotator = Annotator::new(dsm, model, labels, config.translator.annotator.clone());
-        let complementor =
-            knowledge.map(|k| Complementor::new(dsm, k, config.translator.complementor.clone()));
-        Ok(StreamingTranslator {
-            dsm,
-            cleaner,
-            annotator,
-            complementor,
-            config,
-            buffers: BTreeMap::new(),
-            emitted: 0,
+        let t = &config.translator;
+        Ok(TranslatorCore {
+            cleaner: Cleaner::new(dsm, t.cleaner.clone())?,
+            annotator: Annotator::new(dsm, model, labels, t.annotator.clone()),
+            complementor: knowledge.map(|k| Complementor::new(dsm, k, t.complementor.clone())),
+            flush_gap: config.flush_gap,
+            max_buffer: config.max_buffer,
             store: None,
         })
     }
 
+    /// Attaches a live [`SemanticsStore`]: every semantics batch the core
+    /// emits is also ingested there (incrementally — aggregates include
+    /// flows across session boundaries), so readers can query while the
+    /// stream runs.
+    pub fn with_store(mut self, store: Arc<SemanticsStore>) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// Appends one record to its device's buffer in `buffers`. Returns the
+    /// semantics of the session this arrival closes (empty most of the
+    /// time): a record at least `flush_gap` after the buffered ones, or
+    /// arriving at a full buffer, first translates what was buffered.
+    /// Malformed records are ignored.
+    pub fn push(&self, buffers: &mut DeviceBuffers, record: RawRecord) -> Vec<MobilitySemantics> {
+        if !record.is_well_formed() {
+            return Vec::new();
+        }
+        let buffer = buffers.entry(record.device.clone()).or_default();
+        let closes = buffer
+            .last()
+            .is_some_and(|last| record.ts - last.ts >= self.flush_gap)
+            || buffer.len() >= self.max_buffer;
+        let out = if closes {
+            self.emit(&record.device, std::mem::take(buffer))
+        } else {
+            Vec::new()
+        };
+        buffer.push(record);
+        out
+    }
+
+    /// Translates and removes one device's buffer without waiting for a
+    /// gap. `None` when the device has nothing buffered.
+    pub fn flush_device(
+        &self,
+        buffers: &mut DeviceBuffers,
+        device: &DeviceId,
+    ) -> Option<Vec<MobilitySemantics>> {
+        let batch = buffers.remove(device)?;
+        Some(self.emit(device, batch))
+    }
+
+    /// Translates and removes every buffer (end of stream), in device order.
+    pub fn finish(
+        &self,
+        buffers: &mut DeviceBuffers,
+    ) -> BTreeMap<DeviceId, Vec<MobilitySemantics>> {
+        std::mem::take(buffers)
+            .into_iter()
+            .map(|(device, batch)| {
+                let sems = self.emit(&device, batch);
+                (device, sems)
+            })
+            .collect()
+    }
+
+    /// Translates one session and publishes it to the attached store.
+    fn emit(&self, device: &DeviceId, batch: Vec<RawRecord>) -> Vec<MobilitySemantics> {
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        let seq = PositioningSequence::from_records(device.clone(), batch);
+        let cleaned = self.cleaner.clean(&seq);
+        let sems = self.annotator.annotate(&cleaned.sequence);
+        let sems = match &self.complementor {
+            Some(c) => c.complement(&sems),
+            None => sems,
+        };
+        if let Some(store) = &self.store {
+            store.ingest(device, &sems);
+        }
+        sems
+    }
+}
+
+/// The online translator: one [`TranslatorCore`] over one buffer map.
+pub struct StreamingTranslator<'a> {
+    core: TranslatorCore<'a>,
+    buffers: DeviceBuffers,
+    emitted: usize,
+}
+
+impl<'a> StreamingTranslator<'a> {
     /// Trains the model from an editor and creates a streaming translator.
     pub fn from_editor(
         dsm: &'a DigitalSpaceModel,
@@ -93,17 +181,16 @@ impl<'a> StreamingTranslator<'a> {
         config: StreamConfig,
     ) -> Result<Self, Box<dyn std::error::Error>> {
         let (model, labels) = config.translator.train(editor)?;
-        Ok(StreamingTranslator::new(
-            dsm, model, labels, knowledge, config,
-        )?)
+        Ok(StreamingTranslator {
+            core: TranslatorCore::new(dsm, model, labels, knowledge, &config)?,
+            buffers: DeviceBuffers::new(),
+            emitted: 0,
+        })
     }
 
-    /// Attaches a live [`SemanticsStore`]: every semantics batch emitted by
-    /// [`StreamingTranslator::push`] or [`StreamingTranslator::finish`] is
-    /// also ingested there (incrementally — aggregates include flows across
-    /// session boundaries), so readers can query while the stream runs.
+    /// Attaches a live [`SemanticsStore`] (see [`TranslatorCore::with_store`]).
     pub fn with_store(mut self, store: Arc<SemanticsStore>) -> Self {
-        self.store = Some(store);
+        self.core = self.core.with_store(store);
         self
     }
 
@@ -125,29 +212,7 @@ impl<'a> StreamingTranslator<'a> {
     /// Feeds one record. Returns semantics finalized by this arrival (empty
     /// most of the time; a batch when the record closes a session).
     pub fn push(&mut self, record: RawRecord) -> Vec<MobilitySemantics> {
-        if !record.is_well_formed() {
-            return Vec::new();
-        }
-        let device = record.device.clone();
-        let buffer = self.buffers.entry(device.clone()).or_default();
-
-        let mut out = Vec::new();
-        let gap_exceeded = buffer
-            .last()
-            .is_some_and(|last| record.ts - last.ts >= self.config.flush_gap);
-        if gap_exceeded || buffer.len() >= self.config.max_buffer {
-            let batch = std::mem::take(buffer);
-            out = self.translate_batch(&device, batch);
-        }
-        self.buffers
-            .get_mut(&device)
-            .expect("entry exists")
-            .push(record);
-        if !out.is_empty() {
-            if let Some(store) = &self.store {
-                store.ingest(&device, &out);
-            }
-        }
+        let out = self.core.push(&mut self.buffers, record);
         self.emitted += out.len();
         out
     }
@@ -158,63 +223,20 @@ impl<'a> StreamingTranslator<'a> {
     /// nothing. Serving layers use this when a client session ends — its
     /// devices' in-flight records must become queryable immediately.
     pub fn flush_device(&mut self, device: &DeviceId) -> Vec<MobilitySemantics> {
-        let Some(batch) = self.buffers.remove(device) else {
-            return Vec::new();
-        };
-        let sems = self.translate_batch(device, batch);
-        if !sems.is_empty() {
-            if let Some(store) = &self.store {
-                store.ingest(device, &sems);
-            }
-        }
-        self.emitted += sems.len();
-        sems
-    }
-
-    /// Flushes every device's buffer (end of stream). Returns semantics per
-    /// device in device order. Devices fan out through the engine when the
-    /// translator config asks for worker threads.
-    pub fn finish(&mut self) -> BTreeMap<DeviceId, Vec<MobilitySemantics>> {
-        // Buffers travel by move: `run_indexed` only hands workers `&T`, so
-        // each batch rides in a mutex the worker takes from — no record copy.
-        let entries: Vec<(DeviceId, parking_lot::Mutex<Vec<RawRecord>>)> =
-            std::mem::take(&mut self.buffers)
-                .into_iter()
-                .map(|(device, batch)| (device, parking_lot::Mutex::new(batch)))
-                .collect();
-        let this: &Self = self;
-        let translated = trips_engine::run_indexed(
-            this.config.translator.threads,
-            &entries,
-            |_, (device, batch)| this.translate_batch(device, std::mem::take(&mut batch.lock())),
-        );
-        let mut out = BTreeMap::new();
-        for ((device, _), sems) in entries.into_iter().zip(translated) {
-            if let Some(store) = &self.store {
-                store.ingest(&device, &sems);
-            }
-            self.emitted += sems.len();
-            out.insert(device, sems);
-        }
+        let out = self
+            .core
+            .flush_device(&mut self.buffers, device)
+            .unwrap_or_default();
+        self.emitted += out.len();
         out
     }
 
-    fn translate_batch(&self, device: &DeviceId, batch: Vec<RawRecord>) -> Vec<MobilitySemantics> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let seq = PositioningSequence::from_records(device.clone(), batch);
-        let cleaned = self.cleaner.clean(&seq);
-        let sems = self.annotator.annotate(&cleaned.sequence);
-        match &self.complementor {
-            Some(c) => c.complement(&sems),
-            None => sems,
-        }
-    }
-
-    /// The DSM in use.
-    pub fn dsm(&self) -> &DigitalSpaceModel {
-        self.dsm
+    /// Flushes every device's buffer (end of stream). Returns semantics per
+    /// device in device order.
+    pub fn finish(&mut self) -> BTreeMap<DeviceId, Vec<MobilitySemantics>> {
+        let out = self.core.finish(&mut self.buffers);
+        self.emitted += out.values().map(Vec::len).sum::<usize>();
+        out
     }
 }
 
@@ -438,28 +460,6 @@ mod tests {
         assert!(stream.flush_device(&DeviceId::new("ghost")).is_empty());
         // finish() afterwards has nothing left for this device.
         assert!(stream.finish().is_empty());
-    }
-
-    #[test]
-    fn finish_fanout_matches_serial() {
-        let (ds, editor) = setup();
-        let mut results = Vec::new();
-        for threads in [0usize, 4] {
-            let config = StreamConfig {
-                translator: TranslatorConfig {
-                    threads,
-                    ..TranslatorConfig::standard()
-                },
-                ..StreamConfig::default()
-            };
-            let mut stream =
-                StreamingTranslator::from_editor(&ds.dsm, &editor, None, config).unwrap();
-            for r in ds.all_records() {
-                stream.push(r);
-            }
-            results.push(stream.finish());
-        }
-        assert_eq!(results[0], results[1], "finish must be thread-invariant");
     }
 
     #[test]

@@ -41,11 +41,12 @@
 //! * [`bootstrap`] — DSM + trained-editor assembly from a `trips-sim`
 //!   scenario (this repo's stand-in for a surveyed deployment).
 //!
-//! Ingested record batches run through
-//! `trips_core::stream::StreamingTranslator::with_store`, so semantics are
-//! queryable **while device streams are still open** — a gap-closed
-//! session, an overflowing buffer, an explicit `Flush`, or a client
-//! disconnect each publish into the live store without stopping the world.
+//! Ingested record batches run through one shared
+//! `trips_core::stream::TranslatorCore` attached to the store, so
+//! semantics are queryable **while device streams are still open** — a
+//! gap-closed session, an overflowing buffer, an explicit `Flush`, or a
+//! client disconnect each publish into the live store without stopping
+//! the world.
 //!
 //! See the repository README ("Serving" and "Wire protocol") for a wire
 //! transcript, the framing layout, and the overload semantics.

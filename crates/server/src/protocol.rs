@@ -20,7 +20,7 @@
 //! The three endpoint families:
 //!
 //! * **ingest** — [`Request::Ingest`] (raw record batches; the server feeds
-//!   them through a `StreamingTranslator` publishing into the live store)
+//!   them through its translator core, publishing into the live store)
 //!   and [`Request::Flush`] (translate buffered records now);
 //! * **query** — [`Request::Query`], the full typed
 //!   [`trips_store::QueryRequest`] surface (selector globs, half-open
@@ -337,11 +337,11 @@ pub struct MetricsReport {
     /// One entry per event-loop shard.
     #[serde(default)]
     pub loop_shards: Vec<LoopShardMetrics>,
-    /// Number of translator-lock shards (FNV device-hash partitioned,
-    /// aligned with the store's shard hash).
+    /// Number of translator lock shards: the session-buffer maps, one
+    /// per store shard and placed by the store's own shard index.
     #[serde(default)]
     pub translator_shards: usize,
-    /// Times a worker found its translator shard's lock held and had to
+    /// Times a worker found its buffer shard's lock held and had to
     /// wait. High values relative to `requests` mean devices are hashing
     /// into too few shards (or one device dominates the stream).
     #[serde(default)]

@@ -1,5 +1,6 @@
 //! The serving loops: acceptor → sharded event loops → bounded admission
-//! queue → fixed worker pool → sharded translator locks → semantics store.
+//! queue → fixed worker pool → one translator core over sharded session
+//! buffers → semantics store.
 //!
 //! ## Threading model
 //!
@@ -27,27 +28,29 @@
 //!   (`Ping`/`Health`/`Metrics` stay observable under overload), and
 //!   submits real work to the queue — one request in flight per
 //!   connection, so responses stay ordered;
-//! * a **fixed worker pool** pops jobs, executes them against the
-//!   sharded `StreamingTranslator` locks + shared `SemanticsStore`,
+//! * a **fixed worker pool** pops jobs, executes them through the shared
+//!   translator core + sharded session buffers + `SemanticsStore`,
 //!   *encodes the response bytes* (the serialization cost parallelizes),
 //!   and hands the bytes back to the owning loop shard through its
 //!   completion list + waker.
 //!
-//! ## Translator sharding
+//! ## Translation
 //!
-//! The streaming translator is partitioned into a power-of-two array of
-//! independently locked instances ([`ServerConfig::translator_shards`]),
-//! routed by the same FNV-1a device hash as `trips-store`
-//! ([`trips_store::device_hash`]) — a device's translator shard and store
-//! shard stay aligned, and since every device lives entirely within one
-//! translator instance, sharded output is bit-identical to a single
-//! translator. An `Ingest` batch is grouped by translator shard and each
-//! group runs under its own shard's lock, so batches from unrelated
-//! devices translate in parallel while per-device ordering is preserved
-//! (a batch whose devices all share a shard takes one lock). Locks are
-//! only ever taken one shard at a time (multi-shard work iterates), so
-//! there is no lock-order deadlock; the `translator_lock_contention`
-//! metric counts blocked acquisitions.
+//! `serve` trains the event model and builds one
+//! [`TranslatorCore`] — Cleaner, Annotator and session rule — shared by
+//! every worker without a lock. Only the per-device session buffers are
+//! locked: they live in a table of `store.shard_count()` mutex-guarded
+//! maps, and a device's buffers sit in the table shard with the store's
+//! own [`SemanticsStore::shard_index`], so lock placement is decided by
+//! the store alone. A device lives wholly in one buffer map, so output is
+//! bit-identical to a single `StreamingTranslator`. An `Ingest` batch is
+//! grouped by table shard and each group is translated and published
+//! under its own shard's lock, so batches from unrelated devices translate
+//! in parallel while per-device ordering is preserved (a batch whose
+//! devices all share a shard takes one lock). Locks are only ever taken
+//! one shard at a time (multi-shard work iterates), so there is no
+//! lock-order deadlock; the `translator_lock_contention` metric counts
+//! blocked acquisitions.
 //!
 //! ## Overload behavior
 //!
@@ -113,7 +116,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trips_annotate::EventEditor;
-use trips_core::stream::{StreamConfig, StreamingTranslator};
+use trips_core::stream::{DeviceBuffers, StreamConfig, TranslatorCore};
 use trips_data::{DeviceId, RawRecord, Timestamp};
 use trips_dsm::DigitalSpaceModel;
 use trips_obs::{stage, Histogram, Registry, SlowLog, SpanRecord, TraceRing, STAGE_COUNT};
@@ -213,16 +216,12 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Store shard count (`0` = [`trips_store::default_shard_count`]).
     /// Ignored when booting from a snapshot (the snapshot records its own).
+    /// The translator's session-buffer locks follow the same sharding.
     pub shards: usize,
     /// Event-loop shard count (`0` = `min(cores, 4)`). Each shard is one
     /// thread owning its connections' fds and buffers; the acceptor places
     /// each new connection on the least-loaded shard.
     pub loop_shards: usize,
-    /// Translator-lock shard count, rounded up to a power of two
-    /// (`0` = `clamp(2·cores, 4, 32)` rounded likewise). Devices are
-    /// routed by [`trips_store::device_hash`], so this aligns with the
-    /// store's own sharding.
-    pub translator_shards: usize,
     /// Streaming-translator settings (flush gap, buffer cap, translator).
     pub stream: StreamConfig,
     /// Boot the store from this `trips-store` snapshot instead of empty.
@@ -271,7 +270,6 @@ impl Default for ServerConfig {
             max_connections: 4096,
             shards: 0,
             loop_shards: 0,
-            translator_shards: 0,
             stream: StreamConfig::default(),
             snapshot: None,
             snapshot_root: None,
@@ -291,16 +289,6 @@ fn default_loop_shards() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .clamp(1, 4)
-}
-
-/// `clamp(2·cores, 4, 32)`, next power of two — enough shards that random
-/// device traffic rarely collides, few enough that per-shard buffers stay
-/// warm.
-fn default_translator_shards() -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (cores * 2).clamp(4, 32).next_power_of_two()
 }
 
 /// Counters summarizing one `serve` run, returned when the loop drains.
@@ -324,6 +312,36 @@ pub struct ServerReport {
 enum Wire {
     V1,
     V2,
+}
+
+impl Wire {
+    /// The protocol version a response in this framing carries.
+    fn version(self) -> u32 {
+        match self {
+            Wire::V1 => crate::protocol::PROTOCOL_VERSION,
+            Wire::V2 => crate::protocol::PROTOCOL_V2,
+        }
+    }
+}
+
+/// A request being answered on its loop shard: where the reply goes and
+/// the span epochs measured before it parsed.
+struct Inline {
+    shard: usize,
+    token: u64,
+    seq: u64,
+    id: u64,
+    wire: Wire,
+    accept_us: u64,
+    loop_ready_us: u64,
+}
+
+impl Inline {
+    /// Queues `resp` on `conn`, framed like the request.
+    fn reply(&self, conn: &mut Conn, resp: Response) {
+        let (v, id) = (self.wire.version(), self.id);
+        conn.queue_response(self.wire, &ResponseEnvelope { v, id, resp });
+    }
 }
 
 fn encode_wire(wire: Wire, env: &ResponseEnvelope) -> Vec<u8> {
@@ -552,11 +570,12 @@ impl ShardState {
 /// State shared by the acceptor, loop shards and workers for one `serve`
 /// run (lives on `serve`'s stack; scoped threads borrow it).
 struct Shared<'env> {
-    /// Translator shard array (power of two), FNV device-hash routed.
-    /// Invariant: locks are taken one shard at a time, never nested.
-    translators: Vec<parking_lot::Mutex<StreamingTranslator<'env>>>,
-    /// `translators.len() - 1`, the hash mask.
-    tmask: usize,
+    /// The one translator core every worker translates through.
+    core: TranslatorCore<'env>,
+    /// Session buffers, one map per store shard, indexed by
+    /// [`SemanticsStore::shard_index`]. Invariant: locks are taken one
+    /// shard at a time, never nested.
+    buffers: Vec<parking_lot::Mutex<DeviceBuffers>>,
     store: Arc<SemanticsStore>,
     queue: BoundedQueue<WorkJob>,
     /// `Arc` so connection-scoped alert sinks (owned by the `'static`
@@ -632,7 +651,7 @@ fn resolve_snapshot_path(root: Option<&Path>, path: &str) -> Result<PathBuf, Ser
     Ok(root.join(rel))
 }
 
-/// Groups an iterator of per-device items by translator shard, preserving
+/// Groups an iterator of per-device items by buffer shard, preserving
 /// arrival order within each shard (order across shards is immaterial —
 /// different shards hold different devices).
 fn group_by_tshard<T>(items: impl IntoIterator<Item = (usize, T)>) -> BTreeMap<usize, Vec<T>> {
@@ -648,28 +667,19 @@ impl<'env> Shared<'env> {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// The translator shard a device routes to (same FNV hash as the
-    /// store, masked by the power-of-two shard count).
-    fn tshard(&self, device: &DeviceId) -> usize {
-        (trips_store::device_hash(device) as usize) & self.tmask
-    }
-
-    /// Locks one translator shard, counting contended acquisitions.
-    fn lock_translator(
-        &self,
-        shard: usize,
-    ) -> parking_lot::MutexGuard<'_, StreamingTranslator<'env>> {
-        match self.translators[shard].try_lock() {
+    /// Locks one buffer shard, counting contended acquisitions.
+    fn lock_buffers(&self, shard: usize) -> parking_lot::MutexGuard<'_, DeviceBuffers> {
+        match self.buffers[shard].try_lock() {
             Some(guard) => guard,
             None => {
                 self.translator_contention.fetch_add(1, Ordering::Relaxed);
                 if trips_obs::enabled() {
                     let t0 = Instant::now();
-                    let guard = self.translators[shard].lock();
+                    let guard = self.buffers[shard].lock();
                     stage::add_translator_lock_ns(t0.elapsed().as_nanos() as u64);
                     guard
                 } else {
-                    self.translators[shard].lock()
+                    self.buffers[shard].lock()
                 }
             }
         }
@@ -694,33 +704,35 @@ impl<'env> Shared<'env> {
         self.traces[shard].push(record);
     }
 
-    /// Records a span for a request answered inline on its loop shard:
-    /// the whole execution counts as `decode` (no queue, no worker).
-    #[allow(clippy::too_many_arguments)]
-    fn admin_span(
+    /// Answers an admin request inline on its loop shard: `respond`
+    /// builds the response, which is queued at once. The whole execution
+    /// is timed into the `admin` histogram and, when tracing, recorded as
+    /// a span that counts it all as `decode` (no queue, no worker).
+    fn answer_admin(
         &self,
-        shard: usize,
-        token: u64,
-        seq: u64,
+        conn: &mut Conn,
+        at: &Inline,
         kind: &'static str,
-        t0: Instant,
-        accept_us: u64,
-        loop_ready_us: u64,
+        respond: impl FnOnce(&mut Conn) -> Response,
     ) {
+        let t0 = Instant::now();
+        let resp = respond(conn);
+        at.reply(conn, resp);
+        self.record("admin", t0.elapsed());
         if !trips_obs::enabled() {
             return;
         }
         let total_us = t0.elapsed().as_micros() as u64;
         let mut stages_us = vec![0u64; STAGE_COUNT];
-        stages_us[ST_ACCEPT] = accept_us;
-        stages_us[ST_LOOP_READY] = loop_ready_us;
+        stages_us[ST_ACCEPT] = at.accept_us;
+        stages_us[ST_LOOP_READY] = at.loop_ready_us;
         stages_us[ST_DECODE] = total_us;
         self.finish_span(
-            shard,
+            at.shard,
             SpanRecord {
-                id: seq,
-                conn: token,
-                shard,
+                id: at.seq,
+                conn: at.token,
+                shard: at.shard,
                 endpoint: "admin".to_string(),
                 kind: kind.to_string(),
                 unix_ms: unix_ms_now(),
@@ -854,7 +866,7 @@ impl<'env> Shared<'env> {
         gauge(
             "trips_translator_shards",
             "Translator lock shards",
-            self.translators.len() as i64,
+            self.buffers.len() as i64,
         );
         set(
             "trips_translator_lock_contention_total",
@@ -1000,16 +1012,20 @@ impl<'env> Shared<'env> {
     /// time — a single-shard batch takes one), summing the counters.
     /// Malformed records are counted as rejected under the same lock.
     fn ingest_multi(&self, records: Vec<RawRecord>) -> Response {
-        let groups = group_by_tshard(records.into_iter().map(|r| (self.tshard(&r.device), r)));
+        let groups = group_by_tshard(
+            records
+                .into_iter()
+                .map(|r| (self.store.shard_index(&r.device), r)),
+        );
         let (mut accepted, mut rejected, mut emitted) = (0, 0, 0);
         for (shard, group) in groups {
-            let mut translator = self.lock_translator(shard);
+            let mut buffers = self.lock_buffers(shard);
             for record in group {
                 if !record.is_well_formed() {
                     rejected += 1;
                     continue;
                 }
-                emitted += translator.push(record).len();
+                emitted += self.core.push(&mut buffers, record).len();
                 accepted += 1;
             }
         }
@@ -1020,26 +1036,36 @@ impl<'env> Shared<'env> {
         }
     }
 
-    /// Flushes a set of devices, grouped so each translator shard is
-    /// locked once; returns `(devices flushed, semantics emitted)`.
-    fn flush_devices<'a>(&self, devices: impl IntoIterator<Item = &'a DeviceId>) -> (usize, usize) {
-        let groups = group_by_tshard(devices.into_iter().map(|d| (self.tshard(d), d)));
+    /// Flushes a set of devices, grouped so each buffer shard is locked
+    /// once; returns `(devices flushed, semantics emitted)`. With
+    /// `end_session`, each device's store session is closed under the
+    /// same lock (connection teardown).
+    fn flush_devices<'a>(
+        &self,
+        devices: impl IntoIterator<Item = &'a DeviceId>,
+        end_session: bool,
+    ) -> (usize, usize) {
+        let groups = group_by_tshard(devices.into_iter().map(|d| (self.store.shard_index(d), d)));
         let (mut flushed, mut emitted) = (0, 0);
         for (shard, group) in groups {
-            let mut translator = self.lock_translator(shard);
+            let mut buffers = self.lock_buffers(shard);
             for device in group {
-                let before = translator.open_devices();
-                emitted += translator.flush_device(device).len();
-                flushed += before - translator.open_devices();
+                if let Some(sems) = self.core.flush_device(&mut buffers, device) {
+                    flushed += 1;
+                    emitted += sems.len();
+                }
+                if end_session {
+                    self.store.end_session(device);
+                }
             }
         }
         (flushed, emitted)
     }
 
-    /// Flushes every translator shard (snapshot/drain path).
-    fn finish_all_translators(&self) {
-        for translator in &self.translators {
-            let _ = translator.lock().finish();
+    /// Flushes every buffer shard (snapshot/drain path).
+    fn finish_all(&self) {
+        for buffers in &self.buffers {
+            self.core.finish(&mut buffers.lock());
         }
     }
 
@@ -1051,14 +1077,14 @@ impl<'env> Shared<'env> {
             Request::Flush { device } => match device {
                 Some(device) => {
                     let device = DeviceId::new(&device);
-                    let (devices, emitted) = self.flush_devices([&device]);
+                    let (devices, emitted) = self.flush_devices([&device], false);
                     Response::Flushed { devices, emitted }
                 }
                 // Flush-all is scoped to the devices *this* session
                 // ingested — flushing the whole translator would split
                 // other connections' in-flight flows mid-stream.
                 None => {
-                    let (devices, emitted) = self.flush_devices(session_devices.iter());
+                    let (devices, emitted) = self.flush_devices(session_devices, false);
                     Response::Flushed { devices, emitted }
                 }
             },
@@ -1071,9 +1097,9 @@ impl<'env> Shared<'env> {
                     // a restart would silently lose in-flight sessions —
                     // a snapshot is a whole-server operation, so this
                     // intentionally flushes *every* session's buffers
-                    // across all translator shards (journaling the
+                    // across all buffer shards (journaling the
                     // published semantics before the WAL rotates).
-                    self.finish_all_translators();
+                    self.finish_all();
                     // Checkpoint + compact: rotate the WAL, publish the
                     // checkpoint snapshot atomically, retire older
                     // segments. The request's `path` does not apply — the
@@ -1096,7 +1122,7 @@ impl<'env> Shared<'env> {
                         Ok(full) => full,
                         Err(err) => return Response::Error(err),
                     };
-                    self.finish_all_translators();
+                    self.finish_all();
                     if let Some(parent) = full.parent() {
                         if let Err(e) = std::fs::create_dir_all(parent) {
                             return Response::Error(ServerError::Internal {
@@ -1116,7 +1142,57 @@ impl<'env> Shared<'env> {
                     }
                 }
             }
-            // Loop shards answer these inline; keep the mapping total.
+            // Loop shards answer the rest inline; keep the mapping total.
+            req => self.admin(&req),
+        }
+    }
+
+    /// Compiles and registers a standing rule owned by `conn`, its alerts
+    /// routed back to the connection's loop shard.
+    fn subscribe(&self, conn: &mut Conn, at: &Inline, tql: &str) -> Response {
+        let spec = match trips_query_lang::compile(tql) {
+            Err(e) => {
+                return Response::Error(ServerError::BadRequest {
+                    message: e.render(tql),
+                })
+            }
+            Ok(trips_query_lang::Compiled::Query(_)) => {
+                return Response::Error(ServerError::BadRequest {
+                    message: "FIND is a one-shot query (use Query); Subscribe takes a \
+                              standing rule (`WHEN … ALERT`)"
+                        .to_string(),
+                })
+            }
+            Ok(trips_query_lang::Compiled::Rule(spec)) => spec,
+        };
+        let sink = Arc::new(ConnAlertSink {
+            shard: Arc::clone(&self.shards[at.shard]),
+            token: at.token,
+            wire: at.wire,
+        });
+        match self.store.rules().register(spec, Some(sink)) {
+            Ok(rule_id) => {
+                conn.rule_ids.push(rule_id);
+                let name = self
+                    .store
+                    .rules()
+                    .traces()
+                    .into_iter()
+                    .find(|t| t.id == rule_id)
+                    .map(|t| t.name)
+                    .unwrap_or_default();
+                Response::Subscribed { rule_id, name }
+            }
+            Err(e) => Response::Error(ServerError::BadRequest {
+                message: e.to_string(),
+            }),
+        }
+    }
+
+    /// Answers a request that needs neither a worker nor connection
+    /// state; loop shards call it inline, `execute` for totality.
+    fn admin(&self, req: &Request) -> Response {
+        match req {
             Request::Ping => Response::Pong,
             Request::Health => self.health(),
             Request::Metrics => self.metrics_report(),
@@ -1124,30 +1200,29 @@ impl<'env> Shared<'env> {
                 text: self.prometheus_text(),
             },
             Request::TraceDump { limit } => Response::Traces {
-                spans: self.trace_spans(limit),
+                spans: self.trace_spans(*limit),
             },
-            Request::SlowLog { limit } => self.slow_log_response(limit),
+            Request::SlowLog { limit } => self.slow_log_response(*limit),
             Request::Shutdown => Response::ShuttingDown,
             Request::ListRules => Response::Rules {
                 rules: self.store.rules().traces(),
             },
             // Subscription state (the alert sink, the session's rule list)
             // lives with the connection on its loop shard — a worker has
-            // neither, so these never reach the queue.
-            Request::Subscribe { .. } | Request::Unsubscribe { .. } => {
-                Response::Error(ServerError::BadRequest {
-                    message: "subscription requests are connection-scoped".to_string(),
-                })
-            }
+            // neither, so these never reach the queue. Work requests never
+            // come here either.
+            _ => Response::Error(ServerError::BadRequest {
+                message: "subscription requests are connection-scoped".to_string(),
+            }),
         }
     }
 
     fn health(&self) -> Response {
         let (mut open_devices, mut buffered_records) = (0, 0);
-        for translator in &self.translators {
-            let translator = translator.lock();
-            open_devices += translator.open_devices();
-            buffered_records += translator.buffered_records();
+        for buffers in &self.buffers {
+            let buffers = buffers.lock();
+            open_devices += buffers.len();
+            buffered_records += buffers.values().map(Vec::len).sum::<usize>();
         }
         Response::Health(HealthReport {
             status: if self.draining() { "draining" } else { "ok" }.to_string(),
@@ -1197,7 +1272,7 @@ impl<'env> Shared<'env> {
             // The one readiness backend; the field stays on the wire.
             event_backend: "poll".to_string(),
             loop_shards,
-            translator_shards: self.translators.len(),
+            translator_shards: self.buffers.len(),
             translator_lock_contention: self.translator_contention.load(Ordering::Relaxed),
             endpoints,
             wal: self.store.wal_stats(),
@@ -1261,10 +1336,7 @@ impl<'env> Shared<'env> {
             Vec::new()
         };
         let env = ResponseEnvelope {
-            v: match wire {
-                Wire::V1 => crate::protocol::PROTOCOL_VERSION,
-                Wire::V2 => crate::protocol::PROTOCOL_V2,
-            },
+            v: wire.version(),
             id,
             resp,
         };
@@ -1660,11 +1732,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
     ) {
         let shared = self.shared;
         let seq = shared.requests.fetch_add(1, Ordering::Relaxed);
-        let id = env.id;
-        let respond_v = match wire {
-            Wire::V1 => crate::protocol::PROTOCOL_VERSION,
-            Wire::V2 => crate::protocol::PROTOCOL_V2,
-        };
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1680,176 +1747,41 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         } else {
             (0, 0)
         };
-        let inline = |conn: &mut Conn, resp: Response| {
-            conn.queue_response(
-                wire,
-                &ResponseEnvelope {
-                    v: respond_v,
-                    id,
-                    resp,
-                },
-            );
+        let at = Inline {
+            shard: self.id,
+            token,
+            seq,
+            id: env.id,
+            wire,
+            accept_us,
+            loop_ready_us,
         };
         match env.req {
-            // Admin fast path: answered inline so liveness/health/metrics
-            // stay observable even when the admission queue is saturated.
-            Request::Ping => {
-                let t0 = Instant::now();
-                inline(conn, Response::Pong);
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(self.id, token, seq, "Ping", t0, accept_us, loop_ready_us);
-            }
-            Request::Health => {
-                let t0 = Instant::now();
-                let resp = shared.health();
-                inline(conn, resp);
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(self.id, token, seq, "Health", t0, accept_us, loop_ready_us);
-            }
-            Request::Metrics => {
-                let t0 = Instant::now();
-                let resp = shared.metrics_report();
-                inline(conn, resp);
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(self.id, token, seq, "Metrics", t0, accept_us, loop_ready_us);
-            }
-            Request::MetricsProm => {
-                let t0 = Instant::now();
-                let resp = Response::MetricsProm {
-                    text: shared.prometheus_text(),
-                };
-                inline(conn, resp);
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(
-                    self.id,
-                    token,
-                    seq,
-                    "MetricsProm",
-                    t0,
-                    accept_us,
-                    loop_ready_us,
-                );
-            }
-            Request::TraceDump { limit } => {
-                let t0 = Instant::now();
-                let resp = Response::Traces {
-                    spans: shared.trace_spans(limit),
-                };
-                inline(conn, resp);
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(
-                    self.id,
-                    token,
-                    seq,
-                    "TraceDump",
-                    t0,
-                    accept_us,
-                    loop_ready_us,
-                );
-            }
-            Request::SlowLog { limit } => {
-                let t0 = Instant::now();
-                let resp = shared.slow_log_response(limit);
-                inline(conn, resp);
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(self.id, token, seq, "SlowLog", t0, accept_us, loop_ready_us);
-            }
             // Subscriptions are admin-path too: registration is compile +
             // one engine write, and it must see the *connection* (sink,
             // owned-rule list), which workers never do.
-            Request::Subscribe { tql } => {
-                let t0 = Instant::now();
-                let resp = match trips_query_lang::compile(&tql) {
-                    Err(e) => Response::Error(ServerError::BadRequest {
-                        message: e.render(&tql),
-                    }),
-                    Ok(trips_query_lang::Compiled::Query(_)) => {
-                        Response::Error(ServerError::BadRequest {
-                            message: "FIND is a one-shot query (use Query); Subscribe takes a \
-                                      standing rule (`WHEN … ALERT`)"
-                                .to_string(),
-                        })
-                    }
-                    Ok(trips_query_lang::Compiled::Rule(spec)) => {
-                        let sink = Arc::new(ConnAlertSink {
-                            shard: Arc::clone(&shared.shards[self.id]),
-                            token,
-                            wire,
-                        });
-                        match shared.store.rules().register(spec, Some(sink)) {
-                            Ok(rule_id) => {
-                                conn.rule_ids.push(rule_id);
-                                let name = shared
-                                    .store
-                                    .rules()
-                                    .traces()
-                                    .into_iter()
-                                    .find(|t| t.id == rule_id)
-                                    .map(|t| t.name)
-                                    .unwrap_or_default();
-                                Response::Subscribed { rule_id, name }
-                            }
-                            Err(e) => Response::Error(ServerError::BadRequest {
-                                message: e.to_string(),
-                            }),
-                        }
-                    }
-                };
-                inline(conn, resp);
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(
-                    self.id,
-                    token,
-                    seq,
-                    "Subscribe",
-                    t0,
-                    accept_us,
-                    loop_ready_us,
-                );
-            }
+            Request::Subscribe { tql } => shared.answer_admin(conn, &at, "Subscribe", |conn| {
+                shared.subscribe(conn, &at, &tql)
+            }),
             Request::Unsubscribe { rule_id } => {
-                let t0 = Instant::now();
-                // Sessions may only tear down their own rules — another
-                // connection's id is answered `existed: false`, exactly
-                // like a stale one.
-                let existed = match conn.rule_ids.iter().position(|&r| r == rule_id) {
-                    Some(pos) => {
-                        conn.rule_ids.remove(pos);
-                        shared.store.rules().unregister(rule_id)
-                    }
-                    None => false,
-                };
-                inline(conn, Response::Unsubscribed { existed });
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(
-                    self.id,
-                    token,
-                    seq,
-                    "Unsubscribe",
-                    t0,
-                    accept_us,
-                    loop_ready_us,
-                );
-            }
-            Request::ListRules => {
-                let t0 = Instant::now();
-                let rules = shared.store.rules().traces();
-                inline(conn, Response::Rules { rules });
-                shared.record("admin", t0.elapsed());
-                shared.admin_span(
-                    self.id,
-                    token,
-                    seq,
-                    "ListRules",
-                    t0,
-                    accept_us,
-                    loop_ready_us,
-                );
+                shared.answer_admin(conn, &at, "Unsubscribe", |conn| {
+                    // Sessions may only tear down their own rules — another
+                    // connection's id is answered `existed: false`, exactly
+                    // like a stale one.
+                    let existed = match conn.rule_ids.iter().position(|&r| r == rule_id) {
+                        Some(pos) => {
+                            conn.rule_ids.remove(pos);
+                            shared.store.rules().unregister(rule_id)
+                        }
+                        None => false,
+                    };
+                    Response::Unsubscribed { existed }
+                })
             }
             Request::Shutdown => {
                 // Acknowledge, then drain: stop accepting, refuse new
                 // work, let workers finish everything already admitted.
-                inline(conn, Response::ShuttingDown);
+                at.reply(conn, Response::ShuttingDown);
                 conn.closing = true;
                 shared.shutdown.store(true, Ordering::Relaxed);
                 shared.queue.close();
@@ -1864,7 +1796,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             | Request::Query { .. }
             | Request::Snapshot { .. }) => {
                 if shared.draining() {
-                    inline(conn, Response::Error(ServerError::ShuttingDown));
+                    at.reply(conn, Response::Error(ServerError::ShuttingDown));
                     return;
                 }
                 let batch_devices = match (batch_devices, &req) {
@@ -1897,7 +1829,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                 match shared.queue.try_push(WorkJob {
                     token,
                     shard: self.id,
-                    id,
+                    id: at.id,
                     wire,
                     req,
                     batch_devices,
@@ -1910,7 +1842,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                     }
                     Err(PushError::Full) => {
                         shared.shed.fetch_add(1, Ordering::Relaxed);
-                        inline(
+                        at.reply(
                             conn,
                             Response::Error(ServerError::Overloaded {
                                 queue_capacity: shared.queue.capacity(),
@@ -1918,10 +1850,13 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                         );
                     }
                     Err(PushError::Closed) => {
-                        inline(conn, Response::Error(ServerError::ShuttingDown));
+                        at.reply(conn, Response::Error(ServerError::ShuttingDown));
                     }
                 }
             }
+            // Admin fast path: answered inline so liveness/health/metrics
+            // stay observable even when the admission queue is saturated.
+            req => shared.answer_admin(conn, &at, req.kind(), |_| shared.admin(&req)),
         }
     }
 
@@ -2102,16 +2037,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                 }
             }
         }
-        // Group by translator shard so each lock is taken once (and only
-        // the shards this session's devices touch).
-        let groups = group_by_tshard(last_refs.iter().map(|d| (self.shared.tshard(d), d)));
-        for (shard, devices) in groups {
-            let mut translator = self.shared.lock_translator(shard);
-            for device in devices {
-                let _ = translator.flush_device(device);
-                self.shared.store.end_session(device);
-            }
-        }
+        self.shared.flush_devices(&last_refs, true);
     }
 
     /// Sweeps finished connections, returns whether any remain.
@@ -2455,16 +2381,6 @@ impl TripsServer {
         }
     }
 
-    /// The effective translator shard count (resolves `0` → default and
-    /// rounds to a power of two).
-    pub fn translator_shards(&self) -> usize {
-        if self.config.translator_shards == 0 {
-            default_translator_shards()
-        } else {
-            self.config.translator_shards.next_power_of_two()
-        }
-    }
-
     /// The effective standing-rule cap (resolves `0` → default).
     pub fn max_rules(&self) -> usize {
         if self.config.max_rules == 0 {
@@ -2480,13 +2396,10 @@ impl TripsServer {
     pub fn serve(&self, listener: TcpListener) -> io::Result<ServerReport> {
         listener.set_nonblocking(true)?;
         let loop_shards = self.loop_shards();
-        let translator_shards = self.translator_shards();
 
         // Build every fallible resource before any thread starts: one
-        // poller + waker per loop shard, one translator per
-        // translator shard. The event model is trained once and each
-        // translator gets a clone; devices are then routed wholly to one
-        // instance, so output matches a single translator bit for bit.
+        // poller + waker per loop shard, and the translator core (the
+        // event model is trained once per serve).
         let mut pollers = Vec::with_capacity(loop_shards);
         let mut shard_states = Vec::with_capacity(loop_shards);
         for _ in 0..loop_shards {
@@ -2509,19 +2422,9 @@ impl TripsServer {
             .translator
             .train(&self.editor)
             .map_err(|e| invalid(&e))?;
-        let mut translators = Vec::with_capacity(translator_shards);
-        for _ in 0..translator_shards {
-            let translator = StreamingTranslator::new(
-                &self.dsm,
-                model.clone(),
-                labels.clone(),
-                None,
-                self.config.stream.clone(),
-            )
+        let core = TranslatorCore::new(&self.dsm, model, labels, None, &self.config.stream)
             .map_err(|e| invalid(&e))?
             .with_store(self.store.clone());
-            translators.push(parking_lot::Mutex::new(translator));
-        }
 
         // The metric registry and the live latency histograms registered
         // in it: the same three series back `Metrics` percentiles and the
@@ -2539,8 +2442,10 @@ impl TripsServer {
         let admin_hist = latency_hist("admin");
 
         let shared = Shared {
-            translators,
-            tmask: translator_shards - 1,
+            core,
+            buffers: (0..self.store.shard_count())
+                .map(|_| parking_lot::Mutex::new(DeviceBuffers::new()))
+                .collect(),
             store: self.store.clone(),
             queue: BoundedQueue::new(self.config.queue_capacity),
             shards: shard_states,
@@ -2642,7 +2547,7 @@ impl TripsServer {
         // Every thread has joined. Publish any still-buffered sessions so
         // nothing ingested is lost (journaling them on a durable store),
         // flush the tail of any fsync window, then report.
-        shared.finish_all_translators();
+        shared.finish_all();
         let _ = self.store.sync_wal();
         Ok(ServerReport {
             connections_accepted: shared.conns_accepted.load(Ordering::Relaxed),
@@ -2889,8 +2794,8 @@ mod tests {
     fn shard_defaults_are_sane() {
         let loops = default_loop_shards();
         assert!((1..=4).contains(&loops));
-        let t = default_translator_shards();
+        let t = trips_store::default_shard_count();
         assert!(t.is_power_of_two());
-        assert!((4..=32).contains(&t));
+        assert!((4..=64).contains(&t));
     }
 }

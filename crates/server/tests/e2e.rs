@@ -295,10 +295,10 @@ fn serve_and_query(
 }
 
 /// The sharding acceptance criterion: translation through four loop
-/// shards and eight translator shards must be **bit-identical** to a
-/// serial server (one loop, one translator lock) over the same traffic —
-/// a device lives wholly within one translator instance, so partitioning
-/// by device hash must not change a single emitted semantic.
+/// shards and eight store shards (and so eight session-buffer locks) must
+/// be **bit-identical** to a serial server (one loop, one shard) over the
+/// same traffic — a device's buffers live wholly within one shard, so
+/// partitioning by device hash must not change a single emitted semantic.
 #[test]
 fn sharded_translation_is_bit_identical_to_serial() {
     let traffic = campus_traffic(2, 4, 0xB17);
@@ -306,7 +306,7 @@ fn sharded_translation_is_bit_identical_to_serial() {
         &traffic,
         ServerConfig {
             loop_shards: 1,
-            translator_shards: 1,
+            shards: 1,
             ..ServerConfig::default()
         },
     );
@@ -314,7 +314,7 @@ fn sharded_translation_is_bit_identical_to_serial() {
         &traffic,
         ServerConfig {
             loop_shards: 4,
-            translator_shards: 8,
+            shards: 8,
             ..ServerConfig::default()
         },
     );

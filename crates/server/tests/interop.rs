@@ -55,13 +55,13 @@ fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
     frame
 }
 
-/// Four event-loop shards + a small power-of-two translator shard array:
+/// Four event-loop shards + four store (and session-buffer lock) shards:
 /// the sharded topology every `*_across_loop_shards` variant runs under
 /// (the acceptor deals consecutive connections to different loops).
 fn sharded_config() -> ServerConfig {
     ServerConfig {
         loop_shards: 4,
-        translator_shards: 4,
+        shards: 4,
         ..ServerConfig::default()
     }
 }

@@ -179,8 +179,8 @@ fn teardown_spares_devices_shared_with_live_sessions() {
 /// The session invariants must hold *across loop shards*: with four
 /// event-loop shards the acceptor deals consecutive connections to
 /// different shards, so two clients streaming the same device live on
-/// different loops (and their device's translator state on one shared
-/// translator shard). Flush-all stays session-scoped, teardown stays
+/// different loops (and their device's session buffer in one shared
+/// buffer shard). Flush-all stays session-scoped, teardown stays
 /// refcounted, and `Metrics` reports the shard topology.
 #[test]
 fn sessions_hold_across_loop_shards() {
@@ -190,7 +190,7 @@ fn sessions_hold_across_loop_shards() {
         boot.editor,
         ServerConfig {
             loop_shards: 4,
-            translator_shards: 4,
+            shards: 4,
             ..ServerConfig::default()
         },
     )

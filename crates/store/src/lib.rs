@@ -205,7 +205,11 @@ impl SemanticsStore {
         &self.shards
     }
 
-    pub(crate) fn shard_index(&self, device: &DeviceId) -> usize {
+    /// The shard holding `device` (its [`device_hash`] masked by the
+    /// power-of-two shard count). Callers that keep their own per-device
+    /// state beside the store shard it by this index, so one device
+    /// always meets the same lock in both.
+    pub fn shard_index(&self, device: &DeviceId) -> usize {
         (fnv1a(device.as_str().as_bytes()) as usize) & self.mask
     }
 

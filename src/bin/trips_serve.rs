@@ -11,8 +11,8 @@
 //! ```text
 //! trips-serve [--host H] [--port P] [--workers N] [--queue N]
 //!             [--max-conns N] [--shards N] [--loop-shards N]
-//!             [--translator-shards N] [--max-rules N]
-//!             [--floors N] [--shops N] [--devices N] [--days N]
+//!             [--max-rules N] [--floors N] [--shops N] [--devices N]
+//!             [--days N]
 //!             [--seed N] [--snapshot PATH] [--snapshot-root DIR]
 //!             [--wal-dir DIR] [--fsync always|every=N|never]
 //!             [--segment-bytes N] [--metrics-addr HOST:PORT]
@@ -23,10 +23,11 @@
 //! thread each, default `min(cores, 4)`, each a level-triggered
 //! `poll(2)` loop); a single acceptor places each new connection on the
 //! least-loaded shard (observed bytes + jobs, round-robin when idle).
-//! `--translator-shards` partitions the streaming-translator lock by
-//! device hash (rounded to a power of two). `--max-rules` caps how many
-//! standing TQL rules (`Subscribe` requests) may be registered at once
-//! across all connections (default 1024).
+//! `--shards` sets the store's shard count (rounded to a power of two);
+//! the translator's per-device session buffers are locked by the same
+//! shards, while one translator core serves them all. `--max-rules`
+//! caps how many standing TQL rules (`Subscribe` requests) may be
+//! registered at once across all connections (default 1024).
 //!
 //! `--snapshot-root` enables wire-level `Snapshot` requests on a
 //! non-durable server: the request's (relative, non-escaping) path
@@ -80,7 +81,7 @@ fn usage_and_exit(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
         "usage: trips-serve [--host H] [--port P] [--workers N] [--queue N] \
-         [--max-conns N] [--shards N] [--loop-shards N] [--translator-shards N] \
+         [--max-conns N] [--shards N] [--loop-shards N] \
          [--max-rules N] [--floors N] [--shops N] [--devices N] [--days N] [--seed N] [--snapshot PATH] \
          [--snapshot-root DIR] [--wal-dir DIR] [--fsync always|every=N|never] \
          [--segment-bytes N] [--metrics-addr HOST:PORT] [--slow-threshold-us N] \
@@ -122,9 +123,6 @@ fn parse_args() -> Options {
             "--max-conns" => opts.config.max_connections = parse(&mut args, "--max-conns"),
             "--shards" => opts.config.shards = parse(&mut args, "--shards"),
             "--loop-shards" => opts.config.loop_shards = parse(&mut args, "--loop-shards"),
-            "--translator-shards" => {
-                opts.config.translator_shards = parse(&mut args, "--translator-shards")
-            }
             "--max-rules" => opts.config.max_rules = parse(&mut args, "--max-rules"),
             "--floors" => opts.floors = parse(&mut args, "--floors"),
             "--shops" => opts.shops = parse(&mut args, "--shops"),
@@ -253,9 +251,9 @@ fn main() {
         .local_addr()
         .expect("bound listener has an address");
     eprintln!(
-        "trips-serve: loop shards {}, translator shards {}, rule cap {}",
+        "trips-serve: loop shards {}, store shards {}, rule cap {}",
         server.loop_shards(),
-        server.translator_shards(),
+        server.store().shard_count(),
         server.max_rules(),
     );
     println!("trips-serve: listening on {addr}");
