@@ -13,8 +13,8 @@ pub fn dominant_region(dsm: &DigitalSpaceModel, records: &[RawRecord]) -> Option
     let mut counts: std::collections::BTreeMap<RegionId, (usize, usize)> =
         std::collections::BTreeMap::new();
     for (i, r) in records.iter().enumerate() {
-        if let Some(region) = dsm.region_at(&r.location) {
-            let e = counts.entry(region.id).or_insert((0, i));
+        if let Some(region) = dsm.region_id_at(&r.location) {
+            let e = counts.entry(region).or_insert((0, i));
             e.0 += 1;
         }
     }
@@ -39,7 +39,7 @@ pub struct RegionRun {
 pub fn region_runs(dsm: &DigitalSpaceModel, records: &[RawRecord]) -> Vec<RegionRun> {
     let mut runs: Vec<RegionRun> = Vec::new();
     for (i, r) in records.iter().enumerate() {
-        let here = dsm.region_at(&r.location).map(|reg| reg.id);
+        let here = dsm.region_id_at(&r.location);
         match (runs.last_mut(), here) {
             (Some(run), Some(id)) if run.region == id && run.last + 1 == i => {
                 run.last = i;

@@ -128,10 +128,28 @@ impl<'a> Cleaner<'a> {
             }
         }
 
-        // Pass 2: repair invalid records in time order.
+        // Pass 2: repair invalid records in time order. When record `i` is
+        // repaired, every record before it is final and no record after it
+        // has been touched yet. So its settled predecessor is the last
+        // settled record before it, and its settled successor the first
+        // record after it that pass 1 settled. Two cursors that only move
+        // forward find both: O(n) in all, not O(k²) for a run of k invalid
+        // records.
+        let mut last_settled: Option<usize> = None;
+        let mut swept = 0;
+        let mut ahead = 0;
         for &i in &invalid {
-            let prev = (0..i).rev().find(|&j| alive[j] && settled[j]);
-            let next = (i + 1..n).find(|&j| alive[j] && settled[j]);
+            for j in swept..i {
+                if alive[j] && settled[j] {
+                    last_settled = Some(j);
+                }
+            }
+            swept = i;
+            ahead = ahead.max(i + 1);
+            while ahead < n && !settled[ahead] {
+                ahead += 1;
+            }
+            let (prev, next) = (last_settled, (ahead < n).then_some(ahead));
 
             // Step 1: floor value correction — only meaningful when the
             // record's floor disagrees with its valid neighbours.
@@ -156,7 +174,7 @@ impl<'a> Cleaner<'a> {
             // Step 2: location interpolation between valid neighbours.
             if self.config.interpolation {
                 if let (Some(p), Some(nx)) = (prev, next) {
-                    if let Some(loc) = self.interpolate(&working[p], &working[nx], &working[i]) {
+                    if let Some(loc) = self.interpolate(&working, &anchors, p, nx, i) {
                         let mut candidate = working[i].clone();
                         candidate.location = loc;
                         let anchor = pq.anchor(&candidate.location);
@@ -257,25 +275,30 @@ impl<'a> Cleaner<'a> {
         true
     }
 
-    /// Derives the location of `mid` on the walking path `prev → next` at
-    /// the time-proportional fraction (paper: "deriving the possible
-    /// locations at the time of that record based on the indoor geometrical
-    /// and topological information").
+    /// Derives the location of record `mid` on the walking path from record
+    /// `prev` to record `next` at the time-proportional fraction (paper:
+    /// "deriving the possible locations at the time of that record based on
+    /// the indoor geometrical and topological information").
     fn interpolate(
         &self,
-        prev: &RawRecord,
-        next: &RawRecord,
-        mid: &RawRecord,
+        working: &[RawRecord],
+        anchors: &[Option<Anchor>],
+        prev: usize,
+        next: usize,
+        mid: usize,
     ) -> Option<trips_geom::IndoorPoint> {
-        let total = (next.ts - prev.ts).as_secs_f64();
+        let (p, n, m) = (&working[prev], &working[next], &working[mid]);
+        let total = (n.ts - p.ts).as_secs_f64();
         if total <= 0.0 {
             return None;
         }
-        let frac = ((mid.ts - prev.ts).as_secs_f64() / total).clamp(0.0, 1.0);
-        let path = self
-            .checker
-            .path_query()
-            .path(&prev.location, &next.location)?;
+        let frac = ((m.ts - p.ts).as_secs_f64() / total).clamp(0.0, 1.0);
+        let path = self.checker.path_query().path_anchored(
+            &p.location,
+            anchors[prev]?,
+            &n.location,
+            anchors[next]?,
+        )?;
         Some(path.point_at_fraction(frac))
     }
 
@@ -429,6 +452,32 @@ mod tests {
         let out = cleaner.clean(&seq(recs));
         assert_eq!(out.report.dropped, 1);
         assert_eq!(out.sequence.len(), 2);
+    }
+
+    #[test]
+    fn long_run_of_duplicate_timestamps_is_linear() {
+        // 20k fixes at one instant: the first is settled, the other
+        // 19,999 are invalid (no time passes). None can be floor-corrected
+        // (same floor) or interpolated (it would sit at its predecessor's
+        // instant), so all are dropped. Finding each one's settled
+        // neighbours by scanning made this run quadratic.
+        let dsm = mall();
+        let cleaner = Cleaner::with_defaults(&dsm).unwrap();
+        let mut recs = vec![rec(10.0, 11.0, 0, 0)];
+        recs.extend((0..20_000).map(|i| rec(10.0 + (i % 7) as f64, 11.0, 0, 1)));
+        recs.push(rec(12.0, 11.0, 0, 60));
+        let out = cleaner.clean(&seq(recs));
+        assert_eq!(
+            out.report,
+            CleaningReport {
+                input_records: 20_002,
+                valid: 3,
+                floor_corrected: 0,
+                interpolated: 0,
+                dropped: 19_999,
+            }
+        );
+        assert_eq!(out.sequence.len(), 3);
     }
 
     #[test]

@@ -6,27 +6,38 @@
 //! points threads through doors and staircases. This module answers distance
 //! and path queries over the door graph computed by [`crate::topology`].
 //!
-//! [`PathQuery::path`] and [`PathQuery::distance`] run a Dijkstra search
-//! from a virtual source joined to the nodes the first point may enter the
-//! graph through, to a virtual target joined from the second point's;
-//! `distance` skips the predecessor bookkeeping and returns the same value.
+//! The reference answer is a Dijkstra search from a virtual source joined
+//! to the nodes the first point may enter the graph through, to a virtual
+//! target joined from the second point's. [`PathQuery::distance`] runs it
+//! without predecessor bookkeeping. The Cleaner's two per-record questions
+//! are answered from node-to-node tables instead, with the search's own
+//! answer:
 //!
-//! The speed check asks a cheaper question — is the distance within
-//! `dt · limit`? — and [`PathQuery::within`] answers it from a node-to-node
-//! distance table ([`Topology::node_distances`]): one min-plus lookup over
-//! the two points' eligible nodes instead of a search. The table is built
-//! on the first query that needs it (one Dijkstra per node, about 1–2 ms on
-//! the 98-node, 7-floor benchmark mall), not at `freeze()`, and is then
-//! shared by every `PathQuery` of that frozen model, across threads.
-//! Graphs above [`crate::topology::MAX_TABLE_NODES`] nodes get no table and
-//! search instead. The table's estimate can differ from the search's value
-//! in the last bits, so a quotient that lands within a few ulps of the
-//! limit is re-decided by the search: every decision is the one the search
-//! makes (the error argument is on [`PathQuery::within`]).
+//! * The speed check — is the distance within `dt · limit`? —
+//!   [`PathQuery::within`] answers with one min-plus lookup over the two
+//!   points' eligible nodes in [`Topology::node_distances`]. The table's
+//!   estimate can differ from the search's value in the last bits, so a
+//!   quotient within a few ulps of the limit is re-decided by the search
+//!   (the error argument is on `within`).
+//! * Interpolation needs the route itself: [`PathQuery::path`] picks the
+//!   node pair of that min-plus lookup, reads the route between them from
+//!   a predecessor table filled by the same per-node searches, and adds up
+//!   its legs in route order, as the search does. This is the search's path
+//!   bit for bit whenever the route is unique within `within`'s margin;
+//!   otherwise (an exact or near tie between two routes, at the ends or at
+//!   any hop) `path` falls back to the search. The argument is on
+//!   `PathQuery::table_route`.
+//!
+//! The tables are built on the first query that needs them (one Dijkstra
+//! per node, about 1–2 ms on the 98-node, 7-floor benchmark mall), not at
+//! `freeze()`, and are then shared by every `PathQuery` of that frozen
+//! model, across threads. Graphs above
+//! [`crate::topology::MAX_TABLE_NODES`] nodes get no tables and search
+//! instead.
 
 use crate::entity::EntityId;
 use crate::model::{DigitalSpaceModel, DsmError};
-use crate::topology::Topology;
+use crate::topology::{NodeTables, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use trips_geom::{IndoorPoint, Polyline};
@@ -119,6 +130,19 @@ pub struct Anchor {
     pub snap: f64,
 }
 
+/// The result of [`PathQuery::pair_min`]: the least term, its node pair
+/// and legs, the least term of every other pair, and whether any term was
+/// NaN (which no comparison picks).
+struct PairMin {
+    length: f64,
+    u: usize,
+    v: usize,
+    wa: f64,
+    wb: f64,
+    runner_up: f64,
+    nan: bool,
+}
+
 /// Distance/path query interface over a frozen DSM.
 pub struct PathQuery<'a> {
     dsm: &'a DigitalSpaceModel,
@@ -137,11 +161,8 @@ impl<'a> PathQuery<'a> {
     /// The anchor every query computes for `p`; `None` when `p`'s floor has
     /// no walkable area (then nothing is reachable from `p`).
     pub fn anchor(&self, p: &IndoorPoint) -> Option<Anchor> {
-        if let Some(e) = self.dsm.locate(p) {
-            return Some(Anchor {
-                area: e.id,
-                snap: 0.0,
-            });
+        if let Some(area) = self.dsm.locate_id(p) {
+            return Some(Anchor { area, snap: 0.0 });
         }
         self.dsm.nearest_walkable(p).map(|(e, d)| Anchor {
             area: e.id,
@@ -161,13 +182,57 @@ impl<'a> PathQuery<'a> {
     /// Shortest walkable path between two points.
     pub fn path(&self, a: &IndoorPoint, b: &IndoorPoint) -> Option<WalkPath> {
         let (anchor_a, anchor_b) = (self.anchor(a)?, self.anchor(b)?);
+        self.path_anchored(a, anchor_a, b, anchor_b)
+    }
+
+    /// [`path`](Self::path) given the points' own [`anchor`](Self::anchor)s.
+    ///
+    /// A cross-area pair is routed from the node tables when its route is
+    /// unique (see the module docs) and by the Dijkstra search otherwise;
+    /// both give the same points and the same `distance` bits.
+    pub fn path_anchored(
+        &self,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> Option<WalkPath> {
+        self.path_using(self.topo.tables(), a, anchor_a, b, anchor_b)
+    }
+
+    /// The path the Dijkstra search finds, without the node tables: the
+    /// reference [`path`](Self::path) must reproduce exactly.
+    pub fn path_by_search(&self, a: &IndoorPoint, b: &IndoorPoint) -> Option<WalkPath> {
+        let (anchor_a, anchor_b) = (self.anchor(a)?, self.anchor(b)?);
+        self.path_using(None, a, anchor_a, b, anchor_b)
+    }
+
+    fn path_using(
+        &self,
+        tables: Option<&NodeTables>,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> Option<WalkPath> {
         if let Some(distance) = same_area_distance(a, anchor_a, b, anchor_b) {
             return Some(WalkPath {
                 distance,
                 points: vec![*a, *b],
             });
         }
+        tables
+            .and_then(|tables| self.table_route(tables, a, anchor_a, b, anchor_b))
+            .or_else(|| self.searched_path(a, anchor_a, b, anchor_b))
+    }
 
+    fn searched_path(
+        &self,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> Option<WalkPath> {
         let n = self.topo.nodes.len();
         let mut prev: Vec<Option<usize>> = vec![None; n + 2];
         let distance = self.search(a, anchor_a, b, anchor_b, Some(prev.as_mut_slice()))?;
@@ -180,11 +245,7 @@ impl<'a> PathQuery<'a> {
             if u == n {
                 break;
             }
-            let node = self.topo.nodes[u];
-            rev.push(IndoorPoint {
-                xy: node.point,
-                floor: node.floor,
-            });
+            rev.push(self.waypoint(u));
             cur = prev[u];
         }
         rev.push(*a);
@@ -193,6 +254,93 @@ impl<'a> PathQuery<'a> {
             distance,
             points: rev,
         })
+    }
+
+    fn waypoint(&self, v: usize) -> IndoorPoint {
+        let node = self.topo.nodes[v];
+        IndoorPoint {
+            xy: node.point,
+            floor: node.floor,
+        }
+    }
+
+    /// The search's path read from the node tables, or `None` when the
+    /// tables cannot vouch for it (the caller then searches).
+    ///
+    /// The candidate is the eligible pair `(u, v)` minimising
+    /// `(w_a(u) + D[u][v]) + w_b(v)` ([`pair_min`](Self::pair_min)), with
+    /// the interior route
+    /// read back through row `u` of the predecessor table. It is the
+    /// search's route when it is *unique within the margin* `δ` of
+    /// [`within`](Self::within), relative to its length `L`:
+    ///
+    /// * every other pair's estimate exceeds `L·(1 + δ)`, and
+    /// * at every hop `y → x` of the interior route, every other neighbour
+    ///   `z` of `x` reaches it longer: `D[u][z] + w(z, x) > D[u][x] + δ·L`
+    ///   (the graph is undirected, so `x`'s edges are its in-edges too).
+    ///
+    /// Any other route then either leaves through another pair or leaves
+    /// the interior route at some hop, and in both cases is longer than `L`
+    /// by more than the two computations' rounding (the argument on
+    /// `within`). The search returns the route minimising its own rounded
+    /// sum, so it returns this one, and its distance is that sum:
+    /// `w_a(u)`, then each hop's edge weight, then `w_b(v)`, added in route
+    /// order — which is how it is recomputed here, bit for bit. A tie, a
+    /// non-finite estimate or an unreachable pair falls back to the search.
+    fn table_route(
+        &self,
+        tables: &NodeTables,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> Option<WalkPath> {
+        let n = self.topo.nodes.len();
+        let PairMin {
+            length,
+            u,
+            v,
+            wa,
+            wb,
+            runner_up,
+            nan,
+        } = self.pair_min(tables, a, anchor_a, b, anchor_b);
+        let slack = length * self.margin();
+        if nan || !length.is_finite() || runner_up <= length + slack {
+            return None;
+        }
+        let row = &tables.dist[u * n..(u + 1) * n];
+        let pred = &tables.pred[u * n..(u + 1) * n];
+        // The interior route, from `v` back to `u`.
+        let mut route = vec![v];
+        let mut x = v;
+        while x != u {
+            let y = pred[x] as usize;
+            let unique = self.topo.edges[x]
+                .iter()
+                .all(|e| e.to == y || row[e.to] + e.weight > row[x] + slack);
+            if !unique {
+                return None;
+            }
+            route.push(y);
+            x = y;
+        }
+        route.reverse();
+        let mut distance = wa;
+        for hop in route.windows(2) {
+            // Parallel edges: the search's relaxation keeps the lightest.
+            distance += self.topo.edges[hop[0]]
+                .iter()
+                .filter(|e| e.to == hop[1])
+                .map(|e| e.weight)
+                .fold(f64::INFINITY, f64::min);
+        }
+        distance += wb;
+        let points = std::iter::once(*a)
+            .chain(route.iter().map(|&x| self.waypoint(x)))
+            .chain(std::iter::once(*b))
+            .collect();
+        Some(WalkPath { distance, points })
     }
 
     /// Whether `b` is reachable from `a` within `dt` seconds at `limit` m/s:
@@ -208,7 +356,11 @@ impl<'a> PathQuery<'a> {
     /// target edges, same eligibility, same expressions) and `D` is
     /// [`Topology::node_distances`]. Only when the quotient lands within a
     /// relative margin `δ = (n + 8)·4·ε` of `limit` does the exact search
-    /// decide.
+    /// decide. Two cheaper checks come first and decide most cross-area
+    /// pairs alone: a lower bound on every route (planar distance plus the
+    /// floors' vertical cost) that exceeds `limit` by the margin rejects,
+    /// and any single term of the minimum that passes (tried for the nodes
+    /// both areas reach, usually the door between them) accepts.
     ///
     /// Why the margin suffices: every term is non-negative and finite, and
     /// both the search and the table evaluate each candidate route as a
@@ -231,21 +383,13 @@ impl<'a> PathQuery<'a> {
         dt: f64,
         limit: f64,
     ) -> bool {
-        self.within_using(
-            self.topo.node_distances(),
-            a,
-            anchor_a,
-            b,
-            anchor_b,
-            dt,
-            limit,
-        )
+        self.within_using(self.topo.tables(), a, anchor_a, b, anchor_b, dt, limit)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn within_using(
         &self,
-        table: Option<&[f64]>,
+        tables: Option<&NodeTables>,
         a: &IndoorPoint,
         anchor_a: Anchor,
         b: &IndoorPoint,
@@ -260,18 +404,36 @@ impl<'a> PathQuery<'a> {
         if let Some(d) = same_area_distance(a, anchor_a, b, anchor_b) {
             return d / dt <= limit;
         }
-        let table = match table {
-            Some(table) if dt > 0.0 && limit > 0.0 => table,
+        let tables = match tables {
+            Some(tables) if dt > 0.0 && limit > 0.0 => tables,
             // Over the node cap, or outside the margin argument's premise
             // of a positive time and speed.
             _ => return exact(),
         };
-        let estimate = self.table_distance(table, a, anchor_a, b, anchor_b);
+        let margin = self.margin();
+        // Every route is at least the planar distance plus the vertical
+        // cost of the floors between the points: staircase edges join ports
+        // at one planar point, and a leg to another floor pays its vertical
+        // cost. A bound that fails by the margin fails the search's
+        // distance too (it lies within the rounding of the real one).
+        let floors = (i32::from(a.floor) - i32::from(b.floor)).abs() as f64;
+        let bound = a.xy.distance(b.xy) + floors * (self.dsm.floor_height * 3.0).max(0.0);
+        if bound / dt > limit * (1.0 + margin) {
+            return false;
+        }
+        // Any one pair's term bounds the minimum from above, so a term that
+        // already passes decides the pair as the full minimum would. Nodes
+        // both areas reach (the door between a shop and its hallway) give
+        // the likeliest such term for two legs, not one per node.
+        let shared = self.shared_node_term(tables, a, anchor_a, b, anchor_b);
+        if shared / dt <= limit * (1.0 - margin) {
+            return true;
+        }
+        let estimate = self.pair_min(tables, a, anchor_a, b, anchor_b).length;
         if estimate == f64::INFINITY {
             return false;
         }
         let q = estimate / dt;
-        let margin = (self.topo.nodes.len() + 8) as f64 * 4.0 * f64::EPSILON;
         if q <= limit * (1.0 - margin) {
             true
         } else if q > limit * (1.0 + margin) {
@@ -281,26 +443,28 @@ impl<'a> PathQuery<'a> {
         }
     }
 
-    /// `min over (u, v)` of `(w_a(u) + D[u][v]) + w_b(v)`; `INFINITY` when
-    /// no eligible node pair is connected.
-    fn table_distance(
+    /// The relative margin `δ = (n + 8)·4·ε` of [`within`](Self::within).
+    fn margin(&self) -> f64 {
+        (self.topo.nodes.len() + 8) as f64 * 4.0 * f64::EPSILON
+    }
+
+    /// `min over (u, v)` of `(w_a(u) + D[u][v]) + w_b(v)` over the eligible
+    /// nodes of the two points' areas, with its pair and legs; `INFINITY`
+    /// when no eligible node pair is connected.
+    fn pair_min(
         &self,
-        table: &[f64],
+        tables: &NodeTables,
         a: &IndoorPoint,
         anchor_a: Anchor,
         b: &IndoorPoint,
         anchor_b: Anchor,
-    ) -> f64 {
+    ) -> PairMin {
         let n = self.topo.nodes.len();
-        let (Some(src), Some(dst)) = (
-            self.topo.area_nodes.get(&anchor_a.area),
-            self.topo.area_nodes.get(&anchor_b.area),
-        ) else {
-            return f64::INFINITY;
-        };
+        let src = tables.area_nodes(self.topo, anchor_a.area);
+        let dst = tables.area_nodes(self.topo, anchor_b.area);
         // Each target leg once, before the `u` loop. An ineligible node's
-        // leg is `INFINITY`, which no `best.min` can pick: the same minimum
-        // as skipping it.
+        // leg is `INFINITY`, which no minimum can pick: the same minimum as
+        // skipping it.
         let mut stack = [f64::INFINITY; STACK_LEGS];
         let mut heap = Vec::new();
         let legs_b = if dst.len() <= STACK_LEGS {
@@ -312,14 +476,61 @@ impl<'a> PathQuery<'a> {
         for (leg, &v) in legs_b.iter_mut().zip(dst) {
             *leg = self.leg(b, anchor_b, v).unwrap_or(f64::INFINITY);
         }
-        let mut best = f64::INFINITY;
+        let mut min = PairMin {
+            length: f64::INFINITY,
+            u: 0,
+            v: 0,
+            wa: 0.0,
+            wb: 0.0,
+            runner_up: f64::INFINITY,
+            nan: false,
+        };
         for &u in src {
             let Some(wa) = self.leg(a, anchor_a, u) else {
                 continue;
             };
-            let row = &table[u * n..(u + 1) * n];
+            let row = &tables.dist[u * n..(u + 1) * n];
             for (&v, &wb) in dst.iter().zip(&*legs_b) {
-                best = best.min((wa + row[v]) + wb);
+                let t = (wa + row[v]) + wb;
+                min.nan |= t.is_nan();
+                if t < min.length {
+                    min = PairMin {
+                        length: t,
+                        u,
+                        v,
+                        wa,
+                        wb,
+                        runner_up: min.length,
+                        nan: min.nan,
+                    };
+                } else if t < min.runner_up {
+                    min.runner_up = t;
+                }
+            }
+        }
+        min
+    }
+
+    /// The least `(w_a(v) + D[v][v]) + w_b(v)` over nodes `v` eligible from
+    /// both points' areas: [`pair_min`](Self::pair_min)'s terms with
+    /// `u = v`. `INFINITY` when there is none.
+    fn shared_node_term(
+        &self,
+        tables: &NodeTables,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> f64 {
+        let n = self.topo.nodes.len();
+        let src = tables.area_nodes(self.topo, anchor_a.area);
+        let mut best = f64::INFINITY;
+        for &v in tables.area_nodes(self.topo, anchor_b.area) {
+            if !src.contains(&v) {
+                continue;
+            }
+            if let (Some(wa), Some(wb)) = (self.leg(a, anchor_a, v), self.leg(b, anchor_b, v)) {
+                best = best.min((wa + tables.dist[v * n + v]) + wb);
             }
         }
         best
@@ -714,7 +925,7 @@ mod tests {
     fn within_decides_exactly_at_the_limit() {
         let dsm = model();
         let q = PathQuery::new(&dsm).unwrap();
-        let table = dsm.topology().unwrap().node_distances().unwrap();
+        let tables = dsm.topology().unwrap().tables().unwrap();
         let margin = (dsm.topology().unwrap().nodes.len() + 8) as f64 * 4.0 * f64::EPSILON;
         let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
         let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
@@ -734,7 +945,7 @@ mod tests {
             let dt = 7.0;
             let limit = d / dt;
             // The table's estimate lands inside the margin: the search decides.
-            let estimate = q.table_distance(table, &a, aa, &b, ab);
+            let estimate = q.pair_min(tables, &a, aa, &b, ab).length;
             assert!((estimate / dt - limit).abs() <= margin * limit);
             for l in [ulp_down(limit), limit, ulp_up(limit)] {
                 assert_eq!(

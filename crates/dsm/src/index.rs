@@ -30,17 +30,59 @@
 //!   in the covered cell nearest the query's cell, which sits on the first
 //!   ring that reaches the item.
 //!
+//! **Point raster.** Most fixes lie well inside one room, where the walk
+//! above always gives the same answer. Each floor therefore also has a fine
+//! raster of square cells ([`RASTER_SIDE`] on the floor's longer side) that
+//! remembers, per cell and layer, the answer every point of the cell gets,
+//! so a point query is one read. A cell is classified on its first query
+//! (no raster work at `freeze()`), and only when the answer is provably
+//! uniform:
+//!
+//! * the cell's rectangle `R` is widened by a margin `m` that exceeds the
+//!   rounding of the point-to-cell arithmetic, so every point the raster
+//!   maps to the cell lies in `R`;
+//! * walking the layer in `(area, id)` order, every item before the answer
+//!   has a (tolerance-inflated) bbox disjoint from `R`, so the walk skips it
+//!   for every point of the cell;
+//! * the answer has a polygon no edge of which comes within `m` of `R`, and
+//!   whose crossing test puts `R`'s centre inside. Then every point of `R`
+//!   is inside the polygon at least `m` from its boundary, far beyond the
+//!   crossing test's rounding, so `Polygon::contains` accepts it.
+//!
+//! A cell no item's bbox meets answers `None`. Any other cell is *mixed*
+//! and takes the exact walk, as does any point outside the raster (or with
+//! a NaN coordinate). Cells are atomics written once with a value that
+//! depends only on the frozen model, so threads may race to classify the
+//! same cell: both store the same answer.
+//!
 //! The `index_equivalence` proptest pins this down over random models.
 
 use crate::entity::{EntityId, Footprint};
 use crate::semantic::RegionId;
 use std::collections::BTreeMap;
-use trips_geom::{BoundingBox, FloorId, Point};
+use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::OnceLock;
+use trips_geom::{BoundingBox, FloorId, Point, Polygon};
 
 /// Grid cells per axis are capped so degenerate floor extents can't blow up
 /// memory; with the `sqrt(items)` sizing rule the cap only binds beyond
 /// ~4096 items on one floor.
 const MAX_CELLS_PER_AXIS: usize = 64;
+
+/// Point-raster cells along a floor's longer side: the benchmark mall's
+/// 60 × 22 m floors get 128 × 47 cells of about 0.47 m, small beside its
+/// 10 × 8 m shops.
+/// The shorter side gets as many cells of the same size as it needs, so a
+/// floor has at most `RASTER_SIDE²` cells per layer.
+pub const RASTER_SIDE: usize = 128;
+
+/// Raster cell states: not yet classified, mixed (the exact walk answers),
+/// no item, and `FIRST_ITEM + i` for the layer's item `i`. A cell whose
+/// answer is an item past `u16::MAX - FIRST_ITEM` is stored as mixed.
+const UNBUILT: u16 = 0;
+const MIXED: u16 = 1;
+const EMPTY: u16 = 2;
+const FIRST_ITEM: u16 = 3;
 
 /// One indexed entity or region.
 #[derive(Debug, Clone, Copy)]
@@ -60,13 +102,15 @@ struct Item<Id> {
 
 /// One query family's items on one floor, sorted by `(area, id)`, and per
 /// cell the positions of the items registered there, ascending — so every
-/// cell lists its candidates in `(area, id)` order.
+/// cell lists its candidates in `(area, id)` order. The layer's raster
+/// cells sit beside them.
 #[derive(Debug, Clone)]
 struct Layer<Id> {
     items: Vec<Item<Id>>,
     /// Cell `c`'s candidates are `entries[starts[c]..starts[c + 1]]`.
     starts: Vec<u32>,
     entries: Vec<u32>,
+    raster: Cells,
 }
 
 impl<Id: Copy + Ord> Layer<Id> {
@@ -118,6 +162,7 @@ impl<Id: Copy + Ord> Layer<Id> {
             items,
             starts,
             entries,
+            raster: Cells::default(),
         }
     }
 
@@ -160,12 +205,17 @@ impl GridShape {
         }
     }
 
-    /// The cell containing `p`, clamped to the grid. The same floor-division
-    /// maps item bboxes and query points, so a point contained in an item's
-    /// bbox always lands inside that item's registered cell range.
+    /// The cell containing `p`, clamped to the grid. The same division maps
+    /// item bboxes and query points, so a point contained in an item's bbox
+    /// always lands inside that item's registered cell range.
+    ///
+    /// The cast truncates toward zero where `floor` would round down, but
+    /// after the clamp to `[0, n - 1]` both give the same cell: they differ
+    /// only on negative fractions, which clamp to 0 either way, and a NaN
+    /// (cast to 0) or ±∞ (saturated) clamps the same as its `floor` does.
     fn cell_of(&self, p: Point) -> (usize, usize) {
-        let ix = ((p.x - self.bounds.min.x) / self.cell_w).floor() as isize;
-        let iy = ((p.y - self.bounds.min.y) / self.cell_h).floor() as isize;
+        let ix = ((p.x - self.bounds.min.x) / self.cell_w) as isize;
+        let iy = ((p.y - self.bounds.min.y) / self.cell_h) as isize;
         (
             ix.clamp(0, self.nx as isize - 1) as usize,
             iy.clamp(0, self.ny as isize - 1) as usize,
@@ -274,14 +324,208 @@ impl GridShape {
     }
 }
 
+/// One layer's raster cells, allocated on the layer's first point query
+/// (so `freeze()` allocates nothing for them) and classified one by one.
+#[derive(Debug, Default)]
+struct Cells(OnceLock<Box<[AtomicU16]>>);
+
+impl Cells {
+    fn get(&self, n: usize) -> &[AtomicU16] {
+        self.0
+            .get_or_init(|| (0..n).map(|_| AtomicU16::new(UNBUILT)).collect())
+    }
+}
+
+impl Clone for Cells {
+    fn clone(&self) -> Self {
+        let copy = OnceLock::new();
+        if let Some(cells) = self.0.get() {
+            let cells = cells.iter().map(|c| c.load(Ordering::Relaxed));
+            let _ = copy.set(cells.map(AtomicU16::new).collect());
+        }
+        Cells(copy)
+    }
+}
+
+/// The geometry of one floor's point raster: square cells over the floor
+/// grid's bounds (each layer holds its own cell states).
+#[derive(Debug, Clone)]
+struct Raster {
+    bounds: BoundingBox,
+    side: f64,
+    inv_side: f64,
+    nx: usize,
+    ny: usize,
+    /// Widening of each cell's rectangle; see the module docs.
+    margin: f64,
+}
+
+impl Raster {
+    /// A raster over `bounds`; `None` for an empty or degenerate extent,
+    /// whose points all take the exact walk.
+    fn covering(bounds: BoundingBox) -> Option<Self> {
+        let (w, h) = (bounds.width(), bounds.height());
+        let side = w.max(h) / RASTER_SIDE as f64;
+        if !(side > 0.0 && side.is_finite()) {
+            return None;
+        }
+        let cells_for = |extent: f64| ((extent / side).ceil() as usize).clamp(1, RASTER_SIDE);
+        let (nx, ny) = (cells_for(w), cells_for(h));
+        // Rounding of `(p - min) * inv_side` and of the cell bounds is a few
+        // ulps of the largest coordinate; this margin is a million times
+        // that and far below a cell.
+        let scale = [bounds.min.x, bounds.min.y, bounds.max.x, bounds.max.y]
+            .iter()
+            .fold(side, |m, v| m.max(v.abs()));
+        Some(Raster {
+            bounds,
+            side,
+            inv_side: 1.0 / side,
+            nx,
+            ny,
+            margin: trips_geom::EPSILON * scale,
+        })
+    }
+
+    /// `p`'s cell `(ix, iy)`; `None` outside the raster or for NaN.
+    fn cell_of(&self, p: Point) -> Option<(usize, usize)> {
+        if !self.bounds.contains(p) {
+            return None;
+        }
+        let ix = ((p.x - self.bounds.min.x) * self.inv_side) as usize;
+        let iy = ((p.y - self.bounds.min.y) * self.inv_side) as usize;
+        Some((ix.min(self.nx - 1), iy.min(self.ny - 1)))
+    }
+
+    /// A rectangle holding every point [`cell_of`](Self::cell_of) maps to
+    /// cell `(ix, iy)`. The last column and row reach the raster's bounds.
+    fn cell_rect(&self, ix: usize, iy: usize) -> BoundingBox {
+        let edge = |i: usize, n: usize, min: f64, max: f64| {
+            let lo = min + i as f64 * self.side;
+            let hi = if i + 1 == n {
+                max.max(min + n as f64 * self.side)
+            } else {
+                min + (i + 1) as f64 * self.side
+            };
+            (lo, hi)
+        };
+        let (x0, x1) = edge(ix, self.nx, self.bounds.min.x, self.bounds.max.x);
+        let (y0, y1) = edge(iy, self.ny, self.bounds.min.y, self.bounds.max.y);
+        BoundingBox::new(Point::new(x0, y0), Point::new(x1, y1)).inflated(self.margin)
+    }
+
+    /// The uniform answer of cell `(ix, iy)` in `layer`: `EMPTY`,
+    /// `FIRST_ITEM + i`, or `MIXED` (see the module docs).
+    fn classify<'m, Id: Copy + Ord>(
+        &self,
+        shape: &GridShape,
+        layer: &Layer<Id>,
+        (ix, iy): (usize, usize),
+        parts: impl Fn(Id) -> &'m [Polygon],
+    ) -> u16 {
+        let rect = self.cell_rect(ix, iy);
+        // Every item whose bbox meets `rect` is registered in one of the
+        // grid cells `rect` spans (`GridShape::cell_of` is monotone).
+        let (x0, y0) = shape.cell_of(rect.min);
+        let (x1, y1) = shape.cell_of(rect.max);
+        let mut candidates: Vec<u32> = (y0..=y1)
+            .flat_map(|cy| (x0..=x1).flat_map(move |cx| layer.cell(cy * shape.nx + cx)))
+            .copied()
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        for i in candidates {
+            let it = &layer.items[i as usize];
+            if !it.bbox.intersects(&rect) {
+                continue;
+            }
+            let guard = rect.inflated(self.margin);
+            let state = u16::try_from(i)
+                .ok()
+                .and_then(|i| i.checked_add(FIRST_ITEM));
+            return match state {
+                Some(state) if parts(it.id).iter().any(|poly| covers(poly, &rect, &guard)) => state,
+                _ => MIXED,
+            };
+        }
+        EMPTY
+    }
+}
+
+/// Whether every point of `rect` is strictly inside `poly`: no edge meets
+/// `guard` (`rect` widened by the raster margin) and the crossing test puts
+/// `rect`'s centre inside. The centre is then at least the margin from
+/// every edge, so `contains` answers it by the crossing test alone.
+fn covers(poly: &Polygon, rect: &BoundingBox, guard: &BoundingBox) -> bool {
+    poly.edges().all(|e| !segment_meets(e.a, e.b, guard)) && poly.contains(rect.center())
+}
+
+/// Conservative segment–box test: `false` only when the segment's bbox
+/// misses the box or all four box corners lie strictly on one side of the
+/// segment's line.
+fn segment_meets(a: Point, b: Point, bb: &BoundingBox) -> bool {
+    if a.x.max(b.x) < bb.min.x
+        || a.x.min(b.x) > bb.max.x
+        || a.y.max(b.y) < bb.min.y
+        || a.y.min(b.y) > bb.max.y
+    {
+        return false;
+    }
+    let (dx, dy) = (b.x - a.x, b.y - a.y);
+    let side = |x: f64, y: f64| dx * (y - a.y) - dy * (x - a.x);
+    let s = [
+        side(bb.min.x, bb.min.y),
+        side(bb.max.x, bb.min.y),
+        side(bb.min.x, bb.max.y),
+        side(bb.max.x, bb.max.y),
+    ];
+    !(s.iter().all(|&v| v > 0.0) || s.iter().all(|&v| v < 0.0))
+}
+
 /// One floor's grid: walkable area entities (answering `locate` and
 /// `nearest_walkable`) and regions (answering `region_at` and
-/// `nearest_region`) over one shared cell geometry.
+/// `nearest_region`) over one shared cell geometry, plus the point raster.
 #[derive(Debug, Clone)]
 struct FloorGrid {
     shape: GridShape,
     walkable: Layer<EntityId>,
     regions: Layer<RegionId>,
+    raster: Option<Raster>,
+}
+
+impl FloorGrid {
+    /// The first item of `layer` in `(area, id)` order whose bbox and
+    /// polygons (`parts`) contain `p`: one raster read when `p`'s cell is
+    /// uniform, the exact walk otherwise.
+    fn first_at<'m, Id: Copy + Ord>(
+        &self,
+        layer: &Layer<Id>,
+        p: Point,
+        parts: impl Fn(Id) -> &'m [Polygon],
+    ) -> Option<Id> {
+        if let Some(raster) = &self.raster {
+            // The raster spans every item's bbox: a point outside it (or
+            // NaN) is in none of them.
+            let cell = raster.cell_of(p)?;
+            // `Relaxed` suffices: a cell's value publishes no other data (it
+            // names an item of the immutable layer), and racing threads
+            // store the same value.
+            let slot = &layer.raster.get(raster.nx * raster.ny)[cell.1 * raster.nx + cell.0];
+            let mut state = slot.load(Ordering::Relaxed);
+            if state == UNBUILT {
+                state = raster.classify(&self.shape, layer, cell, &parts);
+                slot.store(state, Ordering::Relaxed);
+            }
+            match state {
+                EMPTY => return None,
+                MIXED => {}
+                item => return Some(layer.items[(item - FIRST_ITEM) as usize].id),
+            }
+        }
+        self.shape
+            .at(layer, p)
+            .find(|&id| parts(id).iter().any(|poly| poly.contains(p)))
+    }
 }
 
 type FloorItems = (
@@ -322,6 +566,7 @@ impl SpatialIndex {
                     let grid = FloorGrid {
                         walkable: Layer::build(&shape, es),
                         regions: Layer::build(&shape, rs),
+                        raster: Raster::covering(shape.bounds),
                         shape,
                     };
                     (f, grid)
@@ -358,34 +603,28 @@ impl SpatialIndex {
         )
     }
 
-    /// Walkable area entities on `floor` whose bbox contains `p`, smallest
-    /// area first (ties: lowest id). Exact containment still has to be
-    /// tested; the first entity that passes is `locate`'s answer.
-    pub(crate) fn walkable_at(
+    /// `locate`'s answer: the smallest (ties: lowest id) walkable area
+    /// entity on `floor` whose footprint, given by `parts`, contains `p`.
+    pub(crate) fn walkable_at<'m>(
         &self,
         floor: FloorId,
         p: Point,
-    ) -> impl Iterator<Item = EntityId> + '_ {
-        self.floors
-            .get(&floor)
-            .map(|g| g.shape.at(&g.walkable, p))
-            .into_iter()
-            .flatten()
+        parts: impl Fn(EntityId) -> &'m [Polygon],
+    ) -> Option<EntityId> {
+        let g = self.floors.get(&floor)?;
+        g.first_at(&g.walkable, p, parts)
     }
 
-    /// Regions on `floor` whose bbox contains `p`, smallest area first
-    /// (ties: lowest id); the first that contains `p` is `region_at`'s
-    /// answer.
-    pub(crate) fn regions_at(
+    /// `region_at`'s answer: the smallest (ties: lowest id) region on
+    /// `floor` one of whose polygons, given by `parts`, contains `p`.
+    pub(crate) fn region_at<'m>(
         &self,
         floor: FloorId,
         p: Point,
-    ) -> impl Iterator<Item = RegionId> + '_ {
-        self.floors
-            .get(&floor)
-            .map(|g| g.shape.at(&g.regions, p))
-            .into_iter()
-            .flatten()
+        parts: impl Fn(RegionId) -> &'m [Polygon],
+    ) -> Option<RegionId> {
+        let g = self.floors.get(&floor)?;
+        g.first_at(&g.regions, p, parts)
     }
 
     /// Nearest walkable area entity on `floor` under `dist`, ties broken to
@@ -439,6 +678,14 @@ mod tests {
         BoundingBox::new(Point::new(x0, y0), Point::new(x1, y1))
     }
 
+    /// The bbox-filtered walkable candidates at `p`, in walk order.
+    fn candidates(idx: &SpatialIndex, floor: FloorId, p: Point) -> Vec<EntityId> {
+        idx.floors
+            .get(&floor)
+            .map(|g| g.shape.at(&g.walkable, p).collect())
+            .unwrap_or_default()
+    }
+
     /// An index of walkable entities `(id, floors, bbox)`, area = bbox area.
     fn index_of(entities: Vec<(u32, Vec<FloorId>, BoundingBox)>) -> SpatialIndex {
         SpatialIndex::build(
@@ -456,9 +703,9 @@ mod tests {
             (1, vec![0], bb(20.0, 0.0, 30.0, 10.0)),
             (2, vec![1], bb(0.0, 0.0, 10.0, 10.0)),
         ]);
-        let cands: Vec<EntityId> = idx.walkable_at(0, Point::new(5.0, 5.0)).collect();
+        let cands = candidates(&idx, 0, Point::new(5.0, 5.0));
         assert_eq!(cands, vec![EntityId(0)], "bbox-filtered, floor 0 only");
-        assert_eq!(idx.walkable_at(7, Point::new(5.0, 5.0)).count(), 0);
+        assert!(candidates(&idx, 7, Point::new(5.0, 5.0)).is_empty());
     }
 
     #[test]
@@ -477,8 +724,8 @@ mod tests {
                 })
                 .collect(),
         );
-        let cands: Vec<u32> = idx
-            .walkable_at(0, Point::new(50.0, 50.0))
+        let cands: Vec<u32> = candidates(&idx, 0, Point::new(50.0, 50.0))
+            .into_iter()
             .map(|e| e.0)
             .collect();
         let expected: Vec<u32> = (0..10u32).rev().flat_map(|k| [2 * k, 2 * k + 1]).collect();
@@ -532,14 +779,112 @@ mod tests {
         assert_eq!(idx.nearest_region(0, Point::new(0.0, 0.0), |_| 0.0), None);
     }
 
+    /// A hallway with two shops along it and a kiosk inside the hallway,
+    /// indexed as walkables with their polygons.
+    fn floor_plan() -> (SpatialIndex, Vec<Polygon>) {
+        let rect = |x0, y0, x1, y1| Polygon::rectangle(Point::new(x0, y0), Point::new(x1, y1));
+        let polys = vec![
+            rect(0.0, 0.0, 60.0, 6.0),
+            rect(0.0, 6.0, 10.0, 14.0),
+            rect(10.0, 6.0, 20.0, 14.0),
+            rect(30.0, 2.0, 32.0, 4.0),
+        ];
+        let idx = SpatialIndex::build(
+            polys.iter().enumerate().map(|(i, p)| {
+                let bb = p.bbox().inflated(trips_geom::EPSILON);
+                (EntityId(i as u32), vec![0], p.area(), bb)
+            }),
+            std::iter::empty(),
+        );
+        (idx, polys)
+    }
+
+    #[test]
+    fn raster_answers_equal_the_exact_walk() {
+        let (idx, polys) = floor_plan();
+        let parts = |id: EntityId| std::slice::from_ref(&polys[id.0 as usize]);
+        let g = &idx.floors[&0];
+        let raster = g.raster.as_ref().unwrap();
+        // A lattice finer than the raster, offset from it, plus the walls,
+        // corners and door-free edges themselves; first queries classify.
+        let mut points: Vec<Point> = (0..=700)
+            .flat_map(|i| (0..=170).map(move |j| (i, j)))
+            .map(|(i, j)| Point::new(-2.0 + f64::from(i) * 0.0931, -1.0 + f64::from(j) * 0.0937))
+            .collect();
+        points.extend(
+            (0..=60).flat_map(|x| [0.0, 2.0, 4.0, 6.0, 14.0].map(|y| Point::new(f64::from(x), y))),
+        );
+        for p in points {
+            let exact = g
+                .shape
+                .at(&g.walkable, p)
+                .find(|&id| parts(id).iter().any(|poly| poly.contains(p)));
+            assert_eq!(idx.walkable_at(0, p, parts), exact, "at {p:?}");
+        }
+        let cells = g.walkable.raster.get(raster.nx * raster.ny);
+        let state = |x: f64, y: f64| {
+            let (ix, iy) = raster.cell_of(Point::new(x, y)).unwrap();
+            cells[iy * raster.nx + ix].load(Ordering::Relaxed)
+        };
+        // Deep inside the hallway, a shop and the kiosk: uniform answers.
+        assert_eq!(state(45.0, 3.0), FIRST_ITEM + 3, "hallway (largest)");
+        assert_eq!(state(5.0, 10.0), FIRST_ITEM + 1, "shop");
+        assert_eq!(state(31.0, 3.0), FIRST_ITEM, "kiosk (smallest)");
+        // On the shop wall and around the kiosk: mixed. Beyond the shops: none.
+        assert_eq!(state(10.0, 10.0), MIXED);
+        assert_eq!(state(32.0, 3.0), MIXED);
+        assert_eq!(state(45.0, 10.0), EMPTY);
+        let resolved = cells.iter().filter(|c| c.load(Ordering::Relaxed) > MIXED);
+        assert!(
+            resolved.count() * 10 > cells.len() * 8,
+            "most cells uniform"
+        );
+    }
+
+    #[test]
+    fn points_off_the_raster_or_nan_find_nothing() {
+        let (idx, polys) = floor_plan();
+        let parts = |id: EntityId| std::slice::from_ref(&polys[id.0 as usize]);
+        for p in [
+            Point::new(-1.0, 3.0),
+            Point::new(70.0, 3.0),
+            Point::new(5.0, -0.5),
+            Point::new(f64::NAN, 3.0),
+            Point::new(5.0, f64::INFINITY),
+        ] {
+            assert_eq!(idx.walkable_at(0, p, parts), None, "at {p:?}");
+        }
+        assert_eq!(idx.walkable_at(1, Point::new(5.0, 3.0), parts), None);
+    }
+
+    #[test]
+    fn cloned_index_keeps_classified_cells() {
+        let (idx, polys) = floor_plan();
+        let parts = |id: EntityId| std::slice::from_ref(&polys[id.0 as usize]);
+        let p = Point::new(45.0, 3.0);
+        assert_eq!(idx.walkable_at(0, p, parts), Some(EntityId(0)));
+        let copy = idx.clone();
+        let g = &copy.floors[&0];
+        let built = g.walkable.raster.0.get().unwrap();
+        assert_eq!(
+            built
+                .iter()
+                .filter(|c| c.load(Ordering::Relaxed) != UNBUILT)
+                .count(),
+            1
+        );
+        assert_eq!(copy.walkable_at(0, p, parts), Some(EntityId(0)));
+        assert!(
+            g.regions.raster.0.get().is_none(),
+            "the region layer was never queried"
+        );
+    }
+
     #[test]
     fn multi_floor_entities_registered_per_floor() {
         let idx = index_of(vec![(0, vec![0, 1, 2], bb(0.0, 0.0, 2.0, 2.0))]);
         for f in 0..3 {
-            assert_eq!(
-                idx.walkable_at(f, Point::new(1.0, 1.0)).collect::<Vec<_>>(),
-                vec![EntityId(0)]
-            );
+            assert_eq!(candidates(&idx, f, Point::new(1.0, 1.0)), vec![EntityId(0)]);
         }
         assert_eq!(idx.floor_count(), 3);
     }

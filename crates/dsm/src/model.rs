@@ -209,6 +209,9 @@ impl DigitalSpaceModel {
     /// frozen model; by linear scan otherwise — both return the same entity,
     /// ties included (lowest id among equal areas).
     pub fn locate(&self, p: &IndoorPoint) -> Option<&Entity> {
+        if self.index.is_some() {
+            return self.locate_id(p).map(|id| &self.entities[&id]);
+        }
         let walkable_area = |e: &Entity| {
             (e.kind.is_walkable() && e.contains(p.xy)).then(|| {
                 e.footprint
@@ -217,30 +220,46 @@ impl DigitalSpaceModel {
                     .unwrap_or(f64::INFINITY)
             })
         };
-        if let Some(index) = &self.index {
-            return index
-                .walkable_at(p.floor, p.xy)
-                .map(|id| &self.entities[&id])
-                .find(|e| e.contains(p.xy));
-        }
         self.entities_on_floor(p.floor)
             .filter_map(|e| walkable_area(e).map(|area| (e, area)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite areas"))
             .map(|(e, _)| e)
     }
 
+    /// The id of [`locate`](Self::locate)'s entity; on a frozen model
+    /// usually one raster read, with no entity lookup.
+    pub(crate) fn locate_id(&self, p: &IndoorPoint) -> Option<EntityId> {
+        match &self.index {
+            Some(index) => index.walkable_at(p.floor, p.xy, |id| {
+                self.entities[&id]
+                    .footprint
+                    .as_area()
+                    .map_or(&[], std::slice::from_ref)
+            }),
+            None => self.locate(p).map(|e| e.id),
+        }
+    }
+
     /// The semantic region containing `p`, if any (smallest wins, ties to
     /// the lowest id).
     pub fn region_at(&self, p: &IndoorPoint) -> Option<&SemanticRegion> {
-        if let Some(index) = &self.index {
-            return index
-                .regions_at(p.floor, p.xy)
-                .map(|id| &self.regions[&id])
-                .find(|r| r.contains(p.xy));
+        if self.index.is_some() {
+            return self.region_id_at(p).map(|id| &self.regions[&id]);
         }
         self.regions_on_floor(p.floor)
             .filter(|r| r.contains(p.xy))
             .min_by(|a, b| a.area().partial_cmp(&b.area()).expect("finite areas"))
+    }
+
+    /// The id of [`region_at`](Self::region_at)'s region; on a frozen model
+    /// usually one raster read, with no region lookup.
+    pub fn region_id_at(&self, p: &IndoorPoint) -> Option<RegionId> {
+        match &self.index {
+            Some(index) => {
+                index.region_at(p.floor, p.xy, |id| self.regions[&id].polygons.as_slice())
+            }
+            None => self.region_at(p).map(|r| r.id),
+        }
     }
 
     /// The nearest walkable entity on `p`'s floor and the distance to it

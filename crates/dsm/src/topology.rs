@@ -15,10 +15,20 @@ use trips_geom::{FloorId, Point};
 /// to be considered an opening of that area.
 pub const DOOR_ATTACH_TOLERANCE: f64 = 0.5;
 
-/// Largest walking graph that gets a node-to-node distance table
-/// ([`Topology::node_distances`]): 2048² entries are 32 MiB. Larger graphs
-/// answer every query with a Dijkstra search instead.
+/// Largest walking graph that gets node-to-node tables
+/// ([`Topology::node_distances`] and the routes beside it): 2048² entries
+/// are 48 MiB. Larger graphs answer every query with a Dijkstra search
+/// instead.
 pub const MAX_TABLE_NODES: usize = 2048;
+
+/// Entity ids the dense per-area node lists of [`NodeTables`] span, per
+/// area with graph nodes (plus a floor for tiny models). Models whose ids
+/// are sparser still work: areas past the span are found in
+/// [`Topology::area_nodes`].
+const DENSE_IDS_PER_AREA: usize = 16;
+
+/// [`NodeTables::pred`] entry of a row's own node and of unreachable nodes.
+const NO_PRED: u32 = u32::MAX;
 
 /// A node of the walking graph: a door anchor or a staircase port.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,10 +63,39 @@ pub struct Topology {
     pub area_nodes: BTreeMap<EntityId, Vec<usize>>,
     /// Adjacency list aligned with `nodes`.
     pub edges: Vec<Vec<GraphEdge>>,
-    /// Row-major `nodes.len()²` shortest walking distances over `edges`,
-    /// built on the first [`node_distances`](Self::node_distances) call.
+    /// Node-to-node tables over `edges`, built on the first
+    /// [`node_distances`](Self::node_distances) or route query.
     #[serde(skip)]
-    node_distances: OnceLock<Vec<f64>>,
+    tables: OnceLock<NodeTables>,
+}
+
+/// What one Dijkstra search per node leaves behind, plus the per-area node
+/// lists in dense form, for the distance queries of [`crate::distance`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeTables {
+    /// Row-major `n²` shortest walking distances (`n = nodes.len()`):
+    /// entry `u * n + v` runs from `nodes[u]` to `nodes[v]`, `INFINITY`
+    /// when unreachable.
+    pub(crate) dist: Vec<f64>,
+    /// Entry `u * n + v`: the node before `v` on the route row `u`'s search
+    /// settled on (the last strict improvement of `v`'s distance).
+    pub(crate) pred: Vec<u32>,
+    /// `area_nodes[id]` for entity ids below the dense span: a range of
+    /// `area_list`.
+    area_ranges: Vec<(u32, u32)>,
+    area_list: Vec<usize>,
+}
+
+impl NodeTables {
+    /// The graph nodes reachable from inside walkable area `area`:
+    /// [`Topology::area_nodes`]`[area]`, read from the dense lists when the
+    /// id falls in their span.
+    pub(crate) fn area_nodes<'t>(&'t self, topo: &'t Topology, area: EntityId) -> &'t [usize] {
+        match self.area_ranges.get(area.0 as usize) {
+            Some(&(start, end)) => &self.area_list[start as usize..end as usize],
+            None => topo.area_nodes.get(&area).map_or(&[], Vec::as_slice),
+        }
+    }
 }
 
 impl Topology {
@@ -274,23 +313,29 @@ impl Topology {
     /// by every reader of this topology; `freeze()` does not pay for it.
     /// `None` for graphs of more than [`MAX_TABLE_NODES`] nodes.
     pub fn node_distances(&self) -> Option<&[f64]> {
+        self.tables().map(|t| t.dist.as_slice())
+    }
+
+    /// The node-to-node tables, built on first use like
+    /// [`node_distances`](Self::node_distances); `None` above
+    /// [`MAX_TABLE_NODES`].
+    pub(crate) fn tables(&self) -> Option<&NodeTables> {
         if self.nodes.len() > MAX_TABLE_NODES {
             return None;
         }
-        Some(
-            self.node_distances
-                .get_or_init(|| self.build_node_distances()),
-        )
+        Some(self.tables.get_or_init(|| self.build_tables()))
     }
 
-    fn build_node_distances(&self) -> Vec<f64> {
+    fn build_tables(&self) -> NodeTables {
         let n = self.nodes.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut table = vec![f64::INFINITY; n * n];
+        let mut dist = vec![f64::INFINITY; n * n];
+        let mut pred = vec![NO_PRED; n * n];
         let mut heap = BinaryHeap::new();
-        for (s, dist) in table.chunks_exact_mut(n).enumerate() {
+        for (s, (dist, pred)) in dist
+            .chunks_exact_mut(n.max(1))
+            .zip(pred.chunks_exact_mut(n.max(1)))
+            .enumerate()
+        {
             dist[s] = 0.0;
             heap.push(HeapEntry { dist: 0.0, node: s });
             while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
@@ -301,6 +346,7 @@ impl Topology {
                     let nd = d + e.weight;
                     if nd < dist[e.to] {
                         dist[e.to] = nd;
+                        pred[e.to] = u as u32;
                         heap.push(HeapEntry {
                             dist: nd,
                             node: e.to,
@@ -309,7 +355,26 @@ impl Topology {
                 }
             }
         }
-        table
+        // Ids below the span get a range (empty for ids without nodes).
+        let span = (self.area_nodes.len() * DENSE_IDS_PER_AREA + 64).min(
+            self.area_nodes
+                .keys()
+                .last()
+                .map_or(0, |id| id.0 as usize + 1),
+        );
+        let mut area_ranges = vec![(0u32, 0u32); span];
+        let mut area_list = Vec::new();
+        for (id, nodes) in self.area_nodes.range(..EntityId(span as u32)) {
+            let start = area_list.len() as u32;
+            area_list.extend_from_slice(nodes);
+            area_ranges[id.0 as usize] = (start, area_list.len() as u32);
+        }
+        NodeTables {
+            dist,
+            pred,
+            area_ranges,
+            area_list,
+        }
     }
 }
 
