@@ -37,7 +37,7 @@
 
 use crate::entity::EntityId;
 use crate::model::{DigitalSpaceModel, DsmError};
-use crate::topology::{NodeTables, Topology};
+use crate::topology::{stair_cost, NodeTables, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use trips_geom::{IndoorPoint, Polyline};
@@ -358,9 +358,9 @@ impl<'a> PathQuery<'a> {
     /// relative margin `δ = (n + 8)·4·ε` of `limit` does the exact search
     /// decide. Two cheaper checks come first and decide most cross-area
     /// pairs alone: a lower bound on every route (planar distance plus the
-    /// floors' vertical cost) that exceeds `limit` by the margin rejects,
-    /// and any single term of the minimum that passes (tried for the nodes
-    /// both areas reach, usually the door between them) accepts.
+    /// floors' [`stair_cost`]) that exceeds `limit` by the margin rejects,
+    /// and the route through a node both areas reach (usually the door
+    /// between them) accepts when it passes.
     ///
     /// Why the margin suffices: every term is non-negative and finite, and
     /// both the search and the table evaluate each candidate route as a
@@ -411,22 +411,22 @@ impl<'a> PathQuery<'a> {
             _ => return exact(),
         };
         let margin = self.margin();
-        // Every route is at least the planar distance plus the vertical
-        // cost of the floors between the points: staircase edges join ports
-        // at one planar point, and a leg to another floor pays its vertical
-        // cost. A bound that fails by the margin fails the search's
-        // distance too (it lies within the rounding of the real one).
-        let floors = (i32::from(a.floor) - i32::from(b.floor)).abs() as f64;
-        let bound = a.xy.distance(b.xy) + floors * (self.dsm.floor_height * 3.0).max(0.0);
+        // Every route is at least the planar distance plus the stair cost
+        // of the floors between the points: staircase edges join ports at
+        // one planar point, and a leg to another floor pays its stair cost.
+        // A bound that fails by the margin fails the search's distance too
+        // (it lies within the rounding of the real one).
+        let bound =
+            a.xy.distance(b.xy) + stair_cost(a.floor, b.floor, self.dsm.floor_height).max(0.0);
         if bound / dt > limit * (1.0 + margin) {
             return false;
         }
-        // Any one pair's term bounds the minimum from above, so a term that
-        // already passes decides the pair as the full minimum would. Nodes
-        // both areas reach (the door between a shop and its hallway) give
-        // the likeliest such term for two legs, not one per node.
-        let shared = self.shared_node_term(tables, a, anchor_a, b, anchor_b);
-        if shared / dt <= limit * (1.0 - margin) {
+        // The route through a node both areas reach (the door between a
+        // shop and its hallway) is the likeliest to pass, for two legs, not
+        // one per node. Its term `(w_a + 0) + w_b` is the very sum the
+        // search forms for that route, and the search's distance is at
+        // most that, so a term that passes needs no margin.
+        if self.shared_node_term(tables, a, anchor_a, b, anchor_b) / dt <= limit {
             return true;
         }
         let estimate = self.pair_min(tables, a, anchor_a, b, anchor_b).length;
@@ -460,8 +460,21 @@ impl<'a> PathQuery<'a> {
         anchor_b: Anchor,
     ) -> PairMin {
         let n = self.topo.nodes.len();
-        let src = tables.area_nodes(self.topo, anchor_a.area);
-        let dst = tables.area_nodes(self.topo, anchor_b.area);
+        let mut min = PairMin {
+            length: f64::INFINITY,
+            u: 0,
+            v: 0,
+            wa: 0.0,
+            wb: 0.0,
+            runner_up: f64::INFINITY,
+            nan: false,
+        };
+        let (Some(src), Some(dst)) = (
+            self.topo.area_nodes.get(&anchor_a.area),
+            self.topo.area_nodes.get(&anchor_b.area),
+        ) else {
+            return min;
+        };
         // Each target leg once, before the `u` loop. An ineligible node's
         // leg is `INFINITY`, which no minimum can pick: the same minimum as
         // skipping it.
@@ -476,15 +489,6 @@ impl<'a> PathQuery<'a> {
         for (leg, &v) in legs_b.iter_mut().zip(dst) {
             *leg = self.leg(b, anchor_b, v).unwrap_or(f64::INFINITY);
         }
-        let mut min = PairMin {
-            length: f64::INFINITY,
-            u: 0,
-            v: 0,
-            wa: 0.0,
-            wb: 0.0,
-            runner_up: f64::INFINITY,
-            nan: false,
-        };
         for &u in src {
             let Some(wa) = self.leg(a, anchor_a, u) else {
                 continue;
@@ -523,9 +527,14 @@ impl<'a> PathQuery<'a> {
         anchor_b: Anchor,
     ) -> f64 {
         let n = self.topo.nodes.len();
-        let src = tables.area_nodes(self.topo, anchor_a.area);
+        let (Some(src), Some(dst)) = (
+            self.topo.area_nodes.get(&anchor_a.area),
+            self.topo.area_nodes.get(&anchor_b.area),
+        ) else {
+            return f64::INFINITY;
+        };
         let mut best = f64::INFINITY;
-        for &v in tables.area_nodes(self.topo, anchor_b.area) {
+        for &v in dst {
             if !src.contains(&v) {
                 continue;
             }
@@ -545,7 +554,7 @@ impl<'a> PathQuery<'a> {
         if node.floor != p.floor && anchor.area != node.entity {
             return None;
         }
-        let vertical = (node.floor - p.floor).abs() as f64 * self.dsm.floor_height * 3.0;
+        let vertical = stair_cost(node.floor, p.floor, self.dsm.floor_height);
         Some(anchor.snap + p.xy.distance(node.point) + vertical)
     }
 

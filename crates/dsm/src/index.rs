@@ -336,14 +336,11 @@ impl Cells {
     }
 }
 
+/// A clone starts unclassified: its cells are rebuilt on first touch, to
+/// the same states.
 impl Clone for Cells {
     fn clone(&self) -> Self {
-        let copy = OnceLock::new();
-        if let Some(cells) = self.0.get() {
-            let cells = cells.iter().map(|c| c.load(Ordering::Relaxed));
-            let _ = copy.set(cells.map(AtomicU16::new).collect());
-        }
-        Cells(copy)
+        Cells::default()
     }
 }
 
@@ -855,29 +852,6 @@ mod tests {
             assert_eq!(idx.walkable_at(0, p, parts), None, "at {p:?}");
         }
         assert_eq!(idx.walkable_at(1, Point::new(5.0, 3.0), parts), None);
-    }
-
-    #[test]
-    fn cloned_index_keeps_classified_cells() {
-        let (idx, polys) = floor_plan();
-        let parts = |id: EntityId| std::slice::from_ref(&polys[id.0 as usize]);
-        let p = Point::new(45.0, 3.0);
-        assert_eq!(idx.walkable_at(0, p, parts), Some(EntityId(0)));
-        let copy = idx.clone();
-        let g = &copy.floors[&0];
-        let built = g.walkable.raster.0.get().unwrap();
-        assert_eq!(
-            built
-                .iter()
-                .filter(|c| c.load(Ordering::Relaxed) != UNBUILT)
-                .count(),
-            1
-        );
-        assert_eq!(copy.walkable_at(0, p, parts), Some(EntityId(0)));
-        assert!(
-            g.regions.raster.0.get().is_none(),
-            "the region layer was never queried"
-        );
     }
 
     #[test]

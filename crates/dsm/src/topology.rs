@@ -21,11 +21,14 @@ pub const DOOR_ATTACH_TOLERANCE: f64 = 0.5;
 /// instead.
 pub const MAX_TABLE_NODES: usize = 2048;
 
-/// Entity ids the dense per-area node lists of [`NodeTables`] span, per
-/// area with graph nodes (plus a floor for tiny models). Models whose ids
-/// are sparser still work: areas past the span are found in
-/// [`Topology::area_nodes`].
-const DENSE_IDS_PER_AREA: usize = 16;
+/// Walking cost (metres) of climbing a staircase from floor `a` to floor
+/// `b`: about 3x the vertical rise in path length (run + rise of typical
+/// stairs). The one definition of the vertical cost: staircase edges,
+/// the legs into and out of the graph, and the speed check's lower bound
+/// in [`crate::distance`] all use it.
+pub(crate) fn stair_cost(a: FloorId, b: FloorId, floor_height: f64) -> f64 {
+    (i32::from(a) - i32::from(b)).abs() as f64 * floor_height * 3.0
+}
 
 /// [`NodeTables::pred`] entry of a row's own node and of unreachable nodes.
 const NO_PRED: u32 = u32::MAX;
@@ -69,8 +72,8 @@ pub struct Topology {
     tables: OnceLock<NodeTables>,
 }
 
-/// What one Dijkstra search per node leaves behind, plus the per-area node
-/// lists in dense form, for the distance queries of [`crate::distance`].
+/// What one Dijkstra search per node leaves behind, for the distance
+/// queries of [`crate::distance`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeTables {
     /// Row-major `n²` shortest walking distances (`n = nodes.len()`):
@@ -80,22 +83,6 @@ pub(crate) struct NodeTables {
     /// Entry `u * n + v`: the node before `v` on the route row `u`'s search
     /// settled on (the last strict improvement of `v`'s distance).
     pub(crate) pred: Vec<u32>,
-    /// `area_nodes[id]` for entity ids below the dense span: a range of
-    /// `area_list`.
-    area_ranges: Vec<(u32, u32)>,
-    area_list: Vec<usize>,
-}
-
-impl NodeTables {
-    /// The graph nodes reachable from inside walkable area `area`:
-    /// [`Topology::area_nodes`]`[area]`, read from the dense lists when the
-    /// id falls in their span.
-    pub(crate) fn area_nodes<'t>(&'t self, topo: &'t Topology, area: EntityId) -> &'t [usize] {
-        match self.area_ranges.get(area.0 as usize) {
-            Some(&(start, end)) => &self.area_list[start as usize..end as usize],
-            None => topo.area_nodes.get(&area).map_or(&[], Vec::as_slice),
-        }
-    }
 }
 
 impl Topology {
@@ -215,10 +202,7 @@ impl Topology {
             sorted.sort_by_key(|&i| topo.nodes[i].floor);
             for w in sorted.windows(2) {
                 let (u, v) = (w[0], w[1]);
-                let df = (topo.nodes[u].floor - topo.nodes[v].floor).abs() as f64;
-                // Walking a staircase costs ~3x the vertical rise in path
-                // length (run + rise of typical stairs).
-                let weight = df * dsm.floor_height * 3.0;
+                let weight = stair_cost(topo.nodes[u].floor, topo.nodes[v].floor, dsm.floor_height);
                 topo.edges[u].push(GraphEdge { to: v, weight });
                 topo.edges[v].push(GraphEdge { to: u, weight });
             }
@@ -355,26 +339,7 @@ impl Topology {
                 }
             }
         }
-        // Ids below the span get a range (empty for ids without nodes).
-        let span = (self.area_nodes.len() * DENSE_IDS_PER_AREA + 64).min(
-            self.area_nodes
-                .keys()
-                .last()
-                .map_or(0, |id| id.0 as usize + 1),
-        );
-        let mut area_ranges = vec![(0u32, 0u32); span];
-        let mut area_list = Vec::new();
-        for (id, nodes) in self.area_nodes.range(..EntityId(span as u32)) {
-            let start = area_list.len() as u32;
-            area_list.extend_from_slice(nodes);
-            area_ranges[id.0 as usize] = (start, area_list.len() as u32);
-        }
-        NodeTables {
-            dist,
-            pred,
-            area_ranges,
-            area_list,
-        }
+        NodeTables { dist, pred }
     }
 }
 

@@ -1,14 +1,15 @@
 //! `PathQuery::path` reads most routes from the node tables; it must return
 //! exactly what the Dijkstra search returns: the same waypoints and a
 //! bitwise-equal `distance`. `PathQuery::within`, which decides the speed
-//! check from the tables and bounds, must make the search's decision. The random models are those of
-//! `index_equivalence.rs` (free and lattice-snapped rectangles, L-shaped
-//! rooms, nested areas, multi-floor staircases) with doors added on entity
-//! edges, so lattice-snapped models have many equal-length routes. Two
-//! symmetric models add routes that tie exactly: a mirror-symmetric one
-//! (ties between node pairs, and inside one pair's route with equal legs)
-//! and a half-turn-symmetric one (ties inside one pair's route whose legs
-//! come in a different order, so the search's sums may break the tie).
+//! check from the tables, must make the search's decision. The random
+//! models are those of `index_equivalence.rs` (free and lattice-snapped
+//! rectangles, L-shaped rooms, nested areas, multi-floor staircases) with
+//! doors added on entity edges, so lattice-snapped models have many
+//! equal-length routes. Two symmetric models add routes that tie exactly:
+//! a mirror-symmetric one (ties between node pairs, and inside one pair's
+//! route with equal legs) and a half-turn-symmetric one (ties inside one
+//! pair's route whose legs come in a different order, so the search's sums
+//! may break the tie).
 
 use proptest::prelude::*;
 use trips_dsm::{DigitalSpaceModel, Entity, EntityKind, PathQuery, WalkPath};
@@ -156,7 +157,9 @@ fn assert_routes_equal(dsm: &DigitalSpaceModel, points: &[IndoorPoint]) {
                 continue;
             };
             let at_limit = distance.map_or(1.0, |d| d / limit);
-            let near = [at_limit * (1.0 - 1e-15), at_limit, at_limit * (1.0 + 1e-15)];
+            // Times within a few ulps of the threshold, where a table
+            // estimate a bit off the search's sum would decide wrongly.
+            let near = (-3i64..=3).map(|k| f64::from_bits((at_limit.to_bits() as i64 + k) as u64));
             for dt in [0.5, 2.0, 30.0].into_iter().chain(near) {
                 if dt > 0.0 {
                     assert_eq!(
@@ -340,4 +343,34 @@ fn mirrored_routes_tie_and_still_equal_search_routes() {
         stops.windows(2).map(|w| leg(w[0], w[1])).sum::<f64>()
     };
     assert_eq!(via(10.0), via(-10.0));
+}
+
+/// Two rooms joined by one door, and pairs of points on straight lines
+/// through it: the walking distance is the straight line, so the planar
+/// lower bound `within` tries first meets it to the last bits.
+#[test]
+fn straight_lines_through_a_door_decide_like_the_search() {
+    let mut dsm = DigitalSpaceModel::new("one-door");
+    for (name, x0) in [("A", 0.0), ("B", 10.0)] {
+        let id = dsm.next_entity_id();
+        let poly = Polygon::rectangle(Point::new(x0, 0.0), Point::new(x0 + 10.0, 10.0));
+        dsm.add_entity(Entity::area(id, EntityKind::Room, 0, name, poly))
+            .unwrap();
+    }
+    let id = dsm.next_entity_id();
+    dsm.add_entity(Entity::door(id, 0, "door", Point::new(10.0, 5.0), 1.0))
+        .unwrap();
+    dsm.freeze();
+    for i in 0..200 {
+        let t = f64::from(i);
+        let angle = (t * 0.618).rem_euclid(1.4) - 0.7;
+        let (dx, dy) = (angle.cos(), angle.sin());
+        let (ra, rb) = (
+            1.0 + (t * 0.377).rem_euclid(5.0),
+            1.0 + (t * 0.253).rem_euclid(5.0),
+        );
+        let a = IndoorPoint::new(10.0 - ra * dx, 5.0 - ra * dy, 0);
+        let b = IndoorPoint::new(10.0 + rb * dx, 5.0 + rb * dy, 0);
+        assert_routes_equal(&dsm, &[a, b]);
+    }
 }

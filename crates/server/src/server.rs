@@ -1862,8 +1862,17 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
 
     /// Registers sockets the acceptor dealt to this shard.
     fn adopt_incoming(&mut self) {
-        let incoming: Vec<(TcpStream, Instant)> =
-            std::mem::take(&mut *self.shared.shards[self.id].incoming.lock());
+        // The count moves to the adopted total before the queue empties,
+        // under the queue's lock, which the acceptor also holds while it
+        // reads both: a shard's held connections never read as 0 between.
+        let state = &self.shared.shards[self.id];
+        let incoming: Vec<(TcpStream, Instant)> = {
+            let mut queue = state.incoming.lock();
+            state
+                .connections
+                .store(self.conns.len() + queue.len(), Ordering::Relaxed);
+            std::mem::take(&mut *queue)
+        };
         for (stream, handed_off) in incoming {
             if self.shared.draining() {
                 // Dropped: drain admits nothing. The acceptor already
@@ -2210,8 +2219,8 @@ fn run_acceptor(
                     let least_loaded = (0..nshards)
                         .min_by_key(|&i| {
                             let s = &shared.shards[i];
-                            let held =
-                                s.connections.load(Ordering::Relaxed) + s.incoming.lock().len();
+                            let queued = s.incoming.lock();
+                            let held = s.connections.load(Ordering::Relaxed) + queued.len();
                             (ewma[i], held, i)
                         })
                         .unwrap_or(0);
