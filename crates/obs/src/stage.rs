@@ -1,15 +1,14 @@
 //! The global observability switch and the cross-crate stage
 //! accumulators.
 //!
-//! A worker thread executing one request calls down through crates that
+//! A loop shard executing one request calls down through crates that
 //! know nothing about spans: `SemanticsStore::ingest` takes a shard lock
 //! and applies the batch, `RuleEngine::publish` evaluates standing rules.
 //! Threading a span context through those signatures would couple every
 //! layer to the server; instead the instrumented callees add their
 //! elapsed nanoseconds to **thread-local cells** here, and the server
-//! worker reads-and-resets them around the call ([`take`]). The
-//! attribution is exact because the whole call chain runs on the worker's
-//! thread.
+//! reads-and-resets them around the call ([`take`]). The attribution is
+//! exact because the whole call chain runs on the shard's thread.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -25,13 +25,14 @@
 //!   ingest batches as borrowed views straight out of the connection
 //!   read buffer;
 //! * [`event`] — level-triggered `poll(2)` readiness multiplexing and
-//!   the worker→event-loop [`event::Waker`] (a connected loopback UDP
-//!   pair);
+//!   the cross-thread [`event::Waker`] (a connected loopback UDP pair)
+//!   that wakes a loop shard for alert pushes, adoption and shutdown;
+//! * [`admission`] — the server-wide bounded count of admitted requests
+//!   that sheds load ([`ServerError::Overloaded`]) instead of growing;
 //! * [`server`] — [`TripsServer`]: sharded event loops driving every
-//!   connection, per-connection sessions with per-device
-//!   refcounts, a fixed worker pool behind a **bounded admission queue**
-//!   that sheds load ([`ServerError::Overloaded`]) instead of growing,
-//!   translator-shard-parallel ingest, segmented write queues flushed
+//!   connection and running each admitted request to completion on the
+//!   shard that parsed it, per-connection sessions with per-device
+//!   refcounts, translator-shard-parallel ingest, segmented write queues flushed
 //!   with one vectored write, least-loaded acceptor placement,
 //!   idle-connection reaping, connection limits, per-endpoint latency
 //!   metrics, snapshot save / snapshot boot, and graceful
@@ -51,14 +52,15 @@
 //! See the repository README ("Serving" and "Wire protocol") for a wire
 //! transcript, the framing layout, and the overload semantics.
 
+pub mod admission;
 pub mod bootstrap;
 pub mod client;
 pub mod codec;
 pub mod event;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 
+pub use admission::Admission;
 pub use bootstrap::{bootstrap_scenario, editor_from_truth, ServerBootstrap};
 pub use client::{Client, ClientPoisoned, SlowLogPayload};
 pub use codec::{
@@ -71,7 +73,6 @@ pub use protocol::{
     HealthReport, LoopShardMetrics, MetricsReport, Request, RequestEnvelope, Response,
     ResponseEnvelope, ServerError, PROTOCOL_V2, PROTOCOL_VERSION,
 };
-pub use queue::{BoundedQueue, PushError};
 pub use server::{
     ServerConfig, ServerHandle, ServerReport, TripsServer, DEFAULT_SLOW_LOG,
     DEFAULT_SLOW_THRESHOLD_US, DEFAULT_TRACE_RING,

@@ -208,8 +208,9 @@ impl Response {
 /// Typed failure modes, each mapping to a well-known HTTP-ish meaning.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerError {
-    /// Load shed: the bounded admission queue is full (503). Back off and
-    /// retry — nothing was enqueued, server memory stays bounded.
+    /// Load shed: the server already holds `queue_capacity` admitted,
+    /// unfinished requests (503). Back off and retry — nothing was run or
+    /// buffered, so the work in progress stays bounded.
     Overloaded { queue_capacity: usize },
     /// The connection cap is reached; this connection is closed after the
     /// error is written (503).
@@ -230,7 +231,7 @@ impl fmt::Display for ServerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServerError::Overloaded { queue_capacity } => {
-                write!(f, "overloaded: admission queue full ({queue_capacity})")
+                write!(f, "overloaded: admission full ({queue_capacity})")
             }
             ServerError::TooManyConnections { limit } => {
                 write!(f, "too many connections (limit {limit})")
@@ -279,27 +280,28 @@ pub struct EndpointMetrics {
     pub mean_us: f64,
 }
 
-/// Per-loop-shard vitals: each event-loop shard owns its fds, buffers and
-/// waker; these gauges show how the acceptor's least-loaded placement
-/// spread the connection population and whether one shard's completion
-/// queue is backing up.
+/// Per-loop-shard vitals: each event-loop shard owns its fds and buffers
+/// and runs the requests it parses; these gauges show how the acceptor's
+/// least-loaded placement spread the connection population and the load,
+/// and whether a shard is falling behind on alert delivery.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoopShardMetrics {
     pub shard: usize,
     /// Connections currently owned by this shard.
     pub connections: usize,
-    /// Finished jobs handed back by workers, not yet applied by the
-    /// shard's loop (a sustained backlog means the shard is saturated).
+    /// Alert pushes waiting for the shard's loop. A shard queues replies
+    /// itself, so only alerts fired from another thread wait here; a
+    /// sustained backlog means the shard is saturated.
     pub pending_completions: usize,
-    /// Times this shard's waker was signaled (worker completions +
-    /// acceptor handoffs).
+    /// Times this shard's waker was signaled: alert pushes from other
+    /// shards, acceptor hand-offs and shutdown (replies never wake).
     pub wakeups: u64,
     /// Bytes this shard's connections read off their sockets — one half
     /// of the observed-load signal behind least-loaded placement.
     #[serde(default)]
     pub bytes_read: u64,
-    /// Work jobs this shard queued for the worker pool — the other half
-    /// of the observed-load signal.
+    /// Work requests this shard admitted and ran — the other half of the
+    /// observed-load signal.
     #[serde(default)]
     pub jobs: u64,
 }
@@ -321,9 +323,10 @@ pub struct MetricsReport {
     /// Requests rejected with [`ServerError::Overloaded`].
     pub shed: u64,
     pub bad_requests: u64,
+    /// Cap on admitted, unfinished requests across the server.
     pub queue_capacity: usize,
-    /// High-water mark of the admission queue (never exceeds
-    /// `queue_capacity` — the bounded-memory invariant).
+    /// High-water mark of admitted, unfinished requests (never exceeds
+    /// `queue_capacity` — the bounded-work invariant).
     pub peak_queue_depth: usize,
     /// Resident set size of the serving process in KiB (Linux
     /// `/proc/self/statm`; `None` where that is unavailable). The

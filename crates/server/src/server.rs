@@ -1,11 +1,11 @@
-//! The serving loops: acceptor → sharded event loops → bounded admission
-//! queue → fixed worker pool → one translator core over sharded session
-//! buffers → semantics store.
+//! The serving loops: acceptor → sharded event loops, each running the
+//! requests it parses to completion → one translator core over sharded
+//! session buffers → semantics store.
 //!
 //! ## Threading model
 //!
 //! Everything runs under one `std::thread::scope` (the same scoped-thread
-//! idiom as `trips-engine`'s executor), so workers borrow the server's
+//! idiom as `trips-engine`'s executor), so loop shards borrow the server's
 //! state directly — no leaked `'static` state, and `serve` returns only
 //! after every thread has exited:
 //!
@@ -22,40 +22,59 @@
 //!   never spins the loop), so ten thousand idle device streams cost fds
 //!   and buffers, not parked threads. A wakeup is O(connections): each
 //!   lap services every connection and refreshes its interest, then
-//!   `poll(2)` scans the whole set. Each shard parses complete messages
-//!   (NDJSON v1 lines or binary v2 frames, detected per message by the
-//!   first byte), answers cheap admin requests inline
-//!   (`Ping`/`Health`/`Metrics` stay observable under overload), and
-//!   submits real work to the queue — one request in flight per
-//!   connection, so responses stay ordered;
-//! * a **fixed worker pool** pops jobs, executes them through the shared
-//!   translator core + sharded session buffers + `SemanticsStore`,
-//!   *encodes the response bytes* (the serialization cost parallelizes),
-//!   and hands the bytes back to the owning loop shard through its
-//!   completion list + waker.
+//!   `poll(2)` scans the whole set.
+//!
+//! A lap on a shard reads every ready connection and parses complete
+//! messages (NDJSON v1 lines or binary v2 frames, detected per message by
+//! the first byte). Cheap admin requests are answered inline as they
+//! parse. Parsing a connection stops at its first work request (`Ingest`,
+//! `Flush`, `Query`, `Snapshot`), so a lap takes at most one per
+//! connection. After the reads, the shard admits the lap's work requests
+//! (see below), then runs the admitted ones in parse order **on its own
+//! thread**: execute through the shared translator core + sharded session
+//! buffers + `SemanticsStore`, encode, queue the reply bytes. There is no
+//! worker pool and no per-request thread hand-off; replies leave in
+//! request order because a connection's requests run one after another on
+//! one thread. A lap does not sleep in `poll` while a connection may hold
+//! another complete request in its read buffer.
+//!
+//! Only three things cross threads into a shard, through its `pushes`
+//! list, its `incoming` list and its waker: alert pushes caused by
+//! another shard's ingest, connections the acceptor hands over, and
+//! shutdown. An alert that a shard's own request triggers is applied
+//! right after that request, ahead of its reply, without a wake.
+//!
+//! The price is head-of-line blocking within a shard: a slow request
+//! (a large query, a snapshot) delays the other connections on the same
+//! shard until it finishes. Other shards keep serving.
 //!
 //! ## Translation
 //!
 //! `serve` trains the event model and builds one
 //! [`TranslatorCore`] — Cleaner, Annotator and session rule — shared by
-//! every worker without a lock. Only the per-device session buffers are
-//! locked: they live in a table of `store.shard_count()` mutex-guarded
+//! every loop shard without a lock. Only the per-device session buffers
+//! are locked: they live in a table of `store.shard_count()` mutex-guarded
 //! maps, and a device's buffers sit in the table shard with the store's
 //! own [`SemanticsStore::shard_index`], so lock placement is decided by
 //! the store alone. A device lives wholly in one buffer map, so output is
 //! bit-identical to a single `StreamingTranslator`. An `Ingest` batch is
 //! grouped by table shard and each group is translated and published
 //! under its own shard's lock, so batches from unrelated devices translate
-//! in parallel while per-device ordering is preserved (a batch whose
-//! devices all share a shard takes one lock). Locks are only ever taken
-//! one shard at a time (multi-shard work iterates), so there is no
-//! lock-order deadlock; the `translator_lock_contention` metric counts
-//! blocked acquisitions.
+//! in parallel on different loop shards while per-device ordering is
+//! preserved (a batch whose devices all share a shard takes one lock).
+//! Locks are only ever taken one shard at a time (multi-shard work
+//! iterates), so there is no lock-order deadlock; the
+//! `translator_lock_contention` metric counts blocked acquisitions.
 //!
 //! ## Overload behavior
 //!
-//! Admission is a [`BoundedQueue`]: when it is full the request is
-//! **shed** with [`ServerError::Overloaded`] — nothing buffers, memory
+//! Admission is one server-wide [`Admission`] count of admitted,
+//! unfinished requests, capped at `ServerConfig::queue_capacity`. Each
+//! lap, a shard admits its taken work requests in parse order while the
+//! count is below the cap and answers the rest at once with
+//! [`ServerError::Overloaded`]. Each lap starts reading one connection
+//! further on, so under overload the connections take turns at being
+//! admitted first. Nothing buffers, and the work in progress
 //! stays bounded (`peak_queue_depth ≤ queue_capacity`, exposed via
 //! `Metrics`). Past the connection cap, new sockets get
 //! [`ServerError::TooManyConnections`] and are closed immediately.
@@ -74,7 +93,8 @@
 //! ## Drain
 //!
 //! `Shutdown` acknowledges, then: stop accepting, refuse new work, finish
-//! every admitted request, flush pending response bytes, flush all stream
+//! every admitted request (a shard runs what it admitted before its lap
+//! ends), flush pending response bytes, flush all stream
 //! buffers into the store (and the WAL, on a durable server), and return
 //! a [`ServerReport`]. Connections that cannot drain within
 //! `DRAIN_GRACE` are dropped.
@@ -101,13 +121,14 @@
 //! become queryable; recovery therefore always reproduces exactly the
 //! queryable state.
 
+use crate::admission::Admission;
 use crate::codec::{self, FrameError, RequestFrameRef, FRAME_MAGIC, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use crate::event::{fd_of, poll_fds, Event, PollFd, Poller, Waker, POLLIN};
 use crate::protocol::{
     EndpointMetrics, HealthReport, LoopShardMetrics, MetricsReport, Request, RequestEnvelope,
     Response, ResponseEnvelope, ServerError,
 };
-use crate::queue::{BoundedQueue, PushError};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -136,7 +157,8 @@ const MAX_READ_BUF: usize = MAX_FRAME_PAYLOAD + HEADER_LEN;
 pub const DEFAULT_READ_BUDGET: usize = 256 * 1024;
 
 /// Event-loop wait timeout — the latency of noticing a drain when no fd
-/// is active (completions interrupt the wait via a waker).
+/// is active (alert pushes, hand-offs and shutdown interrupt the wait
+/// via the waker).
 const LOOP_WAIT_MS: i32 = 10;
 
 /// Most queued segments one flush hands to a single vectored write —
@@ -194,7 +216,7 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// bounds memory against a client that invents a new id per record.
 const INTERN_MAX: usize = 4096;
 
-/// Approximate byte-cost a queued work job contributes to a shard's
+/// Approximate byte-cost a work request run on a shard contributes to its
 /// observed load: queries and flushes carry few wire bytes but real
 /// execution cost, so the acceptor's placement signal weighs them as if
 /// they were a 4 KiB read.
@@ -206,10 +228,12 @@ const LOAD_REFRESH: Duration = Duration::from_millis(100);
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Fixed worker-pool size executing ingest/query/snapshot work.
+    /// Ignored. Loop shards run every request themselves; there is no
+    /// worker pool to size. The field stays only so existing configs
+    /// still compile, and will be removed.
     pub workers: usize,
-    /// Bounded admission-queue capacity; requests beyond it are shed with
-    /// [`ServerError::Overloaded`].
+    /// Cap on admitted, unfinished requests across the server; requests
+    /// beyond it are shed with [`ServerError::Overloaded`].
     pub queue_capacity: usize,
     /// Concurrent-connection cap; sockets beyond it get
     /// [`ServerError::TooManyConnections`] and are closed.
@@ -300,7 +324,8 @@ pub struct ServerReport {
     /// Requests shed with `Overloaded`.
     pub shed: u64,
     pub bad_requests: u64,
-    /// Admission-queue high-water mark (≤ configured capacity).
+    /// High-water mark of admitted, unfinished requests (≤ configured
+    /// capacity).
     pub peak_queue_depth: usize,
     /// Store occupancy at drain time.
     pub devices: usize,
@@ -435,67 +460,32 @@ impl WriteQueue {
     }
 }
 
-/// One queued unit of work, tagged with the connection it came from.
-struct WorkJob {
-    /// Connection token (the completion is dropped if the connection is
-    /// gone by then).
-    token: u64,
-    /// Loop shard owning the connection — completions route back to it.
-    shard: usize,
-    id: u64,
-    wire: Wire,
+/// A work request a loop shard took this lap; it runs, or is shed, once
+/// the lap's reads are done.
+struct Job {
+    at: Inline,
     req: Request,
     /// Well-formed devices of an `Ingest` batch — attributed to the
     /// session only if the ingest executes.
     batch_devices: Vec<DeviceId>,
-    /// Snapshot of the session's devices at submit time, the scope of a
-    /// `Flush { device: None }`.
-    session_devices: Vec<DeviceId>,
-    /// Span capture started on the loop shard (`None` when observability
-    /// is off); completed by the worker, finished at reply write.
-    span: Option<SpanStart>,
+    /// Parse completion — the span's epoch; `None` while observability is
+    /// off.
+    parsed: Option<Instant>,
 }
 
-/// The loop-shard half of a request span: timestamps taken before the job
-/// enters the queue.
-struct SpanStart {
-    /// Server-wide request ordinal (the span's id).
-    seq: u64,
-    /// Parse completion — the span's epoch; total latency is measured
-    /// from here.
-    t0: Instant,
-    /// Queue submit time (`queue_wait` = worker pop − this).
-    submitted: Instant,
-    /// Acceptor hand-off → loop-shard adoption, µs (a connection's first
-    /// request only — the cost is paid once).
-    accept_us: u64,
-    /// Readiness wakeup → request parsed, µs.
-    loop_ready_us: u64,
-}
-
-/// A span the worker finished executing, riding its [`Done`] back to the
-/// loop shard, which stamps `reply_write` and the total and publishes it.
-struct PendingSpan {
-    /// The span's epoch (copied from [`SpanStart::t0`]).
-    t0: Instant,
-    /// All stages filled except `reply_write`; `total_us`/`unix_ms` still
-    /// zero.
-    record: SpanRecord,
-}
-
-/// A finished job: pre-encoded response bytes headed for one connection.
-struct Done {
+/// An alert pushed to a connection from whatever thread published the
+/// triggering ingest, waiting for the owning loop shard to queue it.
+struct Push {
     token: u64,
-    bytes: Chunk,
-    /// Devices this job's executed ingest made the session responsible
-    /// for (empty for everything else).
-    ingested: Vec<DeviceId>,
-    /// `true` for pushed alert frames (id 0): no request is in flight for
-    /// them, so applying one must not clear the connection's `inflight`
-    /// flag, and they may be dropped under write-buffer backpressure.
-    unsolicited: bool,
-    /// The request's span, if one is being captured.
-    span: Option<PendingSpan>,
+    bytes: Arc<[u8]>,
+}
+
+thread_local! {
+    /// The [`ShardState`] whose loop runs on this thread (its address;
+    /// 0 on every other thread). An alert sink skips the wake when it
+    /// runs on its own shard's loop, which applies the push right after
+    /// the request that caused it.
+    static LOOP_SHARD: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Wall-clock milliseconds since the Unix epoch (span correlation only —
@@ -539,16 +529,16 @@ fn read_rss_kb() -> Option<u64> {
 }
 
 /// Per-loop-shard shared state: the channels through which the acceptor
-/// and workers reach one shard's loop thread.
+/// and other shards reach one shard's loop thread.
 struct ShardState {
-    /// Finished jobs waiting for this shard's loop (paired with `waker`).
-    completions: parking_lot::Mutex<Vec<Done>>,
+    /// Alert pushes waiting for this shard's loop (paired with `waker`).
+    pushes: parking_lot::Mutex<Vec<Push>>,
     waker: Waker,
     /// Accepted sockets dealt to this shard, not yet registered, with
     /// their hand-off instants (the `accept` span stage).
     incoming: parking_lot::Mutex<Vec<(TcpStream, Instant)>>,
-    /// Times `waker` was signaled (completions + handoffs) — a proxy for
-    /// how busy the shard's wake channel is.
+    /// Times `waker` was signaled (cross-shard alert pushes, hand-offs,
+    /// shutdown) — a proxy for how busy the shard's wake channel is.
     wakeups: AtomicU64,
     /// Connections currently owned by the shard (metrics gauge).
     connections: AtomicUsize,
@@ -556,7 +546,7 @@ struct ShardState {
     /// With `jobs`, the observed-load signal behind the acceptor's
     /// least-loaded placement.
     bytes_read: AtomicU64,
-    /// Work jobs this shard queued for the worker pool (monotonic).
+    /// Work requests this shard admitted and ran (monotonic).
     jobs: AtomicU64,
 }
 
@@ -565,22 +555,27 @@ impl ShardState {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
         self.waker.wake();
     }
+
+    /// This state's identity for [`LOOP_SHARD`].
+    fn addr(&self) -> usize {
+        self as *const ShardState as usize
+    }
 }
 
-/// State shared by the acceptor, loop shards and workers for one `serve`
-/// run (lives on `serve`'s stack; scoped threads borrow it).
+/// State shared by the acceptor and loop shards for one `serve` run
+/// (lives on `serve`'s stack; scoped threads borrow it).
 struct Shared<'env> {
-    /// The one translator core every worker translates through.
+    /// The one translator core every loop shard translates through.
     core: TranslatorCore<'env>,
     /// Session buffers, one map per store shard, indexed by
     /// [`SemanticsStore::shard_index`]. Invariant: locks are taken one
     /// shard at a time, never nested.
     buffers: Vec<parking_lot::Mutex<DeviceBuffers>>,
     store: Arc<SemanticsStore>,
-    queue: BoundedQueue<WorkJob>,
+    admission: Admission,
     /// `Arc` so connection-scoped alert sinks (owned by the `'static`
     /// rule engine inside the store) can outlive-proof their handle to
-    /// the shard's completion channel.
+    /// the shard's push channel.
     shards: Vec<Arc<ShardState>>,
     /// Globally unique connection tokens across all loop shards.
     next_token: AtomicU64,
@@ -707,7 +702,7 @@ impl<'env> Shared<'env> {
     /// Answers an admin request inline on its loop shard: `respond`
     /// builds the response, which is queued at once. The whole execution
     /// is timed into the `admin` histogram and, when tracing, recorded as
-    /// a span that counts it all as `decode` (no queue, no worker).
+    /// a span that counts it all as `decode` (it skips admission).
     fn answer_admin(
         &self,
         conn: &mut Conn,
@@ -742,49 +737,42 @@ impl<'env> Shared<'env> {
         );
     }
 
-    /// Completes the worker-side stages of a span: queue wait from the
-    /// carried timestamps, lock/store/rule attribution from the
-    /// thread-local [`stage`] accumulators (read-and-reset — everything
-    /// since the previous take belongs to this job), the unattributed
-    /// remainder of the execution as `decode`.
-    #[allow(clippy::too_many_arguments)]
-    fn worker_span(
+    /// The execution stages of a work request's span: admission wait from
+    /// parse to start, lock/store/rule attribution from the thread-local
+    /// [`stage`] accumulators (reset just before the request started),
+    /// the unattributed remainder of the execution as `decode`.
+    /// `reply_write`, `total_us` and `unix_ms` are filled at reply time.
+    fn request_span(
         &self,
-        start: SpanStart,
-        popped: Instant,
-        exec: Duration,
+        at: &Inline,
         endpoint: &'static str,
         kind: &'static str,
-        token: u64,
-        shard: usize,
-    ) -> PendingSpan {
+        parsed: Instant,
+        started: Instant,
+        exec: Duration,
+    ) -> SpanRecord {
         let nanos = stage::take();
         let lock_us = nanos.translator_lock_ns / 1_000;
         let store_us = (nanos.store_ns + nanos.store_lock_wait_ns) / 1_000;
         let rules_us = nanos.rules_ns / 1_000;
         let exec_us = exec.as_micros() as u64;
         let mut stages_us = vec![0u64; STAGE_COUNT];
-        stages_us[ST_ACCEPT] = start.accept_us;
-        stages_us[ST_LOOP_READY] = start.loop_ready_us;
-        stages_us[ST_QUEUE_WAIT] = popped
-            .saturating_duration_since(start.submitted)
-            .as_micros() as u64;
+        stages_us[ST_ACCEPT] = at.accept_us;
+        stages_us[ST_LOOP_READY] = at.loop_ready_us;
+        stages_us[ST_QUEUE_WAIT] = started.saturating_duration_since(parsed).as_micros() as u64;
         stages_us[ST_TRANSLATOR_LOCK] = lock_us;
         stages_us[ST_STORE_PUBLISH] = store_us;
         stages_us[ST_RULE_EVAL] = rules_us;
         stages_us[ST_DECODE] = exec_us.saturating_sub(lock_us + store_us + rules_us);
-        PendingSpan {
-            t0: start.t0,
-            record: SpanRecord {
-                id: start.seq,
-                conn: token,
-                shard,
-                endpoint: endpoint.to_string(),
-                kind: kind.to_string(),
-                unix_ms: 0,
-                total_us: 0,
-                stages_us,
-            },
+        SpanRecord {
+            id: at.seq,
+            conn: at.token,
+            shard: at.shard,
+            endpoint: endpoint.to_string(),
+            kind: kind.to_string(),
+            unix_ms: 0,
+            total_us: 0,
+            stages_us,
         }
     }
 
@@ -855,13 +843,13 @@ impl<'env> Shared<'env> {
         );
         gauge(
             "trips_queue_capacity",
-            "Admission queue capacity",
-            self.queue.capacity() as i64,
+            "Cap on admitted, unfinished requests",
+            self.admission.capacity() as i64,
         );
         gauge(
             "trips_queue_peak_depth",
-            "Admission queue high-water mark",
-            self.queue.peak_depth() as i64,
+            "High-water mark of admitted, unfinished requests",
+            self.admission.peak_depth() as i64,
         );
         gauge(
             "trips_translator_shards",
@@ -987,10 +975,10 @@ impl<'env> Shared<'env> {
             .set(state.wakeups.load(Ordering::Relaxed));
             r.gauge(
                 "trips_loop_shard_pending_completions",
-                "Finished jobs awaiting adoption per event-loop shard",
+                "Alert pushes awaiting the event-loop shard",
                 &labels,
             )
-            .set(state.completions.lock().len() as i64);
+            .set(state.pushes.lock().len() as i64);
             r.counter(
                 "trips_loop_shard_bytes_read_total",
                 "Socket bytes read per event-loop shard",
@@ -999,7 +987,7 @@ impl<'env> Shared<'env> {
             .set(state.bytes_read.load(Ordering::Relaxed));
             r.counter(
                 "trips_loop_shard_jobs_total",
-                "Work jobs queued per event-loop shard",
+                "Work requests admitted and run per event-loop shard",
                 &labels,
             )
             .set(state.jobs.load(Ordering::Relaxed));
@@ -1069,9 +1057,9 @@ impl<'env> Shared<'env> {
         }
     }
 
-    /// Executes one unit of admitted work (runs on a worker thread).
-    /// `session_devices` scopes a flush-all to the requesting session.
-    fn execute(&self, req: Request, session_devices: &[DeviceId]) -> Response {
+    /// Executes one admitted work request on the loop shard that parsed
+    /// it. `session_devices` scopes a flush-all to the requesting session.
+    fn execute(&self, req: Request, session_devices: &BTreeSet<DeviceId>) -> Response {
         match req {
             Request::Ingest { records } => self.ingest_multi(records),
             Request::Flush { device } => match device {
@@ -1189,7 +1177,7 @@ impl<'env> Shared<'env> {
         }
     }
 
-    /// Answers a request that needs neither a worker nor connection
+    /// Answers a request that needs neither admission nor connection
     /// state; loop shards call it inline, `execute` for totality.
     fn admin(&self, req: &Request) -> Response {
         match req {
@@ -1208,9 +1196,8 @@ impl<'env> Shared<'env> {
                 rules: self.store.rules().traces(),
             },
             // Subscription state (the alert sink, the session's rule list)
-            // lives with the connection on its loop shard — a worker has
-            // neither, so these never reach the queue. Work requests never
-            // come here either.
+            // lives with the connection, so `dispatch` answers these with
+            // the connection in hand. Work requests never come here either.
             _ => Response::Error(ServerError::BadRequest {
                 message: "subscription requests are connection-scoped".to_string(),
             }),
@@ -1252,7 +1239,7 @@ impl<'env> Shared<'env> {
             .map(|(shard, state)| LoopShardMetrics {
                 shard,
                 connections: state.connections.load(Ordering::Relaxed),
-                pending_completions: state.completions.lock().len(),
+                pending_completions: state.pushes.lock().len(),
                 wakeups: state.wakeups.load(Ordering::Relaxed),
                 bytes_read: state.bytes_read.load(Ordering::Relaxed),
                 jobs: state.jobs.load(Ordering::Relaxed),
@@ -1266,8 +1253,8 @@ impl<'env> Shared<'env> {
             requests: self.requests.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            queue_capacity: self.queue.capacity(),
-            peak_queue_depth: self.queue.peak_depth(),
+            queue_capacity: self.admission.capacity(),
+            peak_queue_depth: self.admission.peak_depth(),
             rss_kb: read_rss_kb(),
             // The one readiness backend; the field stays on the wire.
             event_backend: "poll".to_string(),
@@ -1289,73 +1276,15 @@ impl<'env> Shared<'env> {
             connections_reaped: self.conns_reaped.load(Ordering::Relaxed),
         })
     }
-
-    /// Worker thread body: pop → execute → encode → hand the completion
-    /// back to the owning loop shard and wake it.
-    fn run_worker(&self) {
-        while let Some(job) = self.queue.pop() {
-            let t0 = Instant::now();
-            let endpoint = job.req.endpoint();
-            let kind = job.req.kind();
-            let WorkJob {
-                token,
-                shard,
-                id,
-                wire,
-                req,
-                batch_devices,
-                session_devices,
-                span,
-            } = job;
-            let resp = self.execute(req, &session_devices);
-            let exec = t0.elapsed();
-            self.record(endpoint, exec);
-            let pending = span.map(|s| self.worker_span(s, t0, exec, endpoint, kind, token, shard));
-            let done = self.finish(token, id, wire, resp, batch_devices, pending);
-            self.shards[shard].completions.lock().push(done);
-            self.shards[shard].wake();
-        }
-    }
-
-    /// Encodes a finished job's response (on the worker, parallelizing
-    /// serialization) into a completion for the owning loop shard.
-    fn finish(
-        &self,
-        token: u64,
-        id: u64,
-        wire: Wire,
-        resp: Response,
-        batch_devices: Vec<DeviceId>,
-        span: Option<PendingSpan>,
-    ) -> Done {
-        // Only an *executed* ingest makes the session responsible for its
-        // devices at teardown — a shed or refused batch buffered nothing.
-        let ingested = if matches!(resp, Response::Ingested { .. }) {
-            batch_devices
-        } else {
-            Vec::new()
-        };
-        let env = ResponseEnvelope {
-            v: wire.version(),
-            id,
-            resp,
-        };
-        Done {
-            token,
-            bytes: Chunk::Owned(encode_wire(wire, &env)),
-            ingested,
-            unsolicited: false,
-            span,
-        }
-    }
 }
 
 /// Delivers one rule's alerts to the subscribing connection: encode in the
-/// framing the `Subscribe` arrived in, hand the bytes to the owning loop
-/// shard as an unsolicited completion, wake it. Runs on whatever thread
-/// published the triggering ingest — never touches the `Conn` directly
-/// (the loop shard owns it), which is also why backpressure drops happen
-/// in `apply_completions`, not here.
+/// framing the `Subscribe` arrived in and hand the bytes to the owning
+/// loop shard's push list. Runs on whatever thread published the
+/// triggering ingest — never touches the `Conn` directly (the loop shard
+/// owns it), which is also why backpressure drops happen in
+/// `apply_pushes`, not here. Only a push from another thread wakes the
+/// shard: its own loop applies pushes right after each request it runs.
 struct ConnAlertSink {
     shard: Arc<ShardState>,
     token: u64,
@@ -1376,14 +1305,13 @@ impl trips_store::AlertSink for ConnAlertSink {
             }
             Wire::V2 => codec::encode_alert_frame(alert).into(),
         };
-        self.shard.completions.lock().push(Done {
+        self.shard.pushes.lock().push(Push {
             token: self.token,
-            bytes: Chunk::Shared(bytes),
-            ingested: Vec::new(),
-            unsolicited: true,
-            span: None,
+            bytes,
         });
-        self.shard.wake();
+        if LOOP_SHARD.get() != self.shard.addr() {
+            self.shard.wake();
+        }
         true
     }
 }
@@ -1398,18 +1326,18 @@ struct Conn {
     /// instead of allocating a fresh `Arc<str>` per record. Capped at
     /// [`INTERN_MAX`]; overflowing ids still work, just un-interned.
     interned: BTreeMap<String, DeviceId>,
-    /// Last time the connection read bytes or settled a completion — the
-    /// idle-reap clock.
+    /// Last time the connection read bytes or was answered a work
+    /// request — the idle-reap clock.
     last_activity: Instant,
     /// Cached readiness: assumed ready at registration, cleared only on
     /// `WouldBlock`/EOF, set again by the poller's events. Only a cleared
     /// direction is armed in the poll set (see `LoopShard::run`).
     can_read: bool,
     can_write: bool,
-    /// A queued work request is awaiting its completion; no further
-    /// message is parsed until it lands (per-connection FIFO + natural
-    /// backpressure).
-    inflight: bool,
+    /// Parsing stopped this lap at a work request, so the read buffer may
+    /// hold further complete requests: the next lap resumes parsing, and
+    /// the shard does not sleep in `poll` meanwhile.
+    parked: bool,
     /// Devices this session ingested (refcounted in `Shared::sessions`).
     devices: BTreeSet<DeviceId>,
     /// Standing rules this session registered via `Subscribe`;
@@ -1417,17 +1345,16 @@ struct Conn {
     rule_ids: Vec<u64>,
     /// Peer sent EOF; finish buffered work, then tear down.
     read_closed: bool,
-    /// Tear down once in-flight work and pending writes finish (fatal
-    /// protocol error, shutdown, or drain).
+    /// Tear down once pending writes finish (fatal protocol error,
+    /// shutdown, or drain).
     closing: bool,
     /// Tear down immediately (transport error); skip pending writes.
     dead: bool,
     /// Acceptor hand-off → shard adoption, µs; consumed by (attributed
     /// to) the connection's first span.
     accept_us: u64,
-    /// When the connection last became actionable (readiness wakeup or
-    /// completion adoption) — the epoch of the next request's
-    /// `loop_ready` stage. `None` while observability is off.
+    /// When the connection was last serviced — the epoch of the next
+    /// request's `loop_ready` stage. `None` while observability is off.
     ready_at: Option<Instant>,
 }
 
@@ -1441,7 +1368,7 @@ impl Conn {
             last_activity: Instant::now(),
             can_read: true,
             can_write: true,
-            inflight: false,
+            parked: false,
             devices: BTreeSet::new(),
             rule_ids: Vec::new(),
             read_closed: false,
@@ -1457,13 +1384,13 @@ impl Conn {
         if self.dead {
             return true;
         }
-        if self.inflight || !self.write_q.is_empty() {
+        if !self.write_q.is_empty() {
             return false;
         }
-        // `pump` ran to exhaustion before this check, so a non-empty
-        // read_buf here is an incomplete fragment — only EOF or an
-        // explicit close makes it garbage.
-        self.closing || self.read_closed
+        // Unless parked, `pump` ran to exhaustion before this check, so a
+        // non-empty read_buf here is an incomplete fragment — only EOF or
+        // an explicit close makes it garbage.
+        self.closing || (self.read_closed && !self.parked)
     }
 
     /// Whether the connection wants more bytes from its socket.
@@ -1471,16 +1398,18 @@ impl Conn {
         !self.read_closed && !self.closing && !self.dead && self.read_buf.len() < MAX_READ_BUF
     }
 
-    /// Whether cached readiness lets this connection make progress right
-    /// now (the loop shard re-waits with timeout 0 while any does — a
+    /// Whether this connection can make progress right now without an
+    /// event (the loop shard re-waits with timeout 0 while any can — a
     /// read-budget or buffer-cap pause must not sleep on the poller,
     /// because a direction with cached readiness is not armed, so no
-    /// event would come for it).
+    /// event would come for it; nor may a parked request buffer).
     fn actionable(&self) -> bool {
         if self.dead {
             return false;
         }
-        (self.can_read && self.wants_read()) || (self.can_write && !self.write_q.is_empty())
+        (self.can_read && self.wants_read())
+            || (self.can_write && !self.write_q.is_empty())
+            || (self.parked && !self.closing && !self.read_buf.is_empty())
     }
 
     fn queue_response(&mut self, wire: Wire, env: &ResponseEnvelope) {
@@ -1582,6 +1511,9 @@ struct LoopShard<'shared, 'env> {
     id: usize,
     conns: BTreeMap<u64, Conn>,
     poller: Poller,
+    /// Work requests taken this lap, at most one per connection, in parse
+    /// order (kept across laps for its allocation).
+    ready: Vec<Job>,
 }
 
 impl<'shared, 'env> LoopShard<'shared, 'env> {
@@ -1703,14 +1635,18 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         }
     }
 
-    /// Parses and dispatches messages until the connection blocks (needs
-    /// more bytes, has a request in flight, or is going away).
+    /// Parses and dispatches messages until the connection blocks: it
+    /// needs more bytes, is going away, or has handed this lap its one
+    /// work request (`parked`).
     fn pump(&mut self, token: u64) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.parked = false;
+        }
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.dead || conn.closing || conn.inflight {
+            if conn.dead || conn.closing || conn.parked {
                 return;
             }
             match Self::parse_next(self.shared, conn) {
@@ -1759,7 +1695,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         match env.req {
             // Subscriptions are admin-path too: registration is compile +
             // one engine write, and it must see the *connection* (sink,
-            // owned-rule list), which workers never do.
+            // owned-rule list).
             Request::Subscribe { tql } => shared.answer_admin(conn, &at, "Subscribe", |conn| {
                 shared.subscribe(conn, &at, &tql)
             }),
@@ -1780,11 +1716,10 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             }
             Request::Shutdown => {
                 // Acknowledge, then drain: stop accepting, refuse new
-                // work, let workers finish everything already admitted.
+                // work, let every shard finish what it already admitted.
                 at.reply(conn, Response::ShuttingDown);
                 conn.closing = true;
                 shared.shutdown.store(true, Ordering::Relaxed);
-                shared.queue.close();
                 // The other shards are likely asleep in their pollers;
                 // wake them so the drain starts everywhere at once.
                 for state in &shared.shards {
@@ -1810,52 +1745,16 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                         .collect(),
                     (None, _) => Vec::new(),
                 };
-                let session_devices: Vec<DeviceId> =
-                    if matches!(req, Request::Flush { device: None }) {
-                        conn.devices.iter().cloned().collect()
-                    } else {
-                        Vec::new()
-                    };
-                let span = trips_obs::enabled().then(|| {
-                    let now = Instant::now();
-                    SpanStart {
-                        seq,
-                        t0: now,
-                        submitted: now,
-                        accept_us,
-                        loop_ready_us,
-                    }
-                });
-                match shared.queue.try_push(WorkJob {
-                    token,
-                    shard: self.id,
-                    id: at.id,
-                    wire,
+                conn.parked = true;
+                self.ready.push(Job {
+                    at,
                     req,
                     batch_devices,
-                    session_devices,
-                    span,
-                }) {
-                    Ok(()) => {
-                        conn.inflight = true;
-                        shared.shards[self.id].jobs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(PushError::Full) => {
-                        shared.shed.fetch_add(1, Ordering::Relaxed);
-                        at.reply(
-                            conn,
-                            Response::Error(ServerError::Overloaded {
-                                queue_capacity: shared.queue.capacity(),
-                            }),
-                        );
-                    }
-                    Err(PushError::Closed) => {
-                        at.reply(conn, Response::Error(ServerError::ShuttingDown));
-                    }
-                }
+                    parsed: trips_obs::enabled().then(Instant::now),
+                });
             }
             // Admin fast path: answered inline so liveness/health/metrics
-            // stay observable even when the admission queue is saturated.
+            // stay observable even when admission is saturated.
             req => shared.answer_admin(conn, &at, req.kind(), |_| shared.admin(&req)),
         }
     }
@@ -1897,11 +1796,11 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
     }
 
     /// Marks connections idle past the configured timeout for teardown.
-    /// Only truly quiescent connections qualify — in-flight work or
+    /// Only truly quiescent connections qualify — a parked request or
     /// unflushed output means the peer is slow, not absent.
     fn reap_idle(&mut self, timeout: Duration) {
         for conn in self.conns.values_mut() {
-            if !conn.inflight
+            if !conn.parked
                 && !conn.closing
                 && !conn.dead
                 && conn.write_q.is_empty()
@@ -1913,66 +1812,112 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         }
     }
 
-    /// Applies finished work: response bytes, device attribution, renewed
-    /// parsing.
-    fn apply_completions(&mut self) {
-        let done: Vec<Done> = std::mem::take(&mut *self.shared.shards[self.id].completions.lock());
-        for d in done {
-            // The connection may be gone (dropped mid-flight under a
-            // forced drain); its response and device attribution die with
-            // it, like a thread-model server whose session exited.
-            let Some(conn) = self.conns.get_mut(&d.token) else {
-                if d.unsolicited {
+    /// Queues pending alert pushes on their subscribers' connections.
+    fn apply_pushes(&mut self) {
+        let pushes: Vec<Push> = std::mem::take(&mut *self.shared.shards[self.id].pushes.lock());
+        for push in pushes {
+            // A subscriber that is gone, or stopped reading, gets its
+            // alerts dropped rather than unbounded buffering (the rule's
+            // fire counters remain the ground truth).
+            match self.conns.get_mut(&push.token) {
+                Some(conn) if conn.write_q.len() <= ALERT_BUF_MAX => {
+                    conn.write_q.push(Chunk::Shared(push.bytes));
+                    if conn.can_write {
+                        conn.flush_write();
+                    }
+                }
+                _ => {
                     self.shared
                         .alerts_dropped_late
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                continue;
-            };
-            if d.unsolicited {
-                // An alert push: no request was in flight for it, and a
-                // subscriber that stopped reading gets alerts dropped
-                // rather than unbounded buffering (the rule's fire
-                // counters remain the ground truth).
-                if conn.write_q.len() > ALERT_BUF_MAX {
-                    self.shared
-                        .alerts_dropped_late
-                        .fetch_add(1, Ordering::Relaxed);
-                } else {
-                    conn.write_q.push(d.bytes);
-                }
+            }
+        }
+    }
+
+    /// Admits this lap's work requests against the server-wide cap in
+    /// parse order, sheds the rest with `Overloaded`, then runs the
+    /// admitted ones in order.
+    fn run_ready(&mut self) {
+        let shared = self.shared;
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.retain(|job| {
+            if shared.admission.try_admit() {
+                return true;
+            }
+            shared.shed.fetch_add(1, Ordering::Relaxed);
+            if let Some(conn) = self.conns.get_mut(&job.at.token) {
+                let queue_capacity = shared.admission.capacity();
+                job.at.reply(
+                    conn,
+                    Response::Error(ServerError::Overloaded { queue_capacity }),
+                );
                 if conn.can_write {
                     conn.flush_write();
                 }
-                continue;
             }
-            // Reply-write starts the moment this shard adopts the
-            // completion (clock read only when a span is riding along).
-            let adopted = d.span.is_some().then(Instant::now);
-            conn.inflight = false;
-            conn.last_activity = Instant::now();
-            for device in d.ingested {
+            false
+        });
+        for job in ready.drain(..) {
+            self.complete(job);
+            shared.admission.finish();
+        }
+        self.ready = ready;
+    }
+
+    /// Runs one admitted request to completion: execute, apply the alerts
+    /// it pushed to this shard, then encode and queue the reply.
+    fn complete(&mut self, job: Job) {
+        let shared = self.shared;
+        let Job {
+            at,
+            req,
+            batch_devices,
+            parsed,
+        } = job;
+        let Some(conn) = self.conns.get(&at.token) else {
+            return;
+        };
+        let (endpoint, kind) = (req.endpoint(), req.kind());
+        if parsed.is_some() {
+            // Teardowns and earlier requests on this thread fed the
+            // stage accumulators too; this request's span starts clean.
+            stage::take();
+        }
+        let started = Instant::now();
+        let resp = shared.execute(req, &conn.devices);
+        let exec = started.elapsed();
+        shared.record(endpoint, exec);
+        shared.shards[self.id].jobs.fetch_add(1, Ordering::Relaxed);
+        let span = parsed.map(|p| {
+            let record = shared.request_span(&at, endpoint, kind, p, started, exec);
+            (p, record, Instant::now())
+        });
+        // Alerts this request published to its own shard's subscribers go
+        // out ahead of its reply, as they were triggered before it.
+        self.apply_pushes();
+        let Some(conn) = self.conns.get_mut(&at.token) else {
+            return;
+        };
+        // Only an *executed* ingest makes the session responsible for its
+        // devices at teardown — a refused batch buffered nothing.
+        if matches!(resp, Response::Ingested { .. }) {
+            for device in batch_devices {
                 if conn.devices.insert(device.clone()) {
-                    *self.shared.sessions.lock().entry(device).or_insert(0) += 1;
+                    *shared.sessions.lock().entry(device).or_insert(0) += 1;
                 }
             }
-            conn.write_q.push(d.bytes);
-            if conn.can_write {
-                conn.flush_write();
-            }
-            if trips_obs::enabled() {
-                // The next buffered request's `loop_ready` epoch: this
-                // completion is its readiness signal.
-                conn.ready_at = Some(Instant::now());
-            }
-            if let Some(mut pending) = d.span {
-                let adopted = adopted.unwrap_or_else(Instant::now);
-                pending.record.stages_us[ST_REPLY_WRITE] = adopted.elapsed().as_micros() as u64;
-                pending.record.total_us = pending.t0.elapsed().as_micros() as u64;
-                pending.record.unix_ms = unix_ms_now();
-                self.shared.finish_span(self.id, pending.record);
-            }
-            self.pump(d.token);
+        }
+        at.reply(conn, resp);
+        conn.last_activity = Instant::now();
+        if conn.can_write {
+            conn.flush_write();
+        }
+        if let Some((parsed, mut record, replying)) = span {
+            record.stages_us[ST_REPLY_WRITE] = replying.elapsed().as_micros() as u64;
+            record.total_us = parsed.elapsed().as_micros() as u64;
+            record.unix_ms = unix_ms_now();
+            shared.finish_span(self.id, record);
         }
     }
 
@@ -2063,10 +2008,13 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         !self.conns.is_empty()
     }
 
-    /// The shard's loop: adopt → complete → service → sweep → wait.
-    /// Returns when the server drains (or on a poller error).
+    /// The shard's loop: adopt → service (read, parse, answer admin,
+    /// take work) → admit and run the taken work → sweep → apply alert
+    /// pushes → wait. Returns when the server drains (or on a poller
+    /// error).
     fn run(&mut self) -> io::Result<()> {
         let state = &self.shared.shards[self.id];
+        LOOP_SHARD.set(state.addr());
         self.poller
             .register(state.waker.fd(), WAKER_TOKEN, true, false);
         // Idle reaping cadence: a quarter of the timeout (floored) keeps
@@ -2080,18 +2028,24 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         let mut next_reap = reap_period.map(|p| Instant::now() + p);
         let mut drain_deadline: Option<Instant> = None;
         let mut events: Vec<Event> = Vec::new();
+        let mut lap = 0usize;
         loop {
             // Drain the waker *before* reading the work it signals, so a
             // signal arriving mid-iteration leaves a wake pending rather
             // than being swallowed.
             state.waker.drain();
             self.adopt_incoming();
-            self.apply_completions();
 
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
+            // Each lap starts its reads one connection further on, so the
+            // requests admitted first under overload rotate among them.
+            let mut tokens: Vec<u64> = self.conns.keys().copied().collect();
+            let start = lap % tokens.len().max(1);
+            tokens.rotate_left(start);
+            lap = lap.wrapping_add(1);
             for token in tokens {
                 self.service(token);
             }
+            self.run_ready();
             if let (Some(timeout), Some(due)) = (self.shared.idle_timeout, next_reap) {
                 if Instant::now() >= due {
                     next_reap = reap_period.map(|p| Instant::now() + p);
@@ -2099,11 +2053,14 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                 }
             }
             let any_left = self.sweep();
+            // After the sweep, so alerts that teardowns on this thread
+            // published are not left waiting for a wake that never comes.
+            self.apply_pushes();
 
             if self.shared.draining() {
                 let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-                // Stop parsing new work everywhere; in-flight jobs and
-                // buffered responses still settle.
+                // Stop parsing new work everywhere; buffered responses
+                // still settle.
                 for conn in self.conns.values_mut() {
                     conn.closing = true;
                 }
@@ -2120,7 +2077,8 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             }
 
             // A connection paused by its read budget (or waiting to retry
-            // a write) still has cached readiness — do not sleep on it.
+            // a write, or parked with more buffered) can progress without
+            // an event — do not sleep on it.
             let timeout = if self.conns.values().any(|c| c.actionable()) {
                 0
             } else {
@@ -2400,8 +2358,8 @@ impl TripsServer {
     }
 
     /// Serves `listener` until a `Shutdown` request drains the loops.
-    /// Blocks; all loop-shard and worker threads are scoped inside this
-    /// call (the calling thread runs the acceptor).
+    /// Blocks; all loop-shard threads are scoped inside this call (the
+    /// calling thread runs the acceptor).
     pub fn serve(&self, listener: TcpListener) -> io::Result<ServerReport> {
         listener.set_nonblocking(true)?;
         let loop_shards = self.loop_shards();
@@ -2414,7 +2372,7 @@ impl TripsServer {
         for _ in 0..loop_shards {
             pollers.push(Poller::new());
             shard_states.push(Arc::new(ShardState {
-                completions: parking_lot::Mutex::new(Vec::new()),
+                pushes: parking_lot::Mutex::new(Vec::new()),
                 waker: Waker::new()?,
                 incoming: parking_lot::Mutex::new(Vec::new()),
                 wakeups: AtomicU64::new(0),
@@ -2456,7 +2414,7 @@ impl TripsServer {
                 .map(|_| parking_lot::Mutex::new(DeviceBuffers::new()))
                 .collect(),
             store: self.store.clone(),
-            queue: BoundedQueue::new(self.config.queue_capacity),
+            admission: Admission::new(self.config.queue_capacity),
             shards: shard_states,
             next_token: AtomicU64::new(0),
             sessions: parking_lot::Mutex::new(BTreeMap::new()),
@@ -2492,10 +2450,6 @@ impl TripsServer {
             .set_region_floors(self.dsm.regions().map(|r| (r.id, r.floor)));
 
         std::thread::scope(|scope| {
-            for _ in 0..self.config.workers.max(1) {
-                let shared = &shared;
-                scope.spawn(move || shared.run_worker());
-            }
             if let Some(metrics_listener) = self.metrics_listener.as_ref() {
                 let shared = &shared;
                 scope.spawn(move || run_metrics_http(shared, metrics_listener));
@@ -2509,14 +2463,14 @@ impl TripsServer {
                         id,
                         conns: BTreeMap::new(),
                         poller,
+                        ready: Vec::new(),
                     };
                     let result = shard.run();
                     if result.is_err() {
                         // A dying shard must still let everyone else
-                        // drain: flag shutdown, close the queue, wake the
-                        // other shards (the acceptor notices the flag).
+                        // drain: flag shutdown, wake the other shards (the
+                        // acceptor notices the flag).
                         shared.shutdown.store(true, Ordering::Relaxed);
-                        shared.queue.close();
                         for state in &shared.shards {
                             state.wake();
                         }
@@ -2529,7 +2483,6 @@ impl TripsServer {
             if loop_err.is_some() {
                 // Acceptor died: initiate the drain it can no longer serve.
                 shared.shutdown.store(true, Ordering::Relaxed);
-                shared.queue.close();
                 for state in &shared.shards {
                     state.wake();
                 }
@@ -2545,8 +2498,6 @@ impl TripsServer {
                     }
                 }
             }
-            // Whatever ended the loops: make sure workers can exit (drain).
-            shared.queue.close();
             match loop_err {
                 Some(e) => Err(e),
                 None => Ok(()),
@@ -2564,7 +2515,7 @@ impl TripsServer {
             requests: shared.requests.load(Ordering::Relaxed),
             shed: shared.shed.load(Ordering::Relaxed),
             bad_requests: shared.bad_requests.load(Ordering::Relaxed),
-            peak_queue_depth: shared.queue.peak_depth(),
+            peak_queue_depth: shared.admission.peak_depth(),
             devices: self.store.device_count(),
             semantics: self.store.semantics_count(),
         })

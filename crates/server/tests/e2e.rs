@@ -454,6 +454,98 @@ fn overload_sheds_with_bounded_queue() {
     assert!(report.peak_queue_depth <= 1);
 }
 
+/// On a single loop shard, overload must still shed: the shard takes one
+/// request per connection each lap and admits them against the cap
+/// before running any, so with six closed-loop clients and room for one
+/// request, every lap turns some away with a typed `Overloaded`. (A shard
+/// that admitted each request only as it ran it would never see one
+/// pending, and would never shed.) Admission must also rotate: no client
+/// may be shed on every attempt.
+#[test]
+fn overload_sheds_on_one_loop_shard() {
+    let boot = deployment();
+    let server = TripsServer::new(
+        boot.dsm,
+        boot.editor,
+        ServerConfig {
+            loop_shards: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let store = server.store();
+    for d in 0..20u32 {
+        let id = DeviceId::new(&format!("bulk-{d:03}"));
+        let sems: Vec<trips_annotate::MobilitySemantics> = (0..40u32)
+            .map(|i| trips_annotate::MobilitySemantics {
+                device: id.clone(),
+                event: "stay".into(),
+                region: trips_dsm::RegionId((d + i) % 7),
+                region_name: format!("R{}", (d + i) % 7),
+                start: Timestamp::from_millis(i as i64 * 60_000),
+                end: Timestamp::from_millis(i as i64 * 60_000 + 30_000),
+                inferred: false,
+                display_point: None,
+            })
+            .collect();
+        store.ingest(&id, &sems);
+    }
+    let handle = server.spawn("127.0.0.1:0").unwrap();
+    let addr = handle.addr();
+
+    let (shed, hard_errors) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let served_per_client: Vec<usize> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..6)
+            .map(|_| {
+                let (shed, hard_errors) = (&shed, &hard_errors);
+                s.spawn(move || {
+                    let mut client = Client::connect_v2(addr).unwrap();
+                    let mut served = 0;
+                    for _ in 0..100 {
+                        match client
+                            .query_parts(SemanticsSelector::all(), Query::PopularRegions)
+                            .unwrap()
+                        {
+                            Ok(_) => served += 1,
+                            Err(ServerError::Overloaded { queue_capacity: 1 }) => {
+                                shed.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(e) => {
+                                eprintln!("hard error: {e}");
+                                hard_errors.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                    served
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    assert_eq!(hard_errors.load(Ordering::Relaxed), 0);
+    assert!(
+        shed.load(Ordering::Relaxed) > 0,
+        "6 closed-loop clients on one loop shard with room for 1 must shed"
+    );
+    assert!(
+        served_per_client.iter().all(|&n| n > 0),
+        "every client gets a turn: {served_per_client:?}"
+    );
+    let mut admin = Client::connect(addr).unwrap();
+    match admin.metrics().unwrap() {
+        Response::Metrics(m) => {
+            assert_eq!(m.loop_shards.len(), 1);
+            assert_eq!(m.shed as usize, shed.load(Ordering::Relaxed));
+            assert!(m.peak_queue_depth <= 1, "peak {}", m.peak_queue_depth);
+        }
+        other => panic!("metrics failed: {other:?}"),
+    }
+    drop(admin);
+    let report = handle.shutdown().unwrap();
+    assert!(report.peak_queue_depth <= 1);
+}
+
 #[test]
 fn connection_cap_rejects_with_typed_error() {
     let boot = deployment();

@@ -144,6 +144,62 @@ fn standing_rules_alert_over_both_protocols() {
     handle.shutdown().unwrap();
 }
 
+/// An alert caused by an ingest on one loop shard must reach a subscriber
+/// owned by another: the one reply path that still crosses threads.
+#[test]
+fn alerts_cross_loop_shards() {
+    let boot = deployment();
+    let server = TripsServer::new(
+        boot.dsm,
+        boot.editor,
+        ServerConfig {
+            loop_shards: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let handle = server.spawn("127.0.0.1:0").unwrap();
+    let addr = handle.addr();
+
+    // Connected before either sends anything, so idle placement deals them
+    // to different shards.
+    let mut subscriber = Client::connect_v2(addr).unwrap();
+    let mut feeder = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + StdDuration::from_secs(5);
+    loop {
+        let conns: Vec<usize> = match subscriber.metrics().unwrap() {
+            Response::Metrics(m) => m.loop_shards.iter().map(|s| s.connections).collect(),
+            other => panic!("metrics failed: {other:?}"),
+        };
+        if conns.iter().sum::<usize>() == 2 {
+            assert_eq!(conns, vec![1, 1], "one connection per shard");
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "placement never settled: {conns:?}"
+        );
+        std::thread::sleep(StdDuration::from_millis(10));
+    }
+
+    let tql = r#"RULE "entries" WHEN device ENTERS region "*" ALERT "device entered""#;
+    let (rule_id, _) = subscriber.subscribe(tql).unwrap().unwrap();
+    match feeder.ingest(walk("walker-x", 0)).unwrap() {
+        Response::Ingested { accepted, .. } => assert_eq!(accepted, 20),
+        other => panic!("ingest failed: {other:?}"),
+    }
+    match feeder.flush(None).unwrap() {
+        Response::Flushed { emitted, .. } => assert!(emitted > 0),
+        other => panic!("flush failed: {other:?}"),
+    }
+    let alerts = drain_alerts(&mut subscriber, StdDuration::from_secs(2));
+    assert!(!alerts.is_empty(), "the pushed alert crossed shards");
+    assert!(alerts.iter().all(|a| a.rule_id == rule_id));
+
+    drop((subscriber, feeder));
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn subscribe_rejects_find_and_bad_tql() {
     let boot = deployment();

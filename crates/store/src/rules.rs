@@ -85,6 +85,7 @@
 //! [`SemanticsStore::ingest`]: crate::SemanticsStore::ingest
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -104,6 +105,38 @@ const HELD: &str = "state rules are evaluated only on transitions, under the sta
 /// Default cap on registered rules (override with [`RuleEngine::set_limit`]).
 pub const DEFAULT_RULE_LIMIT: usize = 1024;
 
+/// A multiplicative hasher (the Fx mix: rotate, xor, multiply by an odd
+/// constant) for the engine's integer keys. A region transition does
+/// about ten lookups on them, and SipHash was most of their cost. SipHash
+/// resists keys chosen to collide; these keys need no such defence, since
+/// they are DSM region ids and server-assigned rule ids, never chosen by
+/// a client. The device table, keyed by ids off the wire, keeps SipHash.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A map keyed by region or rule ids (see [`IdHasher`]).
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// Selects the regions a rule watches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegionSel {
@@ -119,7 +152,7 @@ pub enum RegionSel {
 impl RegionSel {
     /// Whether `region` (with display name `name`) matches, under the
     /// engine's current region→floor knowledge.
-    fn matches(&self, region: u32, name: &str, floors: &HashMap<u32, i16>) -> bool {
+    fn matches(&self, region: u32, name: &str, floors: &IdMap<u32, i16>) -> bool {
         match self {
             RegionSel::Id(id) => *id == region,
             RegionSel::Name(glob) => glob_match(glob, name),
@@ -370,16 +403,16 @@ struct RulePlan {
     /// Priority-ordered (desc, ties by id asc).
     rules: Vec<Rule>,
     /// Region id → floor, installed by the embedding layer from its DSM.
-    floors: HashMap<u32, i16>,
+    floors: IdMap<u32, i16>,
     /// Whether any state rule is registered (counters are maintained).
     stateful: bool,
     /// A region transition only changes occupancy rules watching a
     /// touched region and flow rules ending in the moved-into region, so
     /// `Id`-selector state rules are bucketed by that id; only selectors
     /// that need name/floor resolution are tried on every transition.
-    occ_by_region: HashMap<u32, Vec<u32>>,
+    occ_by_region: IdMap<u32, Vec<u32>>,
     occ_other: Vec<u32>,
-    flow_by_to: HashMap<u32, Vec<u32>>,
+    flow_by_to: IdMap<u32, Vec<u32>>,
     flow_other: Vec<u32>,
 }
 
@@ -468,14 +501,14 @@ enum Edge {
 #[derive(Default)]
 struct RuleState {
     /// Devices currently in each region.
-    occupancy: HashMap<u32, i64>,
+    occupancy: IdMap<u32, i64>,
     /// Observed directed transition counts.
-    flows: HashMap<(u32, u32), u64>,
+    flows: IdMap<(u32, u32), u64>,
     /// Region id → display name, learned from the published stream (used
     /// by name selectors over maintained counters).
-    names: HashMap<u32, String>,
+    names: IdMap<u32, String>,
     /// Per state rule (by id); absent = armed and not pending.
-    edges: HashMap<u64, Edge>,
+    edges: IdMap<u64, Edge>,
 }
 
 impl RuleState {
@@ -500,7 +533,7 @@ impl RuleState {
     }
 
     /// Current device count over every region the selector matches.
-    fn occupancy_of(&self, sel: &RegionSel, floors: &HashMap<u32, i16>) -> i64 {
+    fn occupancy_of(&self, sel: &RegionSel, floors: &IdMap<u32, i16>) -> i64 {
         match sel {
             RegionSel::Id(id) => self.occupancy.get(id).copied().unwrap_or(0),
             _ => self

@@ -9,7 +9,7 @@
 //! scrape it.
 //!
 //! ```text
-//! trips-serve [--host H] [--port P] [--workers N] [--queue N]
+//! trips-serve [--host H] [--port P] [--queue N]
 //!             [--max-conns N] [--shards N] [--loop-shards N]
 //!             [--max-rules N] [--floors N] [--shops N] [--devices N]
 //!             [--days N]
@@ -22,7 +22,10 @@
 //! `--loop-shards` splits the event loop into N independent shards (one
 //! thread each, default `min(cores, 4)`, each a level-triggered
 //! `poll(2)` loop); a single acceptor places each new connection on the
-//! least-loaded shard (observed bytes + jobs, round-robin when idle).
+//! least-loaded shard (observed bytes + requests run, round-robin when
+//! idle). Each shard runs the requests it parses itself; `--queue` caps
+//! admitted, unfinished requests across the server (default 128), and
+//! requests past the cap are shed with a typed `Overloaded`.
 //! `--shards` sets the store's shard count (rounded to a power of two);
 //! the translator's per-device session buffers are locked by the same
 //! shards, while one translator core serves them all. `--max-rules`
@@ -80,7 +83,7 @@ struct Options {
 fn usage_and_exit(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
-        "usage: trips-serve [--host H] [--port P] [--workers N] [--queue N] \
+        "usage: trips-serve [--host H] [--port P] [--queue N] \
          [--max-conns N] [--shards N] [--loop-shards N] \
          [--max-rules N] [--floors N] [--shops N] [--devices N] [--days N] [--seed N] [--snapshot PATH] \
          [--snapshot-root DIR] [--wal-dir DIR] [--fsync always|every=N|never] \
@@ -118,7 +121,6 @@ fn parse_args() -> Options {
         match flag.as_str() {
             "--host" => opts.host = parse(&mut args, "--host"),
             "--port" => opts.port = parse(&mut args, "--port"),
-            "--workers" => opts.config.workers = parse(&mut args, "--workers"),
             "--queue" => opts.config.queue_capacity = parse(&mut args, "--queue"),
             "--max-conns" => opts.config.max_connections = parse(&mut args, "--max-conns"),
             "--shards" => opts.config.shards = parse(&mut args, "--shards"),
