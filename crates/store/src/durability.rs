@@ -38,10 +38,11 @@
 //! the checkpoint snapshot (if any) is loaded, then a single
 //! `trips-wal` [`trips_wal::Replay`] reads each segment once and CRC-checks
 //! each frame once, lending each payload out as a slice of its read
-//! buffer. The codec decodes the op's device id once and shares it
-//! (`DeviceId` is an `Arc<str>`) with every semantics of the batch, and
-//! the decoded semantics are moved into the shard — a replayed semantics
-//! costs its two owned strings (event and region name) and nothing else.
+//! buffer. The codec decodes each semantics into a view that borrows
+//! its strings from the payload, and the shard interns the view straight
+//! into a row: a replayed semantics allocates nothing unless it brings a
+//! new region name, event label or device. The op's device id is decoded
+//! once per record.
 //! The finished scan then opens the WAL for appending
 //! ([`trips_wal::Replay::into_wal`]), truncating a torn tail where the
 //! scan found it instead of reading the last segment again. Replay is
@@ -211,25 +212,24 @@ impl Drop for Flusher {
     }
 }
 
-/// One journaled store mutation (owned form, used on replay). The op's
-/// device id is decoded once and shared by every semantics that names it.
-#[derive(Debug)]
-pub(crate) enum WalOp {
+/// One journaled store mutation as replay decodes it, borrowing from the
+/// record payload. An ingest's semantics are decoded lazily, straight
+/// into the shard (see [`codec::SemanticsDecoder`]).
+pub(crate) enum WalOp<'a> {
     Ingest {
-        device: DeviceId,
-        semantics: Vec<MobilitySemantics>,
+        device: &'a str,
+        semantics: codec::SemanticsDecoder<'a>,
     },
     Register {
-        device: DeviceId,
+        device: &'a str,
     },
     EndSession {
-        device: DeviceId,
+        device: &'a str,
     },
     Clear,
 }
 
-/// Borrowed mirror of [`WalOp`] so the hot append path encodes without
-/// cloning the batch.
+/// The form the append path encodes, borrowing the caller's batch.
 pub(crate) enum WalOpRef<'a> {
     Ingest {
         device: &'a str,
@@ -247,8 +247,7 @@ pub(crate) enum WalOpRef<'a> {
 /// The binary payload codec (layout in the module docs).
 mod codec {
     use super::{WalOp, WalOpRef};
-    use trips_annotate::MobilitySemantics;
-    use trips_data::{DeviceId, Timestamp};
+    use crate::shard::SemanticsView;
     use trips_dsm::RegionId;
     use trips_geom::IndoorPoint;
 
@@ -411,12 +410,23 @@ mod codec {
             std::str::from_utf8(self.take(len)?).map_err(|e| format!("non-utf8 string: {e}"))
         }
 
-        fn done(&self) -> bool {
-            self.pos == self.data.len()
+        fn finish(&self) -> Result<(), String> {
+            if self.pos == self.data.len() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "trailing bytes after op ({} of {})",
+                    self.pos,
+                    self.data.len()
+                ))
+            }
         }
     }
 
-    pub(super) fn decode(payload: &[u8]) -> Result<WalOp, String> {
+    /// Decodes an op's header. An ingest's semantics are left in the
+    /// returned [`SemanticsDecoder`]; every other op is checked to its
+    /// last byte here.
+    pub(super) fn decode(payload: &[u8]) -> Result<WalOp<'_>, String> {
         let mut r = Reader {
             data: payload,
             pos: 0,
@@ -429,65 +439,119 @@ mod codec {
         }
         let op = match r.u8()? {
             0 => {
-                let device = DeviceId::new(r.str()?);
-                let count = r.u32()? as usize;
-                let mut semantics = Vec::with_capacity(count.min(64 * 1024));
-                for _ in 0..count {
-                    let sem_device = match r.u8()? {
-                        0 => device.clone(),
-                        1 => DeviceId::new(r.str()?),
-                        other => return Err(format!("bad device flag {other}")),
-                    };
-                    let event = r.str()?.to_string();
-                    let region = RegionId(r.u32()?);
-                    let region_name = r.str()?.to_string();
-                    let start = Timestamp::from_millis(r.i64()?);
-                    let end = Timestamp::from_millis(r.i64()?);
-                    let inferred = match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        other => return Err(format!("bad inferred flag {other}")),
-                    };
-                    let display_point = match r.u8()? {
-                        0 => None,
-                        1 => {
-                            let x = r.f64()?;
-                            let y = r.f64()?;
-                            let floor = r.i16()?;
-                            Some(IndoorPoint::new(x, y, floor))
-                        }
-                        other => return Err(format!("bad display-point flag {other}")),
-                    };
-                    semantics.push(MobilitySemantics {
-                        device: sem_device,
-                        event,
-                        region,
-                        region_name,
-                        start,
-                        end,
-                        inferred,
-                        display_point,
-                    });
-                }
-                WalOp::Ingest { device, semantics }
+                let device = r.str()?;
+                let left = r.u32()? as usize;
+                return Ok(WalOp::Ingest {
+                    device,
+                    semantics: SemanticsDecoder {
+                        r,
+                        device,
+                        left,
+                        error: None,
+                    },
+                });
             }
-            1 => WalOp::Register {
-                device: DeviceId::new(r.str()?),
-            },
-            2 => WalOp::EndSession {
-                device: DeviceId::new(r.str()?),
-            },
+            1 => WalOp::Register { device: r.str()? },
+            2 => WalOp::EndSession { device: r.str()? },
             3 => WalOp::Clear,
             other => return Err(format!("unknown wal op tag {other}")),
         };
-        if !r.done() {
-            return Err(format!(
-                "trailing bytes after op ({} of {})",
-                r.pos,
-                r.data.len()
-            ));
-        }
+        r.finish()?;
         Ok(op)
+    }
+
+    /// The semantics of an ingest payload, decoded one borrowed view at a
+    /// time. It stops at the first malformed semantics; [`Self::finish`]
+    /// then reports it, or any count mismatch or trailing bytes.
+    pub(crate) struct SemanticsDecoder<'a> {
+        r: Reader<'a>,
+        device: &'a str,
+        left: usize,
+        error: Option<String>,
+    }
+
+    impl<'a> SemanticsDecoder<'a> {
+        /// The number of semantics the payload declares.
+        pub(crate) fn declared(&self) -> usize {
+            self.left
+        }
+
+        /// Whether the whole payload decoded: every declared semantics
+        /// read and no byte left over.
+        pub(crate) fn finish(self) -> Result<(), String> {
+            if let Some(e) = self.error {
+                return Err(e);
+            }
+            if self.left > 0 {
+                return Err(format!("{} semantics not decoded", self.left));
+            }
+            self.r.finish()
+        }
+
+        fn view(&mut self) -> Result<SemanticsView<'a>, String> {
+            let r = &mut self.r;
+            let device = match r.u8()? {
+                0 => self.device,
+                1 => r.str()?,
+                other => return Err(format!("bad device flag {other}")),
+            };
+            let event = r.str()?;
+            let region = RegionId(r.u32()?);
+            let region_name = r.str()?;
+            let start = r.i64()?;
+            let end = r.i64()?;
+            let inferred = match r.u8()? {
+                0 => false,
+                1 => true,
+                other => return Err(format!("bad inferred flag {other}")),
+            };
+            let display_point = match r.u8()? {
+                0 => None,
+                1 => {
+                    let x = r.f64()?;
+                    let y = r.f64()?;
+                    let floor = r.i16()?;
+                    Some(IndoorPoint::new(x, y, floor))
+                }
+                other => return Err(format!("bad display-point flag {other}")),
+            };
+            Ok(SemanticsView {
+                device,
+                event,
+                region,
+                region_name,
+                start,
+                end,
+                inferred,
+                display_point,
+            })
+        }
+    }
+
+    impl<'a> Iterator for SemanticsDecoder<'a> {
+        type Item = SemanticsView<'a>;
+
+        fn next(&mut self) -> Option<SemanticsView<'a>> {
+            if self.left == 0 || self.error.is_some() {
+                return None;
+            }
+            match self.view() {
+                Ok(view) => {
+                    self.left -= 1;
+                    Some(view)
+                }
+                Err(e) => {
+                    self.error = Some(e);
+                    None
+                }
+            }
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            // The declared count bounds the reserve: a corrupt count must
+            // not reserve gigabytes before the first semantics fails.
+            (self.left.min(64 * 1024), Some(self.left))
+        }
     }
 }
 
@@ -664,7 +728,7 @@ impl SemanticsStore {
                 .and_then(|m| m.modified())
                 .ok();
             let seq = file.wal_seq.unwrap_or(0);
-            (snapshot::store_from_file(&file), seq, true, mtime)
+            (snapshot::store_from_snapshot(&file)?, seq, true, mtime)
         } else {
             let store = if shards > 0 {
                 SemanticsStore::with_shards(shards)
@@ -684,13 +748,12 @@ impl SemanticsStore {
         let mut replayed_records = 0u64;
         while let Some(record) = replay.next_record() {
             let record = record?;
-            let op = codec::decode(record.payload).map_err(|e| {
+            store.apply(record.payload).map_err(|e| {
                 SemanticsStoreError::Serde(format!(
                     "wal record in segment {} does not decode: {e}",
                     record.segment
                 ))
             })?;
-            store.apply(op);
             replayed_records += 1;
         }
         let mut wal = replay.into_wal(config.wal_config())?;
@@ -720,22 +783,37 @@ impl SemanticsStore {
         ))
     }
 
-    /// Applies a replayed op without journaling (recovery path; the op is
-    /// already in the log). An ingest moves its decoded semantics into
-    /// the shard and skips the rule engine: a store under recovery has no
-    /// standing rules yet.
-    fn apply(&self, op: WalOp) {
-        match op {
-            WalOp::Ingest { device, semantics } => {
-                if !semantics.is_empty() {
+    /// Decodes and applies one replayed record without journaling it
+    /// (the op is already in the log). An ingest's semantics go from the
+    /// payload straight into rows, and skip the rule engine: a store under
+    /// recovery has no standing rules yet. On a decode error the store is
+    /// left part-applied, and recovery gives it up.
+    fn apply(&self, payload: &[u8]) -> Result<(), String> {
+        match codec::decode(payload)? {
+            WalOp::Ingest {
+                device,
+                mut semantics,
+            } => {
+                if semantics.declared() > 0 {
+                    let device = DeviceId::new(device);
                     self.shards()[self.shard_index(&device)]
                         .write()
-                        .ingest_owned(&device, semantics);
+                        .ingest(&device, &mut semantics);
                 }
+                semantics.finish()
             }
-            WalOp::Register { device } => self.register_device(&device),
-            WalOp::EndSession { device } => self.end_session(&device),
-            WalOp::Clear => self.clear(),
+            WalOp::Register { device } => {
+                self.register_device(&DeviceId::new(device));
+                Ok(())
+            }
+            WalOp::EndSession { device } => {
+                self.end_session(&DeviceId::new(device));
+                Ok(())
+            }
+            WalOp::Clear => {
+                self.clear();
+                Ok(())
+            }
         }
     }
 
@@ -848,6 +926,7 @@ pub fn boot_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::SemanticsView;
     use trips_data::Timestamp;
     use trips_dsm::RegionId;
     use trips_geom::IndoorPoint;
@@ -862,6 +941,30 @@ mod tests {
             end: Timestamp::from_millis(36_600_456),
             inferred: !with_point,
             display_point: with_point.then(|| IndoorPoint::new(6.5000001, -4.25, -2)),
+        }
+    }
+
+    fn owned(v: SemanticsView<'_>) -> MobilitySemantics {
+        MobilitySemantics {
+            device: DeviceId::new(v.device),
+            event: v.event.into(),
+            region: v.region,
+            region_name: v.region_name.into(),
+            start: Timestamp::from_millis(v.start),
+            end: Timestamp::from_millis(v.end),
+            inferred: v.inferred,
+            display_point: v.display_point,
+        }
+    }
+
+    /// Decodes a whole payload, semantics included.
+    fn decode_all(payload: &[u8]) -> Result<(), String> {
+        match codec::decode(payload)? {
+            WalOp::Ingest { mut semantics, .. } => {
+                semantics.by_ref().for_each(drop);
+                semantics.finish()
+            }
+            _ => Ok(()),
         }
     }
 
@@ -892,32 +995,33 @@ mod tests {
         for op in &ops {
             let bytes = codec::encode(op);
             assert_eq!(bytes.len(), codec::encoded_len(op), "exact sizing");
-            let back = codec::decode(&bytes).expect("decode");
-            match (op, &back) {
+            match (op, codec::decode(&bytes).expect("decode")) {
                 (
                     WalOpRef::Ingest { device, semantics },
                     WalOp::Ingest {
                         device: d,
-                        semantics: s,
+                        semantics: mut s,
                     },
                 ) => {
-                    assert_eq!(d.as_str(), *device);
-                    assert_eq!(s.as_slice(), *semantics, "bit-exact semantics roundtrip");
+                    assert_eq!(d, *device);
+                    let back: Vec<MobilitySemantics> = s.by_ref().map(owned).collect();
+                    s.finish().expect("whole payload decodes");
+                    assert_eq!(back, *semantics, "bit-exact semantics roundtrip");
                 }
                 (WalOpRef::Register { device }, WalOp::Register { device: d })
                 | (WalOpRef::EndSession { device }, WalOp::EndSession { device: d }) => {
-                    assert_eq!(d.as_str(), *device);
+                    assert_eq!(d, *device);
                 }
                 (WalOpRef::Clear, WalOp::Clear) => {}
-                (_, other) => panic!("variant mismatch: {other:?}"),
+                _ => panic!("variant mismatch"),
             }
         }
     }
 
     /// Flow names come from the device's last stored semantics: a flow
     /// across an ingest batch boundary names both ends, a session break
-    /// suppresses the flow, and the replayed path (decode + move into the
-    /// shard) builds exactly the live path's flows.
+    /// suppresses the flow, and the replayed path (decoded straight into
+    /// rows) builds exactly the live path's flows.
     #[test]
     fn flow_names_across_batch_and_session_boundaries() {
         let at = |region: u32, name: &str, start_s: i64| MobilitySemantics {
@@ -960,7 +1064,7 @@ mod tests {
                 WalOpRef::Ingest { semantics, .. } => live.ingest(&dev, semantics),
                 _ => live.end_session(&dev),
             }
-            replayed.apply(codec::decode(&codec::encode(op)).unwrap());
+            replayed.apply(&codec::encode(op)).unwrap();
         }
         let flow = |from: u32, from_name: &str, to: u32, to_name: &str, count| crate::Flow {
             from: RegionId(from),
@@ -989,17 +1093,17 @@ mod tests {
             semantics: &[sem("dev-a", true)],
         });
         for cut in 0..bytes.len() {
-            assert!(codec::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_all(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(codec::decode(&trailing).is_err(), "trailing byte");
+        assert!(decode_all(&trailing).is_err(), "trailing byte");
         let mut future = bytes.clone();
         future[0] = 99;
-        let err = codec::decode(&future).unwrap_err();
+        let err = decode_all(&future).unwrap_err();
         assert!(err.contains("codec version 99"), "{err}");
         let mut bad_tag = bytes;
         bad_tag[1] = 42;
-        assert!(codec::decode(&bad_tag).is_err(), "unknown tag");
+        assert!(decode_all(&bad_tag).is_err(), "unknown tag");
     }
 }

@@ -13,21 +13,44 @@
 //!   of the device id, each shard behind its own `parking_lot::RwLock`.
 //!   Writers for different devices contend only when they hash to the same
 //!   shard; readers never block each other.
-//! * **Incremental aggregates** — every shard maintains, alongside the raw
-//!   per-device semantics, running aggregates updated at ingest time:
-//!   per-region popularity (stays / pass-bys / unique stayers / total
-//!   dwell), directed region-to-region flow counts, an exact-duration dwell
+//! * **Compact rows** — a shard stores each semantics as a 48-byte row:
+//!   a region-name slot (`u32`), an event-label id (`u32`), `start`/`end`
+//!   in ms, the `inferred` flag and the display point, stored flat. A row
+//!   whose own device differs from its batch's device keeps that device
+//!   in a side list of its device entry.
+//! * **Intern tables** — each shard keeps one table of `(region id, name)`
+//!   slots and one of event labels. A region id that arrives under two
+//!   names gets two slots sharing one aggregate, so every answer names
+//!   things exactly as they arrived. `stay` is resolved to its label id
+//!   once per shard, so the stay test is an integer compare. Live
+//!   ingest, WAL replay and snapshot load all intern borrowed views
+//!   straight into rows: no per-row `String`, and no clone of the
+//!   caller's batch.
+//! * **Incremental aggregates** — every shard maintains, alongside the
+//!   rows, running aggregates updated at ingest time: per-region
+//!   popularity (stays / pass-bys / unique stayers / total dwell) in a
+//!   dense `Vec` behind a region-id index, directed region-to-region flow
+//!   counts keyed by the pair of region indices, an exact-duration dwell
 //!   multiset (bucketable at query time into any histogram width), and
-//!   per-device visit summaries. Unfiltered analytics queries are therefore
+//!   per-device visit summaries (sorted `Vec`s of region indices visited
+//!   and stayed at). Unfiltered analytics queries are therefore
 //!   **O(shards) merges** instead of full rescans; since a device lives in
 //!   exactly one shard, per-shard unique-stayer counts sum exactly.
+//! * **Names only at the edges** — region names and event labels become
+//!   `String`s again only where they leave the store: the
+//!   [`Query::Semantics`], [`Query::PopularRegions`] and
+//!   [`Query::TopFlows`] answers and snapshot persist. The rule engine
+//!   sees the caller's own batch, never the rows.
 //! * **Query service** — [`QueryService`] answers
 //!   [`QueryRequest`]s (a [`SemanticsSelector`] filter plus a [`Query`]
 //!   kind) against a shared store. Selectors reuse `trips-data`'s Data
 //!   Selector conventions: device-id glob patterns
 //!   ([`trips_data::glob_match`]) and **half-open** `[from, to)` temporal
 //!   ranges, matching `SelectionRule::TemporalRange`. Filtered queries fall
-//!   back to scanning only the matching devices' semantics (still sharded).
+//!   back to scanning only the matching devices' rows (still sharded),
+//!   with the selector's region and event resolved once per shard against
+//!   its intern tables. A name the shard never stored matches no row
+//!   there, and a query never adds to an intern table.
 //!
 //! ## Shard-count heuristic
 //!
@@ -57,7 +80,9 @@
 //! semantics) so flow suppression across independent sequences survives a
 //! roundtrip. Aggregates are *not* serialized — they are derivable, and
 //! [`SemanticsStore::load`] rebuilds them by re-ingesting each session, so
-//! the snapshot can never disagree with its aggregates. `shards` records
+//! the snapshot can never disagree with its aggregates. Loading walks the
+//! parsed JSON document and interns each semantics object straight into
+//! its shard, borrowing its strings from the document. `shards` records
 //! the source store's shard count and is reused on load. Loading rejects
 //! unknown versions with [`SemanticsStoreError::Version`] — checked on
 //! the raw JSON before the body parse, so snapshots from newer builds
@@ -100,11 +125,46 @@ pub use types::{DeviceSummary, Flow, RegionPopularity, StoreHealth, StoreStats};
 
 use durability::{Durability, WalOpRef};
 use parking_lot::RwLock;
-use shard::Shard;
+use shard::{SemanticsView, Shard};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use trips_annotate::MobilitySemantics;
 use trips_data::DeviceId;
+
+/// A multiplicative hasher (the Fx mix: rotate, xor, multiply by an odd
+/// constant) for the store's and the rule engine's integer keys: DSM
+/// region ids, store-assigned region indices and server-assigned rule
+/// ids. SipHash was most of the cost of those lookups. SipHash resists
+/// keys chosen to collide; these keys need no such defence, since no
+/// client chooses them. Tables keyed by ids or values off the wire
+/// (devices, dwell durations) keep SipHash or a `BTreeMap`.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A map keyed by integer ids (see [`IdHasher`]).
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Default shard count: `2 × available_parallelism`, next power of two,
 /// clamped to `[4, 64]` (see the module docs for the rationale).
@@ -261,7 +321,7 @@ impl SemanticsStore {
                     semantics,
                 });
             }
-            shard.ingest(device, semantics);
+            shard.ingest(device, semantics.iter().map(SemanticsView::of));
             if let Some(t) = applying {
                 trips_obs::stage::add_store_ns(t.elapsed().as_nanos() as u64);
             }
@@ -317,7 +377,7 @@ impl SemanticsStore {
                             device: device.as_str(),
                         });
                     }
-                    entry.breaks.push(entry.semantics.len());
+                    entry.breaks.push(entry.rows.len());
                 }
             }
         }

@@ -2,12 +2,15 @@
 //!
 //! Unfiltered (match-all) requests merge the per-shard incremental
 //! aggregates — O(shards). Filtered requests scan only the matching
-//! devices' semantics inside each shard, applying the same accumulation,
-//! so filtered and unfiltered paths agree wherever they overlap (pinned by
-//! this module's tests).
+//! devices' rows inside each shard, applying the same accumulation, so
+//! filtered and unfiltered paths agree wherever they overlap (pinned by
+//! this module's tests). A selector is resolved once per shard against
+//! its intern tables, so the per-row tests are integer compares; names
+//! are copied out only into the answer.
 
+use crate::shard::{flow_key, FlowAgg, Row, Tables};
 use crate::types::{DeviceSummary, Flow, RegionPopularity, StoreHealth, StoreStats};
-use crate::SemanticsStore;
+use crate::{IdMap, SemanticsStore};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -88,13 +91,7 @@ impl SemanticsSelector {
     pub fn matches(&self, s: &MobilitySemantics) -> bool {
         self.region.map_or(true, |r| s.region == r)
             && self.event.as_deref().map_or(true, |e| s.event == e)
-            && self.range.map_or(true, |(from, to)| {
-                if s.start == s.end {
-                    s.start >= from && s.start < to
-                } else {
-                    s.start < to && s.end > from
-                }
-            })
+            && in_window(self.range, s.start.as_millis(), s.end.as_millis())
     }
 }
 
@@ -139,6 +136,122 @@ pub enum QueryResult {
     Stats(StoreStats),
 }
 
+/// Whether `[start, end)` meets the half-open window `range` (see
+/// [`SemanticsSelector::range`]; a zero-duration interval is the instant
+/// `start`).
+fn in_window(range: Option<(Timestamp, Timestamp)>, start: i64, end: i64) -> bool {
+    range.map_or(true, |(from, to)| {
+        let (from, to) = (from.as_millis(), to.as_millis());
+        if start == end {
+            start >= from && start < to
+        } else {
+            start < to && end > from
+        }
+    })
+}
+
+/// A selector's row predicate resolved against one shard's intern
+/// tables, so region and event tests are index compares. A region or
+/// label the shard has never stored matches no row there (and is not
+/// interned: queries never grow the tables).
+struct RowFilter<'s> {
+    tables: &'s Tables,
+    region: Option<u32>,
+    label: Option<u32>,
+    range: Option<(Timestamp, Timestamp)>,
+    /// The selector names a region or label this shard does not hold.
+    none: bool,
+}
+
+impl<'s> RowFilter<'s> {
+    fn new(selector: &SemanticsSelector, tables: &'s Tables) -> Self {
+        let region = selector.region.map(|r| tables.region_index(r));
+        let label = selector.event.as_deref().map(|e| tables.label_id(e));
+        RowFilter {
+            tables,
+            none: region == Some(None) || label == Some(None),
+            region: region.flatten(),
+            label: label.flatten(),
+            range: selector.range,
+        }
+    }
+
+    fn matches(&self, row: &Row) -> bool {
+        !self.none
+            && self
+                .region
+                .map_or(true, |r| self.tables.region_of(row.name) == r)
+            && self.label.map_or(true, |l| row.label == l)
+            && in_window(self.range, row.start, row.end)
+    }
+}
+
+/// One region's share of a filtered popularity answer within a shard.
+#[derive(Clone, Copy, Default)]
+struct RegionTally {
+    /// The first matching row's name slot (`None` = no row matched).
+    name: Option<u32>,
+    stays: usize,
+    pass_bys: usize,
+    stayers: usize,
+    dwell_ms: i64,
+    /// 1 + the index of the last device counted in `stayers`.
+    stayer_mark: usize,
+}
+
+/// Adds one shard's figures for the region of name slot `slot` to `map`.
+/// The first shard to report a region names it.
+fn merge_region(
+    map: &mut BTreeMap<RegionId, RegionPopularity>,
+    tables: &Tables,
+    slot: u32,
+    (stays, pass_bys, stayers, dwell_ms): (usize, usize, usize, i64),
+) {
+    let region = tables.region_id(slot);
+    let e = map.entry(region).or_insert_with(|| RegionPopularity {
+        region,
+        region_name: tables.name(slot).to_owned(),
+        stays: 0,
+        pass_bys: 0,
+        unique_stayers: 0,
+        total_dwell: Duration::ZERO,
+    });
+    e.stays += stays;
+    e.pass_bys += pass_bys;
+    e.unique_stayers += stayers;
+    e.total_dwell = e.total_dwell + Duration(dwell_ms);
+}
+
+/// Flow counts merged across shards, keyed by [`flow_key`] of the two
+/// region ids, with the names the first shard to report the pair gave.
+type FlowCounts = IdMap<u64, MergedFlow>;
+
+struct MergedFlow {
+    from_name: Arc<str>,
+    to_name: Arc<str>,
+    count: usize,
+}
+
+/// Adds one shard's flows to `counts`. Each region pair occurs once per
+/// shard; the first shard to report a pair names it.
+fn merge_flows<'a>(
+    counts: &mut FlowCounts,
+    tables: &Tables,
+    flows: impl Iterator<Item = &'a FlowAgg>,
+) {
+    for f in flows {
+        let key = flow_key(tables.region_id(f.from).0, tables.region_id(f.to).0);
+        counts
+            .entry(key)
+            .or_insert_with(|| MergedFlow {
+                from_name: tables.names[f.from as usize].name.clone(),
+                to_name: tables.names[f.to as usize].name.clone(),
+                count: 0,
+            })
+            .count += f.count;
+    }
+}
+
 impl SemanticsStore {
     /// Answers one request (see the per-query methods for details).
     pub fn query(&self, request: &QueryRequest) -> QueryResult {
@@ -164,58 +277,44 @@ impl SemanticsStore {
     /// region-id order.
     pub fn popular_regions(&self, selector: &SemanticsSelector) -> Vec<RegionPopularity> {
         let mut map: BTreeMap<RegionId, RegionPopularity> = BTreeMap::new();
-        if selector.is_all() {
-            for shard in self.shards() {
-                let shard = shard.read();
-                for (rid, agg) in &shard.regions {
-                    let e = map.entry(*rid).or_insert_with(|| RegionPopularity {
-                        region: *rid,
-                        region_name: agg.name.clone(),
-                        stays: 0,
-                        pass_bys: 0,
-                        unique_stayers: 0,
-                        total_dwell: Duration::ZERO,
-                    });
-                    e.stays += agg.stays;
-                    e.pass_bys += agg.pass_bys;
-                    e.unique_stayers += agg.stayers.len();
-                    e.total_dwell = e.total_dwell + Duration(agg.dwell_ms);
+        for shard in self.shards() {
+            let shard = shard.read();
+            let tables = &shard.tables;
+            if selector.is_all() {
+                for agg in &tables.regions {
+                    let figures = (agg.stays, agg.pass_bys, agg.stayers, agg.dwell_ms);
+                    merge_region(&mut map, tables, agg.name, figures);
                 }
+                continue;
             }
-        } else {
-            let mut stayers: BTreeMap<RegionId, usize> = BTreeMap::new();
-            for shard in self.shards() {
-                let shard = shard.read();
-                for (device, entry) in &shard.devices {
-                    if !selector.matches_device(device) {
-                        continue;
-                    }
-                    let mut stayed: BTreeSet<RegionId> = BTreeSet::new();
-                    for s in entry.semantics.iter().filter(|s| selector.matches(s)) {
-                        let e = map.entry(s.region).or_insert_with(|| RegionPopularity {
-                            region: s.region,
-                            region_name: s.region_name.clone(),
-                            stays: 0,
-                            pass_bys: 0,
-                            unique_stayers: 0,
-                            total_dwell: Duration::ZERO,
-                        });
-                        if s.event == "stay" {
-                            e.stays += 1;
-                            e.total_dwell = e.total_dwell + s.duration();
-                            stayed.insert(s.region);
-                        } else {
-                            e.pass_bys += 1;
+            let filter = RowFilter::new(selector, tables);
+            if filter.none {
+                continue;
+            }
+            let mut tally = vec![RegionTally::default(); tables.regions.len()];
+            for (k, (device, entry)) in shard.devices.iter().enumerate() {
+                if !selector.matches_device(device) {
+                    continue;
+                }
+                for row in entry.rows.iter().filter(|r| filter.matches(r)) {
+                    let t = &mut tally[tables.region_of(row.name) as usize];
+                    t.name.get_or_insert(row.name);
+                    if tables.is_stay(row.label) {
+                        t.stays += 1;
+                        t.dwell_ms += row.duration_ms();
+                        if t.stayer_mark != k + 1 {
+                            t.stayer_mark = k + 1;
+                            t.stayers += 1;
                         }
-                    }
-                    for r in stayed {
-                        *stayers.entry(r).or_default() += 1;
+                    } else {
+                        t.pass_bys += 1;
                     }
                 }
             }
-            for (r, n) in stayers {
-                if let Some(e) = map.get_mut(&r) {
-                    e.unique_stayers = n;
+            for t in &tally {
+                if let Some(slot) = t.name {
+                    let figures = (t.stays, t.pass_bys, t.stayers, t.dwell_ms);
+                    merge_region(&mut map, tables, slot, figures);
                 }
             }
         }
@@ -232,64 +331,76 @@ impl SemanticsStore {
     /// keep (from, to) order. Filtered requests count transitions between
     /// *consecutive matching* semantics of each matching device.
     pub fn top_flows(&self, selector: &SemanticsSelector, limit: usize) -> Vec<Flow> {
-        let mut counts: BTreeMap<(RegionId, RegionId), (String, String, usize)> = BTreeMap::new();
-        if selector.is_all() {
-            for shard in self.shards() {
-                let shard = shard.read();
-                for ((from, to), agg) in &shard.flows {
-                    counts
-                        .entry((*from, *to))
-                        .or_insert_with(|| (agg.from_name.clone(), agg.to_name.clone(), 0))
-                        .2 += agg.count;
-                }
+        let mut counts = FlowCounts::default();
+        for shard in self.shards() {
+            let shard = shard.read();
+            let tables = &shard.tables;
+            if selector.is_all() {
+                merge_flows(&mut counts, tables, shard.flows.values());
+                continue;
             }
-        } else {
-            for shard in self.shards() {
-                let shard = shard.read();
-                for (device, entry) in &shard.devices {
-                    if !selector.matches_device(device) {
+            let filter = RowFilter::new(selector, tables);
+            if filter.none {
+                continue;
+            }
+            let mut local: IdMap<u64, FlowAgg> = IdMap::default();
+            for (device, entry) in &shard.devices {
+                if !selector.matches_device(device) {
+                    continue;
+                }
+                let mut prev: Option<&Row> = None;
+                let mut breaks = entry.breaks.iter().peekable();
+                for (i, row) in entry.rows.iter().enumerate() {
+                    // Session boundaries suppress flows on the fast
+                    // path (`DeviceEntry::session_last`); mirror that here.
+                    while breaks.peek().is_some_and(|b| **b <= i) {
+                        prev = None;
+                        breaks.next();
+                    }
+                    if !filter.matches(row) {
                         continue;
                     }
-                    let mut prev: Option<&MobilitySemantics> = None;
-                    let mut breaks = entry.breaks.iter().peekable();
-                    for (i, s) in entry.semantics.iter().enumerate() {
-                        // Session boundaries suppress flows on the fast
-                        // path (`DeviceEntry::session_last`); mirror that here.
-                        while breaks.peek().is_some_and(|b| **b <= i) {
-                            prev = None;
-                            breaks.next();
+                    if let Some(p) = prev {
+                        let (from, to) = (tables.region_of(p.name), tables.region_of(row.name));
+                        if from != to {
+                            local
+                                .entry(flow_key(from, to))
+                                .or_insert(FlowAgg {
+                                    from: p.name,
+                                    to: row.name,
+                                    count: 0,
+                                })
+                                .count += 1;
                         }
-                        if !selector.matches(s) {
-                            continue;
-                        }
-                        if let Some(p) = prev {
-                            if p.region != s.region {
-                                counts
-                                    .entry((p.region, s.region))
-                                    .or_insert_with(|| {
-                                        (p.region_name.clone(), s.region_name.clone(), 0)
-                                    })
-                                    .2 += 1;
-                            }
-                        }
-                        prev = Some(s);
                     }
+                    prev = Some(row);
                 }
             }
+            merge_flows(&mut counts, tables, local.values());
         }
-        let mut flows: Vec<Flow> = counts
+        // Ranked by count (desc), ties in (from, to) order; only the
+        // kept flows get their names copied out.
+        let mut ranked: Vec<(u64, MergedFlow)> = counts.into_iter().collect();
+        let order = |a: &(u64, MergedFlow), b: &(u64, MergedFlow)| {
+            b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0))
+        };
+        if limit < ranked.len() {
+            if limit > 0 {
+                ranked.select_nth_unstable_by(limit - 1, order);
+            }
+            ranked.truncate(limit);
+        }
+        ranked.sort_unstable_by(order);
+        ranked
             .into_iter()
-            .map(|((from, to), (from_name, to_name, count))| Flow {
-                from,
-                from_name,
-                to,
-                to_name,
-                count,
+            .map(|(key, f)| Flow {
+                from: RegionId((key >> 32) as u32),
+                from_name: f.from_name.as_ref().to_owned(),
+                to: RegionId(key as u32),
+                to_name: f.to_name.as_ref().to_owned(),
+                count: f.count,
             })
-            .collect();
-        flows.sort_by_key(|f| std::cmp::Reverse(f.count));
-        flows.truncate(limit);
-        flows
+            .collect()
     }
 
     /// Histogram of stay dwell times with the given bucket width
@@ -301,28 +412,30 @@ impl SemanticsStore {
     ) -> Vec<(Duration, usize)> {
         assert!(bucket.as_millis() > 0, "bucket must be positive");
         let mut counts: BTreeMap<i64, usize> = BTreeMap::new();
-        if selector.is_all() {
-            for shard in self.shards() {
-                let shard = shard.read();
+        for shard in self.shards() {
+            let shard = shard.read();
+            if selector.is_all() {
                 for (dur_ms, n) in &shard.dwell {
                     *counts.entry(dur_ms / bucket.as_millis()).or_default() += n;
                 }
+                continue;
             }
-        } else {
-            for shard in self.shards() {
-                let shard = shard.read();
-                for (device, entry) in &shard.devices {
-                    if !selector.matches_device(device) {
-                        continue;
-                    }
-                    for s in entry
-                        .semantics
-                        .iter()
-                        .filter(|s| s.event == "stay" && selector.matches(s))
-                    {
-                        let b = s.duration().as_millis() / bucket.as_millis();
-                        *counts.entry(b).or_default() += 1;
-                    }
+            let tables = &shard.tables;
+            let filter = RowFilter::new(selector, tables);
+            if filter.none {
+                continue;
+            }
+            for (device, entry) in &shard.devices {
+                if !selector.matches_device(device) {
+                    continue;
+                }
+                for row in entry
+                    .rows
+                    .iter()
+                    .filter(|r| tables.is_stay(r.label) && filter.matches(r))
+                {
+                    let b = row.duration_ms() / bucket.as_millis();
+                    *counts.entry(b).or_default() += 1;
                 }
             }
         }
@@ -337,7 +450,11 @@ impl SemanticsStore {
         let mut out: BTreeMap<DeviceId, DeviceSummary> = BTreeMap::new();
         for shard in self.shards() {
             let shard = shard.read();
-            for (device, entry) in &shard.devices {
+            let tables = &shard.tables;
+            let filter = RowFilter::new(selector, tables);
+            // Per region: 1 + the index of the last device that visited it.
+            let mut visited = vec![0usize; tables.regions.len()];
+            for (k, (device, entry)) in shard.devices.iter().enumerate() {
                 if !selector.matches_device(device) {
                     continue;
                 }
@@ -349,18 +466,21 @@ impl SemanticsStore {
                         accounted: Duration(entry.accounted_ms),
                     }
                 } else {
-                    let mut regions: BTreeSet<RegionId> = BTreeSet::new();
-                    let (mut stays, mut accounted_ms) = (0usize, 0i64);
-                    for s in entry.semantics.iter().filter(|s| selector.matches(s)) {
-                        regions.insert(s.region);
-                        if s.event == "stay" {
+                    let (mut regions, mut stays, mut accounted_ms) = (0usize, 0usize, 0i64);
+                    for row in entry.rows.iter().filter(|r| filter.matches(r)) {
+                        let seen = &mut visited[tables.region_of(row.name) as usize];
+                        if *seen != k + 1 {
+                            *seen = k + 1;
+                            regions += 1;
+                        }
+                        if tables.is_stay(row.label) {
                             stays += 1;
                         }
-                        accounted_ms += s.duration().as_millis();
+                        accounted_ms += row.duration_ms();
                     }
                     DeviceSummary {
                         device: device.anonymized(),
-                        regions_visited: regions.len(),
+                        regions_visited: regions,
                         stays,
                         accounted: Duration(accounted_ms),
                     }
@@ -377,15 +497,21 @@ impl SemanticsStore {
         let mut per_device: BTreeMap<DeviceId, Vec<MobilitySemantics>> = BTreeMap::new();
         for shard in self.shards() {
             let shard = shard.read();
+            let tables = &shard.tables;
+            let filter = RowFilter::new(selector, tables);
+            if filter.none {
+                continue;
+            }
             for (device, entry) in &shard.devices {
                 if !selector.matches_device(device) {
                     continue;
                 }
                 let matching: Vec<MobilitySemantics> = entry
-                    .semantics
+                    .rows
                     .iter()
-                    .filter(|s| selector.matches(s))
-                    .cloned()
+                    .enumerate()
+                    .filter(|(_, r)| filter.matches(r))
+                    .map(|(i, r)| tables.semantics(entry.device_at(device, i), r))
                     .collect();
                 if !matching.is_empty() {
                     per_device.insert(device.clone(), matching);
@@ -405,7 +531,7 @@ impl SemanticsStore {
             let shard = shard.read();
             devices += shard.devices.len();
             semantics += shard.semantics_count;
-            regions.extend(shard.regions.keys().copied());
+            regions.extend(shard.tables.regions.iter().map(|agg| agg.region));
             per_shard.push(shard.devices.len());
         }
         StoreStats {
@@ -766,6 +892,57 @@ mod tests {
             let rback: QueryResult = serde_json::from_str(&rjson).unwrap();
             assert_eq!(rback, result, "result roundtrip for {req:?}");
         }
+    }
+
+    /// A selector naming a label or region no row carries matches
+    /// nothing, and resolving it interns nothing in any shard.
+    #[test]
+    fn unknown_label_or_region_matches_nothing_and_interns_nothing() {
+        let store = sample(4);
+        let sizes = |store: &SemanticsStore| -> Vec<(usize, usize, usize)> {
+            store
+                .shards()
+                .iter()
+                .map(|s| {
+                    let s = s.read();
+                    let t = &s.tables;
+                    (t.names.len(), t.labels.len(), t.regions.len())
+                })
+                .collect()
+        };
+        let before = sizes(&store);
+        for selector in [
+            SemanticsSelector::all().with_event("queue"),
+            SemanticsSelector::all().with_region(RegionId(99)),
+            SemanticsSelector::all()
+                .with_device_pattern("*")
+                .with_event("nope"),
+        ] {
+            for query in [
+                Query::PopularRegions,
+                Query::TopFlows { limit: 10 },
+                Query::DwellHistogram {
+                    bucket: Duration::from_mins(1),
+                },
+                Query::DeviceSummaries,
+                Query::Semantics,
+            ] {
+                match store.query(&QueryRequest::new(selector.clone(), query)) {
+                    QueryResult::PopularRegions(v) => assert!(v.is_empty()),
+                    QueryResult::Flows(v) => assert!(v.is_empty()),
+                    QueryResult::DwellHistogram(v) => assert!(v.is_empty()),
+                    QueryResult::Semantics(v) => assert!(v.is_empty()),
+                    QueryResult::DeviceSummaries(v) => {
+                        assert_eq!(v.len(), 2, "devices still match by id");
+                        assert!(v
+                            .iter()
+                            .all(|(_, d)| d.regions_visited == 0 && d.stays == 0));
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert_eq!(sizes(&store), before);
     }
 
     #[test]

@@ -85,7 +85,6 @@
 //! [`SemanticsStore::ingest`]: crate::SemanticsStore::ingest
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -94,6 +93,8 @@ use serde::{Deserialize, Serialize};
 use trips_annotate::MobilitySemantics;
 use trips_data::{glob_match, DeviceId};
 use trips_dsm::RegionId;
+
+use crate::IdMap;
 
 /// Sentinel for "no timestamp yet" in the atomic trace fields.
 const NO_TS: i64 = i64::MIN;
@@ -104,38 +105,6 @@ const DEVICE_SHARDS: usize = 16;
 const HELD: &str = "state rules are evaluated only on transitions, under the state mutex";
 /// Default cap on registered rules (override with [`RuleEngine::set_limit`]).
 pub const DEFAULT_RULE_LIMIT: usize = 1024;
-
-/// A multiplicative hasher (the Fx mix: rotate, xor, multiply by an odd
-/// constant) for the engine's integer keys. A region transition does
-/// about ten lookups on them, and SipHash was most of their cost. SipHash
-/// resists keys chosen to collide; these keys need no such defence, since
-/// they are DSM region ids and server-assigned rule ids, never chosen by
-/// a client. The device table, keyed by ids off the wire, keeps SipHash.
-#[derive(Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-/// A map keyed by region or rule ids (see [`IdHasher`]).
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Selects the regions a rule watches.
 #[derive(Debug, Clone, PartialEq, Eq)]

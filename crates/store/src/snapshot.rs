@@ -1,6 +1,8 @@
 //! Snapshot/restore: the versioned JSON format documented in the crate
 //! docs. Only the raw per-device semantics travel; aggregates are rebuilt
-//! on load so a snapshot can never disagree with its aggregates.
+//! on load so a snapshot can never disagree with its aggregates. Loading
+//! walks the parsed document and interns each semantics object straight
+//! into its shard, borrowing the strings from the document.
 //!
 //! Writes are **atomic**: the document goes to a `<path>.tmp` sibling
 //! which is fsynced and renamed over the target, so a crash mid-write can
@@ -11,14 +13,14 @@
 //! [`SemanticsStoreError::Version`] rather than a shape error or a silent
 //! misparse.
 
-use crate::shard::Shard;
+use crate::shard::{SemanticsView, Shard};
 use crate::SemanticsStore;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 use trips_annotate::MobilitySemantics;
-use trips_data::DeviceId;
+use trips_data::{DeviceId, Timestamp};
 
 pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
@@ -76,16 +78,16 @@ impl From<trips_wal::WalError> for SemanticsStoreError {
     }
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 pub(crate) struct SnapshotFile {
     pub(crate) version: u32,
     pub(crate) shards: usize,
     /// For a durability **checkpoint**: the WAL segment sequence recovery
     /// resumes replay from — everything in older segments is already in
     /// this snapshot. `None` for plain [`SemanticsStore::persist`]
-    /// snapshots (and absent in pre-durability files, which deserialize
-    /// as `None`). Living inside the snapshot document, it is published
-    /// by the same atomic rename as the data it describes.
+    /// snapshots (and absent in pre-durability files, which read as
+    /// `None`). Living inside the snapshot document, it is published by
+    /// the same atomic rename as the data it describes.
     pub(crate) wal_seq: Option<u64>,
     /// Per device: its semantics split into **sessions** at the
     /// `end_session` boundaries, so flow suppression across independent
@@ -96,6 +98,7 @@ pub(crate) struct SnapshotFile {
 
 /// Builds the snapshot document from already-locked shards (the
 /// checkpoint path holds write guards; `persist` passes read guards).
+/// This is one of the edges where rows become named semantics again.
 pub(crate) fn build_snapshot<'a>(
     shards: impl Iterator<Item = &'a Shard>,
     shard_count: usize,
@@ -104,14 +107,7 @@ pub(crate) fn build_snapshot<'a>(
     let mut devices: Vec<(String, Vec<Vec<MobilitySemantics>>)> = Vec::new();
     for shard in shards {
         for (device, entry) in &shard.devices {
-            let mut sessions = Vec::with_capacity(entry.breaks.len() + 1);
-            let mut start = 0usize;
-            for &b in &entry.breaks {
-                sessions.push(entry.semantics[start..b].to_vec());
-                start = b;
-            }
-            sessions.push(entry.semantics[start..].to_vec());
-            devices.push((device.as_str().to_string(), sessions));
+            devices.push((device.as_str().to_string(), shard.sessions(device, entry)));
         }
     }
     devices.sort_by(|a, b| a.0.cmp(&b.0));
@@ -147,44 +143,107 @@ pub(crate) fn write_atomic(path: &Path, file: &SnapshotFile) -> Result<(), Seman
     Ok(())
 }
 
-/// Reads and validates a snapshot file. The `version` field is inspected
-/// on the raw JSON value *before* the typed parse, so files from newer
-/// builds fail with [`SemanticsStoreError::Version`] even when their
-/// shape has diverged.
-pub(crate) fn read_snapshot(path: &Path) -> Result<SnapshotFile, SemanticsStoreError> {
+/// A parsed snapshot document whose version this build reads.
+pub(crate) struct Snapshot {
+    pub(crate) shards: usize,
+    pub(crate) wal_seq: Option<u64>,
+    value: serde::Value,
+}
+
+fn serde_err(e: impl std::fmt::Display) -> SemanticsStoreError {
+    SemanticsStoreError::Serde(e.to_string())
+}
+
+/// Reads a snapshot file and checks its header. The `version` field is
+/// inspected on the raw JSON value *before* anything else, so files from
+/// newer builds fail with [`SemanticsStoreError::Version`] even when
+/// their shape has diverged.
+pub(crate) fn read_snapshot(path: &Path) -> Result<Snapshot, SemanticsStoreError> {
     let json = fs::read_to_string(path)?;
-    let value: serde::Value =
-        serde_json::from_str(&json).map_err(|e| SemanticsStoreError::Serde(e.to_string()))?;
-    let version = value
+    let value: serde::Value = serde_json::from_str(&json).map_err(serde_err)?;
+    let obj = value
         .as_object()
-        .and_then(|obj| obj.iter().find(|(k, _)| k == "version"))
-        .and_then(|(_, v)| v.as_i64())
-        .ok_or_else(|| {
-            SemanticsStoreError::Serde("snapshot has no integer `version` field".to_string())
-        })?;
+        .ok_or_else(|| serde_err("snapshot is not a JSON object"))?;
+    let version = value
+        .get("version")
+        .and_then(serde::Value::as_i64)
+        .ok_or_else(|| serde_err("snapshot has no integer `version` field"))?;
     if version != i64::from(SNAPSHOT_VERSION) {
         return Err(SemanticsStoreError::Version(
             u32::try_from(version).unwrap_or(u32::MAX),
         ));
     }
-    serde::Deserialize::from_value(&value).map_err(|e| SemanticsStoreError::Serde(e.to_string()))
+    Ok(Snapshot {
+        shards: serde::de_field(obj, "shards").map_err(serde_err)?,
+        wal_seq: serde::de_field(obj, "wal_seq").map_err(serde_err)?,
+        value,
+    })
 }
 
-/// Rebuilds a store (and every aggregate) from a snapshot document by
-/// re-ingesting each session.
-pub(crate) fn store_from_file(file: &SnapshotFile) -> SemanticsStore {
-    let store = SemanticsStore::with_shards(file.shards);
-    for (device, sessions) in &file.devices {
-        let device = DeviceId::new(device);
-        store.register_device(&device); // keep devices even if fully empty
+/// A semantics object of a snapshot as a borrowed view: its strings stay
+/// in the parsed document.
+fn view_of(v: &serde::Value) -> Result<SemanticsView<'_>, serde::Error> {
+    let obj = v.as_object().ok_or_else(|| {
+        serde::Error::custom(format!("expected semantics object, got {}", v.kind()))
+    })?;
+    let str_field = |key: &str| -> Result<&str, serde::Error> {
+        v.get(key)
+            .and_then(serde::Value::as_str)
+            .ok_or_else(|| serde::Error::custom(format!("field `{key}`: expected string")))
+    };
+    Ok(SemanticsView {
+        device: str_field("device")?,
+        event: str_field("event")?,
+        region: serde::de_field(obj, "region")?,
+        region_name: str_field("region_name")?,
+        start: serde::de_field::<Timestamp>(obj, "start")?.as_millis(),
+        end: serde::de_field::<Timestamp>(obj, "end")?.as_millis(),
+        inferred: serde::de_field(obj, "inferred")?,
+        display_point: serde::de_field(obj, "display_point")?,
+    })
+}
+
+fn array<'v>(v: &'v serde::Value, what: &str) -> Result<&'v [serde::Value], SemanticsStoreError> {
+    v.as_array()
+        .ok_or_else(|| serde_err(format!("{what}: expected array, got {}", v.kind())))
+}
+
+/// Rebuilds a store (and every aggregate) from a snapshot document,
+/// interning each semantics straight from the parsed document into its
+/// shard.
+pub(crate) fn store_from_snapshot(
+    snapshot: &Snapshot,
+) -> Result<SemanticsStore, SemanticsStoreError> {
+    let store = SemanticsStore::with_shards(snapshot.shards);
+    for pair in array(&snapshot.value["devices"], "devices")? {
+        let (device, sessions) = match array(pair, "device entry")? {
+            [device, sessions] => (device, array(sessions, "sessions")?),
+            _ => return Err(serde_err("device entry: expected [device, sessions]")),
+        };
+        let device = DeviceId::new(
+            device
+                .as_str()
+                .ok_or_else(|| serde_err("device entry: expected device id string"))?,
+        );
+        let mut shard = store.shards()[store.shard_index(&device)].write();
+        // Registered even when every session is empty.
+        shard.devices.entry(device.clone()).or_default();
         for (i, session) in sessions.iter().enumerate() {
-            store.ingest(&device, session);
-            if i + 1 < sessions.len() {
-                store.end_session(&device);
+            let mut error = None;
+            let views = array(session, "session")?
+                .iter()
+                .map_while(|v| view_of(v).map_err(|e| error = Some(e)).ok());
+            shard.ingest(&device, views);
+            if let Some(e) = error {
+                return Err(serde_err(e));
+            }
+            let entry = shard.devices.get_mut(&device).expect("registered above");
+            if i + 1 < sessions.len() && entry.session_last().is_some() {
+                entry.breaks.push(entry.rows.len());
             }
         }
     }
-    store
+    Ok(store)
 }
 
 impl SemanticsStore {
@@ -203,7 +262,7 @@ impl SemanticsStore {
     /// aggregate. The result is **not** durable — use
     /// [`SemanticsStore::recover`] to boot a WAL-backed store.
     pub fn load(path: impl AsRef<Path>) -> Result<SemanticsStore, SemanticsStoreError> {
-        Ok(store_from_file(&read_snapshot(path.as_ref())?))
+        store_from_snapshot(&read_snapshot(path.as_ref())?)
     }
 }
 
