@@ -3,10 +3,9 @@
 //! Each loop shard multiplexes its connections (plus a wake-up channel)
 //! on one thread, so ten thousand mostly idle device streams cost ten
 //! thousand registered fds — not ten thousand parked threads with 8 MiB
-//! stacks. The container toolchain has no `libc` crate (same situation
-//! as `trips-wal`'s mmap path), so the one syscall, `poll(2)`, is
-//! declared directly; the constants are the values shared by Linux and
-//! the BSDs.
+//! stacks. The workspace builds offline without the `libc` crate, so the
+//! one syscall, `poll(2)`, is declared directly; the constants are the
+//! values shared by Linux and the BSDs.
 //!
 //! [`Poller`] is level-triggered `poll(2)`: the poll set is rebuilt from
 //! the registry on every wait, so a wakeup costs O(registered fds) in

@@ -130,8 +130,8 @@ impl DurabilityConfig {
 /// syncs the WAL off the hot path. A 100 ms wait timeout bounds
 /// staleness under trickle load (and absorbs any notify race — the
 /// threshold poke deliberately skips the signal mutex). SIGKILL safety
-/// is unaffected — every append already lands in the page cache via the
-/// mapped segment; only an OS/power crash can lose the unsynced window.
+/// is unaffected — every append's `write(2)` has already put it in the
+/// page cache; only an OS/power crash can lose the unsynced window.
 struct Flusher {
     dirty: Arc<AtomicU64>,
     signal: Arc<(StdMutex<bool>, Condvar)>, // the bool is `stop`
@@ -254,8 +254,8 @@ mod codec {
     pub(super) const CODEC_VERSION: u8 = 1;
 
     /// Exact encoded size of `op` — computed up front so the append path
-    /// can reserve its slot in the WAL segment and encode straight into
-    /// it (zero intermediate buffers).
+    /// can size its slot in the WAL's reused frame buffer and encode
+    /// straight into it (no per-op allocation).
     pub(super) fn encoded_len(op: &WalOpRef<'_>) -> usize {
         match op {
             WalOpRef::Ingest { device, semantics } => {

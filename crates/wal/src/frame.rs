@@ -18,7 +18,7 @@ pub(crate) const FRAME_HEADER_BYTES: usize = 8;
 /// zero bytes, letting the software loop fold 8 input bytes per
 /// iteration. Castagnoli rather than IEEE because x86-64 ships it in
 /// hardware (SSE4.2 `crc32`), and the checksum must not cost more than
-/// the memcpy it protects.
+/// the write it protects.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -71,24 +71,35 @@ fn crc32_sw(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// SSE4.2 hardware CRC-32C: ~8 bytes/cycle vs the table loop's ~1.
-///
-/// # Safety
-/// Caller must have verified `sse4.2` is available.
+/// SSE4.2 hardware CRC-32C (~8 bytes/cycle vs the table loop's ~1), or
+/// `None` where the CPU lacks it. The crate's only `unsafe` code.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn crc32_hw(bytes: &[u8]) -> u32 {
-    use core::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut c: u64 = 0xFFFF_FFFF;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        c = _mm_crc32_u64(c, u64::from_le_bytes(chunk.try_into().unwrap()));
+#[allow(unsafe_code)]
+fn crc32_hw(bytes: &[u8]) -> Option<u32> {
+    /// # Safety
+    /// Caller must have verified `sse4.2` is available.
+    #[target_feature(enable = "sse4.2")]
+    unsafe fn sse42(bytes: &[u8]) -> u32 {
+        use core::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+        let mut c: u64 = 0xFFFF_FFFF;
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            c = _mm_crc32_u64(c, u64::from_le_bytes(chunk.try_into().unwrap()));
+        }
+        let mut c = c as u32;
+        for &b in chunks.remainder() {
+            c = _mm_crc32_u8(c, b);
+        }
+        c ^ 0xFFFF_FFFF
     }
-    let mut c = c as u32;
-    for &b in chunks.remainder() {
-        c = _mm_crc32_u8(c, b);
+    // The detection macro caches its probe in an atomic; this is a
+    // relaxed load per call.
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `sse42` requires SSE4.2, whose presence was just checked.
+        Some(unsafe { sse42(bytes) })
+    } else {
+        None
     }
-    c ^ 0xFFFF_FFFF
 }
 
 /// CRC-32C of `bytes` (the checksum in every record frame), hardware-
@@ -96,19 +107,16 @@ unsafe fn crc32_hw(bytes: &[u8]) -> u32 {
 pub fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {
-        // The detection macro caches its probe in an atomic; this is a
-        // relaxed load per call.
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            // Safety: feature presence just checked.
-            return unsafe { crc32_hw(bytes) };
+        if let Some(c) = crc32_hw(bytes) {
+            return c;
         }
     }
     crc32_sw(bytes)
 }
 
-/// Fills the 8-byte frame header (`header`) for `payload` — used by the
-/// zero-copy append path, which writes the payload into the segment
-/// first and stamps the header afterwards.
+/// Fills the 8-byte frame header (`header`) for `payload` — the append
+/// path encodes the payload in place first and stamps the header
+/// afterwards.
 pub(crate) fn fill_frame_header(header: &mut [u8], payload: &[u8]) {
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
@@ -151,11 +159,11 @@ pub(crate) fn scan_frame(data: &[u8], offset: usize) -> FrameScan {
     let len = u32::from_le_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(data[offset + 4..offset + 8].try_into().unwrap());
     if len == 0 {
-        // Zero-length records are forbidden on append precisely so that
-        // the zero-filled tail of a pre-sized (mmap-appended) segment
-        // can never masquerade as a run of valid empty records.
+        // Zero-length records are forbidden on append so that a
+        // zero-filled tail, which a filesystem can expose after a power
+        // loss, never reads as a run of valid empty records.
         return FrameScan::Invalid {
-            reason: "zero-length frame (pre-sized segment padding)".to_string(),
+            reason: "zero-length frame (zero-filled tail)".to_string(),
         };
     }
     if len > MAX_RECORD_BYTES {
@@ -215,7 +223,7 @@ mod tests {
             _ => panic!("valid frame must scan"),
         }
         assert!(matches!(scan_frame(&frame, frame.len()), FrameScan::End));
-        // Zero padding (a crashed pre-sized segment) is never a record.
+        // A zero-filled tail (exposed by a power loss) is never a record.
         assert!(matches!(
             scan_frame(&[0u8; 64], 0),
             FrameScan::Invalid { .. }

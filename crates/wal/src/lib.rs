@@ -22,17 +22,15 @@
 //! The CRC is CRC-32C (Castagnoli — hardware-accelerated on x86-64)
 //! over the payload bytes only; `len` is bounds-checked against
 //! [`MAX_RECORD_BYTES`] and the bytes remaining in the file, and must be
-//! non-zero (zero-length frames are reserved so the zero padding of a
-//! pre-sized mapped segment can never read as valid records). Appends go
-//! to the highest-numbered segment — on unix via a `MAP_SHARED` mapping
-//! of the active segment, zero-prefilled [`PRESIZE_STEP`] (1 MiB) past
-//! the write position and grown by that step, a memcpy into the page
-//! cache with no per-record syscall (see the [`Wal`] module docs); when
-//! it exceeds [`WalConfig::segment_bytes`] the writer **rotates** to a
-//! fresh segment, truncating and syncing the sealed one. Rotation is
-//! what makes checkpoint compaction possible: a checkpoint rotates,
-//! snapshots everything up to the rotation point, and then retires
-//! (deletes) all older segments ([`Wal::retire_below`]).
+//! non-zero (empty frames are forbidden so that a zero-filled tail, which
+//! a filesystem can expose after a power loss, never reads as valid
+//! records). Appends go to the end of the highest-numbered segment, one
+//! `write(2)` of the whole frame per record, so a segment file holds
+//! exactly its frames; when it exceeds [`WalConfig::segment_bytes`] the
+//! writer **rotates** to a fresh segment, syncing the sealed one.
+//! Rotation is what makes checkpoint compaction possible: a checkpoint
+//! rotates, snapshots everything up to the rotation point, and then
+//! retires (deletes) all older segments ([`Wal::retire_below`]).
 //!
 //! ## Fsync policy
 //!
@@ -65,16 +63,16 @@
 //! [`Replay::into_wal`], which positions the writer where the scan
 //! stopped instead of reading and CRC-checking the last segment again.
 
+#![deny(unsafe_code)]
+
 mod frame;
-#[cfg(unix)]
-mod mmap;
 mod replay;
 mod segment;
 mod wal;
 
 pub use frame::{crc32, MAX_RECORD_BYTES};
 pub use replay::{Replay, TornTail, WalEntry, WalRecord};
-pub use wal::{Wal, WalConfig, PRESIZE_STEP};
+pub use wal::{Wal, WalConfig};
 
 use std::fmt;
 use std::path::PathBuf;

@@ -3,21 +3,14 @@
 //!
 //! ## Append path
 //!
-//! On unix the active segment is pre-sized one step ([`PRESIZE_STEP`],
-//! 1 MiB or the rotation threshold if smaller) past the write position
-//! and `MAP_SHARED`-mapped: an append is a bounds-checked `memcpy` into
-//! the page cache — no syscall per record — with identical crash
-//! semantics to `write(2)` (dirty mapped pages belong to the file's page
-//! cache and are flushed by the same `fdatasync`). An append that would
-//! cross the end of the mapping grows the file by the next step and
-//! remaps. The unwritten tail of a pre-sized segment is zeros, which the
-//! frame scanner rejects as invalid (zero-length frames are forbidden),
-//! so after a crash the padding reads as a torn tail and is truncated
-//! like any other tear. Sealed segments are truncated to their real
-//! length on rotation and on clean shutdown. Elsewhere a plain
-//! `write(2)` path is used.
+//! An append encodes its frame into one reused buffer and `write_all`s
+//! it to the end of the active segment, so a segment file holds exactly
+//! its frames. Once `write` returns, the bytes are in the page cache and
+//! survive a process crash; the policy's `fdatasync` makes them survive
+//! power loss. One WAL record is a whole store batch, so the syscall is
+//! shared by all of its semantics.
 
-use crate::frame::MAX_RECORD_BYTES;
+use crate::frame::{fill_frame_header, FRAME_HEADER_BYTES, MAX_RECORD_BYTES};
 use crate::replay::{Replay, ScannedTail, TornTail};
 use crate::segment::{encode_segment_header, list_segments, segment_path, SEGMENT_HEADER_BYTES};
 use crate::{FsyncPolicy, WalError};
@@ -28,8 +21,7 @@ use std::path::{Path, PathBuf};
 /// Writer configuration.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Rotate to a fresh segment once the active one reaches this size
-    /// (the mapped active segment grows toward it in 1 MiB steps).
+    /// Rotate to a fresh segment once the active one reaches this size.
     pub segment_bytes: u64,
     /// When appended records are flushed to stable storage.
     pub fsync: FsyncPolicy,
@@ -51,11 +43,8 @@ pub struct Wal {
     dir: PathBuf,
     config: WalConfig,
     file: File,
-    #[cfg(unix)]
-    map: Option<crate::mmap::Region>,
     active_seq: u64,
-    /// Bytes of real data in the active segment (header included) — the
-    /// file itself may be pre-sized longer for the mapping.
+    /// Length of the active segment (header included).
     active_bytes: u64,
     /// Total size of the sealed (non-active) segments.
     sealed_bytes: u64,
@@ -69,8 +58,7 @@ pub struct Wal {
     /// Segment rotations performed through this handle.
     rotations: u64,
     truncated_tail: Option<TornTail>,
-    /// Reused frame buffer for the non-mmap write path.
-    #[cfg(not(unix))]
+    /// Reused buffer each frame is encoded into before its one write.
     frame_buf: Vec<u8>,
 }
 
@@ -94,14 +82,14 @@ impl Wal {
 
     /// Positions a writer on a scanned last segment (`None`: an empty
     /// directory, so segment 1 is created): a short header is rebuilt in
-    /// place, a torn tail is truncated, and the segment is mapped.
+    /// place and a torn tail is truncated.
     pub(crate) fn attach(
         dir: PathBuf,
         config: WalConfig,
         tail: Option<ScannedTail>,
         truncated_tail: Option<TornTail>,
     ) -> Result<Wal, WalError> {
-        let (active_seq, mut file, active_bytes) = match tail {
+        let (active_seq, file, active_bytes) = match tail {
             None => {
                 let seq = 1;
                 let file = create_segment(&dir, seq)?;
@@ -129,15 +117,10 @@ impl Wal {
             }
         };
 
-        #[cfg(unix)]
-        let map = map_active(&mut file, active_bytes, &config)?;
-
         let mut wal = Wal {
             dir,
             config,
             file,
-            #[cfg(unix)]
-            map,
             active_seq,
             active_bytes,
             sealed_bytes: 0,
@@ -147,7 +130,6 @@ impl Wal {
             syncs: 0,
             rotations: 0,
             truncated_tail,
-            #[cfg(not(unix))]
             frame_buf: Vec::new(),
         };
         wal.recount()?;
@@ -169,18 +151,19 @@ impl Wal {
     /// then syncing per the configured [`FsyncPolicy`]. When this returns
     /// `Ok`, the record is in the log (and on stable storage, if the
     /// policy says so) — the caller may ack. Payloads must be non-empty
-    /// (zero-length frames are reserved for padding detection) and at
-    /// most [`MAX_RECORD_BYTES`].
+    /// and at most [`MAX_RECORD_BYTES`]. Empty frames are forbidden so
+    /// that a zero-filled tail, which a filesystem can expose after a
+    /// power loss, never reads as valid records.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
         self.append_with(payload.len(), |slot| slot.copy_from_slice(payload))
     }
 
-    /// Zero-copy append: reserves a `payload_len` slot in the log, has
-    /// `fill` encode the payload **directly into the segment** (on unix,
-    /// into the mapped page cache — no intermediate buffer, no copy),
-    /// then stamps the frame header (length + CRC computed over the
-    /// written bytes). `fill` must fill the whole slot. Same guarantees
-    /// as [`Wal::append`].
+    /// In-place append: has `fill` encode a `payload_len`-byte payload
+    /// straight into the reused frame buffer (no per-record allocation),
+    /// stamps the frame header (length + CRC computed over the written
+    /// bytes), then writes the frame to the active segment. `fill` must
+    /// fill the whole slot. Same guarantees, and the same empty-frame
+    /// ban, as [`Wal::append`].
     pub fn append_with(
         &mut self,
         payload_len: usize,
@@ -189,7 +172,7 @@ impl Wal {
         if payload_len == 0 {
             return Err(WalError::Io(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "empty wal records are forbidden (indistinguishable from segment padding)",
+                "empty wal records are forbidden (indistinguishable from a zero-filled tail)",
             )));
         }
         if payload_len > MAX_RECORD_BYTES {
@@ -201,9 +184,20 @@ impl Wal {
         if self.active_bytes >= self.config.segment_bytes {
             self.rotate()?;
         }
-        let frame_len = crate::frame::FRAME_HEADER_BYTES + payload_len;
-        self.write_frame(frame_len, payload_len, fill)?;
-        self.active_bytes += frame_len as u64;
+        let frame = &mut self.frame_buf;
+        frame.clear();
+        frame.resize(FRAME_HEADER_BYTES + payload_len, 0);
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
+        fill(payload);
+        fill_frame_header(header, payload);
+        if let Err(e) = self.file.write_all(&self.frame_buf) {
+            // A short write leaves part of a frame behind: cut it off, so
+            // the next append does not land after a tear replay stops at.
+            let _ = self.file.set_len(self.active_bytes);
+            let _ = self.file.seek(SeekFrom::Start(self.active_bytes));
+            return Err(e.into());
+        }
+        self.active_bytes += self.frame_buf.len() as u64;
         self.appended += 1;
         match self.config.fsync {
             FsyncPolicy::Always => self.sync()?,
@@ -218,56 +212,8 @@ impl Wal {
         Ok(())
     }
 
-    #[cfg(unix)]
-    fn write_frame(
-        &mut self,
-        frame_len: usize,
-        payload_len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<(), WalError> {
-        let needed = self.active_bytes as usize + frame_len;
-        let map_len = self.map.as_ref().map_or(0, crate::mmap::Region::len);
-        if needed > map_len {
-            // The frame does not fit the pre-sized space: grow the file to
-            // one step past the frame's end and remap (unmap first —
-            // never shrink or race a live mapping).
-            self.map = None;
-            self.map = map_active(&mut self.file, needed as u64, &self.config)?;
-        }
-        let slot = self
-            .map
-            .as_mut()
-            .expect("active segment is mapped")
-            .slice_mut(self.active_bytes as usize, frame_len);
-        let (header, payload) = slot.split_at_mut(crate::frame::FRAME_HEADER_BYTES);
-        debug_assert_eq!(payload.len(), payload_len);
-        fill(payload);
-        crate::frame::fill_frame_header(header, payload);
-        Ok(())
-    }
-
-    #[cfg(not(unix))]
-    fn write_frame(
-        &mut self,
-        frame_len: usize,
-        payload_len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<(), WalError> {
-        let mut frame = std::mem::take(&mut self.frame_buf);
-        frame.clear();
-        frame.resize(frame_len, 0);
-        let (header, payload) = frame.split_at_mut(crate::frame::FRAME_HEADER_BYTES);
-        debug_assert_eq!(payload.len(), payload_len);
-        fill(payload);
-        crate::frame::fill_frame_header(header, payload);
-        let write = self.file.write_all(&frame);
-        self.frame_buf = frame;
-        write?;
-        Ok(())
-    }
-
     /// Flushes the active segment to stable storage now, regardless of
-    /// policy (`fdatasync` flushes `MAP_SHARED` dirty pages too).
+    /// policy.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
         self.unsynced = 0;
@@ -285,24 +231,18 @@ impl Wal {
         self.file.try_clone()
     }
 
-    /// Closes the active segment — truncating its pre-sized padding and
-    /// syncing it regardless of fsync policy (rotation is rare, and a
-    /// sealed segment that later vanished from the page cache would
-    /// corrupt the *middle* of the log, which replay treats as fatal
-    /// rather than as a tail to truncate) — and starts a fresh one;
-    /// returns the **new** active sequence. A checkpoint rotates,
+    /// Closes the active segment — syncing it regardless of fsync policy
+    /// (rotation is rare, and a sealed segment that later vanished from
+    /// the page cache would corrupt the *middle* of the log, which replay
+    /// treats as fatal rather than as a tail to truncate) — and starts a
+    /// fresh one; returns the **new** active sequence. A checkpoint rotates,
     /// snapshots state as of the rotation point, then
     /// [`Wal::retire_below`] the new sequence.
     pub fn rotate(&mut self) -> Result<u64, WalError> {
         self.seal_active()?;
         self.sealed_bytes += self.active_bytes;
         let seq = self.active_seq + 1;
-        let mut file = create_segment(&self.dir, seq)?;
-        #[cfg(unix)]
-        {
-            self.map = map_active(&mut file, SEGMENT_HEADER_BYTES as u64, &self.config)?;
-        }
-        self.file = file;
+        self.file = create_segment(&self.dir, seq)?;
         self.active_seq = seq;
         self.active_bytes = SEGMENT_HEADER_BYTES as u64;
         self.segment_count += 1;
@@ -311,14 +251,8 @@ impl Wal {
         Ok(seq)
     }
 
-    /// Unmaps, trims the pre-sizing padding, and syncs the active
-    /// segment (used by rotation and shutdown).
+    /// Syncs the active segment (used by rotation and shutdown).
     fn seal_active(&mut self) -> io::Result<()> {
-        #[cfg(unix)]
-        {
-            self.map = None;
-        }
-        self.file.set_len(self.active_bytes)?;
         self.file.sync_data()?;
         self.unsynced = 0;
         self.syncs += 1;
@@ -358,8 +292,8 @@ impl Wal {
         self.segment_count
     }
 
-    /// Total bytes of real log data across live segments (headers
-    /// included; the active segment's pre-sizing padding is not data).
+    /// Total bytes of log data across live segments, headers included:
+    /// the sum of the segment files' lengths.
     pub fn total_bytes(&self) -> u64 {
         self.sealed_bytes + self.active_bytes
     }
@@ -415,73 +349,9 @@ impl Wal {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        // Graceful shutdown: trim the padding so readers and the next
-        // open see exactly the real log, and don't lose the tail of an
-        // EveryN window.
+        // Graceful shutdown: don't lose the tail of an EveryN window.
         let _ = self.seal_active();
     }
-}
-
-/// How far ahead of the write position the mapped active segment is
-/// pre-sized: 1 MiB, or the rotation threshold if that is smaller. A
-/// segment grows by this step as appends reach its end, so opening a log
-/// zero-fills at most one step rather than a whole segment.
-pub const PRESIZE_STEP: u64 = 1024 * 1024;
-
-/// The pre-sized length for a write position `pos`: the first multiple of
-/// the step strictly past it.
-#[cfg(unix)]
-fn presized_len(pos: u64, config: &WalConfig) -> u64 {
-    let step = PRESIZE_STEP.min(config.segment_bytes).max(1);
-    (pos / step + 1) * step
-}
-
-/// Pre-sizes the active segment to one step past `pos` (the write
-/// position, or the end of the frame about to be written) and maps it.
-/// The file is never shrunk here — the real data length is tracked by the
-/// caller.
-///
-/// The mapping invariant ([`crate::mmap::Region`]): every mapped byte past
-/// the real data is padding that was **zero-filled by `write(2)`** before
-/// the mapping existed — not `set_len` holes or `fallocate` extents, whose
-/// first touch through the mapping costs microseconds (fault + block
-/// allocation + `page_mkwrite`) and, on a full disk, is a SIGBUS instead
-/// of an I/O error from the fill. Only the padding this call adds is
-/// prefaulted (the data before it is never touched), so appends
-/// are a ~0.3 µs copy into cached pages (measured; PostgreSQL's
-/// `wal_init_zero` makes the same call). Seal and drop truncate the
-/// padding away.
-#[cfg(unix)]
-fn map_active(
-    file: &mut File,
-    pos: u64,
-    config: &WalConfig,
-) -> Result<Option<crate::mmap::Region>, WalError> {
-    let padding_start = fs::File::metadata(file)?.len().min(pos);
-    zero_extend(file, presized_len(pos, config))?;
-    let len = fs::File::metadata(file)?.len() as usize;
-    let mut region = crate::mmap::Region::map(file, len)?;
-    region.prefault_padding(padding_start as usize);
-    Ok(Some(region))
-}
-
-/// Appends zeros until the file is `target` bytes long (no-op if it
-/// already is).
-#[cfg(unix)]
-fn zero_extend(file: &mut File, target: u64) -> io::Result<()> {
-    let len = fs::File::metadata(file)?.len();
-    if len >= target {
-        return Ok(());
-    }
-    static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
-    file.seek(SeekFrom::End(0))?;
-    let mut remaining = target - len;
-    while remaining > 0 {
-        let chunk = remaining.min(ZEROS.len() as u64) as usize;
-        file.write_all(&ZEROS[..chunk])?;
-        remaining -= chunk as u64;
-    }
-    Ok(())
 }
 
 fn create_segment(dir: &Path, seq: u64) -> Result<File, WalError> {

@@ -1,11 +1,13 @@
-//! Stepped pre-sizing of the mapped active segment: the file grows one
-//! step at a time ahead of the write position, the padding never reads
-//! as records, and segments smaller than a step rotate as before.
+//! Segment files hold exactly their frames: after every append the active
+//! segment is as long as the log data in it (no padding), large frames
+//! and rotations replay in order, a crash image cut mid-frame reopens
+//! truncated to the last valid frame, and small segments rotate at the
+//! documented sizes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use trips_wal::{FsyncPolicy, Wal, WalConfig, PRESIZE_STEP};
+use trips_wal::{FsyncPolicy, Wal, WalConfig};
 
 static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -16,7 +18,7 @@ impl TempDir {
     fn new(tag: &str) -> TempDir {
         let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
-            "trips-wal-presize-{tag}-{}-{n}",
+            "trips-wal-segfiles-{tag}-{}-{n}",
             std::process::id()
         ));
         let _ = fs::remove_dir_all(&path);
@@ -45,6 +47,16 @@ fn file_len(path: &Path) -> u64 {
     fs::metadata(path).unwrap().len()
 }
 
+/// The invariant of the one write path: the active segment's file is
+/// exactly the log data in it — `total_bytes()` minus the sealed
+/// segments — so there is never padding.
+fn assert_no_padding(wal: &Wal, dir: &Path) {
+    let mut segs = segments(dir);
+    let active = segs.pop().unwrap();
+    let sealed: u64 = segs.iter().map(|p| file_len(p)).sum();
+    assert_eq!(file_len(&active), wal.total_bytes() - sealed, "no padding");
+}
+
 fn replay_all(dir: &Path) -> Vec<Vec<u8>> {
     let mut replay = Wal::replay(dir).unwrap();
     let payloads = replay
@@ -63,50 +75,28 @@ fn payload(i: usize, len: usize) -> Vec<u8> {
 }
 
 const HEADER: u64 = 16;
-
-#[cfg(unix)]
-#[test]
-fn fresh_open_presizes_one_step_not_a_segment() {
-    let dir = TempDir::new("fresh");
-    let config = WalConfig::default();
-    assert!(
-        config.segment_bytes > PRESIZE_STEP,
-        "default segment spans steps"
-    );
-    let wal = Wal::open(&dir.0, config).unwrap();
-    let segs = segments(&dir.0);
-    assert_eq!(segs.len(), 1);
-    assert_eq!(file_len(&segs[0]), PRESIZE_STEP, "one step, not a segment");
-    assert_eq!(wal.total_bytes(), HEADER, "padding is not data");
-    drop(wal);
-    assert_eq!(file_len(&segs[0]), HEADER, "drop trims the padding");
-}
+const FRAME_HEADER: u64 = 8;
 
 #[test]
-fn appends_across_step_boundaries_and_rotation_replay_in_order() {
-    let dir = TempDir::new("steps");
+fn large_frames_across_rotation_replay_in_order_without_padding() {
+    let dir = TempDir::new("large");
     let config = WalConfig {
-        segment_bytes: 3 * PRESIZE_STEP + 1000,
+        segment_bytes: 3_146_728, // 3 MiB + 1000
         fsync: FsyncPolicy::Never,
     };
-    // ~8 MiB of varied records, plus frames larger than a step.
+    // ~8 MiB of varied records, plus frames larger than 1 MiB and 2 MiB.
     let mut want: Vec<Vec<u8>> = (0..150)
         .map(|i| payload(i, 20_000 + (i * 7919) % 90_000))
         .collect();
-    want.insert(40, payload(10_000, PRESIZE_STEP as usize + 12_345));
-    want.insert(100, payload(10_001, 2 * PRESIZE_STEP as usize));
+    want.insert(40, payload(10_000, 1_060_921)); // 1 MiB + 12345
+    want.insert(100, payload(10_001, 2_097_152)); // 2 MiB
     let split = want.len() / 2;
     {
         let mut wal = Wal::open(&dir.0, config.clone()).unwrap();
+        assert_no_padding(&wal, &dir.0);
         for p in &want[..split] {
             wal.append(p).unwrap();
-            #[cfg(unix)]
-            {
-                let active = segments(&dir.0).pop().unwrap();
-                let len = file_len(&active);
-                assert_eq!(len % PRESIZE_STEP, 0, "grown in whole steps");
-                assert!(len > wal.total_bytes() - sealed(&dir.0), "padding ahead");
-            }
+            assert_no_padding(&wal, &dir.0);
         }
     }
     {
@@ -114,23 +104,16 @@ fn appends_across_step_boundaries_and_rotation_replay_in_order() {
         assert!(wal.truncated_tail().is_none(), "clean shutdown");
         for p in &want[split..] {
             wal.append(p).unwrap();
+            assert_no_padding(&wal, &dir.0);
         }
         assert!(wal.segment_count() >= 3, "rotated: {}", wal.segment_count());
     }
     assert_eq!(replay_all(&dir.0), want, "every payload, in order");
 }
 
-/// Bytes in every segment but the last.
-fn sealed(dir: &Path) -> u64 {
-    let mut segs = segments(dir);
-    segs.pop();
-    segs.iter().map(|p| file_len(p)).sum()
-}
-
 #[test]
-fn copy_taken_mid_growth_reopens_truncated_to_last_valid_frame() {
+fn copy_cut_mid_frame_reopens_truncated_to_last_valid_frame() {
     let live = TempDir::new("live");
-    let copy = TempDir::new("copy");
     let config = WalConfig {
         fsync: FsyncPolicy::Never,
         ..WalConfig::default()
@@ -141,37 +124,43 @@ fn copy_taken_mid_growth_reopens_truncated_to_last_valid_frame() {
         wal.append(p).unwrap();
     }
     let data_end = wal.total_bytes();
-    assert!(
-        data_end > PRESIZE_STEP,
-        "crossed at least one step boundary"
-    );
-    // A crash image: the file as it stands, padding included.
-    fs::create_dir_all(&copy.0).unwrap();
+    wal.append(&payload(30, 50_000)).unwrap();
     let active = segments(&live.0).pop().unwrap();
-    let copied = copy.0.join(active.file_name().unwrap());
-    fs::copy(&active, &copied).unwrap();
-    #[cfg(unix)]
-    assert!(file_len(&copied) > data_end, "the copy carries padding");
+    let image = fs::read(&active).unwrap();
     drop(wal);
 
-    let mut reopened = Wal::open(&copy.0, config).unwrap();
-    #[cfg(unix)]
-    {
-        let torn = reopened.truncated_tail().expect("padding is a torn tail");
-        assert_eq!(torn.offset, data_end, "cut at the last valid frame");
-        assert!(torn.reason.contains("zero-length"), "{}", torn.reason);
+    // Two crash images of the last frame's append: its write stopped
+    // partway, or a power loss exposed its blocks as zeros.
+    let cut_mid_frame = image[..data_end as usize + 20_000].to_vec();
+    let mut zero_filled = image[..data_end as usize].to_vec();
+    zero_filled.resize(image.len(), 0);
+    for (tag, crash_image, reason) in [
+        ("cut", cut_mid_frame, "partial"),
+        ("zeros", zero_filled, "zero-length"),
+    ] {
+        let copy = TempDir::new(tag);
+        fs::create_dir_all(&copy.0).unwrap();
+        let copied = copy.0.join(active.file_name().unwrap());
+        fs::write(&copied, &crash_image).unwrap();
+
+        let mut reopened = Wal::open(&copy.0, config.clone()).unwrap();
+        let torn = reopened.truncated_tail().expect("the tear is reported");
+        assert_eq!(torn.offset, data_end, "{tag}: cut at the last valid frame");
+        assert!(torn.reason.contains(reason), "{tag}: {}", torn.reason);
+        assert_eq!(reopened.total_bytes(), data_end, "{tag}");
+        assert_eq!(file_len(&copied), data_end, "{tag}: tear truncated");
+        reopened.append(b"after-reopen").unwrap();
+        assert_no_padding(&reopened, &copy.0);
+        drop(reopened);
+        assert_eq!(file_len(&copied), data_end + FRAME_HEADER + 12, "{tag}");
+        let mut expect = want.clone();
+        expect.push(b"after-reopen".to_vec());
+        assert_eq!(replay_all(&copy.0), expect, "{tag}");
     }
-    assert_eq!(reopened.total_bytes(), data_end);
-    reopened.append(b"after-reopen").unwrap();
-    drop(reopened);
-    assert_eq!(file_len(&copied), data_end + 8 + 12, "no padding survives");
-    let mut expect = want;
-    expect.push(b"after-reopen".to_vec());
-    assert_eq!(replay_all(&copy.0), expect);
 }
 
 #[test]
-fn segment_smaller_than_a_step_keeps_rotation_behaviour() {
+fn small_segments_rotate_at_their_real_length() {
     let dir = TempDir::new("small");
     let config = WalConfig {
         segment_bytes: 64,
@@ -179,12 +168,7 @@ fn segment_smaller_than_a_step_keeps_rotation_behaviour() {
     };
     let want: Vec<Vec<u8>> = (0..20).map(|i| payload(i, 20)).collect();
     let mut wal = Wal::open(&dir.0, config.clone()).unwrap();
-    #[cfg(unix)]
-    assert_eq!(
-        file_len(&segments(&dir.0)[0]),
-        64,
-        "the step is capped at the segment size"
-    );
+    assert_eq!(file_len(&segments(&dir.0)[0]), HEADER, "just the header");
     // The rotation rule: an append rotates first when the active segment
     // already holds `segment_bytes`; a 28-byte frame (8 + 20) therefore
     // fits twice after the 16-byte header (16 + 28 = 44 < 64 ≤ 72).
@@ -193,8 +177,9 @@ fn segment_smaller_than_a_step_keeps_rotation_behaviour() {
         if *expected_sizes.last().unwrap() >= config.segment_bytes {
             expected_sizes.push(HEADER);
         }
-        *expected_sizes.last_mut().unwrap() += 8 + p.len() as u64;
+        *expected_sizes.last_mut().unwrap() += FRAME_HEADER + p.len() as u64;
         wal.append(p).unwrap();
+        assert_no_padding(&wal, &dir.0);
     }
     assert_eq!(wal.segment_count(), expected_sizes.len());
     assert_eq!(wal.rotations(), expected_sizes.len() as u64 - 1);
