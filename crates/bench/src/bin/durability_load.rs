@@ -27,7 +27,7 @@ use std::time::Instant;
 use trips_annotate::MobilitySemantics;
 use trips_data::{DeviceId, Timestamp};
 use trips_dsm::RegionId;
-use trips_engine::LatencyRecorder;
+use trips_obs::{LatencyRecorder, LatencySummary};
 use trips_store::{DurabilityConfig, FsyncPolicy, SemanticsStore};
 
 struct Options {
@@ -249,7 +249,7 @@ fn main() {
     for policy in policies {
         // A fresh directory per rep (recovering an existing log would
         // replay it); the last rep's directory feeds the recovery bench.
-        let mut best: Option<(usize, u64, trips_engine::LatencySummary, f64)> = None;
+        let mut best: Option<(usize, u64, LatencySummary, f64)> = None;
         let mut dir: PathBuf = scratch.clone();
         for rep in 0..reps {
             dir = scratch.join(format!("{}-{rep}", policy.to_string().replace('=', "-")));

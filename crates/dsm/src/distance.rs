@@ -358,7 +358,7 @@ impl<'a> PathQuery<'a> {
     /// relative margin `δ = (n + 8)·4·ε` of `limit` does the exact search
     /// decide. Two cheaper checks come first and decide most cross-area
     /// pairs alone: a lower bound on every route (planar distance plus the
-    /// floors' [`stair_cost`]) that exceeds `limit` by the margin rejects,
+    /// floors' `stair_cost`) that exceeds `limit` by the margin rejects,
     /// and the route through a node both areas reach (usually the door
     /// between them) accepts when it passes.
     ///

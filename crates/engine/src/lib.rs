@@ -11,13 +11,7 @@
 //!   function;
 //! * [`Pipeline`] — staged execution with per-stage wall-clock timing,
 //!   collected into a [`PipelineReport`] (exposed on every
-//!   `TranslationResult` and rendered by the bench harness);
-//! * [`LatencyRecorder`] — per-worker latency collection reduced to
-//!   ops/sec + nearest-rank percentiles (the store's query-throughput
-//!   bench and the perf-smoke CI gate are built on it). The
-//!   implementation now lives in `trips-obs` (the unified observability
-//!   layer); it is re-exported here so existing bench imports keep
-//!   working.
+//!   `TranslationResult` and rendered by the bench harness).
 //!
 //! The crate is deliberately free of TRIPS domain types so any layer
 //! (core, bench, future services) can depend on it without cycles.
@@ -27,4 +21,3 @@ mod pipeline;
 
 pub use executor::run_indexed;
 pub use pipeline::{Pipeline, PipelineReport, StageReport};
-pub use trips_obs::{LatencyRecorder, LatencySummary};

@@ -4,17 +4,18 @@
 //! store, WAL, rules engine) reports through this crate, so one scrape
 //! shows the whole pipeline. Three pieces:
 //!
-//! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]) —
-//!   lock-light instruments with label sets. Handles are `Arc`'d atomics:
-//!   the hot path is relaxed `fetch_add`s, never a global lock. Histograms
-//!   are log-bucketed (powers of two, microseconds) with **striped**
-//!   per-thread-group accumulation merged at scrape time. The registry
-//!   mutex is touched only at registration and scrape.
-//! * **Exposition** ([`Registry::render_prometheus`]) — the Prometheus
-//!   text format (`# HELP` / `# TYPE` / samples, histograms as
-//!   `_bucket{le=…}` + `_sum` + `_count`), servable over a plain HTTP/1.0
-//!   listener or embedded in a wire-protocol response.
-//!   [`validate_exposition`] is the parser the tests and CI gates use.
+//! * **Metrics** ([`Histogram`]) — log-bucketed (powers of two,
+//!   microseconds) latency histograms with **striped** per-thread-group
+//!   accumulation merged at scrape time. Handles are `Arc`'d atomics: the
+//!   hot path is relaxed `fetch_add`s, never a lock. Plain counts are
+//!   the owner's own atomics, read once per scrape.
+//! * **Exposition** ([`write_family`], [`write_sample`],
+//!   [`write_histogram`]) — the Prometheus text format (`# HELP` /
+//!   `# TYPE` / samples, histograms as `_bucket{le=…}` + `_sum` +
+//!   `_count`), written by the owner from one read of its counters and
+//!   servable over a plain HTTP/1.0 listener or embedded in a
+//!   wire-protocol response. [`validate_exposition`] is the parser the
+//!   tests and CI gates use.
 //! * **Tracing** ([`SpanRecord`], [`TraceRing`], [`SlowLog`], [`stage`]) —
 //!   cheap monotonic-clock spans over the request pipeline (accept →
 //!   loop-shard readiness → queue wait → decode → translator lock → store
@@ -24,10 +25,9 @@
 //!   rules engine attribute their exact same-thread nanoseconds to the
 //!   request being executed without any cross-crate plumbing.
 //!
-//! The exact-sample [`LatencyRecorder`] / [`LatencySummary`] (previously
-//! in `trips-engine`, still re-exported there) also live here, so every
-//! bench and endpoint percentile in the workspace reduces through one
-//! implementation.
+//! The exact-sample [`LatencyRecorder`] / [`LatencySummary`] also live
+//! here, so every bench and endpoint percentile in the workspace reduces
+//! through one implementation.
 //!
 //! A single global switch ([`set_enabled`] / [`enabled`], on by default)
 //! turns the whole layer off: disabled, instrumented code pays one
@@ -41,7 +41,8 @@ mod trace;
 
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use metrics::{
-    validate_exposition, Counter, Gauge, Histogram, HistogramSnapshot, Registry, HIST_BUCKETS,
+    validate_exposition, write_family, write_histogram, write_sample, Histogram, HistogramSnapshot,
+    HIST_BUCKETS,
 };
 pub use stage::{enabled, set_enabled};
 pub use trace::{SlowLog, SpanRecord, TraceRing, STAGES, STAGE_COUNT};

@@ -1,15 +1,20 @@
-//! The metrics registry: counters, gauges, and log-bucketed histograms
-//! with label sets, rendered in the Prometheus text exposition format.
+//! Log-bucketed latency histograms and a minimal Prometheus text
+//! exposition writer.
 //!
-//! ## Lock discipline
+//! ## Recording
 //!
-//! The registry's mutex guards only the *family table* — it is taken at
-//! registration (boot) and at scrape. Every instrument handed out is an
-//! `Arc` of plain atomics, so recording on the hot path is one or two
-//! relaxed `fetch_add`s. Histograms additionally **stripe** their buckets
-//! across [`STRIPES`] independent atomic arrays indexed by a per-thread
-//! id, so concurrent workers rarely touch the same cache line; stripes
-//! are merged into one [`HistogramSnapshot`] at scrape time.
+//! A [`Histogram`] is an `Arc` of plain atomics, so recording on the hot
+//! path is a few relaxed `fetch_add`s. Its buckets are **striped** across
+//! [`STRIPES`] independent atomic arrays indexed by a per-thread id, so
+//! concurrent threads rarely touch the same cache line; stripes are
+//! merged into one [`HistogramSnapshot`] at scrape time.
+//!
+//! ## Exposition
+//!
+//! A caller reads its own counters once per scrape and writes them out
+//! with [`write_family`], [`write_sample`] and [`write_histogram`] (text
+//! format 0.0.4). [`validate_exposition`] is the parser the tests and CI
+//! gates use.
 //!
 //! ## Buckets
 //!
@@ -20,9 +25,9 @@
 //! the right trade for latency distributions. Quantiles interpolate
 //! linearly inside the winning bucket and clamp to the tracked maximum.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,64 +36,6 @@ pub const HIST_BUCKETS: usize = 28;
 /// Stripe count — a small power of two: enough to spread a worker pool,
 /// small enough that scrape-time merging stays trivial.
 const STRIPES: usize = 8;
-
-/// A monotonically increasing counter. Clone-cheap (`Arc` of an atomic).
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value — for mirroring an already-monotonic source
-    /// (an existing atomic, a WAL counter) into the registry at scrape
-    /// time. The caller owns monotonicity.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can go up and down. Clone-cheap.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// One stripe of histogram state. `#[repr(align(128))]` keeps two stripes
 /// off the same cache-line pair under false sharing.
@@ -246,186 +193,36 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Clone)]
-enum Instrument {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
+/// Appends a family's `# HELP` and `# TYPE` lines. Write a family's
+/// samples right after it; families should come sorted by name.
+pub fn write_family(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
 }
 
-impl Instrument {
-    fn kind(&self) -> &'static str {
-        match self {
-            Instrument::Counter(_) => "counter",
-            Instrument::Gauge(_) => "gauge",
-            Instrument::Histogram(_) => "histogram",
-        }
-    }
-}
-
-/// One metric family: a name + help + type, and its series keyed by
-/// rendered label set.
-struct Family {
-    help: String,
-    /// `label-string → instrument`; the label string is pre-rendered
-    /// (`key="value",…`, sorted by key) so scrape is a straight dump.
-    series: BTreeMap<String, Instrument>,
-}
-
-/// The metric family table. Create one per process (or per server),
-/// register instruments at boot, render at scrape.
-#[derive(Default)]
-pub struct Registry {
-    families: Mutex<BTreeMap<String, Family>>,
-}
-
-fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    let mut pairs: Vec<(&str, &str)> = labels.to_vec();
-    pairs.sort_unstable_by_key(|(k, _)| *k);
-    pairs
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn valid_metric_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.chars().enumerate().all(|(i, c)| {
-            c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
-        })
-}
-
-impl Registry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn instrument(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Instrument,
-    ) -> Instrument {
-        assert!(valid_metric_name(name), "invalid metric name `{name}`");
-        let mut families = self.families.lock();
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            series: BTreeMap::new(),
-        });
-        let key = render_labels(labels);
-        let entry = family.series.entry(key).or_insert_with(make);
-        entry.clone()
-    }
-
-    /// Registers (or fetches) a counter series. Same name + labels always
-    /// returns a handle to the same underlying value.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.instrument(name, help, labels, || Instrument::Counter(Counter::new())) {
-            Instrument::Counter(c) => c,
-            other => panic!("metric `{name}` already registered as {}", other.kind()),
-        }
-    }
-
-    /// Registers (or fetches) a gauge series.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.instrument(name, help, labels, || Instrument::Gauge(Gauge::new())) {
-            Instrument::Gauge(g) => g,
-            other => panic!("metric `{name}` already registered as {}", other.kind()),
-        }
-    }
-
-    /// Registers (or fetches) a histogram series (microsecond domain —
-    /// by convention the name ends in `_us`).
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.instrument(name, help, labels, || {
-            Instrument::Histogram(Histogram::new())
-        }) {
-            Instrument::Histogram(h) => h,
-            other => panic!("metric `{name}` already registered as {}", other.kind()),
-        }
-    }
-
-    /// Renders the whole registry in the Prometheus text exposition
-    /// format (version 0.0.4): families sorted by name, series sorted by
-    /// label set, histograms as cumulative `_bucket{le=…}` + `_sum` +
-    /// `_count`.
-    pub fn render_prometheus(&self) -> String {
-        let families = self.families.lock();
-        let mut out = String::with_capacity(4096);
-        for (name, family) in families.iter() {
-            let kind = match family.series.values().next() {
-                Some(i) => i.kind(),
-                None => continue,
-            };
-            out.push_str(&format!("# HELP {name} {}\n", family.help));
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            for (labels, instrument) in &family.series {
-                match instrument {
-                    Instrument::Counter(c) => {
-                        out.push_str(&sample_line(name, labels, &c.get().to_string()));
-                    }
-                    Instrument::Gauge(g) => {
-                        out.push_str(&sample_line(name, labels, &g.get().to_string()));
-                    }
-                    Instrument::Histogram(h) => {
-                        let snap = h.snapshot();
-                        let mut cum = 0u64;
-                        for (i, n) in snap.buckets.iter().enumerate() {
-                            cum += n;
-                            let le = match bucket_le(i) {
-                                Some(b) => b.to_string(),
-                                None => "+Inf".to_string(),
-                            };
-                            let with_le = if labels.is_empty() {
-                                format!("le=\"{le}\"")
-                            } else {
-                                format!("{labels},le=\"{le}\"")
-                            };
-                            out.push_str(&sample_line(
-                                &format!("{name}_bucket"),
-                                &with_le,
-                                &cum.to_string(),
-                            ));
-                        }
-                        out.push_str(&sample_line(
-                            &format!("{name}_sum"),
-                            labels,
-                            &snap.sum_us.to_string(),
-                        ));
-                        out.push_str(&sample_line(
-                            &format!("{name}_count"),
-                            labels,
-                            &snap.count.to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-fn sample_line(name: &str, labels: &str, value: &str) -> String {
+/// Appends one sample line. `labels` is a rendered label set
+/// (`key="value",…`) or empty.
+pub fn write_sample(out: &mut String, name: &str, labels: &str, value: u64) {
     if labels.is_empty() {
-        format!("{name} {value}\n")
+        let _ = writeln!(out, "{name} {value}");
     } else {
-        format!("{name}{{{labels}}} {value}\n")
+        let _ = writeln!(out, "{name}{{{labels}}} {value}");
     }
+}
+
+/// Appends one histogram series: a cumulative `_bucket{…,le="…"}` line
+/// per bucket (the last is `+Inf`), then `_sum` and `_count`.
+pub fn write_histogram(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cum = 0u64;
+    for (i, n) in snap.buckets.iter().enumerate() {
+        cum += n;
+        let _ = match bucket_le(i) {
+            Some(le) => writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}"),
+            None => writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cum}"),
+        };
+    }
+    write_sample(out, &format!("{name}_sum"), labels, snap.sum_us);
+    write_sample(out, &format!("{name}_count"), labels, snap.count);
 }
 
 /// Parses a Prometheus text exposition, returning `series → value` (the
@@ -458,7 +255,11 @@ pub fn validate_exposition(text: &str) -> Result<BTreeMap<String, f64>, String> 
             }
             None => series,
         };
-        if !valid_metric_name(name) {
+        let valid_name = !name.is_empty()
+            && name.chars().enumerate().all(|(i, c)| {
+                c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
+            });
+        if !valid_name {
             return Err(format!("line {}: invalid metric name `{name}`", lineno + 1));
         }
         let value: f64 = value
@@ -523,52 +324,37 @@ mod tests {
     }
 
     #[test]
-    fn registry_returns_same_handle_for_same_series() {
-        let reg = Registry::new();
-        let a = reg.counter(
-            "trips_requests_total",
-            "requests",
-            &[("endpoint", "ingest")],
-        );
-        let b = reg.counter(
-            "trips_requests_total",
-            "requests",
-            &[("endpoint", "ingest")],
-        );
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3, "one underlying series");
-        let other = reg.counter("trips_requests_total", "requests", &[("endpoint", "query")]);
-        assert_eq!(other.get(), 0, "distinct label set is a distinct series");
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn registry_rejects_kind_mismatch() {
-        let reg = Registry::new();
-        let _ = reg.counter("trips_x", "x", &[]);
-        let _ = reg.gauge("trips_x", "x", &[]);
-    }
-
-    #[test]
     fn render_is_valid_exposition_with_histogram_shape() {
-        let reg = Registry::new();
-        reg.counter(
-            "trips_requests_total",
-            "total requests",
-            &[("endpoint", "ingest")],
-        )
-        .add(5);
-        reg.gauge("trips_connections_active", "open connections", &[])
-            .set(3);
-        let h = reg.histogram(
-            "trips_latency_us",
-            "request latency",
-            &[("endpoint", "query")],
-        );
+        let h = Histogram::new();
         h.observe_us(3);
         h.observe_us(100);
-        let text = reg.render_prometheus();
+        let mut text = String::new();
+        write_family(
+            &mut text,
+            "trips_connections_active",
+            "open connections",
+            "gauge",
+        );
+        write_sample(&mut text, "trips_connections_active", "", 3);
+        write_family(
+            &mut text,
+            "trips_latency_us",
+            "request latency",
+            "histogram",
+        );
+        write_histogram(
+            &mut text,
+            "trips_latency_us",
+            "endpoint=\"query\"",
+            &h.snapshot(),
+        );
+        write_family(
+            &mut text,
+            "trips_requests_total",
+            "total requests",
+            "counter",
+        );
+        write_sample(&mut text, "trips_requests_total", "endpoint=\"ingest\"", 5);
         let parsed = validate_exposition(&text).expect("valid exposition");
         assert_eq!(
             parsed.get("trips_requests_total{endpoint=\"ingest\"}"),
@@ -590,26 +376,27 @@ mod tests {
         // Cumulative buckets never decrease.
         let mut last = 0.0;
         for i in 0..HIST_BUCKETS - 1 {
-            if let Some(v) = parsed.get(&format!(
+            let v = parsed[&format!(
                 "trips_latency_us_bucket{{endpoint=\"query\",le=\"{}\"}}",
                 1u64 << i
-            )) {
-                assert!(*v >= last, "bucket {i} decreased");
-                last = *v;
-            }
+            )];
+            assert!(v >= last, "bucket {i} decreased");
+            last = v;
         }
         assert!(text.contains("# TYPE trips_latency_us histogram"));
         assert!(text.contains("# HELP trips_requests_total total requests"));
-    }
 
-    #[test]
-    fn label_values_are_escaped() {
-        let reg = Registry::new();
-        reg.counter("trips_weird_total", "weird", &[("path", "a\"b\\c\nd")])
-            .inc();
-        let text = reg.render_prometheus();
-        assert!(text.contains(r#"path="a\"b\\c\nd""#), "{text}");
-        validate_exposition(&text).expect("escaped output still parses");
+        // An unlabeled histogram carries only `le`.
+        let mut bare = String::new();
+        write_histogram(&mut bare, "trips_x_us", "", &h.snapshot());
+        assert!(
+            bare.starts_with("trips_x_us_bucket{le=\"1\"} 0\n"),
+            "{bare}"
+        );
+        assert!(
+            bare.ends_with("trips_x_us_sum 103\ntrips_x_us_count 2\n"),
+            "{bare}"
+        );
     }
 
     #[test]

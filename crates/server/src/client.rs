@@ -405,8 +405,9 @@ impl Client {
         self.call(Request::Metrics)
     }
 
-    /// The server's metric registry in Prometheus text format — the same
-    /// payload the standalone HTTP `/metrics` listener serves.
+    /// The server's metrics in Prometheus text format, rendered from the
+    /// same read of its counters as [`Client::metrics`] — the payload the
+    /// standalone HTTP `/metrics` listener serves.
     pub fn metrics_prom(&mut self) -> io::Result<Result<String, ServerError>> {
         match self.call(Request::MetricsProm)? {
             Response::MetricsProm { text } => Ok(Ok(text)),

@@ -37,6 +37,9 @@
 //!   idle-connection reaping, connection limits, per-endpoint latency
 //!   metrics, snapshot save / snapshot boot, and graceful
 //!   drain-and-shutdown;
+//! * `metrics` (crate-private) — one read of every server counter into
+//!   the [`MetricsReport`], which the `Metrics` response, the Prometheus
+//!   text and the drain [`ServerReport`] are all built from;
 //! * [`client`] — a blocking [`Client`] speaking either protocol version,
 //!   for tests, tools and the `server_load` generator;
 //! * [`bootstrap`] — DSM + trained-editor assembly from a `trips-sim`
@@ -57,6 +60,7 @@ pub mod bootstrap;
 pub mod client;
 pub mod codec;
 pub mod event;
+mod metrics;
 pub mod protocol;
 pub mod server;
 

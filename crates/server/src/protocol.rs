@@ -86,9 +86,10 @@ pub enum Request {
     /// Per-rule execution traces for every registered rule (all
     /// connections), priority-ordered. Answered inline.
     ListRules,
-    /// The full metric registry rendered in Prometheus text exposition
-    /// format — the same payload the standalone HTTP `/metrics` listener
-    /// serves, over the native protocol. Answered inline.
+    /// Every server metric rendered in Prometheus text exposition format,
+    /// from the same counter read as [`Request::Metrics`] — the payload
+    /// the standalone HTTP `/metrics` listener serves, over the native
+    /// protocol. Answered inline.
     MetricsProm,
     /// Recent request-path span trees from every event-loop shard's trace
     /// ring, oldest first (the newest `limit` when set). Answered inline.

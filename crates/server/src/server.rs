@@ -124,9 +124,9 @@
 use crate::admission::Admission;
 use crate::codec::{self, FrameError, RequestFrameRef, FRAME_MAGIC, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use crate::event::{fd_of, poll_fds, Event, PollFd, Poller, Waker, POLLIN};
+use crate::metrics;
 use crate::protocol::{
-    EndpointMetrics, HealthReport, LoopShardMetrics, MetricsReport, Request, RequestEnvelope,
-    Response, ResponseEnvelope, ServerError,
+    HealthReport, Request, RequestEnvelope, Response, ResponseEnvelope, ServerError,
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -140,7 +140,7 @@ use trips_annotate::EventEditor;
 use trips_core::stream::{DeviceBuffers, StreamConfig, TranslatorCore};
 use trips_data::{DeviceId, RawRecord, Timestamp};
 use trips_dsm::DigitalSpaceModel;
-use trips_obs::{stage, Histogram, Registry, SlowLog, SpanRecord, TraceRing, STAGE_COUNT};
+use trips_obs::{stage, Histogram, SlowLog, SpanRecord, TraceRing, STAGE_COUNT};
 use trips_store::{boot_store, DurabilityConfig, QueryService, RecoveryReport, SemanticsStore};
 
 /// Longest accepted NDJSON request line; a connection exceeding it without
@@ -497,40 +497,9 @@ fn unix_ms_now() -> i64 {
         .unwrap_or(0)
 }
 
-/// Per-endpoint-family [`EndpointMetrics`] from a merged histogram
-/// snapshot: exact count/mean/max, log-bucket-interpolated percentiles.
-/// Replaces the old mutex'd reservoir recorder — recording is now a few
-/// relaxed atomics on a per-thread stripe, and the same histograms render
-/// on the Prometheus scrape path.
-fn endpoint_metrics(endpoint: &str, hist: &Histogram, uptime: Duration) -> EndpointMetrics {
-    let snap = hist.snapshot();
-    EndpointMetrics {
-        endpoint: endpoint.to_string(),
-        count: snap.count as usize,
-        ops_per_sec: if uptime.is_zero() {
-            0.0
-        } else {
-            snap.count as f64 / uptime.as_secs_f64()
-        },
-        p50_us: snap.quantile_us(0.50) as f64,
-        p99_us: snap.quantile_us(0.99) as f64,
-        max_us: snap.max_us as f64,
-        mean_us: snap.mean_us() as f64,
-    }
-}
-
-/// Resident set size in KiB from `/proc/self/statm` (Linux); `None`
-/// elsewhere. Good enough for the connection-scaling gate's flat-memory
-/// check; assumes 4 KiB pages like every tier-1 target.
-fn read_rss_kb() -> Option<u64> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let rss_pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
-    Some(rss_pages * 4)
-}
-
 /// Per-loop-shard shared state: the channels through which the acceptor
 /// and other shards reach one shard's loop thread.
-struct ShardState {
+pub(crate) struct ShardState {
     /// Alert pushes waiting for this shard's loop (paired with `waker`).
     pushes: parking_lot::Mutex<Vec<Push>>,
     waker: Waker,
@@ -539,21 +508,26 @@ struct ShardState {
     incoming: parking_lot::Mutex<Vec<(TcpStream, Instant)>>,
     /// Times `waker` was signaled (cross-shard alert pushes, hand-offs,
     /// shutdown) — a proxy for how busy the shard's wake channel is.
-    wakeups: AtomicU64,
+    pub(crate) wakeups: AtomicU64,
     /// Connections currently owned by the shard (metrics gauge).
-    connections: AtomicUsize,
+    pub(crate) connections: AtomicUsize,
     /// Bytes this shard's connections read off their sockets (monotonic).
     /// With `jobs`, the observed-load signal behind the acceptor's
     /// least-loaded placement.
-    bytes_read: AtomicU64,
+    pub(crate) bytes_read: AtomicU64,
     /// Work requests this shard admitted and ran (monotonic).
-    jobs: AtomicU64,
+    pub(crate) jobs: AtomicU64,
 }
 
 impl ShardState {
     fn wake(&self) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
         self.waker.wake();
+    }
+
+    /// Alert pushes waiting for this shard's loop.
+    pub(crate) fn pending_pushes(&self) -> usize {
+        self.pushes.lock().len()
     }
 
     /// This state's identity for [`LOOP_SHARD`].
@@ -564,19 +538,19 @@ impl ShardState {
 
 /// State shared by the acceptor and loop shards for one `serve` run
 /// (lives on `serve`'s stack; scoped threads borrow it).
-struct Shared<'env> {
+pub(crate) struct Shared<'env> {
     /// The one translator core every loop shard translates through.
     core: TranslatorCore<'env>,
     /// Session buffers, one map per store shard, indexed by
     /// [`SemanticsStore::shard_index`]. Invariant: locks are taken one
     /// shard at a time, never nested.
     buffers: Vec<parking_lot::Mutex<DeviceBuffers>>,
-    store: Arc<SemanticsStore>,
-    admission: Admission,
+    pub(crate) store: Arc<SemanticsStore>,
+    pub(crate) admission: Admission,
     /// `Arc` so connection-scoped alert sinks (owned by the `'static`
     /// rule engine inside the store) can outlive-proof their handle to
     /// the shard's push channel.
-    shards: Vec<Arc<ShardState>>,
+    pub(crate) shards: Vec<Arc<ShardState>>,
     /// Globally unique connection tokens across all loop shards.
     next_token: AtomicU64,
     /// Per-device count of live connections that ingested the device —
@@ -585,35 +559,34 @@ struct Shared<'env> {
     sessions: parking_lot::Mutex<BTreeMap<DeviceId, usize>>,
     snapshot_root: Option<PathBuf>,
     /// What boot recovery found and cost (`None` without durability).
-    recovery: Option<RecoveryReport>,
+    pub(crate) recovery: Option<RecoveryReport>,
     shutdown: AtomicBool,
-    active: AtomicUsize,
-    started: Instant,
-    // Observability: the metric registry behind every scrape, the live
-    // per-endpoint latency histograms registered in it, per-loop-shard
-    // trace rings, and the slow-log. Recording never takes the registry
-    // lock — instruments are Arc'd atomics.
-    registry: Registry,
-    ingest_hist: Histogram,
-    query_hist: Histogram,
-    admin_hist: Histogram,
+    pub(crate) active: AtomicUsize,
+    pub(crate) started: Instant,
+    // Observability: per-endpoint latency histograms (recorded on the
+    // request path), per-loop-shard trace rings and the slow-log. Every
+    // report of the histograms and counters here (`Metrics`, Prometheus,
+    // the drain `ServerReport`) comes from one `Shared::snapshot` read.
+    pub(crate) ingest_hist: Histogram,
+    pub(crate) query_hist: Histogram,
+    pub(crate) admin_hist: Histogram,
     /// One trace ring per loop shard (indexed by shard id).
     traces: Vec<TraceRing>,
-    slowlog: SlowLog,
+    pub(crate) slowlog: SlowLog,
     /// Spans promoted into the slow-log (the `trips_slow_requests_total`
     /// counter and `MetricsReport::slow_requests`).
-    slow_requests: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
-    bad_requests: AtomicU64,
-    translator_contention: AtomicU64,
-    conns_accepted: AtomicU64,
-    conns_rejected: AtomicU64,
+    pub(crate) slow_requests: AtomicU64,
+    pub(crate) requests: AtomicU64,
+    pub(crate) shed: AtomicU64,
+    pub(crate) bad_requests: AtomicU64,
+    pub(crate) translator_contention: AtomicU64,
+    pub(crate) conns_accepted: AtomicU64,
+    pub(crate) conns_rejected: AtomicU64,
     /// Alert pushes a sink accepted but the loop shard then discarded
     /// (subscriber gone, or its write buffer over [`ALERT_BUF_MAX`]).
-    alerts_dropped_late: AtomicU64,
+    pub(crate) alerts_dropped_late: AtomicU64,
     /// Connections closed for exceeding [`ServerConfig::idle_timeout`].
-    conns_reaped: AtomicU64,
+    pub(crate) conns_reaped: AtomicU64,
     idle_timeout: Option<Duration>,
 }
 
@@ -800,199 +773,6 @@ impl<'env> Shared<'env> {
             evicted: self.slowlog.evicted(),
             spans,
         }
-    }
-
-    /// Mirrors every scalar counter into the registry and renders the
-    /// whole of it in the Prometheus text format. Mirroring at scrape
-    /// time (`Counter::set` from the live atomics) keeps the hot paths
-    /// free of double bookkeeping; the latency histograms are live
-    /// registry instruments and need no mirroring.
-    fn prometheus_text(&self) -> String {
-        let r = &self.registry;
-        let set = |name: &str, help: &str, v: u64| r.counter(name, help, &[]).set(v);
-        let gauge = |name: &str, help: &str, v: i64| r.gauge(name, help, &[]).set(v);
-        set(
-            "trips_connections_accepted_total",
-            "Connections accepted",
-            self.conns_accepted.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_connections_rejected_total",
-            "Connections rejected over the cap",
-            self.conns_rejected.load(Ordering::Relaxed),
-        );
-        gauge(
-            "trips_connections_active",
-            "Currently open connections",
-            self.active.load(Ordering::Relaxed) as i64,
-        );
-        set(
-            "trips_requests_total",
-            "Requests received (all endpoints)",
-            self.requests.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_requests_shed_total",
-            "Requests shed with Overloaded",
-            self.shed.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_bad_requests_total",
-            "Malformed requests answered BadRequest",
-            self.bad_requests.load(Ordering::Relaxed),
-        );
-        gauge(
-            "trips_queue_capacity",
-            "Cap on admitted, unfinished requests",
-            self.admission.capacity() as i64,
-        );
-        gauge(
-            "trips_queue_peak_depth",
-            "High-water mark of admitted, unfinished requests",
-            self.admission.peak_depth() as i64,
-        );
-        gauge(
-            "trips_translator_shards",
-            "Translator lock shards",
-            self.buffers.len() as i64,
-        );
-        set(
-            "trips_translator_lock_contention_total",
-            "Contended translator-shard lock acquisitions",
-            self.translator_contention.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_store_shard_lock_contention_total",
-            "Contended store shard write-lock acquisitions",
-            self.store.shard_lock_contention(),
-        );
-        gauge(
-            "trips_store_devices",
-            "Devices resident in the store",
-            self.store.device_count() as i64,
-        );
-        gauge(
-            "trips_store_semantics",
-            "Location semantics resident in the store",
-            self.store.semantics_count() as i64,
-        );
-        set(
-            "trips_rule_evals_total",
-            "Standing-rule evaluations",
-            self.store.rules().evals_total(),
-        );
-        set(
-            "trips_rule_fires_total",
-            "Standing-rule fires",
-            self.store.rules().fires_total(),
-        );
-        set(
-            "trips_alerts_delivered_total",
-            "Alerts delivered to subscribers",
-            self.store.rules().alerts_delivered(),
-        );
-        set(
-            "trips_alerts_dropped_total",
-            "Alerts dropped (sink refusal or write backpressure)",
-            self.store.rules().alerts_dropped() + self.alerts_dropped_late.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_slow_requests_total",
-            "Spans promoted into the slow-log",
-            self.slow_requests.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_connections_reaped_total",
-            "Connections closed for exceeding the idle timeout",
-            self.conns_reaped.load(Ordering::Relaxed),
-        );
-        set(
-            "trips_slowlog_evicted_total",
-            "Promoted spans evicted by the slow-log cap",
-            self.slowlog.evicted(),
-        );
-        gauge(
-            "trips_uptime_seconds",
-            "Seconds since serve started",
-            self.started.elapsed().as_secs() as i64,
-        );
-        if let Some(rss) = read_rss_kb() {
-            gauge("trips_rss_kb", "Resident set size (KiB)", rss as i64);
-        }
-        if let Some(r) = &self.recovery {
-            gauge(
-                "trips_recovery_us",
-                "Wall time of boot recovery (microseconds)",
-                r.elapsed_us as i64,
-            );
-            gauge(
-                "trips_recovery_replayed_records",
-                "WAL records replayed by boot recovery",
-                r.replayed_records as i64,
-            );
-        }
-        if let Some(wal) = self.store.wal_stats() {
-            gauge(
-                "trips_wal_segments",
-                "Live WAL segment files",
-                wal.segments as i64,
-            );
-            gauge(
-                "trips_wal_bytes",
-                "Bytes across live WAL segments",
-                wal.bytes as i64,
-            );
-            gauge(
-                "trips_wal_records_since_checkpoint",
-                "WAL records appended since the last checkpoint",
-                wal.records_since_checkpoint as i64,
-            );
-            set(
-                "trips_wal_fsyncs_total",
-                "WAL fdatasyncs issued",
-                wal.fsyncs,
-            );
-            set(
-                "trips_wal_rotations_total",
-                "WAL segment rotations",
-                wal.rotations,
-            );
-        }
-        for (shard, state) in self.shards.iter().enumerate() {
-            let shard_label = shard.to_string();
-            let labels: [(&str, &str); 1] = [("shard", shard_label.as_str())];
-            r.gauge(
-                "trips_loop_shard_connections",
-                "Connections owned by each event-loop shard",
-                &labels,
-            )
-            .set(state.connections.load(Ordering::Relaxed) as i64);
-            r.counter(
-                "trips_loop_shard_wakeups_total",
-                "Waker signals per event-loop shard",
-                &labels,
-            )
-            .set(state.wakeups.load(Ordering::Relaxed));
-            r.gauge(
-                "trips_loop_shard_pending_completions",
-                "Alert pushes awaiting the event-loop shard",
-                &labels,
-            )
-            .set(state.pushes.lock().len() as i64);
-            r.counter(
-                "trips_loop_shard_bytes_read_total",
-                "Socket bytes read per event-loop shard",
-                &labels,
-            )
-            .set(state.bytes_read.load(Ordering::Relaxed));
-            r.counter(
-                "trips_loop_shard_jobs_total",
-                "Work requests admitted and run per event-loop shard",
-                &labels,
-            )
-            .set(state.jobs.load(Ordering::Relaxed));
-        }
-        r.render_prometheus()
     }
 
     /// Executes an `Ingest`: the batch is partitioned by device hash and
@@ -1183,9 +963,9 @@ impl<'env> Shared<'env> {
         match req {
             Request::Ping => Response::Pong,
             Request::Health => self.health(),
-            Request::Metrics => self.metrics_report(),
+            Request::Metrics => Response::Metrics(self.snapshot().report),
             Request::MetricsProm => Response::MetricsProm {
-                text: self.prometheus_text(),
+                text: metrics::render(&self.snapshot()),
             },
             Request::TraceDump { limit } => Response::Traces {
                 spans: self.trace_spans(*limit),
@@ -1219,61 +999,6 @@ impl<'env> Shared<'env> {
             buffered_records,
             active_connections: self.active.load(Ordering::Relaxed),
             wal: self.store.wal_stats(),
-        })
-    }
-
-    fn metrics_report(&self) -> Response {
-        let uptime = self.started.elapsed();
-        let endpoints = [
-            ("ingest", &self.ingest_hist),
-            ("query", &self.query_hist),
-            ("admin", &self.admin_hist),
-        ]
-        .into_iter()
-        .map(|(name, hist)| endpoint_metrics(name, hist, uptime))
-        .collect();
-        let loop_shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, state)| LoopShardMetrics {
-                shard,
-                connections: state.connections.load(Ordering::Relaxed),
-                pending_completions: state.pushes.lock().len(),
-                wakeups: state.wakeups.load(Ordering::Relaxed),
-                bytes_read: state.bytes_read.load(Ordering::Relaxed),
-                jobs: state.jobs.load(Ordering::Relaxed),
-            })
-            .collect();
-        Response::Metrics(MetricsReport {
-            uptime_ms: uptime.as_millis() as u64,
-            connections_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            active_connections: self.active.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            queue_capacity: self.admission.capacity(),
-            peak_queue_depth: self.admission.peak_depth(),
-            rss_kb: read_rss_kb(),
-            // The one readiness backend; the field stays on the wire.
-            event_backend: "poll".to_string(),
-            loop_shards,
-            translator_shards: self.buffers.len(),
-            translator_lock_contention: self.translator_contention.load(Ordering::Relaxed),
-            endpoints,
-            wal: self.store.wal_stats(),
-            recovery_us: self.recovery.as_ref().map_or(0, |r| r.elapsed_us),
-            recovery_replayed_records: self.recovery.as_ref().map_or(0, |r| r.replayed_records),
-            rules: self.store.rules().traces(),
-            alerts_delivered: self.store.rules().alerts_delivered(),
-            alerts_dropped: self.store.rules().alerts_dropped()
-                + self.alerts_dropped_late.load(Ordering::Relaxed),
-            slow_requests: self.slow_requests.load(Ordering::Relaxed),
-            store_lock_contention: self.store.shard_lock_contention(),
-            rule_evals: self.store.rules().evals_total(),
-            rule_fires: self.store.rules().fires_total(),
-            connections_reaped: self.conns_reaped.load(Ordering::Relaxed),
         })
     }
 }
@@ -2225,7 +1950,7 @@ fn serve_metrics_conn(shared: &Shared<'_>, mut stream: TcpStream) {
     let mut parts = line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let response = if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
-        let body = shared.prometheus_text();
+        let body = metrics::render(&shared.snapshot());
         format!(
             "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -2393,21 +2118,6 @@ impl TripsServer {
             .map_err(|e| invalid(&e))?
             .with_store(self.store.clone());
 
-        // The metric registry and the live latency histograms registered
-        // in it: the same three series back `Metrics` percentiles and the
-        // Prometheus `trips_request_latency_us` family.
-        let registry = Registry::new();
-        let latency_hist = |endpoint: &str| {
-            registry.histogram(
-                "trips_request_latency_us",
-                "Request latency by endpoint family (microseconds)",
-                &[("endpoint", endpoint)],
-            )
-        };
-        let ingest_hist = latency_hist("ingest");
-        let query_hist = latency_hist("query");
-        let admin_hist = latency_hist("admin");
-
         let shared = Shared {
             core,
             buffers: (0..self.store.shard_count())
@@ -2423,10 +2133,9 @@ impl TripsServer {
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             started: Instant::now(),
-            registry,
-            ingest_hist,
-            query_hist,
-            admin_hist,
+            ingest_hist: Histogram::new(),
+            query_hist: Histogram::new(),
+            admin_hist: Histogram::new(),
             traces: (0..loop_shards)
                 .map(|_| TraceRing::new(DEFAULT_TRACE_RING))
                 .collect(),
@@ -2509,16 +2218,7 @@ impl TripsServer {
         // flush the tail of any fsync window, then report.
         shared.finish_all();
         let _ = self.store.sync_wal();
-        Ok(ServerReport {
-            connections_accepted: shared.conns_accepted.load(Ordering::Relaxed),
-            connections_rejected: shared.conns_rejected.load(Ordering::Relaxed),
-            requests: shared.requests.load(Ordering::Relaxed),
-            shed: shared.shed.load(Ordering::Relaxed),
-            bad_requests: shared.bad_requests.load(Ordering::Relaxed),
-            peak_queue_depth: shared.admission.peak_depth(),
-            devices: self.store.device_count(),
-            semantics: self.store.semantics_count(),
-        })
+        Ok(ServerReport::from(&shared.snapshot()))
     }
 
     /// Binds `addr` (use port 0 for an ephemeral port), moves the server
@@ -2605,28 +2305,6 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn endpoint_metrics_reduce_a_histogram_snapshot() {
-        let hist = Histogram::new();
-        for us in 1..=1000u64 {
-            hist.observe_us(us);
-        }
-        let m = endpoint_metrics("ingest", &hist, Duration::from_secs(10));
-        assert_eq!(m.endpoint, "ingest");
-        assert_eq!(m.count, 1000);
-        assert!((m.ops_per_sec - 100.0).abs() < 1e-9);
-        assert_eq!(m.max_us, 1000.0, "max is exact");
-        assert_eq!(m.mean_us, 500.0);
-        // Log buckets: the p50 estimate stays inside the true median's
-        // bucket (256, 512]; p99 never exceeds the exact max.
-        assert!((257.0..=512.0).contains(&m.p50_us), "p50 {}", m.p50_us);
-        assert!(m.p99_us <= m.max_us);
-
-        let empty = endpoint_metrics("query", &Histogram::new(), Duration::ZERO);
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.ops_per_sec, 0.0);
-    }
 
     #[test]
     fn http_head_detection_handles_both_line_endings() {

@@ -6,7 +6,7 @@
 //! plus N reader threads hammering the `SemanticsStore` query mix
 //! (popular regions, flows, dwell histograms, device summaries, filtered
 //! selections). Per-query latencies are collected per reader with
-//! `trips_engine::LatencyRecorder` and reduced to ops/sec + p50/p99.
+//! `trips_obs::LatencyRecorder` and reduced to ops/sec + p50/p99.
 //!
 //! This is a custom `harness = false` binary (not criterion) because the
 //! perf-smoke CI gate needs machine-readable output and an exit code:
@@ -34,7 +34,8 @@ use trips_annotate::MobilitySemantics;
 use trips_core::{Translator, TranslatorConfig};
 use trips_data::{DeviceId, Duration, Timestamp};
 use trips_dsm::RegionId;
-use trips_engine::{run_indexed, LatencyRecorder};
+use trips_engine::run_indexed;
+use trips_obs::LatencyRecorder;
 use trips_sim::ScenarioConfig;
 use trips_store::{SemanticsSelector, SemanticsStore};
 
