@@ -4,10 +4,10 @@
 
 use crate::features::FeatureVector;
 use crate::model::{Classifier, EventModel};
-use crate::semantics::MobilitySemantics;
+use crate::semantics::{MobilitySemantics, RegionNames};
 use crate::spatial::{dominant_region, region_runs};
 use crate::split::{split, SnippetKind, SplitConfig};
-use trips_data::{Duration, PositioningSequence, RawRecord};
+use trips_data::{Duration, Name, PositioningSequence, RawRecord};
 use trips_dsm::DigitalSpaceModel;
 use trips_geom::{algorithms, IndoorPoint};
 
@@ -45,10 +45,16 @@ impl AnnotatorConfig {
 }
 
 /// The Annotator: owns the trained event model and its label vocabulary.
+///
+/// The labels and the DSM's region names are interned once, here, so each
+/// semantics the Annotator builds copies two [`Name`] handles.
 pub struct Annotator<'a> {
     dsm: &'a DigitalSpaceModel,
     model: EventModel,
     labels: Vec<String>,
+    /// `labels`, interned.
+    label_names: Vec<Name>,
+    region_names: RegionNames,
     config: AnnotatorConfig,
 }
 
@@ -67,7 +73,9 @@ impl<'a> Annotator<'a> {
         Annotator {
             dsm,
             model,
+            label_names: labels.iter().map(Name::from).collect(),
             labels,
+            region_names: RegionNames::new(dsm),
             config,
         }
     }
@@ -82,10 +90,14 @@ impl<'a> Annotator<'a> {
         self.model.name()
     }
 
-    fn event_label(&self, records: &[RawRecord]) -> String {
+    fn event_label(&self, records: &[RawRecord]) -> Name {
         let f = FeatureVector::extract(records);
         let idx = self.model.predict(f.values()).min(self.labels.len() - 1);
-        self.labels[idx].clone()
+        self.label_names[idx]
+    }
+
+    fn region_name(&self, region: trips_dsm::RegionId) -> Name {
+        self.region_names.get(region).expect("region from dsm")
     }
 
     fn display_point(&self, records: &[RawRecord]) -> Option<IndoorPoint> {
@@ -118,12 +130,11 @@ impl<'a> Annotator<'a> {
                     let Some(region_id) = dominant_region(self.dsm, records) else {
                         continue;
                     };
-                    let region = self.dsm.region(region_id).expect("region from dsm");
                     out.push(MobilitySemantics {
                         device: seq.device().clone(),
                         event: self.event_label(records),
                         region: region_id,
-                        region_name: region.name.clone(),
+                        region_name: self.region_name(region_id),
                         start: records[0].ts,
                         end: records[records.len() - 1].ts,
                         inferred: false,
@@ -134,12 +145,11 @@ impl<'a> Annotator<'a> {
                     // One semantics per region traversed.
                     for run in region_runs(self.dsm, records) {
                         let run_records = &records[run.first..=run.last];
-                        let region = self.dsm.region(run.region).expect("region from dsm");
                         out.push(MobilitySemantics {
                             device: seq.device().clone(),
                             event: self.event_label(run_records),
                             region: run.region,
-                            region_name: region.name.clone(),
+                            region_name: self.region_name(run.region),
                             start: run_records[0].ts,
                             end: run_records[run_records.len() - 1].ts,
                             inferred: false,
@@ -150,26 +160,22 @@ impl<'a> Annotator<'a> {
             }
         }
         out.sort_by_key(|s| s.start);
-        self.merge_adjacent(out)
+        self.merge_adjacent(&mut out);
+        out
     }
 
     /// Merges adjacent same-event same-region semantics separated by at most
-    /// `merge_gap` (splitting artefacts at snippet boundaries).
-    fn merge_adjacent(&self, sems: Vec<MobilitySemantics>) -> Vec<MobilitySemantics> {
-        let mut out: Vec<MobilitySemantics> = Vec::new();
-        for s in sems {
-            match out.last_mut() {
-                Some(prev)
-                    if prev.region == s.region
-                        && prev.event == s.event
-                        && s.start - prev.end <= self.config.merge_gap =>
-                {
-                    prev.end = prev.end.max(s.end);
-                }
-                _ => out.push(s),
+    /// `merge_gap` (splitting artefacts at snippet boundaries), in place.
+    fn merge_adjacent(&self, sems: &mut Vec<MobilitySemantics>) {
+        sems.dedup_by(|s, prev| {
+            let merge = prev.region == s.region
+                && prev.event == s.event
+                && s.start - prev.end <= self.config.merge_gap;
+            if merge {
+                prev.end = prev.end.max(s.end);
             }
-        }
-        out
+            merge
+        });
     }
 }
 

@@ -46,12 +46,12 @@ impl<'a> StopMoveAnnotator<'a> {
                 MobilitySemantics {
                     device: seq.device().clone(),
                     event: if dwell >= self.min_stop {
-                        "stop".to_string()
+                        "stop".into()
                     } else {
-                        "move".to_string()
+                        "move".into()
                     },
                     region: run.region,
-                    region_name: region.name.clone(),
+                    region_name: region.name.as_str().into(),
                     start: rr[0].ts,
                     end: rr[rr.len() - 1].ts,
                     inferred: false,

@@ -6,7 +6,7 @@
 //! vector from a record slice.
 
 use trips_data::RawRecord;
-use trips_geom::{algorithms, BoundingBox, Point, Polyline};
+use trips_geom::{BoundingBox, Point, EPSILON};
 
 /// Names of the extracted features, aligned with [`FeatureVector::values`].
 pub const FEATURE_NAMES: [&str; 9] = [
@@ -25,7 +25,17 @@ pub const FEATURE_NAMES: [&str; 9] = [
 pub const FEATURE_DIM: usize = FEATURE_NAMES.len();
 
 /// Minimum direction change that counts as a turn (radians ≈ 30°).
-const TURN_ANGLE: f64 = 0.52;
+pub const TURN_ANGLE: f64 = 0.52;
+
+/// `TURN_ANGLE.cos()`: a turn is a leg pair whose direction cosine is at
+/// most this.
+const COS_TURN_ANGLE: f64 = 0.867_819_179_677_649_9;
+
+/// Half-width of the cosine band around [`COS_TURN_ANGLE`] inside which
+/// the turn test falls back to `acos(cos) >= TURN_ANGLE`. Outside it the
+/// two tests agree whatever `acos` rounds to; inside it only `acos`
+/// reproduces the angle comparison exactly.
+const COS_BAND: f64 = 1e-9;
 
 /// The extracted feature vector of one snippet.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,45 +48,71 @@ impl FeatureVector {
     ///
     /// Returns a zero vector for an empty slice (degenerate snippets are the
     /// caller's responsibility to filter).
+    ///
+    /// One walk over the legs computes each leg's length once and reuses it
+    /// for the traveling distance, the max leg speed and the turn test, and
+    /// grows the bounding box and counts floor changes on the way; a second
+    /// walk takes the variance around the mean. Nothing is allocated, and
+    /// every value is bit-identical to the per-feature definitions (the
+    /// `geom` algorithms, `RawRecord::planar_speed_from` and
+    /// `Polyline::count_turns`).
     pub fn extract(records: &[RawRecord]) -> FeatureVector {
         let mut v = [0.0f64; FEATURE_DIM];
-        if records.is_empty() {
+        let Some((first, rest)) = records.split_first() else {
             return FeatureVector { values: v };
-        }
-        let points: Vec<Point> = records.iter().map(|r| r.location.xy).collect();
-        let duration = (records[records.len() - 1].ts - records[0].ts).as_secs_f64();
+        };
+        let duration = (records[records.len() - 1].ts - first.ts).as_secs_f64();
 
-        // Location variance.
-        v[0] = algorithms::location_variance(&points);
-        // Traveling distance.
-        let dist = algorithms::path_length(&points);
+        let mut sum = Point::origin() + first.location.xy;
+        let mut bbox = BoundingBox::empty();
+        bbox.expand(first.location.xy);
+        // The empty sum, so a one-record slice reads exactly as
+        // `Iterator::sum` over no legs does.
+        let mut dist = std::iter::empty::<f64>().sum::<f64>();
+        let mut max_leg_speed = 0.0f64;
+        let mut turns = 0usize;
+        let mut floor_changes = 0usize;
+        // The previous leg's vector and length, for the turn test.
+        let mut prev_leg: Option<(Point, f64)> = None;
+        let mut prev = first;
+        for r in rest {
+            let p = r.location.xy;
+            sum = sum + p;
+            bbox.expand(p);
+            let leg = p - prev.location.xy;
+            let len = leg.norm();
+            dist += len;
+            let dt = (r.ts - prev.ts).as_secs_f64();
+            if dt > 0.0 {
+                max_leg_speed = max_leg_speed.max(len / dt);
+            }
+            if let Some((v1, n1)) = prev_leg {
+                if n1 > EPSILON && len > EPSILON && is_turn(v1.dot(leg) / (n1 * len)) {
+                    turns += 1;
+                }
+            }
+            prev_leg = Some((leg, len));
+            floor_changes += usize::from(r.location.floor != prev.location.floor);
+            prev = r;
+        }
+
+        let n = records.len() as f64;
+        let mean = sum * (1.0 / n);
+        v[0] = records
+            .iter()
+            .map(|r| r.location.xy.distance_sq(mean))
+            .sum::<f64>()
+            / n;
         v[1] = dist;
-        // Mean speed.
         v[2] = if duration > 0.0 { dist / duration } else { 0.0 };
-        // Max leg speed.
-        v[3] = records
-            .windows(2)
-            .filter_map(|w| w[1].planar_speed_from(&w[0]))
-            .fold(0.0, f64::max);
+        v[3] = max_leg_speed;
         // Covering range: bbox diagonal (hull diameter collapses for
         // near-collinear transits; the diagonal is stable).
-        v[4] = BoundingBox::from_points(points.iter().copied()).diagonal();
-        // Turns.
-        v[5] = if points.len() >= 3 {
-            Polyline::new(points.clone()).count_turns(TURN_ANGLE) as f64
-        } else {
-            0.0
-        };
-        // Duration.
+        v[4] = bbox.diagonal();
+        v[5] = turns as f64;
         v[6] = duration;
-        // Record count.
-        v[7] = records.len() as f64;
-        // Floor changes.
-        v[8] = records
-            .windows(2)
-            .filter(|w| w[0].location.floor != w[1].location.floor)
-            .count() as f64;
-
+        v[7] = n;
+        v[8] = floor_changes as f64;
         FeatureVector { values: v }
     }
 
@@ -91,6 +127,21 @@ impl FeatureVector {
             .iter()
             .position(|n| *n == name)
             .map(|i| self.values[i])
+    }
+}
+
+/// Whether two legs whose direction cosine is `cos` turn by at least
+/// [`TURN_ANGLE`]: `acos(cos) >= TURN_ANGLE`, taking the `acos` only inside
+/// the band where a plain cosine comparison could round the other way.
+#[inline]
+fn is_turn(cos: f64) -> bool {
+    let cos = cos.clamp(-1.0, 1.0);
+    if cos < COS_TURN_ANGLE - COS_BAND {
+        true
+    } else if cos > COS_TURN_ANGLE + COS_BAND {
+        false
+    } else {
+        cos.acos() >= TURN_ANGLE
     }
 }
 
@@ -177,6 +228,13 @@ mod tests {
         assert_eq!(single.get("record_count").unwrap(), 1.0);
         assert_eq!(single.get("traveling_distance").unwrap(), 0.0);
         assert_eq!(single.get("mean_speed").unwrap(), 0.0);
+    }
+
+    #[test]
+    fn turn_cosine_matches_the_angle() {
+        assert!((TURN_ANGLE.cos() - COS_TURN_ANGLE).abs() < 1e-15);
+        // NaN (degenerate legs) is never a turn, as `acos` made it.
+        assert!(!is_turn(f64::NAN));
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub use annotator::{Annotator, AnnotatorConfig, DisplayPointPolicy};
 pub use editor::{EventEditor, EventPattern, TrainingSet};
 pub use features::{FeatureVector, FEATURE_NAMES};
 pub use model::{Classifier, DecisionTree, EventModel, KNearest, RandomForest};
-pub use semantics::MobilitySemantics;
+pub use semantics::{MobilitySemantics, RegionNames};
 pub use split::{Snippet, SnippetKind, SplitConfig};

@@ -100,7 +100,7 @@ fn sem(device: &str, region: u32, event: &str, start_s: i64, end_s: i64) -> Mobi
         device: DeviceId::new(device),
         event: event.into(),
         region: RegionId(region),
-        region_name: format!("Region-{region}"),
+        region_name: format!("Region-{region}").into(),
         start: Timestamp::from_millis(start_s * 1000),
         end: Timestamp::from_millis(end_s * 1000),
         inferred: false,

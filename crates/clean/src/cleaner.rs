@@ -201,10 +201,9 @@ impl<'a> Cleaner<'a> {
             repairs[i] = RepairKind::Dropped;
         }
 
-        let cleaned: Vec<RawRecord> = (0..n)
-            .filter(|&i| alive[i])
-            .map(|i| working[i].clone())
-            .collect();
+        // The output is `working`'s live records, moved, not copied.
+        let mut alive = alive.into_iter();
+        working.retain(|_| alive.next().expect("one flag per record"));
 
         let mut report = CleaningReport {
             input_records: n,
@@ -220,7 +219,7 @@ impl<'a> Cleaner<'a> {
         }
 
         CleanedSequence {
-            sequence: PositioningSequence::from_records(seq.device().clone(), cleaned),
+            sequence: PositioningSequence::from_records(seq.device().clone(), working),
             repairs,
             report,
         }

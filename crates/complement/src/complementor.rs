@@ -7,8 +7,8 @@
 use crate::infer::Lattice;
 use crate::knowledge::MobilityKnowledge;
 use std::sync::OnceLock;
-use trips_annotate::MobilitySemantics;
-use trips_data::{Duration, Timestamp};
+use trips_annotate::{MobilitySemantics, RegionNames};
+use trips_data::{Duration, Name, Timestamp};
 use trips_dsm::{DigitalSpaceModel, RegionId};
 
 /// Complementor configuration.
@@ -44,18 +44,23 @@ impl Default for ComplementorConfig {
 /// the first gap that leaves the region and shared by every later one (and
 /// every thread): the lattice depends only on the knowledge and `max_hops`,
 /// both fixed for the complementor's lifetime.
-pub struct Complementor<'a> {
-    dsm: &'a DigitalSpaceModel,
+///
+/// The two inferred labels and the DSM's region names are interned once,
+/// at construction.
+pub struct Complementor {
     knowledge: MobilityKnowledge,
     config: ComplementorConfig,
+    region_names: RegionNames,
+    stay: Name,
+    pass_by: Name,
     /// Lattice per source region, indexed like `knowledge.regions()`.
     lattices: Vec<OnceLock<Lattice>>,
 }
 
-impl<'a> Complementor<'a> {
+impl Complementor {
     /// Creates a complementor around pre-built knowledge.
     pub fn new(
-        dsm: &'a DigitalSpaceModel,
+        dsm: &DigitalSpaceModel,
         knowledge: MobilityKnowledge,
         config: ComplementorConfig,
     ) -> Self {
@@ -65,9 +70,11 @@ impl<'a> Complementor<'a> {
             .map(|_| OnceLock::new())
             .collect();
         Complementor {
-            dsm,
             knowledge,
             config,
+            region_names: RegionNames::new(dsm),
+            stay: Name::new("stay"),
+            pass_by: Name::new("pass-by"),
             lattices,
         }
     }
@@ -75,7 +82,7 @@ impl<'a> Complementor<'a> {
     /// Builds knowledge from the given sequences and wraps it (the standard
     /// Translator flow: knowledge construction → inference).
     pub fn from_sequences(
-        dsm: &'a DigitalSpaceModel,
+        dsm: &DigitalSpaceModel,
         sequences: &[Vec<MobilitySemantics>],
         config: ComplementorConfig,
     ) -> Self {
@@ -174,14 +181,13 @@ impl<'a> Complementor<'a> {
         end: Timestamp,
     ) -> MobilitySemantics {
         let region_name = self
-            .dsm
-            .region(region)
-            .map(|r| r.name.clone())
-            .unwrap_or_else(|_| region.to_string());
+            .region_names
+            .get(region)
+            .unwrap_or_else(|| Name::from(region.to_string()));
         let event = if end - start >= self.config.stay_threshold {
-            "stay".to_string()
+            self.stay
         } else {
-            "pass-by".to_string()
+            self.pass_by
         };
         MobilitySemantics {
             device: template.device.clone(),

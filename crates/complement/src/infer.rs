@@ -167,7 +167,7 @@ mod tests {
             device: DeviceId::new("d"),
             event: "stay".into(),
             region,
-            region_name: String::new(),
+            region_name: "".into(),
             start: Timestamp::from_millis(start_s * 1000),
             end: Timestamp::from_millis(end_s * 1000),
             inferred: false,

@@ -1,10 +1,9 @@
 //! Prior mobility knowledge: region transition probabilities and dwell
 //! statistics aggregated from annotated semantics sequences.
 
-use std::collections::BTreeMap;
 use trips_annotate::MobilitySemantics;
 use trips_data::Duration;
-use trips_dsm::{DigitalSpaceModel, PathQuery, RegionId};
+use trips_dsm::{DigitalSpaceModel, PathQuery, RegionId, RegionIndex};
 
 /// First-order Markov knowledge over semantic regions.
 ///
@@ -14,9 +13,10 @@ use trips_dsm::{DigitalSpaceModel, PathQuery, RegionId};
 /// unobserved.
 #[derive(Debug, Clone)]
 pub struct MobilityKnowledge {
-    regions: Vec<RegionId>,
-    index: BTreeMap<RegionId, usize>,
-    /// Row-stochastic transition matrix aligned with `regions`.
+    /// The DSM's regions in id order, each with its matrix row/column: a
+    /// slot per id, so a lookup is one array read.
+    index: RegionIndex,
+    /// Row-stochastic transition matrix aligned with `index`.
     probs: Vec<Vec<f64>>,
     /// The positive entries of each `probs` row as `(column, ln p)`, in
     /// column order: the sparse rows MAP inference walks.
@@ -45,7 +45,7 @@ impl MobilityKnowledge {
         smoothing: f64,
     ) -> Self {
         let mut k = Self::skeleton(dsm);
-        let n = k.regions.len();
+        let n = k.index.len();
 
         let mut counts = vec![vec![0.0f64; n]; n];
         let mut dwell_sum = vec![0.0f64; n];
@@ -55,13 +55,13 @@ impl MobilityKnowledge {
         for seq in sequences {
             let seq = seq.as_ref();
             for s in seq {
-                if let Some(&i) = k.index.get(&s.region) {
+                if let Some(i) = k.index.get(s.region) {
                     dwell_sum[i] += s.duration().as_millis() as f64;
                     dwell_n[i] += 1;
                 }
             }
             for w in seq.windows(2) {
-                let (Some(&a), Some(&b)) = (k.index.get(&w[0].region), k.index.get(&w[1].region))
+                let (Some(a), Some(b)) = (k.index.get(w[0].region), k.index.get(w[1].region))
                 else {
                     continue;
                 };
@@ -85,7 +85,7 @@ impl MobilityKnowledge {
     /// A3 ablation: uniform prior over adjacent region pairs, no data.
     pub fn uniform(dsm: &DigitalSpaceModel) -> Self {
         let mut k = Self::skeleton(dsm);
-        let n = k.regions.len();
+        let n = k.index.len();
         k.finish(dsm, vec![vec![0.0; n]; n], 1.0);
         k
     }
@@ -94,18 +94,18 @@ impl MobilityKnowledge {
     /// adjacent region decays with the walking distance between anchors.
     pub fn distance_decay(dsm: &DigitalSpaceModel) -> Self {
         let mut k = Self::skeleton(dsm);
-        let n = k.regions.len();
+        let n = k.index.len();
         let pq = PathQuery::new(dsm).expect("frozen DSM");
         let mut counts = vec![vec![0.0f64; n]; n];
         let topo = dsm.topology().expect("frozen DSM");
-        for (i, &a) in k.regions.iter().enumerate() {
+        for (i, &a) in k.index.ids().iter().enumerate() {
             let ra = dsm.region(a).expect("region");
             let pa = trips_geom::IndoorPoint {
                 xy: ra.anchor(),
                 floor: ra.floor,
             };
             for &b in topo.neighbours(a) {
-                let Some(&j) = k.index.get(&b) else { continue };
+                let Some(j) = k.index.get(b) else { continue };
                 let rb = dsm.region(b).expect("region");
                 let pb = trips_geom::IndoorPoint {
                     xy: rb.anchor(),
@@ -120,14 +120,11 @@ impl MobilityKnowledge {
     }
 
     fn skeleton(dsm: &DigitalSpaceModel) -> Self {
-        let regions: Vec<RegionId> = dsm.regions().map(|r| r.id).collect();
-        let index: BTreeMap<RegionId, usize> =
-            regions.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        let n = regions.len();
+        let index = dsm.region_index().clone();
+        let n = index.len();
         MobilityKnowledge {
-            regions,
             index,
-            probs: vec![vec![0.0; n]; n],
+            probs: vec![Vec::new(); n],
             log_rows: vec![Vec::new(); n],
             mean_dwell_ms: vec![DEFAULT_DWELL_MS; n],
             observed_transitions: 0,
@@ -138,12 +135,11 @@ impl MobilityKnowledge {
     /// `log_rows`.
     fn finish(&mut self, dsm: &DigitalSpaceModel, counts: Vec<Vec<f64>>, smoothing: f64) {
         let topo = dsm.topology().expect("frozen DSM");
-        let n = self.regions.len();
-        for (i, count_row) in counts.iter().enumerate().take(n) {
-            let mut row = count_row.clone();
+        debug_assert_eq!(counts.len(), self.index.len());
+        for (i, mut row) in counts.into_iter().enumerate() {
             if smoothing > 0.0 {
-                for &b in topo.neighbours(self.regions[i]) {
-                    if let Some(&j) = self.index.get(&b) {
+                for &b in topo.neighbours(self.index.ids()[i]) {
+                    if let Some(j) = self.index.get(b) {
                         row[j] += smoothing;
                     }
                 }
@@ -166,28 +162,28 @@ impl MobilityKnowledge {
 
     /// All regions in matrix order.
     pub fn regions(&self) -> &[RegionId] {
-        &self.regions
+        self.index.ids()
     }
 
     /// `P(next = b | current = a)`; 0 for unknown regions.
     pub fn transition_prob(&self, a: RegionId, b: RegionId) -> f64 {
-        match (self.index.get(&a), self.index.get(&b)) {
-            (Some(&i), Some(&j)) => self.probs[i][j],
+        match (self.index.get(a), self.index.get(b)) {
+            (Some(i), Some(j)) => self.probs[i][j],
             _ => 0.0,
         }
     }
 
     /// Mean observed dwell in a region (default 60 s when unobserved).
     pub fn mean_dwell(&self, r: RegionId) -> Duration {
-        match self.index.get(&r) {
-            Some(&i) => Duration(self.mean_dwell_ms[i] as i64),
+        match self.index.get(r) {
+            Some(i) => Duration(self.mean_dwell_ms[i] as i64),
             None => Duration(DEFAULT_DWELL_MS as i64),
         }
     }
 
     /// Internal index of a region.
     pub(crate) fn index_of(&self, r: RegionId) -> Option<usize> {
-        self.index.get(&r).copied()
+        self.index.get(r)
     }
 
     /// Row of the transition matrix.

@@ -28,9 +28,9 @@ fn arb_semantics(dsm: &DigitalSpaceModel) -> impl Strategy<Value = Vec<MobilityS
                 cursor = end;
                 out.push(MobilitySemantics {
                     device: DeviceId::new("p"),
-                    event: if dur >= 90 { "stay" } else { "pass-by" }.to_string(),
+                    event: if dur >= 90 { "stay" } else { "pass-by" }.into(),
                     region,
-                    region_name: name,
+                    region_name: name.into(),
                     start: Timestamp::from_millis(start * 1000),
                     end: Timestamp::from_millis(end * 1000),
                     inferred: false,

@@ -135,7 +135,7 @@ mod tests {
             device: DeviceId::new("d"),
             event: event.into(),
             region: RegionId(region),
-            region_name: format!("r{region}"),
+            region_name: format!("r{region}").into(),
             start: Timestamp::from_millis(start_s * 1000),
             end: Timestamp::from_millis(end_s * 1000),
             inferred: false,

@@ -366,7 +366,7 @@ mod tests {
                     device: id.clone(),
                     event: if i % 2 == 0 { "stay" } else { "pass-by" }.into(),
                     region: trips_dsm::RegionId((d + i) % 3),
-                    region_name: format!("R{}", (d + i) % 3),
+                    region_name: format!("R{}", (d + i) % 3).into(),
                     start: Timestamp::from_millis(i as i64 * 60_000),
                     end: Timestamp::from_millis(i as i64 * 60_000 + 30_000),
                     inferred: false,

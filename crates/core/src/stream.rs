@@ -61,7 +61,7 @@ pub type DeviceBuffers = BTreeMap<DeviceId, Vec<RawRecord>>;
 pub struct TranslatorCore<'a> {
     cleaner: Cleaner<'a>,
     annotator: Annotator<'a>,
-    complementor: Option<Complementor<'a>>,
+    complementor: Option<Complementor>,
     flush_gap: Duration,
     max_buffer: usize,
     /// Optional live store: every emitted batch is also published here,

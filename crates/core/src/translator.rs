@@ -133,11 +133,12 @@ impl TranslationResult {
     }
 }
 
-/// The Translator.
+/// The Translator. Its Cleaner and Annotator are built once, here, and
+/// shared by every `translate` call and every worker.
 pub struct Translator<'a> {
     dsm: &'a DigitalSpaceModel,
-    model: EventModel,
-    labels: Vec<String>,
+    cleaner: Cleaner<'a>,
+    annotator: Annotator<'a>,
     config: TranslatorConfig,
 }
 
@@ -153,8 +154,8 @@ impl<'a> Translator<'a> {
         assert!(!labels.is_empty(), "label vocabulary must not be empty");
         Ok(Translator {
             dsm,
-            model,
-            labels,
+            cleaner: Cleaner::new(dsm, config.cleaner.clone())?,
+            annotator: Annotator::new(dsm, model, labels, config.annotator.clone()),
             config,
         })
     }
@@ -184,16 +185,7 @@ impl<'a> Translator<'a> {
     /// Per-stage wall-clock timings land in [`TranslationResult::report`].
     pub fn translate(&self, sequences: &[PositioningSequence]) -> TranslationResult {
         let mut pipeline = Pipeline::new(self.config.threads);
-
-        // Built once and shared by every worker (they used to be rebuilt
-        // from cloned configs for each device).
-        let cleaner = Cleaner::new(self.dsm, self.config.cleaner.clone()).expect("frozen DSM");
-        let annotator = Annotator::new(
-            self.dsm,
-            self.model.clone(),
-            self.labels.clone(),
-            self.config.annotator.clone(),
-        );
+        let (cleaner, annotator) = (&self.cleaner, &self.annotator);
 
         let per_device: Vec<(PositioningSequence, CleanedSequence, Vec<MobilitySemantics>)> =
             pipeline.map("clean+annotate", sequences, |_, seq| {
@@ -231,7 +223,7 @@ impl<'a> Translator<'a> {
 
     /// The label vocabulary in use.
     pub fn labels(&self) -> &[String] {
-        &self.labels
+        self.annotator.labels()
     }
 }
 

@@ -9,10 +9,12 @@
 pub mod io;
 pub mod selector;
 
+mod name;
 mod record;
 mod sequence;
 mod timestamp;
 
+pub use name::Name;
 pub use record::{DeviceId, RawRecord};
 pub use selector::{glob_match, Quantifier, RuleExpr, SelectionRule, Selector};
 pub use sequence::{PositioningSequence, SequenceStats};

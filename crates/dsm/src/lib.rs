@@ -42,6 +42,6 @@ pub use distance::{Anchor, PathQuery, WalkPath};
 pub use entity::{Entity, EntityId, EntityKind};
 pub use index::SpatialIndex;
 pub use model::{DigitalSpaceModel, DsmError, FloorInfo};
-pub use semantic::{RegionId, SemanticRegion, SemanticTag};
+pub use semantic::{RegionId, RegionIndex, SemanticRegion, SemanticTag};
 pub use topology::Topology;
 pub use validate::{validate, ValidationIssue};

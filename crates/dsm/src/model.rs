@@ -1,6 +1,6 @@
 use crate::entity::{Entity, EntityId};
 use crate::index::SpatialIndex;
-use crate::semantic::{RegionId, SemanticRegion};
+use crate::semantic::{RegionId, RegionIndex, SemanticRegion};
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -62,7 +62,7 @@ pub struct DigitalSpaceModel {
     pub floor_height: f64,
     floors: BTreeMap<FloorId, FloorInfo>,
     entities: BTreeMap<EntityId, Entity>,
-    regions: BTreeMap<RegionId, SemanticRegion>,
+    regions: RegionTable,
     #[serde(skip)]
     topology: Option<Topology>,
     /// Uniform-grid index over entities/regions, built by [`freeze`](Self::freeze)
@@ -73,6 +73,63 @@ pub struct DigitalSpaceModel {
     next_region_id: u32,
 }
 
+/// The semantic regions in id order, with a [`RegionIndex`] from id to
+/// position, so a lookup by id is one slot read. Serializes, deserializes
+/// and prints exactly as the `BTreeMap<RegionId, SemanticRegion>` it
+/// replaces.
+#[derive(Clone, Default)]
+struct RegionTable {
+    regions: Vec<SemanticRegion>,
+    index: RegionIndex,
+}
+
+impl RegionTable {
+    fn get(&self, id: RegionId) -> Option<&SemanticRegion> {
+        self.index.get(id).map(|at| &self.regions[at])
+    }
+
+    /// Inserts `region` under `id`, which must be absent.
+    fn insert(&mut self, id: RegionId, region: SemanticRegion) {
+        let at = self.index.insert(id);
+        self.regions.insert(at, region);
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (&RegionId, &SemanticRegion)> {
+        self.index.ids().iter().zip(&self.regions)
+    }
+}
+
+impl std::ops::Index<RegionId> for RegionTable {
+    type Output = SemanticRegion;
+
+    fn index(&self, id: RegionId) -> &SemanticRegion {
+        self.get(id).expect("region id in the table")
+    }
+}
+
+impl fmt::Debug for RegionTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.entries()).finish()
+    }
+}
+
+impl Serialize for RegionTable {
+    fn to_value(&self) -> serde::Value {
+        self.entries().collect::<BTreeMap<_, _>>().to_value()
+    }
+}
+
+impl Deserialize for RegionTable {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let map = BTreeMap::<RegionId, SemanticRegion>::from_value(v)?;
+        let ids = map.keys().copied().collect();
+        Ok(RegionTable {
+            regions: map.into_values().collect(),
+            index: RegionIndex::new(ids),
+        })
+    }
+}
+
 impl DigitalSpaceModel {
     /// Creates an empty model.
     pub fn new(name: &str) -> Self {
@@ -81,7 +138,7 @@ impl DigitalSpaceModel {
             floor_height: 4.0,
             floors: BTreeMap::new(),
             entities: BTreeMap::new(),
-            regions: BTreeMap::new(),
+            regions: RegionTable::default(),
             topology: None,
             index: None,
             next_entity_id: 0,
@@ -146,7 +203,7 @@ impl DigitalSpaceModel {
 
     /// Inserts a semantic region. Invalidates topology.
     pub fn add_region(&mut self, region: SemanticRegion) -> Result<RegionId, DsmError> {
-        if self.regions.contains_key(&region.id) {
+        if self.regions.get(region.id).is_some() {
             return Err(DsmError::DuplicateId(region.id.to_string()));
         }
         for &e in &region.entities {
@@ -169,7 +226,7 @@ impl DigitalSpaceModel {
 
     /// Looks up a region.
     pub fn region(&self, id: RegionId) -> Result<&SemanticRegion, DsmError> {
-        self.regions.get(&id).ok_or(DsmError::UnknownRegion(id))
+        self.regions.get(id).ok_or(DsmError::UnknownRegion(id))
     }
 
     /// All entities in id order.
@@ -179,7 +236,12 @@ impl DigitalSpaceModel {
 
     /// All semantic regions in id order.
     pub fn regions(&self) -> impl Iterator<Item = &SemanticRegion> {
-        self.regions.values()
+        self.regions.regions.iter()
+    }
+
+    /// Region id → dense position in [`regions`](Self::regions) order.
+    pub fn region_index(&self) -> &RegionIndex {
+        &self.regions.index
     }
 
     /// Number of entities.
@@ -189,7 +251,7 @@ impl DigitalSpaceModel {
 
     /// Number of semantic regions.
     pub fn region_count(&self) -> usize {
-        self.regions.len()
+        self.regions.regions.len()
     }
 
     /// Entities touching a floor.
@@ -199,7 +261,7 @@ impl DigitalSpaceModel {
 
     /// Regions on a floor.
     pub fn regions_on_floor(&self, floor: FloorId) -> impl Iterator<Item = &SemanticRegion> {
-        self.regions.values().filter(move |r| r.floor == floor)
+        self.regions().filter(move |r| r.floor == floor)
     }
 
     /// The walkable entity (room/hallway/staircell) containing `p`, if any.
@@ -244,7 +306,7 @@ impl DigitalSpaceModel {
     /// the lowest id).
     pub fn region_at(&self, p: &IndoorPoint) -> Option<&SemanticRegion> {
         if self.index.is_some() {
-            return self.region_id_at(p).map(|id| &self.regions[&id]);
+            return self.region_id_at(p).map(|id| &self.regions[id]);
         }
         self.regions_on_floor(p.floor)
             .filter(|r| r.contains(p.xy))
@@ -256,7 +318,7 @@ impl DigitalSpaceModel {
     pub fn region_id_at(&self, p: &IndoorPoint) -> Option<RegionId> {
         match &self.index {
             Some(index) => {
-                index.region_at(p.floor, p.xy, |id| self.regions[&id].polygons.as_slice())
+                index.region_at(p.floor, p.xy, |id| self.regions[id].polygons.as_slice())
             }
             None => self.region_at(p).map(|r| r.id),
         }
@@ -291,10 +353,8 @@ impl DigitalSpaceModel {
     pub fn nearest_region(&self, p: &IndoorPoint) -> Option<(&SemanticRegion, f64)> {
         if let Some(index) = &self.index {
             return index
-                .nearest_region(p.floor, p.xy, |id| {
-                    self.regions[&id].distance_to_point(p.xy)
-                })
-                .map(|(id, d)| (&self.regions[&id], d));
+                .nearest_region(p.floor, p.xy, |id| self.regions[id].distance_to_point(p.xy))
+                .map(|(id, d)| (&self.regions[id], d));
         }
         self.regions_on_floor(p.floor)
             .map(|r| (r, r.distance_to_point(p.xy)))

@@ -20,6 +20,97 @@ impl fmt::Display for RegionId {
     }
 }
 
+/// Region id → dense position (`0..len`, in id order): the slot the DSM and
+/// the Complementor's knowledge keep per-region data in.
+///
+/// A `Vec` indexed by id, bounded by the largest id. Ids are allocated
+/// densely by [`DigitalSpaceModel::next_region_id`](crate::DigitalSpaceModel::next_region_id),
+/// so that bound is the region count. A model loaded with ids far sparser
+/// than that falls back to a binary search over the sorted ids rather than
+/// allocating a slot per unused id.
+#[derive(Debug, Clone, Default)]
+pub struct RegionIndex {
+    /// Every region id, ascending.
+    ids: Vec<RegionId>,
+    /// `slots[id]` is the position of `id` in `ids`, or [`Self::NONE`].
+    /// Empty when the ids are too sparse to index densely.
+    slots: Vec<u32>,
+}
+
+impl RegionIndex {
+    const NONE: u32 = u32::MAX;
+
+    /// Indexes `ids`, which must be ascending and distinct.
+    pub fn new(ids: Vec<RegionId>) -> Self {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascending");
+        let mut index = RegionIndex {
+            ids,
+            slots: Vec::new(),
+        };
+        index.fill_slots();
+        index
+    }
+
+    fn fill_slots(&mut self) {
+        self.slots.clear();
+        let Some(last) = self.ids.last() else {
+            return;
+        };
+        let span = last.0 as usize + 1;
+        if span > 4 * self.ids.len() + 64 {
+            return;
+        }
+        self.slots.resize(span, Self::NONE);
+        for (at, id) in self.ids.iter().enumerate() {
+            self.slots[id.0 as usize] = at as u32;
+        }
+    }
+
+    /// Inserts `id` (absent so far), shifting later positions. Appending
+    /// past the largest id is O(1); any other insert re-indexes.
+    pub(crate) fn insert(&mut self, id: RegionId) -> usize {
+        let at = self.ids.partition_point(|&x| x < id);
+        self.ids.insert(at, id);
+        if at + 1 == self.ids.len() && !self.slots.is_empty() {
+            let span = id.0 as usize + 1;
+            if span <= 4 * self.ids.len() + 64 {
+                self.slots.resize(span, Self::NONE);
+                self.slots[id.0 as usize] = at as u32;
+                return at;
+            }
+        }
+        self.fill_slots();
+        at
+    }
+
+    /// The dense position of `id`, if indexed.
+    #[inline]
+    pub fn get(&self, id: RegionId) -> Option<usize> {
+        if self.slots.is_empty() {
+            return self.ids.binary_search(&id).ok();
+        }
+        match self.slots.get(id.0 as usize) {
+            Some(&at) if at != Self::NONE => Some(at as usize),
+            _ => None,
+        }
+    }
+
+    /// Every indexed id, ascending (position order).
+    pub fn ids(&self) -> &[RegionId] {
+        &self.ids
+    }
+
+    /// Number of indexed regions.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether no region is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
+
 /// A semantic tag: the label vocabulary the analyst attaches to drawn shapes.
 ///
 /// Tags have a `category` (e.g. `"shop"`, `"facility"`) and a display `style`

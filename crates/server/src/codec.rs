@@ -50,7 +50,7 @@ use crate::protocol::{
     HealthReport, MetricsReport, Request, RequestEnvelope, Response, ResponseEnvelope, ServerError,
 };
 use std::fmt;
-use trips_data::{DeviceId, Duration, RawRecord, Timestamp};
+use trips_data::{DeviceId, Duration, Name, RawRecord, Timestamp};
 use trips_dsm::RegionId;
 use trips_store::{
     Alert, DeviceSummary, Flow, Query, QueryRequest, QueryResult, RegionPopularity, RuleTrace,
@@ -959,10 +959,10 @@ fn decode_result(r: &mut Reader) -> DecodeResult<QueryResult> {
             let count = r.usize_count()?;
             let mut rows = Vec::new();
             for _ in 0..count {
-                let device = DeviceId::new(&r.str()?);
-                let event = r.str()?;
+                let device = DeviceId::new(r.str_ref()?);
+                let event = Name::new(r.str_ref()?);
                 let region = RegionId(r.u32()?);
-                let region_name = r.str()?;
+                let region_name = Name::new(r.str_ref()?);
                 let start = Timestamp(r.i64()?);
                 let end = Timestamp(r.i64()?);
                 let inferred = match r.u8()? {

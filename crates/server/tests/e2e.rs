@@ -371,7 +371,7 @@ fn overload_sheds_with_bounded_queue() {
                 device: id.clone(),
                 event: if i % 2 == 0 { "stay" } else { "pass-by" }.into(),
                 region: trips_dsm::RegionId((d + i) % 7),
-                region_name: format!("R{}", (d + i) % 7),
+                region_name: format!("R{}", (d + i) % 7).into(),
                 start: Timestamp::from_millis(i as i64 * 60_000),
                 end: Timestamp::from_millis(i as i64 * 60_000 + 30_000),
                 inferred: false,
@@ -482,7 +482,7 @@ fn overload_sheds_on_one_loop_shard() {
                 device: id.clone(),
                 event: "stay".into(),
                 region: trips_dsm::RegionId((d + i) % 7),
-                region_name: format!("R{}", (d + i) % 7),
+                region_name: format!("R{}", (d + i) % 7).into(),
                 start: Timestamp::from_millis(i as i64 * 60_000),
                 end: Timestamp::from_millis(i as i64 * 60_000 + 30_000),
                 inferred: false,

@@ -113,7 +113,7 @@ fn build_workload(quick: bool) -> Vec<(DeviceId, Vec<MobilitySemantics>)> {
                 .map(|s| {
                     let mut s = s.clone();
                     s.region = RegionId(s.region.0 + offset);
-                    s.region_name = format!("{}/{}", building.name, s.region_name);
+                    s.region_name = format!("{}/{}", building.name, s.region_name).into();
                     s
                 })
                 .collect();

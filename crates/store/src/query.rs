@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use trips_annotate::MobilitySemantics;
-use trips_data::{glob_match, DeviceId, Duration, Timestamp};
+use trips_data::{glob_match, DeviceId, Duration, Name, Timestamp};
 use trips_dsm::RegionId;
 
 /// Filter over stored semantics, reusing the Data Selector's conventions
@@ -210,7 +210,7 @@ fn merge_region(
     let region = tables.region_id(slot);
     let e = map.entry(region).or_insert_with(|| RegionPopularity {
         region,
-        region_name: tables.name(slot).to_owned(),
+        region_name: String::from(tables.name(slot)),
         stays: 0,
         pass_bys: 0,
         unique_stayers: 0,
@@ -227,8 +227,8 @@ fn merge_region(
 type FlowCounts = IdMap<u64, MergedFlow>;
 
 struct MergedFlow {
-    from_name: Arc<str>,
-    to_name: Arc<str>,
+    from_name: Name,
+    to_name: Name,
     count: usize,
 }
 
@@ -244,8 +244,8 @@ fn merge_flows<'a>(
         counts
             .entry(key)
             .or_insert_with(|| MergedFlow {
-                from_name: tables.names[f.from as usize].name.clone(),
-                to_name: tables.names[f.to as usize].name.clone(),
+                from_name: tables.name(f.from),
+                to_name: tables.name(f.to),
                 count: 0,
             })
             .count += f.count;
@@ -395,9 +395,9 @@ impl SemanticsStore {
             .into_iter()
             .map(|(key, f)| Flow {
                 from: RegionId((key >> 32) as u32),
-                from_name: f.from_name.as_ref().to_owned(),
+                from_name: String::from(f.from_name),
                 to: RegionId(key as u32),
-                to_name: f.to_name.as_ref().to_owned(),
+                to_name: String::from(f.to_name),
                 count: f.count,
             })
             .collect()

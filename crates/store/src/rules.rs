@@ -907,7 +907,7 @@ impl RuleEngine {
                 rule_name: rule.spec.name.clone(),
                 device: Some(device.to_string()),
                 region: Some(s.region.0),
-                region_name: Some(s.region_name.clone()),
+                region_name: Some(String::from(s.region_name)),
                 message,
                 at_ms: at,
                 seq,

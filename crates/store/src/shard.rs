@@ -7,14 +7,14 @@
 //! region id, region name and event label live once per shard in
 //! [`Tables`]. Every ingest path (live batches, WAL replay, snapshot load)
 //! hands the shard borrowed [`SemanticsView`]s, and interning turns each
-//! into a row without allocating. Names become `String`s again only when
-//! an answer or a snapshot leaves the store.
+//! into a row without allocating. The tables hold interned [`Name`]s, so a
+//! materialized semantics copies its two names, and a name is interned
+//! only when a shard first sees it.
 
 use crate::IdMap;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use trips_annotate::MobilitySemantics;
-use trips_data::{DeviceId, Timestamp};
+use trips_data::{DeviceId, Name, Timestamp};
 use trips_dsm::RegionId;
 use trips_geom::{IndoorPoint, Point};
 
@@ -141,12 +141,11 @@ pub(crate) struct RegionAgg {
     pub dwell_ms: i64,
 }
 
-/// One interned region name. Shared, so a query that may drop most of
-/// what it merges (`TopFlows`) copies a name only into its answer.
+/// One interned region name.
 pub(crate) struct NameSlot {
     /// Index of the region's aggregate in [`Tables::regions`].
     pub region: u32,
-    pub name: Arc<str>,
+    pub name: Name,
 }
 
 /// The shard's intern tables and its per-region aggregates. A region id
@@ -158,7 +157,7 @@ pub(crate) struct Tables {
     pub names: Vec<NameSlot>,
     /// Event labels. They come from the Event Editor's label table, so
     /// there are a handful and a linear scan beats hashing.
-    pub labels: Vec<Box<str>>,
+    pub labels: Vec<Name>,
     /// The label id of `"stay"`, once interned.
     stay: Option<u32>,
     /// Region aggregates, dense, in first-seen order.
@@ -201,7 +200,7 @@ impl Tables {
         agg.slots.push(slot);
         names.push(NameSlot {
             region: index,
-            name: name.into(),
+            name: Name::new(name),
         });
         slot
     }
@@ -212,7 +211,7 @@ impl Tables {
             return id;
         }
         let id = self.labels.len() as u32;
-        self.labels.push(event.into());
+        self.labels.push(Name::new(event));
         if event == "stay" {
             self.stay = Some(id);
         }
@@ -224,7 +223,7 @@ impl Tables {
     pub fn label_id(&self, event: &str) -> Option<u32> {
         self.labels
             .iter()
-            .position(|l| **l == *event)
+            .position(|l| *l == *event)
             .map(|i| i as u32)
     }
 
@@ -247,19 +246,17 @@ impl Tables {
         self.regions[self.region_of(slot) as usize].region
     }
 
-    pub fn name(&self, slot: u32) -> &str {
-        &self.names[slot as usize].name
+    pub fn name(&self, slot: u32) -> Name {
+        self.names[slot as usize].name
     }
 
-    /// Materializes a row as the semantics it was ingested as. Names are
-    /// copied with `to_owned` on the `str`: `to_string` on a `Box<str>` or
-    /// `Arc<str>` goes through the `Display` formatter.
+    /// Materializes a row as the semantics it was ingested as.
     pub fn semantics(&self, device: &DeviceId, row: &Row) -> MobilitySemantics {
         MobilitySemantics {
             device: device.clone(),
-            event: self.labels[row.label as usize].as_ref().to_owned(),
+            event: self.labels[row.label as usize],
             region: self.region_id(row.name),
-            region_name: self.name(row.name).to_owned(),
+            region_name: self.name(row.name),
             start: Timestamp::from_millis(row.start),
             end: Timestamp::from_millis(row.end),
             inferred: row.inferred,

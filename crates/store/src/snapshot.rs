@@ -278,7 +278,7 @@ mod tests {
             device: DeviceId::new(device),
             event: event.into(),
             region: RegionId(region),
-            region_name: format!("R{region}"),
+            region_name: format!("R{region}").into(),
             start: Timestamp::from_millis(start_s * 1000),
             end: Timestamp::from_millis(end_s * 1000),
             inferred: false,

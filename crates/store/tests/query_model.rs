@@ -77,7 +77,8 @@ fn decode(w: (u32, u32, u32, u32), clock: &mut i64) -> Op {
                         device: DeviceId::new(own),
                         event: EVENTS[(bits / 4096 % 3) as usize].into(),
                         region: RegionId(region),
-                        region_name: region_name(region, region < 2 && bits / 16384 % 3 == 0),
+                        region_name: region_name(region, region < 2 && bits / 16384 % 3 == 0)
+                            .into(),
                         start: Timestamp::from_millis(start),
                         end: Timestamp::from_millis(start + dur),
                         inferred: bits / 65536 % 4 == 0,
@@ -149,8 +150,8 @@ impl Model {
                                 shard,
                                 prev.region.0,
                                 s.region.0,
-                                prev.region_name.clone(),
-                                s.region_name.clone(),
+                                prev.region_name.to_string(),
+                                s.region_name.to_string(),
                             ));
                         }
                     }
@@ -194,7 +195,7 @@ impl Model {
             for s in dev.sems.iter().filter(|s| sel.matches(s)) {
                 let e = map.entry(s.region.0).or_insert_with(|| RegionPopularity {
                     region: s.region,
-                    region_name: s.region_name.clone(),
+                    region_name: s.region_name.to_string(),
                     stays: 0,
                     pass_bys: 0,
                     unique_stayers: 0,
@@ -219,7 +220,7 @@ impl Model {
                         self.log
                             .iter()
                             .find(|(at, s)| *at == shard && s.region.0 == *region)
-                            .map(|(_, s)| s.region_name.clone())
+                            .map(|(_, s)| s.region_name.to_string())
                     })
                     .expect("a stored region has a first semantics");
             }
@@ -247,7 +248,9 @@ impl Model {
                 if let Some(p) = prev.filter(|p| p.region != s.region) {
                     counts
                         .entry((p.region.0, s.region.0))
-                        .or_insert_with(|| (p.region_name.clone(), s.region_name.clone(), 0))
+                        .or_insert_with(|| {
+                            (p.region_name.to_string(), s.region_name.to_string(), 0)
+                        })
                         .2 += 1;
                 }
                 prev = Some(s);

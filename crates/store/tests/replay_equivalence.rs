@@ -36,7 +36,7 @@ fn sem(device: &str, region: u32, event: &str, start_s: i64) -> MobilitySemantic
         device: DeviceId::new(device),
         event: event.into(),
         region: RegionId(region),
-        region_name: format!("Region {region} (0F-{region})"),
+        region_name: format!("Region {region} (0F-{region})").into(),
         start: Timestamp::from_millis(start_s * 1000),
         end: Timestamp::from_millis((start_s + 30 + i64::from(region) * 7) * 1000),
         inferred: region % 3 == 0,

@@ -150,7 +150,7 @@ fn sem(device: &str, region: u32, stay: bool, start_ms: i64, end_ms: i64) -> Mob
         device: DeviceId::new(device),
         event: if stay { "stay" } else { "pass-by" }.into(),
         region: RegionId(region),
-        region_name: region_name(region),
+        region_name: region_name(region).into(),
         start: Timestamp::from_millis(start_ms),
         end: Timestamp::from_millis(end_ms),
         inferred: false,
@@ -279,7 +279,7 @@ impl Model {
                 rule_name: rule.spec.name.clone(),
                 device: Some(device.to_string()),
                 region: Some(s.region.0),
-                region_name: Some(s.region_name.clone()),
+                region_name: Some(s.region_name.to_string()),
                 message: rule.spec.message.clone().unwrap_or_else(|| {
                     format!(
                         "rule {} fired for device {device} in {}",
@@ -300,7 +300,7 @@ impl Model {
         for s in batch {
             let region = s.region.0;
             let at = s.end.as_millis();
-            self.names.insert(region, s.region_name.clone());
+            self.names.insert(region, s.region_name.to_string());
             let prev = self.positions.insert(device.to_string(), region);
             let transition = prev != Some(region);
             let mut flow_count = 0;

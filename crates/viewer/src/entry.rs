@@ -149,7 +149,7 @@ mod tests {
             device: DeviceId::new("d"),
             event: "stay".into(),
             region: region.id,
-            region_name: region.name.clone(),
+            region_name: region.name.as_str().into(),
             start: Timestamp::from_millis(0),
             end: Timestamp::from_millis(60_000),
             inferred: false,
@@ -171,7 +171,7 @@ mod tests {
             device: DeviceId::new("d"),
             event: "pass-by".into(),
             region: region.id,
-            region_name: region.name.clone(),
+            region_name: region.name.as_str().into(),
             start: Timestamp::from_millis(0),
             end: Timestamp::from_millis(1000),
             inferred: true,

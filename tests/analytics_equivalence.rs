@@ -27,7 +27,7 @@ mod rescan {
             for s in &d.semantics {
                 let e = map.entry(s.region).or_insert_with(|| RegionPopularity {
                     region: s.region,
-                    region_name: s.region_name.clone(),
+                    region_name: s.region_name.to_string(),
                     stays: 0,
                     pass_bys: 0,
                     unique_stayers: 0,
@@ -67,9 +67,13 @@ mod rescan {
                 if w[0].region == w[1].region {
                     continue;
                 }
-                let e = counts
-                    .entry((w[0].region, w[1].region))
-                    .or_insert_with(|| (w[0].region_name.clone(), w[1].region_name.clone(), 0));
+                let e = counts.entry((w[0].region, w[1].region)).or_insert_with(|| {
+                    (
+                        w[0].region_name.to_string(),
+                        w[1].region_name.to_string(),
+                        0,
+                    )
+                });
                 e.2 += 1;
             }
         }

@@ -135,7 +135,7 @@ fn golden_run_is_reproducible() {
             .devices
             .iter()
             .flat_map(|d| d.semantics.iter())
-            .map(|s| (s.device.clone(), s.event.clone(), s.region, s.start, s.end))
+            .map(|s| (s.device.clone(), s.event, s.region, s.start, s.end))
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run(), "same seed must reproduce identical semantics");
