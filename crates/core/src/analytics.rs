@@ -14,8 +14,8 @@
 //! full-rescan implementations (pinned by this module's tests and the
 //! workspace `analytics_equivalence` test). Long-lived consumers should
 //! query the live store published by `Trips::run` / the streaming
-//! translator via [`trips_store::QueryService`] instead — that path reuses
-//! the incremental aggregates and never rescans.
+//! translator instead — that path reuses the incremental aggregates and
+//! never rescans.
 
 use crate::translator::TranslationResult;
 use std::collections::BTreeMap;

@@ -23,7 +23,7 @@
 //! * [`stream`] — an online (micro-batching) translator extension that can
 //!   publish into a live `trips-store` semantics store;
 //! * [`system`] — the [`system::Trips`] facade running the five-step
-//!   workflow end to end and exposing a `QueryService` over the last run.
+//!   workflow end to end and exposing the live store of the last run.
 
 pub mod analytics;
 pub mod assess;

@@ -12,7 +12,7 @@ use crate::config::Configurator;
 use crate::translator::{TranslationResult, Translator, TranslatorConfig};
 use std::sync::Arc;
 use trips_data::{DeviceId, PositioningSequence};
-use trips_store::{QueryService, SemanticsStore};
+use trips_store::SemanticsStore;
 use trips_viewer::{Entry, SourceKind, Timeline};
 
 /// The assembled TRIPS system.
@@ -21,7 +21,7 @@ pub struct Trips {
     pub translator_config: TranslatorConfig,
     result: Option<TranslationResult>,
     /// Live semantics store: every `run` republishes into it, and
-    /// [`Trips::query_service`] hands out concurrent read handles.
+    /// [`Trips::semantics_store`] hands out concurrent read handles.
     store: Arc<SemanticsStore>,
 }
 
@@ -45,10 +45,9 @@ impl Trips {
     /// Step 4: select and translate. Stores and returns the result, and
     /// publishes the semantics into a **fresh** live store swapped in
     /// whole, so a re-run is atomic from a reader's perspective:
-    /// [`QueryService`] handles taken before this call keep serving the
-    /// previous run's complete data (a consistent snapshot, never a torn
-    /// mix of two runs); take a new [`Trips::query_service`] to see this
-    /// run.
+    /// store handles taken before this call keep serving the previous
+    /// run's complete data (a consistent snapshot, never a torn mix of
+    /// two runs); take a new [`Trips::semantics_store`] to see this run.
     pub fn run(
         &mut self,
         sequences: Vec<PositioningSequence>,
@@ -72,18 +71,12 @@ impl Trips {
         self.result.as_ref()
     }
 
-    /// The live semantics store the last `run` published into. Each `run`
+    /// The live semantics store the last `run` published into (step 5
+    /// for analytics consumers; shareable across threads). Each `run`
     /// swaps in a fresh store, so handles obtained here pin that run's
-    /// snapshot.
+    /// snapshot — re-take after a new `run`.
     pub fn semantics_store(&self) -> Arc<SemanticsStore> {
         self.store.clone()
-    }
-
-    /// A concurrent query handle over the last run's semantics (step 5 for
-    /// analytics consumers; shareable across threads). The handle pins the
-    /// run that was current when it was taken — re-take after a new `run`.
-    pub fn query_service(&self) -> QueryService {
-        QueryService::new(self.store.clone())
     }
 
     /// Per-stage wall-clock timings of the last translation run — the
@@ -193,31 +186,34 @@ mod tests {
     }
 
     #[test]
-    fn run_publishes_into_query_service() {
+    fn run_publishes_into_semantics_store() {
         use trips_store::SemanticsSelector;
         let (mut trips, seqs, _) = system_with_data();
-        assert!(trips.query_service().stats().devices == 0, "empty pre-run");
+        assert!(
+            trips.semantics_store().stats().devices == 0,
+            "empty pre-run"
+        );
         trips.run(seqs.clone()).unwrap();
-        let service = trips.query_service();
+        let store = trips.semantics_store();
         let result = trips.result().unwrap();
-        assert_eq!(service.stats().devices, result.devices.len());
-        assert_eq!(service.stats().semantics, result.total_semantics());
+        assert_eq!(store.stats().devices, result.devices.len());
+        assert_eq!(store.stats().semantics, result.total_semantics());
         // Store queries agree with the batch analytics wrappers.
         assert_eq!(
-            service.popular_regions(&SemanticsSelector::all()),
+            store.popular_regions(&SemanticsSelector::all()),
             crate::analytics::popular_regions(result)
         );
         assert_eq!(
-            service.top_flows(&SemanticsSelector::all(), 10),
+            store.top_flows(&SemanticsSelector::all(), 10),
             crate::analytics::top_flows(result, 10)
         );
         // Re-running swaps in a fresh store: old handles pin the previous
         // run's snapshot, new handles see the new run (no accumulation).
         let prev_total = result.total_semantics();
-        let stale = trips.query_service();
+        let stale = trips.semantics_store();
         trips.run(seqs).unwrap();
         assert!(
-            !Arc::ptr_eq(stale.store(), &trips.semantics_store()),
+            !Arc::ptr_eq(&stale, &trips.semantics_store()),
             "re-run must swap the store"
         );
         assert_eq!(
@@ -226,7 +222,7 @@ mod tests {
             "old handle still serves the prior run's complete data"
         );
         assert_eq!(
-            trips.query_service().stats().semantics,
+            trips.semantics_store().stats().semantics,
             trips.result().unwrap().total_semantics()
         );
     }

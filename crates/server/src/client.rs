@@ -455,10 +455,9 @@ impl Client {
         }
     }
 
-    /// Flushes all buffers server-side and persists a snapshot. On a
-    /// durable server `path` is ignored (the checkpoint lives in the WAL
-    /// directory); otherwise `path` must be relative and resolves inside
-    /// the server's configured snapshot root.
+    /// Flushes all buffers server-side and checkpoints the durable store.
+    /// `path` is ignored (the checkpoint lives in the WAL directory); a
+    /// server without a WAL answers with a typed `BadRequest`.
     pub fn snapshot(&mut self, path: &str) -> io::Result<Response> {
         self.call(Request::Snapshot {
             path: path.to_string(),

@@ -35,7 +35,7 @@
 //!   refcounts, translator-shard-parallel ingest, segmented write queues flushed
 //!   with one vectored write, least-loaded acceptor placement,
 //!   idle-connection reaping, connection limits, per-endpoint latency
-//!   metrics, snapshot save / snapshot boot, and graceful
+//!   metrics, WAL checkpoints on `Snapshot`, and graceful
 //!   drain-and-shutdown;
 //! * `metrics` (crate-private) — one read of every server counter into
 //!   the [`MetricsReport`], which the `Metrics` response, the Prometheus

@@ -71,7 +71,9 @@ pub enum Request {
     /// the WAL rotates, the checkpoint snapshot is published atomically
     /// inside the durability directory, and older segments are retired —
     /// `path` is ignored and the response carries the real snapshot
-    /// path. Without a WAL it is a one-shot atomic persist to `path`.
+    /// path. A server without a WAL refuses it with
+    /// [`ServerError::BadRequest`] and writes nothing; `path` is kept
+    /// only so the wire bytes stay unchanged.
     Snapshot { path: String },
     /// Graceful drain: stop accepting connections and work, finish queued
     /// requests, flush stream buffers, then exit the serve loop.

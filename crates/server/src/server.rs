@@ -99,15 +99,6 @@
 //! a [`ServerReport`]. Connections that cannot drain within
 //! `DRAIN_GRACE` are dropped.
 //!
-//! ## Snapshots
-//!
-//! On a non-durable server, `Snapshot { path }` is resolved against
-//! [`ServerConfig::snapshot_root`]: relative, non-escaping paths only.
-//! Absolute paths, `..` components, or a server with no root configured
-//! are rejected with `BadRequest` — the wire must not name arbitrary
-//! server filesystem locations. Durable servers checkpoint into their
-//! WAL directory and ignore `path` entirely.
-//!
 //! ## Durability
 //!
 //! With [`ServerConfig::durability`] set, the store journals every
@@ -132,7 +123,6 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -141,7 +131,7 @@ use trips_core::stream::{DeviceBuffers, StreamConfig, TranslatorCore};
 use trips_data::{DeviceId, RawRecord, Timestamp};
 use trips_dsm::DigitalSpaceModel;
 use trips_obs::{stage, Histogram, SlowLog, SpanRecord, TraceRing, STAGE_COUNT};
-use trips_store::{boot_store, DurabilityConfig, QueryService, RecoveryReport, SemanticsStore};
+use trips_store::{DurabilityConfig, RecoveryReport, SemanticsStore};
 
 /// Longest accepted NDJSON request line; a connection exceeding it without
 /// a newline is answered with `BadRequest` and closed (memory bound).
@@ -239,7 +229,7 @@ pub struct ServerConfig {
     /// [`ServerError::TooManyConnections`] and are closed.
     pub max_connections: usize,
     /// Store shard count (`0` = [`trips_store::default_shard_count`]).
-    /// Ignored when booting from a snapshot (the snapshot records its own).
+    /// Ignored when recovery loads a checkpoint (it records its own).
     /// The translator's session-buffer locks follow the same sharding.
     pub shards: usize,
     /// Event-loop shard count (`0` = `min(cores, 4)`). Each shard is one
@@ -248,20 +238,10 @@ pub struct ServerConfig {
     pub loop_shards: usize,
     /// Streaming-translator settings (flush gap, buffer cap, translator).
     pub stream: StreamConfig,
-    /// Boot the store from this `trips-store` snapshot instead of empty.
-    /// One-shot and **non-durable**: mutations after boot are not
-    /// journaled. Mutually exclusive with `durability`.
-    pub snapshot: Option<std::path::PathBuf>,
-    /// Directory wire-level `Snapshot { path }` requests resolve against
-    /// on a non-durable server. `None` (the default) rejects every such
-    /// request with `BadRequest` — clients must not write arbitrary
-    /// server paths. Ignored on a durable server (checkpoints go to the
-    /// durability directory).
-    pub snapshot_root: Option<std::path::PathBuf>,
     /// Run the store durably: boot by recovery (checkpoint snapshot +
     /// WAL replay) from this directory and journal every effective store
     /// mutation before acking. `Snapshot` requests become
-    /// checkpoint+compact. Mutually exclusive with `snapshot`.
+    /// checkpoint+compact; without durability they are refused.
     pub durability: Option<DurabilityConfig>,
     /// Cap on concurrently registered standing rules
     /// (`0` = [`trips_store::DEFAULT_RULE_LIMIT`]). Registrations beyond
@@ -295,8 +275,6 @@ impl Default for ServerConfig {
             shards: 0,
             loop_shards: 0,
             stream: StreamConfig::default(),
-            snapshot: None,
-            snapshot_root: None,
             durability: None,
             max_rules: 0,
             metrics_addr: None,
@@ -557,7 +535,6 @@ pub(crate) struct Shared<'env> {
     /// global across loop shards (two shards can stream one device).
     /// Teardown flushes + `end_session`s only devices dropping to zero.
     sessions: parking_lot::Mutex<BTreeMap<DeviceId, usize>>,
-    snapshot_root: Option<PathBuf>,
     /// What boot recovery found and cost (`None` without durability).
     pub(crate) recovery: Option<RecoveryReport>,
     shutdown: AtomicBool,
@@ -588,35 +565,6 @@ pub(crate) struct Shared<'env> {
     /// Connections closed for exceeding [`ServerConfig::idle_timeout`].
     pub(crate) conns_reaped: AtomicU64,
     idle_timeout: Option<Duration>,
-}
-
-/// Validates a wire-supplied snapshot path against the configured root:
-/// relative, strictly descending paths only.
-fn resolve_snapshot_path(root: Option<&Path>, path: &str) -> Result<PathBuf, ServerError> {
-    let Some(root) = root else {
-        return Err(ServerError::BadRequest {
-            message: "snapshot rejected: no snapshot root configured on this server".to_string(),
-        });
-    };
-    let rel = Path::new(path);
-    if rel.as_os_str().is_empty() {
-        return Err(ServerError::BadRequest {
-            message: "snapshot rejected: empty path".to_string(),
-        });
-    }
-    if rel.is_absolute() {
-        return Err(ServerError::BadRequest {
-            message: format!(
-                "snapshot rejected: absolute path {path:?} (must be relative to the snapshot root)"
-            ),
-        });
-    }
-    if !rel.components().all(|c| matches!(c, Component::Normal(_))) {
-        return Err(ServerError::BadRequest {
-            message: format!("snapshot rejected: path {path:?} escapes the snapshot root"),
-        });
-    }
-    Ok(root.join(rel))
 }
 
 /// Groups an iterator of per-device items by buffer shard, preserving
@@ -859,55 +807,37 @@ impl<'env> Shared<'env> {
             Request::Query { request } => Response::Query {
                 result: self.store.query(&request),
             },
-            Request::Snapshot { path } => {
-                if self.store.is_durable() {
-                    // Buffered records must be part of the checkpoint, or
-                    // a restart would silently lose in-flight sessions —
-                    // a snapshot is a whole-server operation, so this
-                    // intentionally flushes *every* session's buffers
-                    // across all buffer shards (journaling the
-                    // published semantics before the WAL rotates).
-                    self.finish_all();
-                    // Checkpoint + compact: rotate the WAL, publish the
-                    // checkpoint snapshot atomically, retire older
-                    // segments. The request's `path` does not apply — the
-                    // checkpoint lives in the durability directory.
-                    match self.store.checkpoint() {
-                        Ok(report) => Response::SnapshotSaved {
-                            path: report.snapshot_path.display().to_string(),
-                            devices: report.devices,
-                            semantics: report.semantics,
-                        },
-                        Err(e) => Response::Error(ServerError::Internal {
-                            message: e.to_string(),
-                        }),
-                    }
-                } else {
-                    // The wire must not name arbitrary server paths:
-                    // resolve against the configured root *before*
-                    // touching anything.
-                    let full = match resolve_snapshot_path(self.snapshot_root.as_deref(), &path) {
-                        Ok(full) => full,
-                        Err(err) => return Response::Error(err),
-                    };
-                    self.finish_all();
-                    if let Some(parent) = full.parent() {
-                        if let Err(e) = std::fs::create_dir_all(parent) {
-                            return Response::Error(ServerError::Internal {
-                                message: e.to_string(),
-                            });
-                        }
-                    }
-                    match self.store.persist(&full) {
-                        Ok(()) => Response::SnapshotSaved {
-                            path: full.display().to_string(),
-                            devices: self.store.device_count(),
-                            semantics: self.store.semantics_count(),
-                        },
-                        Err(e) => Response::Error(ServerError::Internal {
-                            message: e.to_string(),
-                        }),
-                    }
+            // Snapshots are WAL checkpoints; a non-durable server has no
+            // directory of its own to write one into, and the wire must
+            // not name server filesystem locations.
+            Request::Snapshot { .. } if !self.store.is_durable() => {
+                Response::Error(ServerError::BadRequest {
+                    message:
+                        "snapshot rejected: this server is not durable (boot it with --wal-dir)"
+                            .to_string(),
+                })
+            }
+            Request::Snapshot { .. } => {
+                // Buffered records must be part of the checkpoint, or
+                // a restart would silently lose in-flight sessions —
+                // a snapshot is a whole-server operation, so this
+                // intentionally flushes *every* session's buffers
+                // across all buffer shards (journaling the
+                // published semantics before the WAL rotates).
+                self.finish_all();
+                // Checkpoint + compact: rotate the WAL, publish the
+                // checkpoint snapshot atomically, retire older
+                // segments. The request's `path` does not apply — the
+                // checkpoint lives in the durability directory.
+                match self.store.checkpoint() {
+                    Ok(report) => Response::SnapshotSaved {
+                        path: report.snapshot_path.display().to_string(),
+                        devices: report.devices,
+                        semantics: report.semantics,
+                    },
+                    Err(e) => Response::Error(ServerError::Internal {
+                        message: e.to_string(),
+                    }),
                 }
             }
             // Loop shards answer the rest inline; keep the mapping total.
@@ -2003,22 +1933,23 @@ pub struct TripsServer {
 }
 
 impl TripsServer {
-    /// Builds a server. Boot is one recovery story
-    /// ([`trips_store::boot_store`]): with `config.durability` the store
-    /// recovers from its WAL directory (checkpoint snapshot + replay of
-    /// newer segments, torn tail truncated) and journals from then on;
-    /// with `config.snapshot` it loads that file once, non-durably;
-    /// otherwise it starts empty with `config.shards` shards.
+    /// Builds a server. With `config.durability` the store recovers from
+    /// its WAL directory (checkpoint snapshot + replay of newer segments,
+    /// torn tail truncated) and journals from then on; otherwise it
+    /// starts empty with `config.shards` shards.
     pub fn new(
         dsm: DigitalSpaceModel,
         editor: EventEditor,
         config: ServerConfig,
     ) -> Result<Self, trips_store::SemanticsStoreError> {
-        let (store, recovery) = boot_store(
-            config.durability.as_ref(),
-            config.snapshot.as_deref(),
-            config.shards,
-        )?;
+        let (store, recovery) = match &config.durability {
+            Some(durability) => {
+                let (store, report) = SemanticsStore::recover(durability, config.shards)?;
+                (store, Some(report))
+            }
+            None if config.shards > 0 => (SemanticsStore::with_shards(config.shards), None),
+            None => (SemanticsStore::new(), None),
+        };
         let metrics_listener = match config.metrics_addr.as_deref() {
             Some(addr) => {
                 let listener =
@@ -2057,11 +1988,6 @@ impl TripsServer {
     /// What boot recovery found (`None` when booted without durability).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
-    }
-
-    /// A concurrent query handle over the live store.
-    pub fn query_service(&self) -> QueryService {
-        QueryService::new(self.store.clone())
     }
 
     /// The effective event-loop shard count (resolves `0` → default).
@@ -2128,7 +2054,6 @@ impl TripsServer {
             shards: shard_states,
             next_token: AtomicU64::new(0),
             sessions: parking_lot::Mutex::new(BTreeMap::new()),
-            snapshot_root: self.config.snapshot_root.clone(),
             recovery: self.recovery.clone(),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -2311,29 +2236,6 @@ mod tests {
         assert!(http_head_complete(b"GET /metrics HTTP/1.0\r\n\r\n"));
         assert!(http_head_complete(b"GET /metrics HTTP/1.0\n\n"));
         assert!(!http_head_complete(b"GET /metrics HTTP/1.0\r\n"));
-    }
-
-    #[test]
-    fn snapshot_paths_resolve_only_inside_the_root() {
-        let root = PathBuf::from("/srv/snapshots");
-        let ok = resolve_snapshot_path(Some(&root), "daily/mall.json").unwrap();
-        assert_eq!(ok, root.join("daily/mall.json"));
-
-        // "a/./b" is absent: `Path::components` normalizes interior `.`
-        // away, so it resolves to a/b inside the root — harmless.
-        for bad in ["/etc/passwd", "../escape.json", "a/../../b", "", "./a"] {
-            let err = resolve_snapshot_path(Some(&root), bad).unwrap_err();
-            assert!(
-                matches!(err, ServerError::BadRequest { .. }),
-                "{bad:?} must be rejected, got {err:?}"
-            );
-        }
-
-        let err = resolve_snapshot_path(None, "mall.json").unwrap_err();
-        assert!(
-            matches!(err, ServerError::BadRequest { .. }),
-            "no configured root rejects everything"
-        );
     }
 
     #[test]

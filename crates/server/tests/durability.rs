@@ -207,26 +207,6 @@ fn snapshot_request_checkpoints_compacts_and_recovers() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A server configured with both a boot snapshot and a durability dir is
-/// a contradiction and must fail to build, not pick silently.
-#[test]
-fn snapshot_plus_durability_is_rejected_at_boot() {
-    let dir = wal_dir("contradiction");
-    let boot = deployment();
-    let config = ServerConfig {
-        snapshot: Some(dir.join("some.json")),
-        ..durable_config(&dir)
-    };
-    match TripsServer::new(boot.dsm, boot.editor, config) {
-        Err(err) => assert!(
-            matches!(err, trips_store::SemanticsStoreError::Config(_)),
-            "{err}"
-        ),
-        Ok(_) => panic!("contradictory boot config must be rejected"),
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
 /// The blocking client against a socket that accepts and then never
 /// replies: with a read timeout installed the call returns a typed
 /// timeout error in bounded time instead of hanging forever.

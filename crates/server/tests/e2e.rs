@@ -1,6 +1,6 @@
 //! End-to-end serving tests: boot a real server on an ephemeral port and
-//! drive it over TCP — concurrent ingest + query, snapshot → restart →
-//! identical results, load shedding past the admission queue, connection
+//! drive it over TCP — concurrent ingest + query, snapshot (a WAL
+//! checkpoint) → restart → identical results, load shedding past the admission queue, connection
 //! caps, and wire-level error handling.
 
 use std::net::TcpStream;
@@ -13,7 +13,9 @@ use trips_server::{
     TripsServer,
 };
 use trips_sim::ScenarioConfig;
-use trips_store::{Query, QueryRequest, QueryResult, SemanticsSelector, SemanticsStore};
+use trips_store::{
+    DurabilityConfig, Query, QueryRequest, QueryResult, SemanticsSelector, SemanticsStore,
+};
 
 const FLOORS: u16 = 1;
 const SHOPS: usize = 3;
@@ -81,25 +83,22 @@ fn queries_to_compare() -> Vec<QueryRequest> {
     ]
 }
 
-/// The acceptance-criteria flow: ingest a campus over the wire while
-/// concurrently querying it, flush, compare against an in-process
-/// reference translation, snapshot, restart from the snapshot, and verify
-/// every query answers identically.
+/// The acceptance-criteria flow: ingest a campus over the wire into a
+/// durable server while concurrently querying it, flush, compare against
+/// an in-process reference translation, snapshot (checkpoint), restart
+/// from the same WAL directory, and verify every query answers
+/// identically.
 #[test]
 fn ingest_query_snapshot_restart_roundtrip() {
     let traffic = campus_traffic(2, 4, 0xCAFE);
+    let dir = std::env::temp_dir().join(format!("trips-server-e2e-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || ServerConfig {
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
     let boot = deployment();
-    let server = TripsServer::new(
-        boot.dsm,
-        boot.editor,
-        ServerConfig {
-            // Wire-level snapshots resolve against this root (the server
-            // rejects absolute paths).
-            snapshot_root: Some(std::env::temp_dir()),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = TripsServer::new(boot.dsm, boot.editor, durable()).unwrap();
     let handle = server.spawn("127.0.0.1:0").unwrap();
     let addr = handle.addr();
 
@@ -205,21 +204,23 @@ fn ingest_query_snapshot_restart_roundtrip() {
     };
     assert_eq!(server_pops, reference.popular_regions(&all));
 
-    // Snapshot + graceful drain. The wire carries a *relative* path; the
-    // server resolves it inside its configured snapshot root.
-    let snap_rel = format!("trips-server-e2e-restart-{}.json", std::process::id());
-    let snap = std::env::temp_dir().join(&snap_rel);
+    // Snapshot + graceful drain. A durable server checkpoints into its
+    // WAL directory and ignores the wire path.
     let before: Vec<QueryResult> = queries_to_compare()
         .into_iter()
         .map(|q| client.query(q).unwrap().unwrap())
         .collect();
-    match client.snapshot(&snap_rel).unwrap() {
+    match client.snapshot("ignored-on-durable-servers").unwrap() {
         Response::SnapshotSaved {
             path,
             devices,
             semantics,
         } => {
-            assert_eq!(path, snap.display().to_string(), "resolved inside the root");
+            assert_eq!(
+                path,
+                dir.join("snapshot.json").display().to_string(),
+                "checkpoint lives in the wal dir"
+            );
             assert!(devices > 0 && semantics > 0);
         }
         other => panic!("snapshot failed: {other:?}"),
@@ -231,17 +232,10 @@ fn ingest_query_snapshot_restart_roundtrip() {
     assert_eq!(report.bad_requests, 0);
     assert!(report.devices > 0 && report.semantics > 0);
 
-    // Restart from the snapshot: every query must answer identically.
+    // Restart from the same WAL dir: every query must answer identically.
     let boot2 = deployment();
-    let server2 = TripsServer::new(
-        boot2.dsm,
-        boot2.editor,
-        ServerConfig {
-            snapshot: Some(snap.clone()),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server2 = TripsServer::new(boot2.dsm, boot2.editor, durable()).unwrap();
+    assert!(server2.recovery_report().unwrap().snapshot_loaded);
     let handle2 = server2.spawn("127.0.0.1:0").unwrap();
     let mut client2 = Client::connect(handle2.addr()).unwrap();
     let after: Vec<QueryResult> = queries_to_compare()
@@ -251,7 +245,7 @@ fn ingest_query_snapshot_restart_roundtrip() {
     assert_eq!(before, after, "restart from snapshot must be lossless");
     drop(client2);
     handle2.shutdown().unwrap();
-    let _ = std::fs::remove_file(&snap);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Ingests `traffic` into a freshly booted server under `config` (one
@@ -679,10 +673,10 @@ fn wire_errors_and_edge_cases() {
         }
         other => panic!("health failed: {other:?}"),
     }
-    // Absolute snapshot target on a server with no snapshot root: a typed
-    // BadRequest (the wire must not name server paths), then the server
-    // keeps serving. Snapshot-path rejections are application-level, not
-    // wire-level, so they do not count toward `bad_requests` below.
+    // Snapshot on a non-durable server: a typed BadRequest (the wire must
+    // not name server paths), then the server keeps serving. The refusal
+    // is application-level, not wire-level, so it does not count toward
+    // `bad_requests` below.
     match client
         .snapshot("/nonexistent-trips-dir/deep/snap.json")
         .unwrap()

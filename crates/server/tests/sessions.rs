@@ -1,7 +1,7 @@
 //! Cross-session regression tests: a connection's `Flush { device: None }`
 //! and its teardown must be scoped to *its own* session, never touching
-//! devices other live connections are still streaming; wire-level
-//! snapshots must resolve inside the configured root.
+//! devices other live connections are still streaming; a non-durable
+//! server must refuse wire-level snapshots without writing anything.
 //!
 //! These pin the two serving bugs fixed alongside protocol v2:
 //!
@@ -274,23 +274,25 @@ fn sessions_hold_across_loop_shards() {
     handle.shutdown().unwrap();
 }
 
-/// Bugfix 3: wire-level snapshot paths resolve inside the configured
-/// root; escapes are rejected; no configured root rejects everything.
+/// Bugfix 3 (the wire must not name server paths): a non-durable server
+/// refuses every `Snapshot` with a typed `BadRequest` whatever the path's
+/// shape, writes nothing, and the session survives.
 #[test]
-fn snapshot_paths_are_confined_to_the_root() {
+fn snapshot_without_durability_is_refused_and_writes_nothing() {
     let root = std::env::temp_dir().join(format!("trips-snap-root-{}", std::process::id()));
     std::fs::create_dir_all(&root).unwrap();
 
     let boot = deployment();
-    let server = TripsServer::new(
-        boot.dsm,
-        boot.editor,
-        ServerConfig {
-            snapshot_root: Some(root.clone()),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let config = ServerConfig {
+        shards: 8,
+        ..ServerConfig::default()
+    };
+    let server = TripsServer::new(boot.dsm, boot.editor, config).unwrap();
+    // Without a WAL dir the store boots empty, in memory, sharded as asked.
+    let store = server.store();
+    assert!(store.is_empty() && !store.is_durable());
+    assert_eq!(store.shard_count(), 8);
+    assert!(server.recovery_report().is_none());
     let handle = server.spawn("127.0.0.1:0").unwrap();
     let mut client = Client::connect_v2(handle.addr()).unwrap();
 
@@ -299,37 +301,35 @@ fn snapshot_paths_are_confined_to_the_root() {
         other => panic!("ingest failed: {other:?}"),
     }
 
-    // Escapes and absolute paths: typed BadRequest, session survives.
-    for bad in ["/etc/trips-oops.json", "../escape.json", "a/../../b.json"] {
-        match client.snapshot(bad).unwrap() {
+    let absolute = root.join("mall.json").display().to_string();
+    let relative = [
+        "trips-snap-oops.json",
+        "trips-snap-nightly/mall.json",
+        "../trips-snap-escape.json",
+    ];
+    for path in relative.iter().copied().chain([absolute.as_str()]) {
+        match client.snapshot(path).unwrap() {
             Response::Error(ServerError::BadRequest { message }) => {
-                assert!(message.contains("snapshot rejected"), "{bad}: {message}")
+                assert!(message.contains("--wal-dir"), "{path}: {message}")
             }
-            other => panic!("{bad} must be rejected, got {other:?}"),
+            other => panic!("{path} must be refused, got {other:?}"),
         }
     }
-
-    // Happy path: a nested relative path lands inside the root (parents
-    // are created) and flushes buffers first.
-    let resolved = match client.snapshot("nightly/mall.json").unwrap() {
-        Response::SnapshotSaved {
-            path,
-            devices,
-            semantics,
-        } => {
-            assert!(
-                devices >= 1 && semantics >= 1,
-                "buffers flushed into the snapshot"
-            );
-            path
-        }
-        other => panic!("snapshot failed: {other:?}"),
-    };
     assert_eq!(
-        resolved,
-        root.join("nightly/mall.json").display().to_string()
+        std::fs::read_dir(&root).unwrap().count(),
+        0,
+        "nothing written"
     );
-    assert!(root.join("nightly/mall.json").is_file());
+    for path in relative {
+        assert!(!std::path::Path::new(path).exists(), "{path} written");
+    }
+
+    // The refusal flushed nothing and the session keeps ingesting.
+    assert_eq!(open_devices(&mut client), 1);
+    match client.ingest(buffered_burst("dev-snap", 1)).unwrap() {
+        Response::Ingested { accepted, .. } => assert_eq!(accepted, 20),
+        other => panic!("ingest after refusal failed: {other:?}"),
+    }
 
     drop(client);
     handle.shutdown().unwrap();

@@ -73,7 +73,7 @@ use crate::snapshot::{self, SemanticsStoreError};
 use crate::SemanticsStore;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant, SystemTime};
@@ -885,41 +885,6 @@ impl SemanticsStore {
             devices,
             semantics,
         })
-    }
-}
-
-/// The single boot path for every serving configuration:
-///
-/// * `durability` set — full recovery (checkpoint snapshot + WAL replay);
-///   `snapshot` must be `None` (the checkpoint snapshot lives inside the
-///   durability directory).
-/// * only `snapshot` set — one-shot load of a non-durable snapshot file
-///   (changes after boot are not journaled).
-/// * neither — an empty store with `shards` shards (`0` = default).
-pub fn boot_store(
-    durability: Option<&DurabilityConfig>,
-    snapshot: Option<&Path>,
-    shards: usize,
-) -> Result<(SemanticsStore, Option<RecoveryReport>), SemanticsStoreError> {
-    match (durability, snapshot) {
-        (Some(_), Some(_)) => Err(SemanticsStoreError::Config(
-            "configure either a durability dir or a boot snapshot, not both \
-             (a durable store's snapshot is its checkpoint)"
-                .to_string(),
-        )),
-        (Some(config), None) => {
-            let (store, report) = SemanticsStore::recover(config, shards)?;
-            Ok((store, Some(report)))
-        }
-        (None, Some(path)) => Ok((SemanticsStore::load(path)?, None)),
-        (None, None) => {
-            let store = if shards > 0 {
-                SemanticsStore::with_shards(shards)
-            } else {
-                SemanticsStore::new()
-            };
-            Ok((store, None))
-        }
     }
 }
 

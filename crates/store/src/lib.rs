@@ -41,12 +41,13 @@
 //!   [`Query::Semantics`], [`Query::PopularRegions`] and
 //!   [`Query::TopFlows`] answers and snapshot persist. The rule engine
 //!   sees the caller's own batch, never the rows.
-//! * **Query service** — [`QueryService`] answers
+//! * **Typed queries** — [`SemanticsStore::query`] answers
 //!   [`QueryRequest`]s (a [`SemanticsSelector`] filter plus a [`Query`]
-//!   kind) against a shared store. Selectors reuse `trips-data`'s Data
-//!   Selector conventions: device-id glob patterns
-//!   ([`trips_data::glob_match`]) and **half-open** `[from, to)` temporal
-//!   ranges, matching `SelectionRule::TemporalRange`. Filtered queries fall
+//!   kind); concurrent readers share the store behind an `Arc`.
+//!   Selectors reuse `trips-data`'s Data Selector conventions: device-id
+//!   glob patterns ([`trips_data::glob_match`]) and **half-open**
+//!   `[from, to)` temporal ranges, matching
+//!   `SelectionRule::TemporalRange`. Filtered queries fall
 //!   back to scanning only the matching devices' rows (still sharded),
 //!   with the selector's region and event resolved once per shard against
 //!   its intern tables. A name the shard never stored matches no row
@@ -93,12 +94,12 @@
 //!
 //! ## Durability
 //!
-//! A store can be booted through [`SemanticsStore::recover`] (or the
-//! all-in-one [`boot_store`]), which attaches a `trips-wal` write-ahead
-//! log: every effective `ingest` / `register_device` / `end_session` /
-//! `clear` appends a WAL record **before** it is applied, so a caller
-//! that sees the mutation return may ack it as durable (under the
-//! configured [`FsyncPolicy`]). `wal_seq` in a snapshot marks it as a
+//! A store can be booted through [`SemanticsStore::recover`], which
+//! attaches a `trips-wal` write-ahead log: every effective `ingest` /
+//! `register_device` / `end_session` / `clear` appends a WAL record
+//! **before** it is applied, so a caller that sees the mutation return
+//! may ack it as durable (under the configured [`FsyncPolicy`]).
+//! `wal_seq` in a snapshot marks it as a
 //! **checkpoint** ([`SemanticsStore::checkpoint`]): the WAL rotates, the
 //! snapshot is tagged with the new segment sequence and published
 //! atomically, and older segments are retired. Recovery is `snapshot
@@ -113,8 +114,8 @@ mod shard;
 mod snapshot;
 mod types;
 
-pub use durability::{boot_store, CheckpointReport, DurabilityConfig, RecoveryReport, WalStats};
-pub use query::{Query, QueryRequest, QueryResult, QueryService, SemanticsSelector};
+pub use durability::{CheckpointReport, DurabilityConfig, RecoveryReport, WalStats};
+pub use query::{Query, QueryRequest, QueryResult, SemanticsSelector};
 pub use rules::{
     Alert, AlertSink, CmpOp, CollectingSink, Condition, RegionSel, RuleEngine, RuleError, RuleSpec,
     RuleTrace, DEFAULT_RULE_LIMIT,

@@ -9,11 +9,10 @@
 //! are copied out only into the answer.
 
 use crate::shard::{flow_key, FlowAgg, Row, Tables};
-use crate::types::{DeviceSummary, Flow, RegionPopularity, StoreHealth, StoreStats};
+use crate::types::{DeviceSummary, Flow, RegionPopularity, StoreStats};
 use crate::{IdMap, SemanticsStore};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use trips_annotate::MobilitySemantics;
 use trips_data::{glob_match, DeviceId, Duration, Name, Timestamp};
 use trips_dsm::RegionId;
@@ -544,63 +543,6 @@ impl SemanticsStore {
     }
 }
 
-/// Shareable, cloneable handle answering [`QueryRequest`]s against one
-/// store — the API concurrent consumers hold.
-#[derive(Clone)]
-pub struct QueryService {
-    store: Arc<SemanticsStore>,
-}
-
-impl QueryService {
-    pub fn new(store: Arc<SemanticsStore>) -> Self {
-        QueryService { store }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<SemanticsStore> {
-        &self.store
-    }
-
-    /// Answers one request.
-    pub fn query(&self, request: &QueryRequest) -> QueryResult {
-        self.store.query(request)
-    }
-
-    pub fn popular_regions(&self, selector: &SemanticsSelector) -> Vec<RegionPopularity> {
-        self.store.popular_regions(selector)
-    }
-
-    pub fn top_flows(&self, selector: &SemanticsSelector, limit: usize) -> Vec<Flow> {
-        self.store.top_flows(selector, limit)
-    }
-
-    pub fn dwell_histogram(
-        &self,
-        selector: &SemanticsSelector,
-        bucket: Duration,
-    ) -> Vec<(Duration, usize)> {
-        self.store.dwell_histogram(selector, bucket)
-    }
-
-    pub fn device_summaries(&self, selector: &SemanticsSelector) -> Vec<(DeviceId, DeviceSummary)> {
-        self.store.device_summaries(selector)
-    }
-
-    pub fn semantics(&self, selector: &SemanticsSelector) -> Vec<MobilitySemantics> {
-        self.store.semantics(selector)
-    }
-
-    pub fn stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
-    /// Cheap occupancy counters (device/semantics counts, shard count) —
-    /// the health-endpoint view; see [`SemanticsStore::store_stats`].
-    pub fn store_stats(&self) -> StoreHealth {
-        self.store.store_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,13 +775,13 @@ mod tests {
 
     #[test]
     fn query_request_dispatch() {
-        let service = QueryService::new(Arc::new(sample(8)));
+        let store = sample(8);
         let req = QueryRequest::new(SemanticsSelector::all(), Query::PopularRegions);
-        match service.query(&req) {
+        match store.query(&req) {
             QueryResult::PopularRegions(p) => assert_eq!(p[0].region_name, "Nike"),
             other => panic!("wrong variant: {other:?}"),
         }
-        match service.query(&QueryRequest::new(SemanticsSelector::all(), Query::Stats)) {
+        match store.query(&QueryRequest::new(SemanticsSelector::all(), Query::Stats)) {
             QueryResult::Stats(s) => {
                 assert_eq!((s.devices, s.semantics, s.regions), (2, 7, 3));
                 assert_eq!(s.devices_per_shard.iter().sum::<usize>(), 2);
@@ -849,10 +791,10 @@ mod tests {
     }
 
     #[test]
-    fn query_service_store_stats_matches_full_stats() {
-        let service = QueryService::new(Arc::new(sample(8)));
-        let health = service.store_stats();
-        let full = service.stats();
+    fn store_stats_matches_full_stats() {
+        let store = sample(8);
+        let health = store.store_stats();
+        let full = store.stats();
         assert_eq!(health.shards, full.shards);
         assert_eq!(health.devices, full.devices);
         assert_eq!(health.semantics, full.semantics);

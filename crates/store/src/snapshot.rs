@@ -38,8 +38,6 @@ pub enum SemanticsStoreError {
     Wal(trips_wal::WalError),
     /// A durability-only operation (checkpoint) on a store with no WAL.
     NotDurable,
-    /// Contradictory boot configuration.
-    Config(String),
 }
 
 impl std::fmt::Display for SemanticsStoreError {
@@ -59,7 +57,6 @@ impl std::fmt::Display for SemanticsStoreError {
             SemanticsStoreError::NotDurable => {
                 write!(f, "store has no durability layer (checkpoint needs a WAL)")
             }
-            SemanticsStoreError::Config(msg) => write!(f, "store configuration error: {msg}"),
         }
     }
 }

@@ -10,8 +10,7 @@ use trips_annotate::MobilitySemantics;
 use trips_data::{DeviceId, Duration, Timestamp};
 use trips_dsm::RegionId;
 use trips_store::{
-    boot_store, DurabilityConfig, FsyncPolicy, SemanticsSelector, SemanticsStore,
-    SemanticsStoreError,
+    DurabilityConfig, FsyncPolicy, SemanticsSelector, SemanticsStore, SemanticsStoreError,
 };
 
 static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -321,35 +320,38 @@ fn mid_log_corruption_is_a_typed_error() {
     assert!(matches!(err, SemanticsStoreError::Wal(_)), "{err}");
 }
 
+/// Migrating a plain `persist` file (what the removed non-durable
+/// `--snapshot` boot read) into a durable store: copy it into an empty
+/// directory as `snapshot.json` and recover. Recovery loads it as the
+/// checkpoint, replays nothing, answers identically, and journals what
+/// comes after it.
 #[test]
-fn boot_store_covers_every_configuration() {
-    // Neither: empty store.
-    let (store, report) = boot_store(None, None, 8).unwrap();
-    assert!(store.is_empty() && !store.is_durable() && report.is_none());
-    assert_eq!(store.shard_count(), 8);
-
-    // Snapshot only.
-    let dir = TempDir::new("bootsnap");
+fn persisted_file_migrates_into_a_wal_dir_as_its_checkpoint() {
+    let dir = TempDir::new("migrate");
     fs::create_dir_all(&dir.0).unwrap();
-    let seeded = SemanticsStore::with_shards(4);
-    seeded.ingest(&DeviceId::new("a"), &[sem("a", 1, "stay", 0, 600)]);
-    let snap = dir.0.join("boot.json");
-    seeded.persist(&snap).unwrap();
-    let (store, report) = boot_store(None, Some(&snap), 0).unwrap();
-    assert_eq!(store.semantics_count(), 1);
-    assert!(!store.is_durable() && report.is_none());
+    let control = SemanticsStore::with_shards(4);
+    run_script(&control, usize::MAX);
+    control.persist(dir.0.join("snapshot.json")).unwrap();
 
-    // Durability only.
-    let config = DurabilityConfig::new(dir.0.join("wal"));
-    let (store, report) = boot_store(Some(&config), None, 4).unwrap();
-    assert!(store.is_durable());
-    assert!(report.is_some());
-    drop(store);
+    let config = DurabilityConfig::new(&dir.0);
+    {
+        let (store, report) = SemanticsStore::recover(&config, 0).unwrap();
+        assert!(report.snapshot_loaded && !report.torn_tail_truncated);
+        assert_eq!(report.replayed_records, 0);
+        assert!(store.is_durable());
+        assert_equivalent(&store, &control, "migrated");
+        let more = [sem("dev-m", 7, "stay", 9000, 9600)];
+        store.ingest(&DeviceId::new("dev-m"), &more);
+        control.ingest(&DeviceId::new("dev-m"), &more);
+    }
+    let (store, report) = SemanticsStore::recover(&config, 0).unwrap();
+    assert!(report.snapshot_loaded);
+    assert_eq!(report.replayed_records, 1, "the post-migration ingest");
+    assert_equivalent(&store, &control, "migrated + journaled");
+}
 
-    // Both: a configuration error.
-    let err = boot_store(Some(&config), Some(&snap), 4).unwrap_err();
-    assert!(matches!(err, SemanticsStoreError::Config(_)), "{err}");
-
+#[test]
+fn checkpoint_needs_a_durable_store() {
     // Checkpoint on a non-durable store: typed error.
     let plain = SemanticsStore::with_shards(4);
     assert!(matches!(

@@ -12,10 +12,9 @@
 //! trips-serve [--host H] [--port P] [--queue N]
 //!             [--max-conns N] [--shards N] [--loop-shards N]
 //!             [--max-rules N] [--floors N] [--shops N] [--devices N]
-//!             [--days N]
-//!             [--seed N] [--snapshot PATH] [--snapshot-root DIR]
+//!             [--days N] [--seed N]
 //!             [--wal-dir DIR] [--fsync always|every=N|never]
-//!             [--segment-bytes N] [--metrics-addr HOST:PORT]
+//!             [--metrics-addr HOST:PORT]
 //!             [--slow-threshold-us N] [--idle-timeout SECS]
 //! ```
 //!
@@ -32,17 +31,12 @@
 //! caps how many standing TQL rules (`Subscribe` requests) may be
 //! registered at once across all connections (default 1024).
 //!
-//! `--snapshot-root` enables wire-level `Snapshot` requests on a
-//! non-durable server: the request's (relative, non-escaping) path
-//! resolves inside this directory. Without it such requests are rejected
-//! — the wire must not name arbitrary server filesystem locations.
-//!
-//! `--wal-dir` makes the store durable: boot recovers from the
-//! directory (checkpoint snapshot + WAL replay, torn tail truncated) and
-//! every acked ingest is journaled before the ack, under the `--fsync`
-//! policy (default `every=64`). `Snapshot` admin requests then mean
-//! checkpoint + compact. `--snapshot` (one-shot, non-durable boot) and
-//! `--wal-dir` are mutually exclusive.
+//! `--wal-dir` makes the store durable, and is the only way it persists:
+//! boot recovers from the directory (checkpoint snapshot + WAL replay,
+//! torn tail truncated) and every acked ingest is journaled before the
+//! ack, under the `--fsync` policy (default `every=64`). `Snapshot` admin
+//! requests then mean checkpoint + compact; without `--wal-dir` they are
+//! refused.
 //!
 //! `--metrics-addr` binds a second, dedicated listener serving
 //! Prometheus text exposition at `GET /metrics` (HTTP/1.0, one request
@@ -77,7 +71,6 @@ struct Options {
     seed: u64,
     /// Staged until we know whether --wal-dir was given.
     fsync: Option<FsyncPolicy>,
-    segment_bytes: Option<u64>,
 }
 
 fn usage_and_exit(message: &str) -> ! {
@@ -85,10 +78,9 @@ fn usage_and_exit(message: &str) -> ! {
     eprintln!(
         "usage: trips-serve [--host H] [--port P] [--queue N] \
          [--max-conns N] [--shards N] [--loop-shards N] \
-         [--max-rules N] [--floors N] [--shops N] [--devices N] [--days N] [--seed N] [--snapshot PATH] \
-         [--snapshot-root DIR] [--wal-dir DIR] [--fsync always|every=N|never] \
-         [--segment-bytes N] [--metrics-addr HOST:PORT] [--slow-threshold-us N] \
-         [--idle-timeout SECS]"
+         [--max-rules N] [--floors N] [--shops N] [--devices N] [--days N] [--seed N] \
+         [--wal-dir DIR] [--fsync always|every=N|never] \
+         [--metrics-addr HOST:PORT] [--slow-threshold-us N] [--idle-timeout SECS]"
     );
     std::process::exit(2);
 }
@@ -114,7 +106,6 @@ fn parse_args() -> Options {
         days: 1,
         seed: 0x5EED,
         fsync: None,
-        segment_bytes: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -131,13 +122,6 @@ fn parse_args() -> Options {
             "--devices" => opts.devices = parse(&mut args, "--devices"),
             "--days" => opts.days = parse(&mut args, "--days"),
             "--seed" => opts.seed = parse(&mut args, "--seed"),
-            "--snapshot" => {
-                opts.config.snapshot = Some(parse::<String>(&mut args, "--snapshot").into())
-            }
-            "--snapshot-root" => {
-                opts.config.snapshot_root =
-                    Some(parse::<String>(&mut args, "--snapshot-root").into())
-            }
             "--wal-dir" => {
                 let dir: String = parse(&mut args, "--wal-dir");
                 let durability = opts
@@ -150,7 +134,6 @@ fn parse_args() -> Options {
                 let policy: FsyncPolicy = parse(&mut args, "--fsync");
                 opts.fsync = Some(policy);
             }
-            "--segment-bytes" => opts.segment_bytes = Some(parse(&mut args, "--segment-bytes")),
             "--metrics-addr" => {
                 opts.config.metrics_addr = Some(parse::<String>(&mut args, "--metrics-addr"))
             }
@@ -167,22 +150,10 @@ fn parse_args() -> Options {
             other => usage_and_exit(&format!("unknown argument: {other}")),
         }
     }
-    match opts.config.durability.as_mut() {
-        Some(d) => {
-            if let Some(fsync) = opts.fsync {
-                d.fsync = fsync;
-            }
-            if let Some(bytes) = opts.segment_bytes {
-                d.segment_bytes = bytes;
-            }
-        }
-        None if opts.fsync.is_some() || opts.segment_bytes.is_some() => {
-            usage_and_exit("--fsync/--segment-bytes need --wal-dir");
-        }
-        None => {}
-    }
-    if opts.config.durability.is_some() && opts.config.snapshot.is_some() {
-        usage_and_exit("--snapshot and --wal-dir are mutually exclusive (a durable store's snapshot is its checkpoint)");
+    match (opts.config.durability.as_mut(), opts.fsync) {
+        (Some(d), Some(fsync)) => d.fsync = fsync,
+        (None, Some(_)) => usage_and_exit("--fsync needs --wal-dir"),
+        _ => {}
     }
     opts
 }
@@ -203,12 +174,6 @@ fn main() {
             ..ScenarioConfig::default()
         },
     );
-    if let Some(path) = &opts.config.snapshot {
-        eprintln!(
-            "trips-serve: booting store from snapshot {}",
-            path.display()
-        );
-    }
     if let Some(d) = &opts.config.durability {
         eprintln!(
             "trips-serve: durable store — wal dir {}, fsync {}, segment bytes {}",

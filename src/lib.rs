@@ -100,8 +100,8 @@ pub mod prelude {
     pub use trips_server::{Client, ServerConfig, TripsServer};
     pub use trips_sim::{CampusDataset, ErrorModel, ScenarioConfig, SimulatedDataset};
     pub use trips_store::{
-        DurabilityConfig, FsyncPolicy, Query, QueryRequest, QueryResult, QueryService,
-        SemanticsSelector, SemanticsStore, StoreHealth,
+        DurabilityConfig, FsyncPolicy, Query, QueryRequest, QueryResult, SemanticsSelector,
+        SemanticsStore, StoreHealth,
     };
     pub use trips_viewer::{Entry, MapView, SourceKind, SvgRenderer, Timeline, VisibilityControl};
 }

@@ -1,7 +1,7 @@
 //! Pins the `trips-store` refactor of `trips_core::analytics`: the thin
 //! wrapper functions must return results **identical** to the pre-refactor
 //! full-rescan implementations on the golden e2e fixture, and the live
-//! query service published by `Trips::run` must agree with both.
+//! store published by `Trips::run` must agree with both.
 //!
 //! The `rescan` module below is a verbatim port of the pre-refactor
 //! analytics implementations (full pass over `TranslationResult` on every
@@ -196,23 +196,23 @@ fn live_query_service_agrees_with_rescan_oracle() {
     );
     let mut system = golden_system();
     let result = system.run(ds.sequences()).expect("pipeline runs").clone();
-    let service = system.query_service();
+    let store = system.semantics_store();
     let all = SemanticsSelector::all();
 
     assert_eq!(
-        service.popular_regions(&all),
+        store.popular_regions(&all),
         rescan::popular_regions(&result)
     );
-    assert_eq!(service.top_flows(&all, 10), rescan::top_flows(&result, 10));
+    assert_eq!(store.top_flows(&all, 10), rescan::top_flows(&result, 10));
     assert_eq!(
-        service.dwell_histogram(&all, Duration::from_mins(5)),
+        store.dwell_histogram(&all, Duration::from_mins(5)),
         rescan::dwell_histogram(&result, Duration::from_mins(5))
     );
     // Store summaries are device-id ordered; the oracle is input ordered —
     // compare as sorted multisets plus per-device lookup.
     let mut oracle = rescan::device_summaries(&result);
     oracle.sort_by(|a, b| a.device.cmp(&b.device));
-    let mut via_store: Vec<_> = service
+    let mut via_store: Vec<_> = store
         .device_summaries(&all)
         .into_iter()
         .map(|(_, s)| s)
@@ -221,7 +221,7 @@ fn live_query_service_agrees_with_rescan_oracle() {
     assert_eq!(via_store, oracle);
 
     // Typed dispatch returns the same data.
-    match service.query(&QueryRequest::new(all, Query::PopularRegions)) {
+    match store.query(&QueryRequest::new(all, Query::PopularRegions)) {
         QueryResult::PopularRegions(p) => assert_eq!(p, rescan::popular_regions(&result)),
         other => panic!("wrong variant: {other:?}"),
     }

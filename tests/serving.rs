@@ -46,7 +46,7 @@ fn facade_serves_ingest_and_query_over_tcp() {
     // The oracle below translates with the same deployment in-process.
     let (dsm, editor) = (boot.dsm.clone(), boot.editor.clone());
     let server = TripsServer::new(boot.dsm, boot.editor, ServerConfig::default()).unwrap();
-    let service = server.query_service();
+    let store = server.store();
     let handle = server.spawn("127.0.0.1:0").unwrap();
 
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -72,12 +72,12 @@ fn facade_serves_ingest_and_query_over_tcp() {
         other => panic!("wrong variant: {other:?}"),
     };
     assert!(!wire.is_empty(), "two shoppers must produce semantics");
-    // ...agrees with the in-process QueryService over the same live store.
-    assert_eq!(wire, service.popular_regions(&SemanticsSelector::all()));
+    // ...agrees with the in-process store it serves.
+    assert_eq!(wire, store.popular_regions(&SemanticsSelector::all()));
     // And the cheap health view agrees with the store.
     match client.health().unwrap() {
         Response::Health(h) => {
-            let expected: StoreHealth = service.store_stats();
+            let expected: StoreHealth = store.store_stats();
             assert_eq!(h.store, expected);
             assert!(h.store.semantics > 0);
         }
@@ -166,4 +166,68 @@ fn facade_serves_ingest_and_query_over_tcp() {
     let report = handle.shutdown().unwrap();
     assert_eq!(report.bad_requests, 0);
     assert_eq!(report.shed, 0);
+}
+
+#[test]
+fn facade_durable_server_checkpoints_and_restarts_with_identical_answers() {
+    let scenario = |seed| ScenarioConfig {
+        devices: 2,
+        days: 1,
+        seed,
+        ..ScenarioConfig::default()
+    };
+    let traffic = trips::sim::scenario::generate(1, 2, &scenario(0xD00D));
+    let dir = std::env::temp_dir().join(format!("trips-facade-serving-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let boot = || {
+        let boot = bootstrap_scenario(1, 2, &scenario(0xFACE));
+        let config = ServerConfig {
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ServerConfig::default()
+        };
+        TripsServer::new(boot.dsm, boot.editor, config).unwrap()
+    };
+    let queries = [
+        Query::Semantics,
+        Query::PopularRegions,
+        Query::TopFlows { limit: 20 },
+        Query::DeviceSummaries,
+    ];
+    let answers = |client: &mut Client| -> Vec<QueryResult> {
+        queries
+            .iter()
+            .map(|q| {
+                client
+                    .query_parts(SemanticsSelector::all(), q.clone())
+                    .unwrap()
+                    .unwrap()
+            })
+            .collect()
+    };
+
+    let handle = boot().spawn("127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for trace in &traffic.traces {
+        match client.ingest(trace.raw.records().to_vec()).unwrap() {
+            Response::Ingested { rejected, .. } => assert_eq!(rejected, 0),
+            other => panic!("ingest failed: {other:?}"),
+        }
+    }
+    // The checkpoint flushes the open sessions itself.
+    match client.snapshot("ignored").unwrap() {
+        Response::SnapshotSaved { semantics, .. } => assert!(semantics > 0),
+        other => panic!("snapshot failed: {other:?}"),
+    }
+    let before = answers(&mut client);
+    drop(client);
+    handle.shutdown().unwrap();
+
+    let server = boot();
+    assert!(server.recovery_report().unwrap().snapshot_loaded);
+    let handle = server.spawn("127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(answers(&mut client), before, "restart must be lossless");
+    drop(client);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
