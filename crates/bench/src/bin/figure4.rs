@@ -7,6 +7,7 @@
 //! Run: `cargo run -p trips-bench --bin figure4 --release`
 
 use trips_bench::{editor_from_truth, f1, make_dataset, time_ms, Table};
+use trips_clean::Cleaner;
 use trips_core::{Translator, TranslatorConfig};
 use trips_data::{Duration, Timestamp};
 use trips_sim::ErrorModel;
@@ -33,15 +34,23 @@ fn main() {
         let translator = Translator::from_editor(&ds.dsm, &editor, TranslatorConfig::standard())
             .expect("translator");
         let result = translator.translate(&ds.sequences());
+        // The result keeps no cleaned records: the same deterministic
+        // Cleaner re-derives them, outside the timed abstraction.
+        let cleaner = Cleaner::new(&ds.dsm, TranslatorConfig::standard().cleaner).expect("cleaner");
+        let cleaned: Vec<_> = result
+            .devices
+            .iter()
+            .map(|d| cleaner.clean(&d.raw))
+            .collect();
 
         // Abstraction: all four sources into entries.
         let (entries, abstract_ms) = time_ms(|| {
             let mut entries: Vec<Entry> = Vec::new();
-            for (d, trace) in result.devices.iter().zip(&ds.traces) {
+            for ((d, c), trace) in result.devices.iter().zip(&cleaned).zip(&ds.traces) {
                 for r in d.raw.records() {
                     entries.push(Entry::from_record(r, SourceKind::Raw));
                 }
-                for r in d.cleaned.sequence.records() {
+                for r in c.sequence.records() {
                     entries.push(Entry::from_record(r, SourceKind::Cleaned));
                 }
                 for (ts, p) in trace.truth_samples.iter().step_by(5) {

@@ -58,6 +58,11 @@ impl CleaningReport {
         }
         (self.floor_corrected + self.interpolated + self.dropped) as f64 / self.input_records as f64
     }
+
+    /// Records in the cleaned sequence: every input record not dropped.
+    pub fn kept(&self) -> usize {
+        self.input_records - self.dropped
+    }
 }
 
 /// The result of cleaning one sequence: the cleaned records plus the audit
@@ -65,6 +70,26 @@ impl CleaningReport {
 #[derive(Debug, Clone)]
 pub struct CleanedSequence {
     pub sequence: PositioningSequence,
+    /// `repairs[i]` tells what happened to input record `i`.
+    pub repairs: Vec<RepairKind>,
+    pub report: CleaningReport,
+}
+
+impl CleanedSequence {
+    /// The audit trail alone, dropping the cleaned records.
+    pub fn into_audit(self) -> CleaningAudit {
+        CleaningAudit {
+            repairs: self.repairs,
+            report: self.report,
+        }
+    }
+}
+
+/// What cleaning did to one sequence, without the cleaned records: the
+/// Cleaner is deterministic, so cleaning the same input with the same
+/// configuration again yields them, bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CleaningAudit {
     /// `repairs[i]` tells what happened to input record `i`.
     pub repairs: Vec<RepairKind>,
     pub report: CleaningReport,

@@ -28,5 +28,7 @@
 mod cleaner;
 mod speed;
 
-pub use cleaner::{CleanedSequence, Cleaner, CleanerConfig, CleaningReport, RepairKind};
+pub use cleaner::{
+    CleanedSequence, Cleaner, CleanerConfig, CleaningAudit, CleaningReport, RepairKind,
+};
 pub use speed::{SpeedChecker, SpeedViolation};

@@ -86,7 +86,7 @@ mod tests {
     use super::*;
     use crate::translator::DeviceTranslation;
     use trips_annotate::MobilitySemantics;
-    use trips_clean::{CleanedSequence, CleaningReport};
+    use trips_clean::{CleaningAudit, CleaningReport};
     use trips_data::{DeviceId, PositioningSequence, Timestamp};
     use trips_dsm::RegionId;
 
@@ -114,8 +114,7 @@ mod tests {
         let d = DeviceId::new(name);
         let raw = PositioningSequence::new(d);
         DeviceTranslation {
-            cleaned: CleanedSequence {
-                sequence: raw.clone(),
+            cleaned: CleaningAudit {
                 repairs: Vec::new(),
                 report: CleaningReport::default(),
             },

@@ -53,7 +53,7 @@ pub fn to_json(result: &TranslationResult) -> Result<String, serde_json::Error> 
         .map(|d| JsonDevice {
             device: d.raw.device().anonymized(),
             raw_records: d.raw.len(),
-            cleaned_records: d.cleaned.sequence.len(),
+            cleaned_records: d.cleaned.report.kept(),
             semantics: d
                 .semantics
                 .iter()
@@ -86,7 +86,7 @@ mod tests {
     use super::*;
     use crate::translator::DeviceTranslation;
     use trips_annotate::MobilitySemantics;
-    use trips_clean::{CleanedSequence, CleaningReport};
+    use trips_clean::{CleaningAudit, CleaningReport};
     use trips_data::{DeviceId, PositioningSequence, RawRecord, Timestamp};
     use trips_dsm::RegionId;
 
@@ -121,8 +121,7 @@ mod tests {
         TranslationResult {
             report: Default::default(),
             devices: vec![DeviceTranslation {
-                cleaned: CleanedSequence {
-                    sequence: raw.clone(),
+                cleaned: CleaningAudit {
                     repairs: vec![trips_clean::RepairKind::Valid],
                     report: CleaningReport {
                         input_records: 1,

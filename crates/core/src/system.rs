@@ -11,6 +11,7 @@ use crate::analytics;
 use crate::config::Configurator;
 use crate::translator::{TranslationResult, Translator, TranslatorConfig};
 use std::sync::Arc;
+use trips_clean::{Cleaner, CleanerConfig};
 use trips_data::{DeviceId, PositioningSequence};
 use trips_store::SemanticsStore;
 use trips_viewer::{Entry, SourceKind, Timeline};
@@ -20,6 +21,9 @@ pub struct Trips {
     pub configurator: Configurator,
     pub translator_config: TranslatorConfig,
     result: Option<TranslationResult>,
+    /// The Cleaner configuration `result` was translated with, so the
+    /// Viewer re-derives exactly its cleaned records.
+    cleaned_with: CleanerConfig,
     /// Live semantics store: every `run` republishes into it, and
     /// [`Trips::semantics_store`] hands out concurrent read handles.
     store: Arc<SemanticsStore>,
@@ -32,6 +36,7 @@ impl Trips {
             configurator,
             translator_config: TranslatorConfig::standard(),
             result: None,
+            cleaned_with: CleanerConfig::default(),
             store: Arc::new(SemanticsStore::new()),
         }
     }
@@ -63,6 +68,7 @@ impl Trips {
         analytics::ingest_result(&store, &result);
         self.store = store;
         self.result = Some(result);
+        self.cleaned_with = self.translator_config.cleaner.clone();
         Ok(self.result.as_ref().expect("just stored"))
     }
 
@@ -86,15 +92,22 @@ impl Trips {
     }
 
     /// Step 5: build the Viewer timeline for one translated device,
-    /// combining raw records, cleaned records and semantics entries.
+    /// combining raw records, cleaned records and semantics entries. The
+    /// result keeps no cleaned records, so this cleans the device's raw
+    /// records again with the configuration the run used (the Cleaner is
+    /// deterministic: same records, bit for bit).
     pub fn timeline_for(&self, device: &DeviceId) -> Option<Timeline> {
         let result = self.result.as_ref()?;
         let d = result.device(device)?;
-        let mut entries: Vec<Entry> = Vec::with_capacity(d.raw.len() * 2 + d.semantics.len());
+        let cleaned = Cleaner::new(&self.configurator.dsm, self.cleaned_with.clone())
+            .ok()?
+            .clean(&d.raw);
+        let mut entries: Vec<Entry> =
+            Vec::with_capacity(d.raw.len() + cleaned.sequence.len() + d.semantics.len());
         for r in d.raw.records() {
             entries.push(Entry::from_record(r, SourceKind::Raw));
         }
-        for r in d.cleaned.sequence.records() {
+        for r in cleaned.sequence.records() {
             entries.push(Entry::from_record(r, SourceKind::Cleaned));
         }
         for s in &d.semantics {

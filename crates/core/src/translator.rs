@@ -2,7 +2,7 @@
 //! positioning sequence (paper §2/§3), "without manual interventions".
 
 use trips_annotate::{Annotator, AnnotatorConfig, EventEditor, EventModel, MobilitySemantics};
-use trips_clean::{CleanedSequence, Cleaner, CleanerConfig};
+use trips_clean::{Cleaner, CleanerConfig, CleaningAudit};
 use trips_complement::{Complementor, ComplementorConfig, MobilityKnowledge};
 use trips_data::PositioningSequence;
 use trips_dsm::{DigitalSpaceModel, DsmError};
@@ -82,8 +82,12 @@ impl TranslatorConfig {
 /// Everything the Translator produced for one device.
 #[derive(Debug, Clone)]
 pub struct DeviceTranslation {
+    /// The input sequence, sharing the caller's records (no copy).
     pub raw: PositioningSequence,
-    pub cleaned: CleanedSequence,
+    /// What the Cleaner did to `raw`. The cleaned records are not kept:
+    /// cleaning `raw` again with the run's [`CleanerConfig`] re-derives
+    /// them bit for bit.
+    pub cleaned: CleaningAudit,
     /// The Annotator's output before complementing ("original mobility
     /// semantics sequence").
     pub original_semantics: Vec<MobilitySemantics>,
@@ -187,15 +191,17 @@ impl<'a> Translator<'a> {
         let mut pipeline = Pipeline::new(self.config.threads);
         let (cleaner, annotator) = (&self.cleaner, &self.annotator);
 
-        let per_device: Vec<(PositioningSequence, CleanedSequence, Vec<MobilitySemantics>)> =
+        // The cleaned records die here, on the worker that made them, so
+        // its allocator arena reuses their memory for the next sequence.
+        let per_device: Vec<(CleaningAudit, Vec<MobilitySemantics>)> =
             pipeline.map("clean+annotate", sequences, |_, seq| {
                 let cleaned = cleaner.clean(seq);
                 let sems = annotator.annotate(&cleaned.sequence);
-                (seq.clone(), cleaned, sems)
+                (cleaned.into_audit(), sems)
             });
 
         let originals: Vec<&Vec<MobilitySemantics>> =
-            per_device.iter().map(|(_, _, sems)| sems).collect();
+            per_device.iter().map(|(_, sems)| sems).collect();
         let complementor = pipeline.stage("knowledge", || {
             let knowledge = MobilityKnowledge::build(self.dsm, &originals, 0.5);
             Complementor::new(self.dsm, knowledge, self.config.complementor.clone())
@@ -205,15 +211,18 @@ impl<'a> Translator<'a> {
                 complementor.complement(original)
             });
 
-        let devices = per_device
-            .into_iter()
+        let devices = sequences
+            .iter()
+            .zip(per_device)
             .zip(complemented)
-            .map(|((raw, cleaned, original), semantics)| DeviceTranslation {
-                raw,
-                cleaned,
-                original_semantics: original,
-                semantics,
-            })
+            .map(
+                |((raw, (cleaned, original)), semantics)| DeviceTranslation {
+                    raw: raw.clone(),
+                    cleaned,
+                    original_semantics: original,
+                    semantics,
+                },
+            )
             .collect();
         TranslationResult {
             devices,

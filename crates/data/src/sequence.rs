@@ -2,17 +2,47 @@
 
 use crate::record::{DeviceId, RawRecord};
 use crate::timestamp::{Duration, Timestamp};
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use trips_geom::{BoundingBox, FloorId};
 
 /// A time-ordered sequence of positioning records for one device —
 /// the unit the Translator processes ("takes each individual positioning
 /// sequence as input", paper §3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The records sit behind an [`Arc`]: a clone shares them (a refcount
+/// increment, not a copy), and [`push`](Self::push) on a shared sequence
+/// copies them first, so no clone ever sees another's writes. This is how a
+/// translation result carries its raw input without copying it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PositioningSequence {
     device: DeviceId,
-    records: Vec<RawRecord>,
+    records: Arc<Vec<RawRecord>>,
+}
+
+// By hand because the vendored serde has no `Arc<T>` impl; the JSON shape is
+// the derived one: `{"device": .., "records": [..]}`.
+impl Serialize for PositioningSequence {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("device".to_string(), self.device.to_value()),
+            ("records".to_string(), self.records.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for PositioningSequence {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for `PositioningSequence`"))?;
+        Ok(PositioningSequence {
+            device: serde::de_field(obj, "device")?,
+            records: Arc::new(serde::de_field(obj, "records")?),
+        })
+    }
 }
 
 /// Summary statistics of a sequence (drive the selector's frequency rule and
@@ -38,7 +68,7 @@ impl PositioningSequence {
     pub fn new(device: DeviceId) -> Self {
         PositioningSequence {
             device,
-            records: Vec::new(),
+            records: Arc::default(),
         }
     }
 
@@ -48,7 +78,10 @@ impl PositioningSequence {
     pub fn from_records(device: DeviceId, mut records: Vec<RawRecord>) -> Self {
         records.retain(|r| r.device == device && r.is_well_formed());
         records.sort_by_key(|r| r.ts);
-        PositioningSequence { device, records }
+        PositioningSequence {
+            device,
+            records: Arc::new(records),
+        }
     }
 
     /// The device this sequence belongs to.
@@ -58,17 +91,19 @@ impl PositioningSequence {
 
     /// Appends a record, keeping time order (inserts out-of-order arrivals
     /// at the right position — stream sources deliver near-ordered data).
+    /// Copies the records first if a clone shares them.
     pub fn push(&mut self, record: RawRecord) {
         debug_assert_eq!(record.device, self.device, "record for a different device");
         if !record.is_well_formed() {
             return;
         }
-        match self.records.last() {
+        let records = Arc::make_mut(&mut self.records);
+        match records.last() {
             Some(last) if last.ts > record.ts => {
-                let idx = self.records.partition_point(|r| r.ts <= record.ts);
-                self.records.insert(idx, record);
+                let idx = records.partition_point(|r| r.ts <= record.ts);
+                records.insert(idx, record);
             }
-            _ => self.records.push(record),
+            _ => records.push(record),
         }
     }
 
@@ -145,13 +180,13 @@ impl PositioningSequence {
         }
         let mut out = Vec::new();
         let mut current = Vec::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             if let Some(last) = current.last() {
                 let last: &RawRecord = last;
                 if r.ts - last.ts > max_gap {
                     out.push(PositioningSequence {
                         device: self.device.clone(),
-                        records: std::mem::take(&mut current),
+                        records: Arc::new(std::mem::take(&mut current)),
                     });
                 }
             }
@@ -160,7 +195,7 @@ impl PositioningSequence {
         if !current.is_empty() {
             out.push(PositioningSequence {
                 device: self.device.clone(),
-                records: current,
+                records: Arc::new(current),
             });
         }
         out
@@ -170,12 +205,13 @@ impl PositioningSequence {
     pub fn slice_time(&self, from: Timestamp, to: Timestamp) -> PositioningSequence {
         PositioningSequence {
             device: self.device.clone(),
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.ts >= from && r.ts <= to)
-                .cloned()
-                .collect(),
+            records: Arc::new(
+                self.records
+                    .iter()
+                    .filter(|r| r.ts >= from && r.ts <= to)
+                    .cloned()
+                    .collect(),
+            ),
         }
     }
 }
