@@ -1,8 +1,8 @@
 //! The cleaning pipeline: detect → floor-correct → interpolate → (drop).
 
-use crate::speed::SpeedChecker;
+use crate::speed::{Fix, SpeedChecker};
 use trips_data::{PositioningSequence, RawRecord};
-use trips_dsm::{Anchor, DigitalSpaceModel, DsmError};
+use trips_dsm::{DigitalSpaceModel, DsmError};
 use trips_geom::FloorId;
 
 /// What happened to each input record during cleaning.
@@ -121,12 +121,13 @@ impl<'a> Cleaner<'a> {
     pub fn clean(&self, seq: &PositioningSequence) -> CleanedSequence {
         let input = seq.records();
         let n = input.len();
-        let mut working: Vec<RawRecord> = input.to_vec();
-        // `anchors[i]`: where `working[i]` enters the walking graph, kept in
-        // step with every rewrite of `working[i]`.
-        let pq = self.checker.path_query();
-        let mut anchors: Vec<Option<Anchor>> =
-            working.iter().map(|r| pq.anchor(&r.location)).collect();
+        // `fixes[i]`: where record `i` stands now, with its walking-graph
+        // anchor; a repair rewrites both. The records themselves are cloned
+        // once, into the output, and only if kept.
+        let mut fixes: Vec<Fix> = input
+            .iter()
+            .map(|r| self.checker.fix(r.location, r.ts))
+            .collect();
         let mut repairs = vec![RepairKind::Valid; n];
         // `alive[i]`: record i currently participates in the output.
         let mut alive = vec![true; n];
@@ -140,10 +141,7 @@ impl<'a> Cleaner<'a> {
         for i in 0..n {
             let ok = match last_valid {
                 None => true, // first record is trusted until contradicted
-                Some(j) => {
-                    self.checker
-                        .feasible_anchored(&working[j], anchors[j], &working[i], anchors[i])
-                }
+                Some(j) => self.checker.feasible_fixes(&fixes[j], &fixes[i]),
             };
             if ok {
                 settled[i] = true;
@@ -179,15 +177,14 @@ impl<'a> Cleaner<'a> {
             // Step 1: floor value correction — only meaningful when the
             // record's floor disagrees with its valid neighbours.
             if self.config.floor_correction {
-                if let Some(target) = self.consensus_floor(&working, prev, next) {
-                    if target != working[i].location.floor {
-                        let mut candidate = working[i].clone();
-                        candidate.location = candidate.location.with_floor(target);
-                        let anchor = pq.anchor(&candidate.location);
-                        if self.repair_fits(&working, &anchors, prev, next, &candidate, anchor) {
-                            let from = working[i].location.floor;
-                            working[i] = candidate;
-                            anchors[i] = anchor;
+                if let Some(target) = self.consensus_floor(&fixes, prev, next) {
+                    let from = fixes[i].at.floor;
+                    if target != from {
+                        let candidate = self
+                            .checker
+                            .fix(fixes[i].at.with_floor(target), fixes[i].ts);
+                        if self.repair_fits(&fixes, prev, next, &candidate) {
+                            fixes[i] = candidate;
                             repairs[i] = RepairKind::FloorCorrected { from, to: target };
                             settled[i] = true;
                             continue;
@@ -199,20 +196,10 @@ impl<'a> Cleaner<'a> {
             // Step 2: location interpolation between valid neighbours.
             if self.config.interpolation {
                 if let (Some(p), Some(nx)) = (prev, next) {
-                    if let Some(loc) = self.interpolate(&working, &anchors, p, nx, i) {
-                        let mut candidate = working[i].clone();
-                        candidate.location = loc;
-                        let anchor = pq.anchor(&candidate.location);
-                        if self.repair_fits(
-                            &working,
-                            &anchors,
-                            Some(p),
-                            Some(nx),
-                            &candidate,
-                            anchor,
-                        ) {
-                            working[i] = candidate;
-                            anchors[i] = anchor;
+                    if let Some(loc) = self.interpolate(&fixes, p, nx, i) {
+                        let candidate = self.checker.fix(loc, fixes[i].ts);
+                        if self.repair_fits(&fixes, Some(p), Some(nx), &candidate) {
+                            fixes[i] = candidate;
                             repairs[i] = RepairKind::Interpolated;
                             settled[i] = true;
                             continue;
@@ -225,10 +212,6 @@ impl<'a> Cleaner<'a> {
             alive[i] = false;
             repairs[i] = RepairKind::Dropped;
         }
-
-        // The output is `working`'s live records, moved, not copied.
-        let mut alive = alive.into_iter();
-        working.retain(|_| alive.next().expect("one flag per record"));
 
         let mut report = CleaningReport {
             input_records: n,
@@ -243,8 +226,19 @@ impl<'a> Cleaner<'a> {
             }
         }
 
+        // The live records, each at its final place. They keep the input's
+        // device and time order, so the sequence needs no filter or sort.
+        let mut cleaned = Vec::with_capacity(report.kept());
+        for ((record, fix), _) in input.iter().zip(&fixes).zip(&alive).filter(|(_, &a)| a) {
+            cleaned.push(RawRecord {
+                device: record.device.clone(),
+                location: fix.at,
+                ts: record.ts,
+            });
+        }
+
         CleanedSequence {
-            sequence: PositioningSequence::from_records(seq.device().clone(), working),
+            sequence: PositioningSequence::from_ordered_records(seq.device().clone(), cleaned),
             repairs,
             report,
         }
@@ -254,45 +248,37 @@ impl<'a> Cleaner<'a> {
     /// floor when only one side exists).
     fn consensus_floor(
         &self,
-        working: &[RawRecord],
+        fixes: &[Fix],
         prev: Option<usize>,
         next: Option<usize>,
     ) -> Option<FloorId> {
         match (prev, next) {
             (Some(p), Some(n)) => {
-                let (fp, fn_) = (working[p].location.floor, working[n].location.floor);
+                let (fp, fn_) = (fixes[p].at.floor, fixes[n].at.floor);
                 (fp == fn_).then_some(fp)
             }
-            (Some(p), None) => Some(working[p].location.floor),
-            (None, Some(n)) => Some(working[n].location.floor),
+            (Some(p), None) => Some(fixes[p].at.floor),
+            (None, Some(n)) => Some(fixes[n].at.floor),
             (None, None) => None,
         }
     }
 
-    /// Whether a candidate repair (anchored at `anchor`) satisfies the
-    /// constraint against both neighbours (where they exist).
+    /// Whether a candidate repair satisfies the constraint against both
+    /// neighbours (where they exist).
     fn repair_fits(
         &self,
-        working: &[RawRecord],
-        anchors: &[Option<Anchor>],
+        fixes: &[Fix],
         prev: Option<usize>,
         next: Option<usize>,
-        candidate: &RawRecord,
-        anchor: Option<Anchor>,
+        candidate: &Fix,
     ) -> bool {
         if let Some(p) = prev {
-            if !self
-                .checker
-                .feasible_anchored(&working[p], anchors[p], candidate, anchor)
-            {
+            if !self.checker.feasible_fixes(&fixes[p], candidate) {
                 return false;
             }
         }
         if let Some(n) = next {
-            if !self
-                .checker
-                .feasible_anchored(candidate, anchor, &working[n], anchors[n])
-            {
+            if !self.checker.feasible_fixes(candidate, &fixes[n]) {
                 return false;
             }
         }
@@ -305,25 +291,20 @@ impl<'a> Cleaner<'a> {
     /// the indoor geometrical and topological information").
     fn interpolate(
         &self,
-        working: &[RawRecord],
-        anchors: &[Option<Anchor>],
+        fixes: &[Fix],
         prev: usize,
         next: usize,
         mid: usize,
     ) -> Option<trips_geom::IndoorPoint> {
-        let (p, n, m) = (&working[prev], &working[next], &working[mid]);
+        let (p, n, m) = (&fixes[prev], &fixes[next], &fixes[mid]);
         let total = (n.ts - p.ts).as_secs_f64();
         if total <= 0.0 {
             return None;
         }
         let frac = ((m.ts - p.ts).as_secs_f64() / total).clamp(0.0, 1.0);
-        let path = self.checker.path_query().path_anchored(
-            &p.location,
-            anchors[prev]?,
-            &n.location,
-            anchors[next]?,
-        )?;
-        Some(path.point_at_fraction(frac))
+        self.checker
+            .path_query()
+            .point_at_fraction(&p.at, p.anchor?, &n.at, n.anchor?, frac)
     }
 
     /// The DSM this cleaner operates on.

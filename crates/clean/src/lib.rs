@@ -17,13 +17,27 @@
 //! cleaned sequence and a per-record audit trail ([`RepairKind`]) that the
 //! Viewer uses to display raw vs cleaned data side by side.
 //!
-//! Each check is exact but cheap: `clean` computes every record's
-//! walking-graph anchor once (and again only when a repair moves the
-//! record), and [`SpeedChecker`] decides cross-area pairs with
-//! `trips_dsm::PathQuery::within` — a lookup in the DSM's shared
-//! node-to-node distance table that defers to the Dijkstra search only
-//! when the implied speed is within a few ulps of the limit. Every
-//! decision, and so every cleaned sequence, is the one the search gives.
+//! Each check is exact but cheap, and every per-record geometry query is a
+//! table read:
+//!
+//! * `clean` anchors every record on the walking graph once (again only
+//!   when a repair moves it). The anchor is a raster read for most fixes;
+//!   a fix outside every walkable area takes a nearest-area search that
+//!   measures only areas whose bounding box could beat the best so far.
+//!   The anchor carries its area's dense slot, which indexes the area's
+//!   graph nodes and polygon with no map lookup.
+//! * [`SpeedChecker`] decides cross-area pairs with
+//!   `trips_dsm::PathQuery::within` — a lookup in the DSM's shared
+//!   node-to-node distance table that defers to the Dijkstra search only
+//!   when the implied speed is within a few ulps of the limit.
+//! * Interpolation asks `trips_dsm::PathQuery::point_at_fraction` for the
+//!   one point it needs; a route read from the node tables yields it
+//!   without building the path.
+//!
+//! `clean` copies no input record up front: it keeps each record's place,
+//! time and anchor, and clones only the kept records into the output, which
+//! is already in time order. Every decision, and so every cleaned
+//! sequence, is the one the search gives.
 
 mod cleaner;
 mod speed;

@@ -1,7 +1,8 @@
 //! The indoor speed constraint.
 
-use trips_data::RawRecord;
+use trips_data::{RawRecord, Timestamp};
 use trips_dsm::{Anchor, DigitalSpaceModel, DsmError, PathQuery};
+use trips_geom::IndoorPoint;
 
 /// A detected speed-constraint violation between two records.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,6 +13,15 @@ pub struct SpeedViolation {
     pub to_idx: usize,
     /// Implied speed over the minimum walking distance, m/s.
     pub implied_speed: f64,
+}
+
+/// What the speed check reads of a record: its place and time, and the
+/// walking-graph anchor of that place (`PathQuery::anchor`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fix {
+    pub(crate) at: IndoorPoint,
+    pub(crate) ts: Timestamp,
+    pub(crate) anchor: Option<Anchor>,
 }
 
 /// Checks the indoor speed constraint over the minimum walking distance.
@@ -47,34 +57,31 @@ impl<'a> SpeedChecker<'a> {
     /// Infeasible when: timestamps do not advance, the points are mutually
     /// unreachable, or the implied speed exceeds `max_speed`.
     pub fn feasible(&self, a: &RawRecord, b: &RawRecord) -> bool {
-        self.feasible_anchored(
-            a,
-            self.pq.anchor(&a.location),
-            b,
-            self.pq.anchor(&b.location),
-        )
+        self.feasible_fixes(&self.fix(a.location, a.ts), &self.fix(b.location, b.ts))
     }
 
-    /// [`feasible`](Self::feasible) with the records' walking-graph anchors
-    /// already computed (`PathQuery::anchor` of each location).
-    pub(crate) fn feasible_anchored(
-        &self,
-        a: &RawRecord,
-        anchor_a: Option<Anchor>,
-        b: &RawRecord,
-        anchor_b: Option<Anchor>,
-    ) -> bool {
+    /// The fix of a record at `at` and `ts`, anchored.
+    pub(crate) fn fix(&self, at: IndoorPoint, ts: Timestamp) -> Fix {
+        Fix {
+            at,
+            ts,
+            anchor: self.pq.anchor(&at),
+        }
+    }
+
+    /// [`feasible`](Self::feasible) between two anchored fixes.
+    pub(crate) fn feasible_fixes(&self, a: &Fix, b: &Fix) -> bool {
         let dt = (b.ts - a.ts).as_secs_f64();
         if dt <= 0.0 {
             return false;
         }
-        let (Some(anchor_a), Some(anchor_b)) = (anchor_a, anchor_b) else {
+        let (Some(anchor_a), Some(anchor_b)) = (a.anchor, b.anchor) else {
             return false;
         };
         self.pq.within(
-            &a.location,
+            &a.at,
             anchor_a,
-            &b.location,
+            &b.at,
             anchor_b,
             dt,
             self.max_speed * (1.0 + 1e-9),

@@ -84,6 +84,27 @@ impl PositioningSequence {
         }
     }
 
+    /// Creates a sequence from records already in the form
+    /// [`from_records`](Self::from_records) leaves them in: all of
+    /// `device`, well-formed and in time order. Nothing is filtered or
+    /// sorted; debug builds check the form.
+    pub fn from_ordered_records(device: DeviceId, records: Vec<RawRecord>) -> Self {
+        debug_assert!(
+            records
+                .iter()
+                .all(|r| r.device == device && r.is_well_formed()),
+            "records of another device or not well-formed"
+        );
+        debug_assert!(
+            records.windows(2).all(|w| w[0].ts <= w[1].ts),
+            "records out of time order"
+        );
+        PositioningSequence {
+            device,
+            records: Arc::new(records),
+        }
+    }
+
     /// The device this sequence belongs to.
     pub fn device(&self) -> &DeviceId {
         &self.device
@@ -253,6 +274,28 @@ mod tests {
         let seq = PositioningSequence::from_records(dev(), records);
         assert_eq!(seq.len(), 2);
         assert!(seq.records()[0].ts < seq.records()[1].ts);
+    }
+
+    #[test]
+    fn from_ordered_records_keeps_records_as_given() {
+        let records = vec![
+            rec(0.0, 0.0, 0, 5),
+            rec(1.0, 0.0, 0, 5),
+            rec(2.0, 0.0, 1, 9),
+        ];
+        let seq = PositioningSequence::from_ordered_records(dev(), records.clone());
+        assert_eq!(seq.records(), &records[..]);
+        assert_eq!(seq, PositioningSequence::from_records(dev(), records));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of time order")]
+    fn from_ordered_records_checks_order_in_debug_builds() {
+        let _ = PositioningSequence::from_ordered_records(
+            dev(),
+            vec![rec(0.0, 0.0, 0, 10), rec(1.0, 0.0, 0, 5)],
+        );
     }
 
     #[test]

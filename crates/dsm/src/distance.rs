@@ -19,14 +19,20 @@
 //!   estimate can differ from the search's value in the last bits, so a
 //!   quotient within a few ulps of the limit is re-decided by the search
 //!   (the error argument is on `within`).
-//! * Interpolation needs the route itself: [`PathQuery::path`] picks the
-//!   node pair of that min-plus lookup, reads the route between them from
-//!   a predecessor table filled by the same per-node searches, and adds up
-//!   its legs in route order, as the search does. This is the search's path
-//!   bit for bit whenever the route is unique within `within`'s margin;
-//!   otherwise (an exact or near tie between two routes, at the ends or at
-//!   any hop) `path` falls back to the search. The argument is on
-//!   `PathQuery::table_route`.
+//! * Interpolation needs a point on the route: [`PathQuery::path`] picks
+//!   the node pair of that min-plus lookup, reads the route between them
+//!   from a predecessor table filled by the same per-node searches, and
+//!   adds up its legs in route order, as the search does. This is the
+//!   search's path bit for bit whenever the route is unique within
+//!   `within`'s margin; otherwise (an exact or near tie between two
+//!   routes, at the ends or at any hop) `path` falls back to the search.
+//!   The argument is on `PathQuery::table_route`. The route is read into a
+//!   fixed array, so [`PathQuery::point_at_fraction`], which needs one
+//!   point of it, allocates nothing unless it falls back.
+//!
+//! Every query starts from the points' [`Anchor`]s. An anchor carries its
+//! area's dense slot, so the area's graph nodes
+//! ([`Topology::area_nodes`]) are one slot read, not a map lookup.
 //!
 //! The tables are built on the first query that needs them (one Dijkstra
 //! per node, about 1–2 ms on the 98-node, 7-floor benchmark mall), not at
@@ -64,35 +70,52 @@ impl WalkPath {
     /// Point at the given fraction of total walking distance, with the floor
     /// of the path leg it falls on. Used by location interpolation.
     pub fn point_at_fraction(&self, fraction: f64) -> IndoorPoint {
-        let f = fraction.clamp(0.0, 1.0);
-        if self.points.len() < 2 || self.distance <= f64::EPSILON || f <= 0.0 {
-            return self.points[0];
-        }
-        if f >= 1.0 {
-            return *self.points.last().expect("path has points");
-        }
-        let mut remaining = f * self.distance;
-        for w in self.points.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            // Leg length: planar when same floor, vertical cost otherwise.
-            let leg = if a.floor == b.floor {
-                a.xy.distance(b.xy)
-            } else {
-                // Vertical leg weight is embedded in `distance`; approximate
-                // by the remaining proportional share.
-                self.distance / (self.points.len() - 1) as f64
-            };
-            if remaining <= leg && leg > 0.0 {
-                let t = remaining / leg;
-                return IndoorPoint {
-                    xy: a.xy.lerp(b.xy, t),
-                    floor: if t < 0.5 { a.floor } else { b.floor },
-                };
-            }
-            remaining -= leg;
-        }
-        *self.points.last().expect("path has points")
+        point_along(
+            self.distance,
+            self.points.len(),
+            |i| self.points[i],
+            fraction,
+        )
     }
+}
+
+/// [`WalkPath::point_at_fraction`] of the path of `len` points `point(0)`,
+/// …, `point(len - 1)` and walking distance `distance`: the one definition,
+/// shared by paths that are not built as a `WalkPath`.
+fn point_along(
+    distance: f64,
+    len: usize,
+    point: impl Fn(usize) -> IndoorPoint,
+    fraction: f64,
+) -> IndoorPoint {
+    let f = fraction.clamp(0.0, 1.0);
+    if len < 2 || distance <= f64::EPSILON || f <= 0.0 {
+        return point(0);
+    }
+    if f >= 1.0 {
+        return point(len - 1);
+    }
+    let mut remaining = f * distance;
+    for i in 1..len {
+        let (a, b) = (point(i - 1), point(i));
+        // Leg length: planar when same floor, vertical cost otherwise.
+        let leg = if a.floor == b.floor {
+            a.xy.distance(b.xy)
+        } else {
+            // Vertical leg weight is embedded in `distance`; approximate
+            // by the remaining proportional share.
+            distance / (len - 1) as f64
+        };
+        if remaining <= leg && leg > 0.0 {
+            let t = remaining / leg;
+            return IndoorPoint {
+                xy: a.xy.lerp(b.xy, t),
+                floor: if t < 0.5 { a.floor } else { b.floor },
+            };
+        }
+        remaining -= leg;
+    }
+    point(len - 1)
 }
 
 /// Min-heap entry for Dijkstra.
@@ -122,12 +145,69 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Where a point enters the walking graph: the walkable area containing it
-/// (or, outside every area, the nearest one on its floor) and the snap
-/// distance to that area (0 when the point is inside).
+/// (or, outside every area, the nearest one on its floor), that area's
+/// dense slot ([`DigitalSpaceModel::entity_slot`]), which indexes its node
+/// list, and the snap distance to the area (0 when the point is inside).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Anchor {
     pub area: EntityId,
+    pub slot: u32,
     pub snap: f64,
+}
+
+/// Most graph nodes a route read from the node tables may pass through; a
+/// longer route is left to the search, which finds the same one.
+const ROUTE_CAP: usize = 64;
+
+/// A route read from the node tables: its graph nodes, last first (none
+/// for the straight line inside one area), and its walking distance
+/// between the two points it joins. Node indices fit `u16`: only graphs of
+/// at most [`crate::topology::MAX_TABLE_NODES`] nodes have tables.
+struct TableRoute {
+    reversed: [u16; ROUTE_CAP],
+    len: usize,
+    distance: f64,
+}
+
+impl TableRoute {
+    /// Graph node `j` of the route, first to last.
+    fn node(&self, j: usize) -> usize {
+        self.reversed[self.len - 1 - j] as usize
+    }
+}
+
+/// A path as [`PathQuery::route`] finds it.
+enum Route {
+    /// Read without a search: no `Vec` is built.
+    Read(TableRoute),
+    Searched(WalkPath),
+}
+
+/// What lets the search that backs up [`PathQuery::table_route`] skip the
+/// part of the graph no shortest route passes through.
+///
+/// The search skips a relaxation that would give graph node `x` the
+/// distance `d` when `d + rest(x) > limit`, where `rest(x)` is the table's
+/// least `D[x][v] + w_b(v)` over the target's eligible nodes and `limit` is
+/// `L·(1 + 2δ)` for the table's estimate `L` ([`PathQuery::pair_min`]) and
+/// `within`'s margin `δ`.
+///
+/// Why the result is the unpruned search's, bit for bit: for a node `x` on
+/// the route `R` that search returns, with the distance `d` it ends at, `d`
+/// is `R`'s rounded prefix and `rest(x)` at most the table's rounded sum of
+/// `R`'s suffix, so `d + rest(x)` is within the rounding `γ` (see `within`)
+/// of `R`'s real length — which is within `2γ` of the real shortest
+/// distance, itself within `γ` of `L`. `2δ` exceeds those few `γ`, so no
+/// relaxation that sets a node of `R` to its final distance is skipped.
+/// A skipped relaxation can only leave some node's distance higher, never
+/// lower, so every node of `R` reaches the same final distance, first set
+/// by the same predecessor in the same `(distance, node)` pop order, and
+/// the target is settled as before.
+#[derive(Clone, Copy)]
+struct Prune<'t> {
+    tables: &'t NodeTables,
+    /// `L·(1 + 2δ)`; `INFINITY` when the estimate cannot bound the search.
+    limit: f64,
 }
 
 /// The result of [`PathQuery::pair_min`]: the least term, its node pair
@@ -161,13 +241,12 @@ impl<'a> PathQuery<'a> {
     /// The anchor every query computes for `p`; `None` when `p`'s floor has
     /// no walkable area (then nothing is reachable from `p`).
     pub fn anchor(&self, p: &IndoorPoint) -> Option<Anchor> {
-        if let Some(area) = self.dsm.locate_id(p) {
-            return Some(Anchor { area, snap: 0.0 });
-        }
-        self.dsm.nearest_walkable(p).map(|(e, d)| Anchor {
-            area: e.id,
-            snap: d,
-        })
+        let (area, snap) = match self.dsm.locate_id(p) {
+            Some(area) => (area, 0.0),
+            None => self.dsm.nearest_walkable_id(p)?,
+        };
+        let slot = self.dsm.entity_slot(area)? as u32;
+        Some(Anchor { area, slot, snap })
     }
 
     /// Minimum indoor walking distance between two points.
@@ -215,15 +294,90 @@ impl<'a> PathQuery<'a> {
         b: &IndoorPoint,
         anchor_b: Anchor,
     ) -> Option<WalkPath> {
+        Some(match self.route(tables, a, anchor_a, b, anchor_b)? {
+            Route::Read(route) => WalkPath {
+                distance: route.distance,
+                points: (0..route.len + 2)
+                    .map(|i| self.route_point(&route, a, b, i))
+                    .collect(),
+            },
+            Route::Searched(path) => path,
+        })
+    }
+
+    /// The point at `fraction` of the walking distance along the path from
+    /// `a` to `b`, given the points' own [`anchor`](Self::anchor)s: exactly
+    /// `path_anchored(a, anchor_a, b, anchor_b).map(|p| p.point_at_fraction(fraction))`,
+    /// the same float operations in the same order. Location interpolation
+    /// asks this once per repaired record. A same-area pair or a route read
+    /// from the node tables builds no path; only the search's fallback
+    /// does.
+    pub fn point_at_fraction(
+        &self,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+        fraction: f64,
+    ) -> Option<IndoorPoint> {
+        Some(
+            match self.route(self.topo.tables(), a, anchor_a, b, anchor_b)? {
+                Route::Read(route) => point_along(
+                    route.distance,
+                    route.len + 2,
+                    |i| self.route_point(&route, a, b, i),
+                    fraction,
+                ),
+                Route::Searched(path) => path.point_at_fraction(fraction),
+            },
+        )
+    }
+
+    /// The path from `a` to `b`: the straight line inside one area, else
+    /// the route read from `tables` when they vouch for it, else the
+    /// search's path (pruned by the tables' bound when there are tables).
+    fn route(
+        &self,
+        tables: Option<&NodeTables>,
+        a: &IndoorPoint,
+        anchor_a: Anchor,
+        b: &IndoorPoint,
+        anchor_b: Anchor,
+    ) -> Option<Route> {
         if let Some(distance) = same_area_distance(a, anchor_a, b, anchor_b) {
-            return Some(WalkPath {
+            return Some(Route::Read(TableRoute {
+                reversed: [0; ROUTE_CAP],
+                len: 0,
                 distance,
-                points: vec![*a, *b],
-            });
+            }));
         }
-        tables
-            .and_then(|tables| self.table_route(tables, a, anchor_a, b, anchor_b))
-            .or_else(|| self.searched_path(a, anchor_a, b, anchor_b))
+        let prune = match tables {
+            Some(tables) => match self.table_route(tables, a, anchor_a, b, anchor_b) {
+                Ok(route) => return Some(Route::Read(route)),
+                Err(limit) => Some(Prune { tables, limit }),
+            },
+            None => None,
+        };
+        self.searched_path(a, anchor_a, b, anchor_b, prune)
+            .map(Route::Searched)
+    }
+
+    /// Point `i` of the path from `a` along `route` to `b`: `a`, then the
+    /// route's nodes, then `b`.
+    fn route_point(
+        &self,
+        route: &TableRoute,
+        a: &IndoorPoint,
+        b: &IndoorPoint,
+        i: usize,
+    ) -> IndoorPoint {
+        if i == 0 {
+            *a
+        } else if i > route.len {
+            *b
+        } else {
+            self.waypoint(route.node(i - 1))
+        }
     }
 
     fn searched_path(
@@ -232,10 +386,11 @@ impl<'a> PathQuery<'a> {
         anchor_a: Anchor,
         b: &IndoorPoint,
         anchor_b: Anchor,
+        prune: Option<Prune<'_>>,
     ) -> Option<WalkPath> {
         let n = self.topo.nodes.len();
         let mut prev: Vec<Option<usize>> = vec![None; n + 2];
-        let distance = self.search(a, anchor_a, b, anchor_b, Some(prev.as_mut_slice()))?;
+        let distance = self.search(a, anchor_a, b, anchor_b, Some(prev.as_mut_slice()), prune)?;
 
         // Reconstruct waypoints; `n` is the virtual source, `n + 1` the
         // virtual target.
@@ -286,7 +441,10 @@ impl<'a> PathQuery<'a> {
     /// sum, so it returns this one, and its distance is that sum:
     /// `w_a(u)`, then each hop's edge weight, then `w_b(v)`, added in route
     /// order — which is how it is recomputed here, bit for bit. A tie, a
-    /// non-finite estimate or an unreachable pair falls back to the search.
+    /// non-finite estimate, an unreachable pair or a route of more than
+    /// [`ROUTE_CAP`] nodes falls back to the search: the error is the
+    /// [`Prune::limit`] that search may use. The route is read into a fixed
+    /// array: nothing is allocated.
     fn table_route(
         &self,
         tables: &NodeTables,
@@ -294,7 +452,7 @@ impl<'a> PathQuery<'a> {
         anchor_a: Anchor,
         b: &IndoorPoint,
         anchor_b: Anchor,
-    ) -> Option<WalkPath> {
+    ) -> Result<TableRoute, f64> {
         let n = self.topo.nodes.len();
         let PairMin {
             length,
@@ -306,41 +464,47 @@ impl<'a> PathQuery<'a> {
             nan,
         } = self.pair_min(tables, a, anchor_a, b, anchor_b);
         let slack = length * self.margin();
+        let limit = if nan {
+            f64::INFINITY
+        } else {
+            length + 2.0 * slack
+        };
         if nan || !length.is_finite() || runner_up <= length + slack {
-            return None;
+            return Err(limit);
         }
         let row = &tables.dist[u * n..(u + 1) * n];
         let pred = &tables.pred[u * n..(u + 1) * n];
         // The interior route, from `v` back to `u`.
-        let mut route = vec![v];
+        let mut route = TableRoute {
+            reversed: [0; ROUTE_CAP],
+            len: 1,
+            distance: wa,
+        };
+        route.reversed[0] = v as u16;
         let mut x = v;
         while x != u {
             let y = pred[x] as usize;
             let unique = self.topo.edges[x]
                 .iter()
                 .all(|e| e.to == y || row[e.to] + e.weight > row[x] + slack);
-            if !unique {
-                return None;
+            if !unique || route.len == ROUTE_CAP {
+                return Err(limit);
             }
-            route.push(y);
+            route.reversed[route.len] = y as u16;
+            route.len += 1;
             x = y;
         }
-        route.reverse();
-        let mut distance = wa;
-        for hop in route.windows(2) {
+        for j in 1..route.len {
+            let (from, to) = (route.node(j - 1), route.node(j));
             // Parallel edges: the search's relaxation keeps the lightest.
-            distance += self.topo.edges[hop[0]]
+            route.distance += self.topo.edges[from]
                 .iter()
-                .filter(|e| e.to == hop[1])
+                .filter(|e| e.to == to)
                 .map(|e| e.weight)
                 .fold(f64::INFINITY, f64::min);
         }
-        distance += wb;
-        let points = std::iter::once(*a)
-            .chain(route.iter().map(|&x| self.waypoint(x)))
-            .chain(std::iter::once(*b))
-            .collect();
-        Some(WalkPath { distance, points })
+        route.distance += wb;
+        Ok(route)
     }
 
     /// Whether `b` is reachable from `a` within `dt` seconds at `limit` m/s:
@@ -469,12 +633,7 @@ impl<'a> PathQuery<'a> {
             runner_up: f64::INFINITY,
             nan: false,
         };
-        let (Some(src), Some(dst)) = (
-            self.topo.area_nodes.get(&anchor_a.area),
-            self.topo.area_nodes.get(&anchor_b.area),
-        ) else {
-            return min;
-        };
+        let (src, dst) = (self.area_nodes(anchor_a), self.area_nodes(anchor_b));
         // Each target leg once, before the `u` loop. An ineligible node's
         // leg is `INFINITY`, which no minimum can pick: the same minimum as
         // skipping it.
@@ -527,12 +686,7 @@ impl<'a> PathQuery<'a> {
         anchor_b: Anchor,
     ) -> f64 {
         let n = self.topo.nodes.len();
-        let (Some(src), Some(dst)) = (
-            self.topo.area_nodes.get(&anchor_a.area),
-            self.topo.area_nodes.get(&anchor_b.area),
-        ) else {
-            return f64::INFINITY;
-        };
+        let (src, dst) = (self.area_nodes(anchor_a), self.area_nodes(anchor_b));
         let mut best = f64::INFINITY;
         for &v in dst {
             if !src.contains(&v) {
@@ -543,6 +697,12 @@ impl<'a> PathQuery<'a> {
             }
         }
         best
+    }
+
+    /// The graph nodes the search may enter or leave through at `anchor`'s
+    /// area: one slot read.
+    fn area_nodes(&self, anchor: Anchor) -> &'a [usize] {
+        &self.topo.area_nodes[anchor.slot as usize]
     }
 
     /// The leg between `p` and graph node `v` of its anchor area, `None`
@@ -566,12 +726,15 @@ impl<'a> PathQuery<'a> {
         anchor_b: Anchor,
     ) -> Option<f64> {
         same_area_distance(a, anchor_a, b, anchor_b)
-            .or_else(|| self.search(a, anchor_a, b, anchor_b, None))
+            .or_else(|| self.search(a, anchor_a, b, anchor_b, None, None))
     }
 
     /// Dijkstra over the door graph plus a virtual source (node `n`)
     /// joined to `a`'s eligible nodes and a virtual target (node `n + 1`)
     /// joined from `b`'s. Records predecessors only when `prev` is given.
+    /// With `prune`, a node is not reached through a relaxation that no
+    /// route within [`Prune::limit`] continues; the distance and the
+    /// predecessors along the returned route are the unpruned search's.
     fn search(
         &self,
         a: &IndoorPoint,
@@ -579,13 +742,13 @@ impl<'a> PathQuery<'a> {
         b: &IndoorPoint,
         anchor_b: Anchor,
         mut prev: Option<&mut [Option<usize>]>,
+        prune: Option<Prune<'_>>,
     ) -> Option<f64> {
         let n = self.topo.nodes.len();
         if n == 0 {
             return None;
         }
-        let src_nodes = self.topo.area_nodes.get(&anchor_a.area)?;
-        let dst_nodes = self.topo.area_nodes.get(&anchor_b.area)?;
+        let (src_nodes, dst_nodes) = (self.area_nodes(anchor_a), self.area_nodes(anchor_b));
         if src_nodes.is_empty() || dst_nodes.is_empty() {
             return None;
         }
@@ -594,6 +757,18 @@ impl<'a> PathQuery<'a> {
         let src = n;
         let dst = n + 1;
         dist[src] = 0.0;
+        // With `prune`: the target legs, and per graph node the table's
+        // least distance on to the target (`NAN` until first needed).
+        let (legs_b, mut rest) = match prune {
+            Some(_) => (
+                dst_nodes
+                    .iter()
+                    .map(|&v| self.leg(b, anchor_b, v).unwrap_or(f64::INFINITY))
+                    .collect(),
+                vec![f64::NAN; n],
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
 
         let mut heap = BinaryHeap::new();
         heap.push(HeapEntry {
@@ -603,6 +778,19 @@ impl<'a> PathQuery<'a> {
         let mut relax =
             |heap: &mut BinaryHeap<HeapEntry>, dist: &mut [f64], v: usize, nd: f64, u| {
                 if nd < dist[v] {
+                    if let Some(prune) = prune.filter(|_| v < n) {
+                        if rest[v].is_nan() {
+                            let row = &prune.tables.dist[v * n..(v + 1) * n];
+                            rest[v] = dst_nodes
+                                .iter()
+                                .zip(&legs_b)
+                                .map(|(&x, &wb)| row[x] + wb)
+                                .fold(f64::INFINITY, f64::min);
+                        }
+                        if nd + rest[v] > prune.limit {
+                            return;
+                        }
+                    }
                     dist[v] = nd;
                     if let Some(prev) = prev.as_deref_mut() {
                         prev[v] = Some(u);
@@ -972,6 +1160,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `point_at_fraction` against the point of the built path, bit for bit.
+    fn assert_point_at_fraction_matches_path(dsm: &DigitalSpaceModel, pts: &[IndoorPoint]) {
+        let q = PathQuery::new(dsm).unwrap();
+        let bits =
+            |p: Option<IndoorPoint>| p.map(|p| (p.xy.x.to_bits(), p.xy.y.to_bits(), p.floor));
+        for a in pts {
+            for b in pts {
+                let (Some(aa), Some(ab)) = (q.anchor(a), q.anchor(b)) else {
+                    continue;
+                };
+                let path = q.path_anchored(a, aa, b, ab);
+                for f in [-0.5, 0.0, 1e-12, 0.1, 0.25, 0.3, 0.5, 0.7, 0.999, 1.0, 2.0] {
+                    assert_eq!(
+                        bits(q.point_at_fraction(a, aa, b, ab, f)),
+                        bits(path.as_ref().map(|p| p.point_at_fraction(f))),
+                        "{a:?} -> {b:?} at {f}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn point_at_fraction_matches_the_built_path() {
+        assert_point_at_fraction_matches_path(&model(), &probe_points());
+        let mall = crate::builder::MallBuilder::new()
+            .floors(3)
+            .shops_per_row(4)
+            .build();
+        let pts: Vec<IndoorPoint> = (0..3)
+            .flat_map(|floor| {
+                (0..9).flat_map(move |i| {
+                    (0..5).map(move |j| {
+                        IndoorPoint::new(
+                            -3.0 + 7.3 * f64::from(i),
+                            -2.0 + 5.9 * f64::from(j),
+                            floor,
+                        )
+                    })
+                })
+            })
+            .collect();
+        assert_point_at_fraction_matches_path(&mall, &pts);
     }
 
     #[test]

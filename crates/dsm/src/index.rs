@@ -28,7 +28,14 @@
 //!   *equal*-distance candidate (`lower_bound <= best`), not just a
 //!   strictly closer one. An item spanning several cells is measured once,
 //!   in the covered cell nearest the query's cell, which sits on the first
-//!   ring that reaches the item.
+//!   ring that reaches the item. An item whose (tolerance-inflated) bbox
+//!   lies farther from the query than the best distance so far plus
+//!   [`trips_geom::EPSILON`] is not measured at all. **Contract:** the
+//!   caller's distance for an item is at least the distance from the query
+//!   to the item's bbox — true of a polygon's (or a region's nearest
+//!   polygon's) distance, since every polygon lies inside its bbox and the
+//!   inflation exceeds the rounding of both distances. Such an item can
+//!   neither beat nor tie the best, so skipping it changes no answer.
 //!
 //! **Point raster.** Most fixes lie well inside one room, where the walk
 //! above always gives the same answer. Each floor therefore also has a fine
@@ -245,6 +252,10 @@ impl GridShape {
     /// `lower_bound(ring) <= best_distance` so every item that could
     /// *equal* the best is examined — matching the linear scan's
     /// first-minimal-in-id-order semantics exactly.
+    ///
+    /// `dist(id)` must be at least the distance from `p` to the item's
+    /// bbox: an item whose bbox lies farther than the best distance so far
+    /// (plus [`trips_geom::EPSILON`]) cannot equal it and is not measured.
     fn nearest<Id: Copy + Ord>(
         &self,
         layer: &Layer<Id>,
@@ -274,6 +285,13 @@ impl GridShape {
                     // Measure each item once: in its covered cell nearest
                     // p's cell, the one on the first ring that reaches it.
                     if (ix, iy) != (cx.clamp(it.x0, it.x1), cy.clamp(it.y0, it.y1)) {
+                        continue;
+                    }
+                    // The bbox is inflated by the boundary tolerance, so its
+                    // distance is below the item's by more than rounding.
+                    if best.is_some_and(|(_, bd)| {
+                        it.bbox.distance_to_point(p) > bd + trips_geom::EPSILON
+                    }) {
                         continue;
                     }
                     let d = dist(it.id);
@@ -535,8 +553,16 @@ type FloorItems = (
 /// mutation.
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
-    floors: BTreeMap<FloorId, FloorGrid>,
+    /// Every indexed floor's grid, ascending by floor.
+    grids: Vec<FloorGrid>,
+    /// `grid_at[f - first]`: the position in `grids` of floor `f`'s grid,
+    /// or [`NO_GRID`] — a query finds its floor with one slot read.
+    grid_at: Vec<u32>,
+    first: FloorId,
 }
+
+/// [`SpatialIndex::grid_at`] entry of a floor without a grid.
+const NO_GRID: u32 = u32::MAX;
 
 impl SpatialIndex {
     /// Builds the index from `(id, floors, area, inflated bbox)` walkable
@@ -554,22 +580,32 @@ impl SpatialIndex {
         for (id, floor, area, bb) in regions {
             per_floor.entry(floor).or_default().1.push((id, area, bb));
         }
-        SpatialIndex {
-            floors: per_floor
-                .into_iter()
-                .map(|(f, (es, rs))| {
-                    let shape =
-                        GridShape::covering(es.iter().map(|e| &e.2).chain(rs.iter().map(|r| &r.2)));
-                    let grid = FloorGrid {
-                        walkable: Layer::build(&shape, es),
-                        regions: Layer::build(&shape, rs),
-                        raster: Raster::covering(shape.bounds),
-                        shape,
-                    };
-                    (f, grid)
-                })
-                .collect(),
+        let first = per_floor.keys().next().copied().unwrap_or(0);
+        let last = per_floor.keys().next_back().copied().unwrap_or(first);
+        let mut grid_at = vec![NO_GRID; (i32::from(last) - i32::from(first)) as usize + 1];
+        let mut grids = Vec::with_capacity(per_floor.len());
+        for (f, (es, rs)) in per_floor {
+            let shape = GridShape::covering(es.iter().map(|e| &e.2).chain(rs.iter().map(|r| &r.2)));
+            grid_at[(i32::from(f) - i32::from(first)) as usize] = grids.len() as u32;
+            grids.push(FloorGrid {
+                walkable: Layer::build(&shape, es),
+                regions: Layer::build(&shape, rs),
+                raster: Raster::covering(shape.bounds),
+                shape,
+            });
         }
+        SpatialIndex {
+            grids,
+            grid_at,
+            first,
+        }
+    }
+
+    /// Floor `floor`'s grid, if it has one.
+    fn grid(&self, floor: FloorId) -> Option<&FloorGrid> {
+        let offset = usize::try_from(i32::from(floor) - i32::from(self.first)).ok()?;
+        let at = *self.grid_at.get(offset)?;
+        self.grids.get(at as usize)
     }
 
     /// Indexes what the model's point and nearest queries can return: its
@@ -608,7 +644,7 @@ impl SpatialIndex {
         p: Point,
         parts: impl Fn(EntityId) -> &'m [Polygon],
     ) -> Option<EntityId> {
-        let g = self.floors.get(&floor)?;
+        let g = self.grid(floor)?;
         g.first_at(&g.walkable, p, parts)
     }
 
@@ -620,7 +656,7 @@ impl SpatialIndex {
         p: Point,
         parts: impl Fn(RegionId) -> &'m [Polygon],
     ) -> Option<RegionId> {
-        let g = self.floors.get(&floor)?;
+        let g = self.grid(floor)?;
         g.first_at(&g.regions, p, parts)
     }
 
@@ -632,8 +668,7 @@ impl SpatialIndex {
         p: Point,
         dist: impl FnMut(EntityId) -> f64,
     ) -> Option<(EntityId, f64)> {
-        self.floors
-            .get(&floor)
+        self.grid(floor)
             .and_then(|g| g.shape.nearest(&g.walkable, p, dist))
     }
 
@@ -644,20 +679,19 @@ impl SpatialIndex {
         p: Point,
         dist: impl FnMut(RegionId) -> f64,
     ) -> Option<(RegionId, f64)> {
-        self.floors
-            .get(&floor)
+        self.grid(floor)
             .and_then(|g| g.shape.nearest(&g.regions, p, dist))
     }
 
     /// Number of indexed floors (diagnostics).
     pub fn floor_count(&self) -> usize {
-        self.floors.len()
+        self.grids.len()
     }
 
     /// `(cells, bucketed walkable-entity entries, bucketed region entries)`
     /// for one floor — exposed for diagnostics and index tests.
     pub fn floor_stats(&self, floor: FloorId) -> Option<(usize, usize, usize)> {
-        self.floors.get(&floor).map(|g| {
+        self.grid(floor).map(|g| {
             (
                 g.shape.nx * g.shape.ny,
                 g.walkable.entries.len(),
@@ -677,8 +711,7 @@ mod tests {
 
     /// The bbox-filtered walkable candidates at `p`, in walk order.
     fn candidates(idx: &SpatialIndex, floor: FloorId, p: Point) -> Vec<EntityId> {
-        idx.floors
-            .get(&floor)
+        idx.grid(floor)
             .map(|g| g.shape.at(&g.walkable, p).collect())
             .unwrap_or_default()
     }
@@ -758,9 +791,11 @@ mod tests {
         }));
         let idx = index_of(items);
         let mut measured = Vec::new();
+        // Above every item's bbox distance (at most ~700 m), as the pruned
+        // search requires.
         idx.nearest_walkable(0, Point::new(500.0, 500.0), |id| {
             measured.push(id);
-            f64::from(id.0)
+            1000.0 + f64::from(id.0)
         });
         let mut unique = measured.clone();
         unique.sort();
@@ -800,7 +835,7 @@ mod tests {
     fn raster_answers_equal_the_exact_walk() {
         let (idx, polys) = floor_plan();
         let parts = |id: EntityId| std::slice::from_ref(&polys[id.0 as usize]);
-        let g = &idx.floors[&0];
+        let g = idx.grid(0).unwrap();
         let raster = g.raster.as_ref().unwrap();
         // A lattice finer than the raster, offset from it, plus the walls,
         // corners and door-free edges themselves; first queries classify.

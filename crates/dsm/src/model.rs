@@ -1,6 +1,6 @@
 use crate::entity::{Entity, EntityId};
 use crate::index::SpatialIndex;
-use crate::semantic::{RegionId, RegionIndex, SemanticRegion};
+use crate::semantic::{DenseId, DenseIndex, RegionId, RegionIndex, SemanticRegion};
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -61,8 +61,8 @@ pub struct DigitalSpaceModel {
     /// Floor-to-floor height in metres (vertical cost of staircases).
     pub floor_height: f64,
     floors: BTreeMap<FloorId, FloorInfo>,
-    entities: BTreeMap<EntityId, Entity>,
-    regions: RegionTable,
+    entities: Table<EntityId, Entity>,
+    regions: Table<RegionId, SemanticRegion>,
     #[serde(skip)]
     topology: Option<Topology>,
     /// Uniform-grid index over entities/regions, built by [`freeze`](Self::freeze)
@@ -73,59 +73,68 @@ pub struct DigitalSpaceModel {
     next_region_id: u32,
 }
 
-/// The semantic regions in id order, with a [`RegionIndex`] from id to
-/// position, so a lookup by id is one slot read. Serializes, deserializes
-/// and prints exactly as the `BTreeMap<RegionId, SemanticRegion>` it
+/// Entities or regions in id order, with a [`DenseIndex`] from id to
+/// position (the item's *slot*), so a lookup by id is one slot read.
+/// Serializes, deserializes and prints exactly as the `BTreeMap<Id, T>` it
 /// replaces.
-#[derive(Clone, Default)]
-struct RegionTable {
-    regions: Vec<SemanticRegion>,
-    index: RegionIndex,
+#[derive(Clone)]
+struct Table<Id, T> {
+    items: Vec<T>,
+    index: DenseIndex<Id>,
 }
 
-impl RegionTable {
-    fn get(&self, id: RegionId) -> Option<&SemanticRegion> {
-        self.index.get(id).map(|at| &self.regions[at])
+impl<Id, T> Default for Table<Id, T> {
+    fn default() -> Self {
+        Table {
+            items: Vec::new(),
+            index: DenseIndex::default(),
+        }
+    }
+}
+
+impl<Id: DenseId, T> Table<Id, T> {
+    fn get(&self, id: Id) -> Option<&T> {
+        self.index.get(id).map(|at| &self.items[at])
     }
 
-    /// Inserts `region` under `id`, which must be absent.
-    fn insert(&mut self, id: RegionId, region: SemanticRegion) {
+    /// Inserts `item` under `id`, which must be absent.
+    fn insert(&mut self, id: Id, item: T) {
         let at = self.index.insert(id);
-        self.regions.insert(at, region);
+        self.items.insert(at, item);
     }
 
-    fn entries(&self) -> impl Iterator<Item = (&RegionId, &SemanticRegion)> {
-        self.index.ids().iter().zip(&self.regions)
-    }
-}
-
-impl std::ops::Index<RegionId> for RegionTable {
-    type Output = SemanticRegion;
-
-    fn index(&self, id: RegionId) -> &SemanticRegion {
-        self.get(id).expect("region id in the table")
+    fn entries(&self) -> impl Iterator<Item = (&Id, &T)> {
+        self.index.ids().iter().zip(&self.items)
     }
 }
 
-impl fmt::Debug for RegionTable {
+impl<Id: DenseId, T> std::ops::Index<Id> for Table<Id, T> {
+    type Output = T;
+
+    fn index(&self, id: Id) -> &T {
+        self.get(id).expect("id in the table")
+    }
+}
+
+impl<Id: DenseId + fmt::Debug, T: fmt::Debug> fmt::Debug for Table<Id, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.entries()).finish()
     }
 }
 
-impl Serialize for RegionTable {
+impl<Id: DenseId + Serialize, T: Serialize> Serialize for Table<Id, T> {
     fn to_value(&self) -> serde::Value {
         self.entries().collect::<BTreeMap<_, _>>().to_value()
     }
 }
 
-impl Deserialize for RegionTable {
+impl<Id: DenseId + Deserialize, T: Deserialize> Deserialize for Table<Id, T> {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = BTreeMap::<RegionId, SemanticRegion>::from_value(v)?;
+        let map = BTreeMap::<Id, T>::from_value(v)?;
         let ids = map.keys().copied().collect();
-        Ok(RegionTable {
-            regions: map.into_values().collect(),
-            index: RegionIndex::new(ids),
+        Ok(Table {
+            items: map.into_values().collect(),
+            index: DenseIndex::new(ids),
         })
     }
 }
@@ -137,8 +146,8 @@ impl DigitalSpaceModel {
             name: name.to_string(),
             floor_height: 4.0,
             floors: BTreeMap::new(),
-            entities: BTreeMap::new(),
-            regions: RegionTable::default(),
+            entities: Table::default(),
+            regions: Table::default(),
             topology: None,
             index: None,
             next_entity_id: 0,
@@ -183,7 +192,7 @@ impl DigitalSpaceModel {
 
     /// Inserts an entity. Invalidate topology.
     pub fn add_entity(&mut self, entity: Entity) -> Result<EntityId, DsmError> {
-        if self.entities.contains_key(&entity.id) {
+        if self.entities.get(entity.id).is_some() {
             return Err(DsmError::DuplicateId(entity.id.to_string()));
         }
         self.next_entity_id = self.next_entity_id.max(entity.id.0 + 1);
@@ -207,7 +216,7 @@ impl DigitalSpaceModel {
             return Err(DsmError::DuplicateId(region.id.to_string()));
         }
         for &e in &region.entities {
-            if !self.entities.contains_key(&e) {
+            if self.entities.get(e).is_none() {
                 return Err(DsmError::UnknownEntity(e));
             }
         }
@@ -221,7 +230,7 @@ impl DigitalSpaceModel {
 
     /// Looks up an entity.
     pub fn entity(&self, id: EntityId) -> Result<&Entity, DsmError> {
-        self.entities.get(&id).ok_or(DsmError::UnknownEntity(id))
+        self.entities.get(id).ok_or(DsmError::UnknownEntity(id))
     }
 
     /// Looks up a region.
@@ -231,12 +240,12 @@ impl DigitalSpaceModel {
 
     /// All entities in id order.
     pub fn entities(&self) -> impl Iterator<Item = &Entity> {
-        self.entities.values()
+        self.entities.items.iter()
     }
 
     /// All semantic regions in id order.
     pub fn regions(&self) -> impl Iterator<Item = &SemanticRegion> {
-        self.regions.regions.iter()
+        self.regions.items.iter()
     }
 
     /// Region id → dense position in [`regions`](Self::regions) order.
@@ -246,17 +255,17 @@ impl DigitalSpaceModel {
 
     /// Number of entities.
     pub fn entity_count(&self) -> usize {
-        self.entities.len()
+        self.entities.items.len()
     }
 
     /// Number of semantic regions.
     pub fn region_count(&self) -> usize {
-        self.regions.regions.len()
+        self.regions.items.len()
     }
 
     /// Entities touching a floor.
     pub fn entities_on_floor(&self, floor: FloorId) -> impl Iterator<Item = &Entity> {
-        self.entities.values().filter(move |e| e.on_floor(floor))
+        self.entities().filter(move |e| e.on_floor(floor))
     }
 
     /// Regions on a floor.
@@ -272,7 +281,7 @@ impl DigitalSpaceModel {
     /// ties included (lowest id among equal areas).
     pub fn locate(&self, p: &IndoorPoint) -> Option<&Entity> {
         if self.index.is_some() {
-            return self.locate_id(p).map(|id| &self.entities[&id]);
+            return self.locate_id(p).map(|id| &self.entities[id]);
         }
         let walkable_area = |e: &Entity| {
             (e.kind.is_walkable() && e.contains(p.xy)).then(|| {
@@ -289,17 +298,25 @@ impl DigitalSpaceModel {
     }
 
     /// The id of [`locate`](Self::locate)'s entity; on a frozen model
-    /// usually one raster read, with no entity lookup.
+    /// usually one raster read, and otherwise a walk that reads each
+    /// candidate's polygon by slot.
     pub(crate) fn locate_id(&self, p: &IndoorPoint) -> Option<EntityId> {
         match &self.index {
             Some(index) => index.walkable_at(p.floor, p.xy, |id| {
-                self.entities[&id]
+                self.entities[id]
                     .footprint
                     .as_area()
                     .map_or(&[], std::slice::from_ref)
             }),
             None => self.locate(p).map(|e| e.id),
         }
+    }
+
+    /// The dense slot of entity `id`: its position in
+    /// [`entities`](Self::entities) order, `0..entity_count()`. Per-area
+    /// tables ([`Topology::area_nodes`]) are indexed by it.
+    pub fn entity_slot(&self, id: EntityId) -> Option<usize> {
+        self.entities.index.get(id)
     }
 
     /// The semantic region containing `p`, if any (smallest wins, ties to
@@ -328,16 +345,10 @@ impl DigitalSpaceModel {
     /// (zero if `p` is inside one). `None` when the floor has no walkable
     /// entities.
     pub fn nearest_walkable(&self, p: &IndoorPoint) -> Option<(&Entity, f64)> {
-        if let Some(index) = &self.index {
-            return index
-                .nearest_walkable(p.floor, p.xy, |id| {
-                    self.entities[&id]
-                        .footprint
-                        .as_area()
-                        .expect("indexed walkables are areas")
-                        .distance_to_point(p.xy)
-                })
-                .map(|(id, d)| (&self.entities[&id], d));
+        if self.index.is_some() {
+            return self
+                .nearest_walkable_id(p)
+                .map(|(id, d)| (&self.entities[id], d));
         }
         self.entities_on_floor(p.floor)
             .filter(|e| e.kind.is_walkable())
@@ -347,6 +358,22 @@ impl DigitalSpaceModel {
                     .map(|poly| (e, poly.distance_to_point(p.xy)))
             })
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
+    }
+
+    /// The id of [`nearest_walkable`](Self::nearest_walkable)'s entity and
+    /// the distance; on a frozen model a pruned grid search that reads each
+    /// measured candidate's polygon by slot.
+    pub(crate) fn nearest_walkable_id(&self, p: &IndoorPoint) -> Option<(EntityId, f64)> {
+        match &self.index {
+            Some(index) => index.nearest_walkable(p.floor, p.xy, |id| {
+                self.entities[id]
+                    .footprint
+                    .as_area()
+                    .expect("indexed walkables are areas")
+                    .distance_to_point(p.xy)
+            }),
+            None => self.nearest_walkable(p).map(|(e, d)| (e.id, d)),
+        }
     }
 
     /// The nearest semantic region on `p`'s floor and distance to it.

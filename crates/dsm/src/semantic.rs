@@ -20,30 +20,67 @@ impl fmt::Display for RegionId {
     }
 }
 
+/// An id a [`DenseIndex`] can index: a small number, allocated densely.
+pub trait DenseId: Copy + Ord {
+    /// The id's number.
+    fn number(self) -> usize;
+}
+
+impl DenseId for RegionId {
+    #[inline]
+    fn number(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl DenseId for EntityId {
+    #[inline]
+    fn number(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Region id → dense position (`0..len`, in id order): the slot the DSM and
 /// the Complementor's knowledge keep per-region data in.
+pub type RegionIndex = DenseIndex<RegionId>;
+
+/// Id → dense position (`0..len`, in id order): the *slot* a table keeps
+/// per-id data in.
 ///
 /// A `Vec` indexed by id, bounded by the largest id. Ids are allocated
-/// densely by [`DigitalSpaceModel::next_region_id`](crate::DigitalSpaceModel::next_region_id),
-/// so that bound is the region count. A model loaded with ids far sparser
-/// than that falls back to a binary search over the sorted ids rather than
-/// allocating a slot per unused id.
-#[derive(Debug, Clone, Default)]
-pub struct RegionIndex {
-    /// Every region id, ascending.
-    ids: Vec<RegionId>,
-    /// `slots[id]` is the position of `id` in `ids`, or [`Self::NONE`].
+/// densely by the model ([`DigitalSpaceModel::next_entity_id`],
+/// [`DigitalSpaceModel::next_region_id`]), so that bound is the id count.
+/// A model loaded with ids far sparser than that falls back to a binary
+/// search over the sorted ids rather than allocating a slot per unused id.
+///
+/// [`DigitalSpaceModel::next_entity_id`]: crate::DigitalSpaceModel::next_entity_id
+/// [`DigitalSpaceModel::next_region_id`]: crate::DigitalSpaceModel::next_region_id
+#[derive(Debug, Clone)]
+pub struct DenseIndex<Id> {
+    /// Every id, ascending.
+    ids: Vec<Id>,
+    /// `slots[id]` is the position of `id` in `ids`, or [`NONE`].
     /// Empty when the ids are too sparse to index densely.
     slots: Vec<u32>,
 }
 
-impl RegionIndex {
-    const NONE: u32 = u32::MAX;
+/// [`DenseIndex`] slot of an id that is not indexed.
+const NONE: u32 = u32::MAX;
 
+impl<Id> Default for DenseIndex<Id> {
+    fn default() -> Self {
+        DenseIndex {
+            ids: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl<Id: DenseId> DenseIndex<Id> {
     /// Indexes `ids`, which must be ascending and distinct.
-    pub fn new(ids: Vec<RegionId>) -> Self {
+    pub fn new(ids: Vec<Id>) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascending");
-        let mut index = RegionIndex {
+        let mut index = DenseIndex {
             ids,
             slots: Vec::new(),
         };
@@ -56,26 +93,26 @@ impl RegionIndex {
         let Some(last) = self.ids.last() else {
             return;
         };
-        let span = last.0 as usize + 1;
+        let span = last.number() + 1;
         if span > 4 * self.ids.len() + 64 {
             return;
         }
-        self.slots.resize(span, Self::NONE);
+        self.slots.resize(span, NONE);
         for (at, id) in self.ids.iter().enumerate() {
-            self.slots[id.0 as usize] = at as u32;
+            self.slots[id.number()] = at as u32;
         }
     }
 
     /// Inserts `id` (absent so far), shifting later positions. Appending
     /// past the largest id is O(1); any other insert re-indexes.
-    pub(crate) fn insert(&mut self, id: RegionId) -> usize {
+    pub(crate) fn insert(&mut self, id: Id) -> usize {
         let at = self.ids.partition_point(|&x| x < id);
         self.ids.insert(at, id);
         if at + 1 == self.ids.len() && !self.slots.is_empty() {
-            let span = id.0 as usize + 1;
+            let span = id.number() + 1;
             if span <= 4 * self.ids.len() + 64 {
-                self.slots.resize(span, Self::NONE);
-                self.slots[id.0 as usize] = at as u32;
+                self.slots.resize(span, NONE);
+                self.slots[id.number()] = at as u32;
                 return at;
             }
         }
@@ -85,27 +122,27 @@ impl RegionIndex {
 
     /// The dense position of `id`, if indexed.
     #[inline]
-    pub fn get(&self, id: RegionId) -> Option<usize> {
+    pub fn get(&self, id: Id) -> Option<usize> {
         if self.slots.is_empty() {
             return self.ids.binary_search(&id).ok();
         }
-        match self.slots.get(id.0 as usize) {
-            Some(&at) if at != Self::NONE => Some(at as usize),
+        match self.slots.get(id.number()) {
+            Some(&at) if at != NONE => Some(at as usize),
             _ => None,
         }
     }
 
     /// Every indexed id, ascending (position order).
-    pub fn ids(&self) -> &[RegionId] {
+    pub fn ids(&self) -> &[Id] {
         &self.ids
     }
 
-    /// Number of indexed regions.
+    /// Number of indexed ids.
     pub fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// Whether no region is indexed.
+    /// Whether no id is indexed.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }

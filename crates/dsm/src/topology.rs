@@ -62,8 +62,10 @@ pub struct Topology {
     pub entity_regions: BTreeMap<EntityId, Vec<RegionId>>,
     /// Walking-graph nodes (door anchors + staircase ports).
     pub nodes: Vec<GraphNode>,
-    /// walkable area id → indices into `nodes` reachable from inside it.
-    pub area_nodes: BTreeMap<EntityId, Vec<usize>>,
+    /// Per entity slot ([`DigitalSpaceModel::entity_slot`]): the indices
+    /// into `nodes` reachable from inside that walkable area, in the order
+    /// they were attached; empty for every other entity.
+    pub area_nodes: Vec<Vec<usize>>,
     /// Adjacency list aligned with `nodes`.
     pub edges: Vec<Vec<GraphEdge>>,
     /// Node-to-node tables over `edges`, built on the first
@@ -92,6 +94,8 @@ impl Topology {
 
         let walkables: Vec<&crate::entity::Entity> =
             dsm.entities().filter(|e| e.kind.is_walkable()).collect();
+        let slot = |id: EntityId| dsm.entity_slot(id).expect("entity in the model");
+        topo.area_nodes = vec![Vec::new(); dsm.entity_count()];
 
         // --- door ↔ area attachment -------------------------------------
         for door in dsm.entities().filter(|e| e.kind == EntityKind::Door) {
@@ -137,8 +141,8 @@ impl Topology {
                 floor: door.floor,
             });
             if let Some(areas) = topo.door_areas.get(&door.id) {
-                for a in areas {
-                    topo.area_nodes.entry(*a).or_default().push(idx);
+                for &a in areas {
+                    topo.area_nodes[slot(a)].push(idx);
                 }
             }
         }
@@ -159,7 +163,7 @@ impl Topology {
                 });
                 stair_ports.entry(stair.id).or_default().push(idx);
                 // The port is reachable from inside the staircell itself...
-                topo.area_nodes.entry(stair.id).or_default().push(idx);
+                topo.area_nodes[slot(stair.id)].push(idx);
                 // ...and from every walkable area whose footprint contains or
                 // abuts the staircase anchor on this floor.
                 for w in &walkables {
@@ -170,7 +174,7 @@ impl Topology {
                         if wpoly.distance_to_point(anchor)
                             <= DOOR_ATTACH_TOLERANCE.max(poly.perimeter() / 4.0)
                         {
-                            topo.area_nodes.entry(w.id).or_default().push(idx);
+                            topo.area_nodes[slot(w.id)].push(idx);
                         }
                     }
                 }
@@ -183,7 +187,7 @@ impl Topology {
         // Intra-area edges: all node pairs sharing a walkable area, weighted
         // by planar Euclidean distance (areas are room-scale and near-convex
         // in floorplans; the straight line is the walking distance).
-        for indices in topo.area_nodes.values() {
+        for indices in &topo.area_nodes {
             for (i, &u) in indices.iter().enumerate() {
                 for &v in &indices[i + 1..] {
                     if topo.nodes[u].floor != topo.nodes[v].floor {
@@ -248,14 +252,12 @@ impl Topology {
                 // Staircase-linked entities' regions: if a staircase port is
                 // reachable from this entity, regions of other areas sharing
                 // that staircase are reachable too.
-                if let Some(nodes) = topo.area_nodes.get(&e) {
-                    for &n in nodes {
-                        let node_entity = topo.nodes[n].entity;
-                        if let Some(rids) = topo.entity_regions.get(&node_entity) {
-                            for &other in rids {
-                                if other != region.id {
-                                    adj.entry(region.id).or_default().insert(other);
-                                }
+                for &n in &topo.area_nodes[slot(e)] {
+                    let node_entity = topo.nodes[n].entity;
+                    if let Some(rids) = topo.entity_regions.get(&node_entity) {
+                        for &other in rids {
+                            if other != region.id {
+                                adj.entry(region.id).or_default().insert(other);
                             }
                         }
                     }
@@ -506,7 +508,7 @@ mod tests {
     fn hallway_reaches_both_doors_and_stairs() {
         let (dsm, e, _) = two_room_model();
         let topo = dsm.topology().unwrap();
-        let hall_nodes = &topo.area_nodes[&e[1]];
+        let hall_nodes = &topo.area_nodes[dsm.entity_slot(e[1]).unwrap()];
         assert_eq!(hall_nodes.len(), 3, "two doors + stair port on floor 0");
     }
 

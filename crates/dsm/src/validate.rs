@@ -108,7 +108,7 @@ pub fn validate(dsm: &DigitalSpaceModel) -> Vec<ValidationIssue> {
     if walkables.len() > 1 {
         // node index -> areas touching it.
         let mut node_areas: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
-        for (&area, nodes) in &topo.area_nodes {
+        for (area, nodes) in dsm.entities().map(|e| e.id).zip(&topo.area_nodes) {
             for &n in nodes {
                 node_areas.entry(n).or_default().push(area);
             }
@@ -125,10 +125,8 @@ pub fn validate(dsm: &DigitalSpaceModel) -> Vec<ValidationIssue> {
             let mut queue = VecDeque::from([start]);
             component.insert(start, comp);
             while let Some(area) = queue.pop_front() {
-                let Some(nodes) = topo.area_nodes.get(&area) else {
-                    continue;
-                };
-                for &n in nodes {
+                let slot = dsm.entity_slot(area).expect("entity in the model");
+                for &n in &topo.area_nodes[slot] {
                     // Nodes are shared between areas; edges connect nodes.
                     let mut reach: BTreeSet<usize> = BTreeSet::from([n]);
                     for e in &topo.edges[n] {

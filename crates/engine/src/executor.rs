@@ -1,7 +1,8 @@
 //! Ordered fan-out execution over scoped threads.
 //!
-//! One atomic counter hands out item indices to a fixed pool of workers
-//! (work stealing: fast items don't block slow ones), and every result is
+//! Each call spawns `min(threads, items)` scoped threads (there is no
+//! standing pool); one atomic counter hands them item indices (work
+//! stealing: fast items don't block slow ones), and every result is
 //! written back into the slot of its *input* index. Parallel output is
 //! therefore bit-identical to serial output for any pure per-item function —
 //! the guarantee the Translator's `parallel_equals_serial` test pins down.

@@ -73,6 +73,15 @@ impl BoundingBox {
         }
     }
 
+    /// Euclidean distance from `p` to the closest point of the box, zero
+    /// inside it. Nothing inside the box is closer to `p`, so this is a
+    /// lower bound on the distance to any geometry the box covers.
+    pub fn distance_to_point(&self, p: Point) -> f64 {
+        let dx = (self.min.x - p.x).max(p.x - self.max.x).max(0.0);
+        let dy = (self.min.y - p.y).max(p.y - self.max.y).max(0.0);
+        (dx * dx + dy * dy).sqrt()
+    }
+
     /// Closed-boundary containment test.
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
@@ -138,6 +147,16 @@ mod tests {
         let b = BoundingBox::new(Point::new(5.0, 1.0), Point::new(2.0, 8.0));
         assert_eq!(b.min, Point::new(2.0, 1.0));
         assert_eq!(b.max, Point::new(5.0, 8.0));
+    }
+
+    #[test]
+    fn distance_to_point_is_zero_inside_and_euclidean_outside() {
+        let b = BoundingBox::new(Point::new(0.0, 0.0), Point::new(4.0, 2.0));
+        assert_eq!(b.distance_to_point(Point::new(1.0, 1.0)), 0.0);
+        assert_eq!(b.distance_to_point(Point::new(4.0, 2.0)), 0.0);
+        assert_eq!(b.distance_to_point(Point::new(2.0, 5.0)), 3.0);
+        assert_eq!(b.distance_to_point(Point::new(-1.0, 1.0)), 1.0);
+        assert_eq!(b.distance_to_point(Point::new(7.0, 6.0)), 5.0);
     }
 
     #[test]

@@ -130,6 +130,7 @@ use trips_annotate::EventEditor;
 use trips_core::stream::{DeviceBuffers, StreamConfig, TranslatorCore};
 use trips_data::{DeviceId, RawRecord, Timestamp};
 use trips_dsm::DigitalSpaceModel;
+use trips_geom::IndoorPoint;
 use trips_obs::{stage, Histogram, SlowLog, SpanRecord, TraceRing, STAGE_COUNT};
 use trips_store::{DurabilityConfig, RecoveryReport, SemanticsStore};
 
@@ -443,8 +444,9 @@ impl WriteQueue {
 struct Job {
     at: Inline,
     req: Request,
-    /// Well-formed devices of an `Ingest` batch — attributed to the
-    /// session only if the ingest executes.
+    /// Well-formed devices of an `Ingest` batch (each once when the batch
+    /// came through the zero-copy parse) — attributed to the session only
+    /// if the ingest executes.
     batch_devices: Vec<DeviceId>,
     /// Parse completion — the span's epoch; `None` while observability is
     /// off.
@@ -980,7 +982,10 @@ struct Conn {
     /// ingest decode resolves repeat devices to cheap `Arc` clones
     /// instead of allocating a fresh `Arc<str>` per record. Capped at
     /// [`INTERN_MAX`]; overflowing ids still work, just un-interned.
-    interned: BTreeMap<String, DeviceId>,
+    interned: BTreeMap<String, Interned>,
+    /// Zero-copy ingest batches parsed so far; the current count stamps
+    /// the interned devices the batch lists.
+    batches: u64,
     /// Last time the connection read bytes or was answered a work
     /// request — the idle-reap clock.
     last_activity: Instant,
@@ -1020,6 +1025,7 @@ impl Conn {
             read_buf: Vec::new(),
             write_q: WriteQueue::default(),
             interned: BTreeMap::new(),
+            batches: 0,
             last_activity: Instant::now(),
             can_read: true,
             can_write: true,
@@ -1134,9 +1140,9 @@ impl Conn {
 /// One parse step over a connection's read buffer.
 enum Parsed {
     /// A complete message, ready to dispatch. The zero-copy ingest path
-    /// also hands over the batch's well-formed devices (cheap interned
-    /// clones, collected in the pass that materializes the records), so
-    /// `dispatch` does not walk the batch again.
+    /// also hands over the batch's distinct well-formed devices (cheap
+    /// interned clones, collected in the pass that materializes the
+    /// records), so `dispatch` does not walk the batch again.
     Msg(Wire, RequestEnvelope, Option<Vec<DeviceId>>),
     /// An error was answered in-line (bad frame body / bad JSON); parsing
     /// may continue.
@@ -1145,18 +1151,37 @@ enum Parsed {
     NeedMore,
 }
 
+/// An interned device id and the last ingest batch that listed it.
+struct Interned {
+    device: DeviceId,
+    batch: u64,
+}
+
 /// Resolves a raw device id against the connection's intern table: repeat
 /// devices (the firehose common case) cost one map probe and an `Arc`
 /// refcount bump instead of a fresh allocation per record.
-fn intern_device(table: &mut BTreeMap<String, DeviceId>, raw: &str) -> DeviceId {
-    if let Some(device) = table.get(raw) {
-        return device.clone();
+///
+/// With `batch` (given for a well-formed record) it also tells whether the
+/// batch should list the device: the first time that batch meets an
+/// interned id, and every time for an id past the table's cap.
+fn intern_device(
+    table: &mut BTreeMap<String, Interned>,
+    raw: &str,
+    batch: Option<u64>,
+) -> (DeviceId, bool) {
+    if let Some(entry) = table.get_mut(raw) {
+        let list = batch.is_some_and(|b| std::mem::replace(&mut entry.batch, b) != b);
+        return (entry.device.clone(), list);
     }
     let device = DeviceId::new(raw);
     if table.len() < INTERN_MAX {
-        table.insert(raw.to_string(), device.clone());
+        let interned = Interned {
+            device: device.clone(),
+            batch: batch.unwrap_or(0),
+        };
+        table.insert(raw.to_string(), interned);
     }
-    device
+    (device, batch.is_some())
 }
 
 /// One event-loop shard: owns a partition of the connection table and all
@@ -1192,17 +1217,28 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                     // The zero-copy hot path: records materialize straight
                     // out of the read buffer — device ids resolve against
                     // the intern table (no per-record String), and the
-                    // well-formed device list rides along instead of
-                    // re-walking the batch in dispatch.
+                    // batch's distinct well-formed devices ride along, each
+                    // once, instead of re-walking the batch in dispatch.
+                    conn.batches += 1;
                     let mut records = Vec::with_capacity(view.records.len());
-                    let mut batch_devices = Vec::with_capacity(view.records.len());
+                    let mut batch_devices = Vec::new();
                     for rec in &view.records {
-                        let device = intern_device(&mut conn.interned, rec.device);
-                        let record =
-                            RawRecord::new(device, rec.x, rec.y, rec.floor, Timestamp(rec.ts));
-                        if record.is_well_formed() {
-                            batch_devices.push(record.device.clone());
+                        let location = IndoorPoint::new(rec.x, rec.y, rec.floor);
+                        let well_formed = location.xy.is_finite();
+                        let (device, list) = intern_device(
+                            &mut conn.interned,
+                            rec.device,
+                            well_formed.then_some(conn.batches),
+                        );
+                        if list {
+                            batch_devices.push(device.clone());
                         }
+                        let record = RawRecord {
+                            device,
+                            location,
+                            ts: Timestamp(rec.ts),
+                        };
+                        debug_assert_eq!(record.is_well_formed(), well_formed);
                         records.push(record);
                     }
                     let env = RequestEnvelope {
@@ -1558,8 +1594,9 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         // devices at teardown — a refused batch buffered nothing.
         if matches!(resp, Response::Ingested { .. }) {
             for device in batch_devices {
-                if conn.devices.insert(device.clone()) {
-                    *shared.sessions.lock().entry(device).or_insert(0) += 1;
+                if !conn.devices.contains(&device) {
+                    *shared.sessions.lock().entry(device.clone()).or_insert(0) += 1;
+                    conn.devices.insert(device);
                 }
             }
         }
@@ -2337,5 +2374,40 @@ mod tests {
         let t = trips_store::default_shard_count();
         assert!(t.is_power_of_two());
         assert!((4..=64).contains(&t));
+    }
+
+    #[test]
+    fn a_batch_lists_each_interned_device_once() {
+        let mut table = BTreeMap::new();
+        let list = |table: &mut BTreeMap<String, Interned>, raw, batch| {
+            let (device, list) = intern_device(table, raw, batch);
+            assert_eq!(device.as_str(), raw);
+            list
+        };
+        // A malformed record interns its device but does not list it, so
+        // the batch's first well-formed record of that device still does.
+        assert!(!list(&mut table, "a", None));
+        assert!(list(&mut table, "a", Some(1)));
+        assert!(!list(&mut table, "a", Some(1)));
+        assert!(list(&mut table, "b", Some(1)));
+        assert!(!list(&mut table, "b", Some(1)));
+        // The next batch lists them again.
+        assert!(list(&mut table, "b", Some(2)));
+        assert!(list(&mut table, "a", Some(2)));
+        assert!(!list(&mut table, "a", Some(2)));
+        assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn ids_past_the_intern_cap_are_listed_every_time() {
+        let mut table = BTreeMap::new();
+        for i in 0..INTERN_MAX {
+            intern_device(&mut table, &format!("d{i}"), Some(1));
+        }
+        for _ in 0..2 {
+            assert!(intern_device(&mut table, "late", Some(1)).1);
+        }
+        assert!(!intern_device(&mut table, "late", None).1);
+        assert_eq!(table.len(), INTERN_MAX);
     }
 }
