@@ -10,10 +10,13 @@
 //! Run: `cargo run -p trips-bench --bin ablations --release`
 
 use trips_annotate::{split, Annotator, AnnotatorConfig};
-use trips_bench::{assess_result, editor_from_truth, f3, make_dataset, time_ms, Table};
-use trips_clean::{Cleaner, CleanerConfig};
+use trips_bench::{
+    assess_result, editor_from_truth, f1, f3, make_dataset, time_ms, PositionError, Table,
+};
+use trips_clean::{Cleaner, CleanerConfig, RepairKind};
 use trips_core::{Translator, TranslatorConfig};
 use trips_data::Duration;
+use trips_geom::IndoorPoint;
 use trips_sim::ErrorModel;
 use trips_viewer::{Entry, SourceKind, Timeline};
 
@@ -24,7 +27,18 @@ fn main() {
     ablation_a4();
 }
 
-/// A1: the Cleaning layer's two-step repair.
+/// Where a cleaning variant put one input record (`None` when it dropped
+/// the record) and whether it repaired it.
+type Placed = Option<(IndoorPoint, bool)>;
+
+/// A table cell for a measure that has no records yet.
+fn cell(x: Option<f64>) -> String {
+    x.map_or("-".to_string(), f3)
+}
+
+/// A1: the Cleaning layer's two-step repair. Variants keep different
+/// records, so each is scored over the records every variant keeps; the
+/// records a variant repairs are scored separately, raw against repaired.
 fn ablation_a1() {
     println!("== A1: cleaning repair steps ==\n");
     let em = ErrorModel {
@@ -40,48 +54,97 @@ fn ablation_a1() {
         ("interpolation only", false, true),
         ("both (paper order)", true, true),
     ];
-    let mut t = Table::new(&["variant", "RMSE m", "floor err%", "records kept%"]);
-    for (name, floor_fix, interp) in variants {
-        let cleaner = Cleaner::new(
-            &ds.dsm,
-            CleanerConfig {
-                floor_correction: *floor_fix,
-                interpolation: *interp,
-                ..CleanerConfig::default()
-            },
-        )
-        .expect("frozen");
-        let mut rmse = 0.0;
-        let mut floor_err = 0.0;
-        let mut kept = 0.0;
-        let n = ds.traces.len() as f64;
-        for trace in &ds.traces {
-            let out = cleaner.clean(&trace.raw);
-            let truth = &trace.truth_samples;
-            let mut err = 0.0;
-            let mut bad_floor = 0usize;
-            let mut m = 0usize;
-            for r in out.sequence.records() {
-                let idx = truth.partition_point(|(t, _)| *t <= r.ts);
-                if idx == 0 {
-                    continue;
+    // `cleaned[v][d][i]`: input record `i` of device `d` under variant `v`.
+    let cleaned: Vec<Vec<Vec<Placed>>> = variants
+        .iter()
+        .map(|&(_, floor_correction, interpolation)| {
+            let cleaner = Cleaner::new(
+                &ds.dsm,
+                CleanerConfig {
+                    floor_correction,
+                    interpolation,
+                    ..CleanerConfig::default()
+                },
+            )
+            .expect("frozen");
+            ds.traces
+                .iter()
+                .map(|trace| {
+                    let out = cleaner.clean(&trace.raw);
+                    let mut kept = out.sequence.records().iter();
+                    out.repairs
+                        .iter()
+                        .map(|repair| {
+                            (*repair != RepairKind::Dropped).then(|| {
+                                let at = kept.next().expect("one output per kept record");
+                                (at.location, *repair != RepairKind::Valid)
+                            })
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+
+    let input: usize = ds.traces.iter().map(|t| t.raw.len()).sum();
+    let mut common = vec![PositionError::default(); variants.len()];
+    let mut repaired_raw = vec![PositionError::default(); variants.len()];
+    let mut repaired = vec![PositionError::default(); variants.len()];
+    let mut kept = vec![0usize; variants.len()];
+    for (d, trace) in ds.traces.iter().enumerate() {
+        let truth = &trace.truth_samples;
+        for (i, raw) in trace.raw.records().iter().enumerate() {
+            let placed: Vec<Placed> = cleaned.iter().map(|v| v[d][i]).collect();
+            let everywhere = placed.iter().all(Option::is_some);
+            for (v, (at, was_repaired)) in placed
+                .iter()
+                .enumerate()
+                .filter_map(|(v, p)| p.map(|p| (v, p)))
+            {
+                kept[v] += 1;
+                if everywhere {
+                    common[v].add(truth, raw.ts, at);
                 }
-                let tpos = truth[idx - 1].1;
-                err += tpos.xy.distance(r.location.xy).powi(2);
-                bad_floor += usize::from(tpos.floor != r.location.floor);
-                m += 1;
+                if was_repaired {
+                    repaired_raw[v].add(truth, raw.ts, raw.location);
+                    repaired[v].add(truth, raw.ts, at);
+                }
             }
-            if m > 0 {
-                rmse += (err / m as f64).sqrt() / n;
-                floor_err += bad_floor as f64 / m as f64 / n;
-            }
-            kept += out.sequence.len() as f64 / trace.raw.len().max(1) as f64 / n;
         }
+    }
+
+    println!(
+        "scored over the {} records every variant keeps ({} % of {input}):",
+        common[0].records(),
+        f1(common[0].records() as f64 * 100.0 / input.max(1) as f64)
+    );
+    let mut t = Table::new(&["variant", "RMSE m", "floor err%", "records kept%"]);
+    for (v, (name, _, _)) in variants.iter().enumerate() {
         t.row(&[
             name.to_string(),
-            f3(rmse),
-            f3(floor_err * 100.0),
-            f3(kept * 100.0),
+            cell(common[v].rmse()),
+            cell(common[v].floor_error().map(|e| e * 100.0)),
+            f3(kept[v] as f64 * 100.0 / input.max(1) as f64),
+        ]);
+    }
+    t.print();
+    println!("\nthe records each variant repairs, raw against repaired:");
+    let mut t = Table::new(&[
+        "variant",
+        "repaired",
+        "raw RMSE m",
+        "repaired RMSE m",
+        "raw floor err%",
+        "repaired floor err%",
+    ]);
+    for (v, (name, _, _)) in variants.iter().enumerate() {
+        t.row(&[
+            name.to_string(),
+            repaired[v].records().to_string(),
+            cell(repaired_raw[v].rmse()),
+            cell(repaired[v].rmse()),
+            cell(repaired_raw[v].floor_error().map(|e| e * 100.0)),
+            cell(repaired[v].floor_error().map(|e| e * 100.0)),
         ]);
     }
     t.print();

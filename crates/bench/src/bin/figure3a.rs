@@ -7,39 +7,18 @@
 //!
 //! Run: `cargo run -p trips-bench --bin figure3a --release`
 
-use trips_bench::{f1, f3, make_dataset, Table};
+use trips_bench::{f1, f3, make_dataset, report_expectation, PositionError, Table};
 use trips_clean::Cleaner;
-use trips_data::Timestamp;
+use trips_data::{RawRecord, Timestamp};
 use trips_geom::IndoorPoint;
 use trips_sim::ErrorModel;
 
-struct Fidelity {
-    rmse: f64,
-    floor_err: f64,
-}
-
-fn fidelity(records: &[trips_data::RawRecord], truth: &[(Timestamp, IndoorPoint)]) -> Fidelity {
-    let mut err = 0.0;
-    let mut floor_bad = 0usize;
-    let mut n = 0usize;
+fn fidelity(records: &[RawRecord], truth: &[(Timestamp, IndoorPoint)]) -> PositionError {
+    let mut error = PositionError::default();
     for r in records {
-        let idx = truth.partition_point(|(t, _)| *t <= r.ts);
-        if idx == 0 {
-            continue;
-        }
-        let t = truth[idx - 1].1;
-        err += t.xy.distance(r.location.xy).powi(2);
-        floor_bad += usize::from(t.floor != r.location.floor);
-        n += 1;
+        error.add(truth, r.ts, r.location);
     }
-    Fidelity {
-        rmse: if n > 0 { (err / n as f64).sqrt() } else { 0.0 },
-        floor_err: if n > 0 {
-            floor_bad as f64 / n as f64
-        } else {
-            0.0
-        },
-    }
+    error
 }
 
 fn main() {
@@ -54,6 +33,9 @@ fn main() {
         "interp",
         "drop",
     ]);
+    // (scale, raw, cleaned) per scale, for the stated expectation.
+    let mut rmse_by_scale: Vec<(f64, f64, f64)> = Vec::new();
+    let mut floor_by_scale: Vec<(f64, f64, f64)> = Vec::new();
 
     for scale in [0.5, 1.0, 2.0, 3.0, 4.0] {
         let em = ErrorModel::default().scaled(scale);
@@ -73,10 +55,10 @@ fn main() {
             let raw_fid = fidelity(trace.raw.records(), &trace.truth_samples);
             let out = cleaner.clean(&trace.raw);
             let clean_fid = fidelity(out.sequence.records(), &trace.truth_samples);
-            raw_rmse += raw_fid.rmse / n;
-            clean_rmse += clean_fid.rmse / n;
-            raw_floor += raw_fid.floor_err / n;
-            clean_floor += clean_fid.floor_err / n;
+            raw_rmse += raw_fid.rmse().unwrap_or(0.0) / n;
+            clean_rmse += clean_fid.rmse().unwrap_or(0.0) / n;
+            raw_floor += raw_fid.floor_error().unwrap_or(0.0) / n;
+            clean_floor += clean_fid.floor_error().unwrap_or(0.0) / n;
             fixes += out.report.floor_corrected;
             interps += out.report.interpolated;
             drops += out.report.dropped;
@@ -92,9 +74,21 @@ fn main() {
             interps.to_string(),
             drops.to_string(),
         ]);
+        rmse_by_scale.push((scale, raw_rmse, clean_rmse));
+        floor_by_scale.push((scale, raw_floor * 100.0, clean_floor * 100.0));
     }
     t.print();
-    println!(
-        "\n(cleaned RMSE and floor%: lower is better; expectation: cleaned < raw at every scale)"
-    );
+    println!("\n(cleaned RMSE and floor%: lower is better)");
+    for (metric, by_scale) in [("RMSE", &rmse_by_scale), ("floor%", &floor_by_scale)] {
+        let met = by_scale.iter().all(|&(_, raw, clean)| clean < raw);
+        let numbers: Vec<String> = by_scale
+            .iter()
+            .map(|&(scale, raw, clean)| format!("{}: {} vs {}", f1(scale), f3(clean), f3(raw)))
+            .collect();
+        report_expectation(
+            &format!("cleaned {metric} < raw at every scale"),
+            met,
+            &format!("cleaned vs raw, {}", numbers.join("; ")),
+        );
+    }
 }

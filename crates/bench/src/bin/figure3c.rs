@@ -8,7 +8,7 @@
 //! Run: `cargo run -p trips-bench --bin figure3c --release`
 
 use trips_annotate::MobilitySemantics;
-use trips_bench::{editor_from_truth, f3, make_dataset, Table};
+use trips_bench::{editor_from_truth, f3, make_dataset, report_expectation, Table};
 use trips_complement::{Complementor, ComplementorConfig, MobilityKnowledge};
 use trips_core::assess;
 use trips_core::{Translator, TranslatorConfig};
@@ -66,6 +66,8 @@ fn main() {
     ];
 
     let mut t = Table::new(&["strategy", "coverage", "region acc", "inferred entries"]);
+    // (strategy, coverage, region accuracy), for the stated expectations.
+    let mut scores: Vec<(&str, f64, f64)> = Vec::new();
     for (name, knowledge) in strategies {
         let complemented: Vec<(trips_data::DeviceId, Vec<MobilitySemantics>)> = match &knowledge {
             None => originals.clone(),
@@ -89,7 +91,35 @@ fn main() {
             f3(accuracy),
             inferred.to_string(),
         ]);
+        scores.push((name, coverage, accuracy));
     }
     t.print();
-    println!("\n(every prior should beat 'no complementing' on coverage; learned knowledge should lead on accuracy)");
+    println!();
+
+    let (baseline, priors) = scores.split_first().expect("four strategies");
+    let numbers: Vec<String> = priors
+        .iter()
+        .map(|(name, coverage, _)| format!("{name} {}", f3(*coverage)))
+        .collect();
+    report_expectation(
+        "every prior beats 'no complementing' on coverage",
+        priors.iter().all(|p| p.1 > baseline.1),
+        &format!("{} vs {}", numbers.join(", "), f3(baseline.1)),
+    );
+    let (learned, others) = scores.split_last().expect("four strategies");
+    let best_other = others
+        .iter()
+        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .expect("three other strategies");
+    report_expectation(
+        "learned knowledge leads on accuracy",
+        learned.2 > best_other.2,
+        &format!(
+            "{} {} vs best other {} {}",
+            learned.0,
+            f3(learned.2),
+            best_other.0,
+            f3(best_other.2)
+        ),
+    );
 }

@@ -17,13 +17,13 @@
 //! ```text
 //! server_load --addr HOST:PORT [--quick] [--out PATH] [--protocol 1|2]
 //!             [--buildings N] [--floors N] [--shops N] [--devices N]
-//!             [--seed N] [--ingest-sessions N] [--device-skew uniform|zipf]
+//!             [--seed N] [--ingest-sessions N]
 //!             [--query-conns N] [--query-iters N] [--pipeline N]
 //!             [--no-overload] [--overload-conns N] [--overload-iters N]
 //!             [--scale-conns N] [--scale-rounds N]
 //!             [--rules N] [--expect-alerts MIN] [--rules-trace PATH]
 //!             [--rules-overhead N] [--obs-overhead]
-//!             [--baseline PATH] [--tolerance F] [--compare PATH]
+//!             [--baseline PATH] [--tolerance F]
 //!             [--expect-shedding] [--expect-wal] [--shutdown]
 //! ```
 //!
@@ -36,9 +36,8 @@
 //! batches of N (one write, N responses read in order) and the recorded
 //! latency is the **whole-batch** round trip — the workload the server's
 //! segmented `writev(2)` response batching is measured on. The report
-//! gains a `pipeline` block, `--compare` embeds the other run's
-//! pipelined p99 alongside the ingest numbers, and `--baseline` gates on
-//! it when both runs measured one. The report also records
+//! gains a `pipeline` block, and `--baseline` gates on it when both runs
+//! measured one. The report also records
 //! `loop_shard_spread` — the server's max/min per-loop-shard
 //! `bytes_read` ratio — so shard-placement skew is visible in the perf
 //! trajectory.
@@ -47,10 +46,9 @@
 //! concurrent sessions: every campus device is assigned to one session
 //! (sticky round-robin — a device never splits across sessions), and each
 //! session interleaves its devices' batches, drawing the next device from
-//! a deterministic per-session LCG. `--device-skew` shapes that draw:
-//! `uniform` (default) spreads batches evenly, `zipf` weights device `i`
-//! by `1/(i+1)` — a few hot devices, a long cold tail. This is the
-//! multi-session workload the sharded translator lock is measured on.
+//! a deterministic per-session LCG, uniformly over the devices with
+//! batches left. This is the multi-session workload the sharded
+//! translator lock is measured on.
 //!
 //! `--baseline PATH` compares this run against a previously committed
 //! report and **fails the run** (exit 1) when it regresses beyond
@@ -58,9 +56,6 @@
 //! heavily; the gate catches collapses, not percent drift): ingest
 //! throughput below `baseline/F`, ingest p99 above `baseline×F`, or (when
 //! both runs held connections) scale ping p99 above `baseline×F`.
-//! `--compare PATH` embeds another run's ingest numbers (e.g. a
-//! single-lock topology) into this report as `comparison`, recording the
-//! measured speedup alongside the raw numbers.
 //!
 //! `--rules N` registers N standing TQL rules (a deterministic mix of
 //! `ENTERS` / `DWELLS` / `occupancy` / `flow` conditions) on a dedicated
@@ -128,7 +123,6 @@ struct Options {
     seed: u64,
     /// `0` = legacy layout (one ingest connection per building).
     ingest_sessions: usize,
-    skew: DeviceSkew,
     query_conns: usize,
     query_iters: usize,
     /// `0` = no pipelined-query phase; otherwise the batch depth each
@@ -151,35 +145,9 @@ struct Options {
     obs_overhead: bool,
     baseline: Option<String>,
     tolerance: f64,
-    compare: Option<String>,
     expect_shedding: bool,
     expect_wal: bool,
     shutdown: bool,
-}
-
-/// How a multi-session ingest run draws the next device to send a batch
-/// for (among the session's devices that still have batches left).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DeviceSkew {
-    Uniform,
-    Zipf,
-}
-
-impl DeviceSkew {
-    fn parse(raw: &str) -> Option<Self> {
-        match raw {
-            "uniform" => Some(DeviceSkew::Uniform),
-            "zipf" => Some(DeviceSkew::Zipf),
-            _ => None,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            DeviceSkew::Uniform => "uniform",
-            DeviceSkew::Zipf => "zipf",
-        }
-    }
 }
 
 fn usage_and_exit(message: &str) -> ! {
@@ -187,12 +155,12 @@ fn usage_and_exit(message: &str) -> ! {
     eprintln!(
         "usage: server_load --addr HOST:PORT [--quick] [--out PATH] [--protocol 1|2] \
          [--buildings N] [--floors N] [--shops N] [--devices N] [--seed N] \
-         [--ingest-sessions N] [--device-skew uniform|zipf] \
+         [--ingest-sessions N] \
          [--query-conns N] [--query-iters N] [--pipeline N] \
          [--no-overload] [--overload-conns N] \
          [--overload-iters N] [--scale-conns N] [--scale-rounds N] \
          [--rules N] [--expect-alerts MIN] [--rules-trace PATH] [--rules-overhead N] \
-         [--obs-overhead] [--baseline PATH] [--tolerance F] [--compare PATH] \
+         [--obs-overhead] [--baseline PATH] [--tolerance F] \
          [--expect-shedding] [--expect-wal] [--shutdown]"
     );
     std::process::exit(2);
@@ -227,7 +195,6 @@ fn parse_args() -> Options {
         devices: 8,
         seed: 0xBEC4,
         ingest_sessions: 0,
-        skew: DeviceSkew::Uniform,
         query_conns: 8,
         query_iters: 600,
         pipeline: 0,
@@ -243,7 +210,6 @@ fn parse_args() -> Options {
         obs_overhead: false,
         baseline: None,
         tolerance: 4.0,
-        compare: None,
         expect_shedding: false,
         expect_wal: false,
         shutdown: false,
@@ -266,15 +232,6 @@ fn parse_args() -> Options {
             "--devices" => opts.devices = parse(&mut args, "--devices"),
             "--seed" => opts.seed = parse(&mut args, "--seed"),
             "--ingest-sessions" => opts.ingest_sessions = parse(&mut args, "--ingest-sessions"),
-            "--device-skew" => {
-                let raw: String = parse(&mut args, "--device-skew");
-                match DeviceSkew::parse(&raw) {
-                    Some(skew) => opts.skew = skew,
-                    None => usage_and_exit(&format!(
-                        "invalid value {raw:?} for --device-skew (uniform|zipf)"
-                    )),
-                }
-            }
             "--query-conns" => opts.query_conns = parse(&mut args, "--query-conns"),
             "--query-iters" => opts.query_iters = parse(&mut args, "--query-iters"),
             "--pipeline" => opts.pipeline = parse(&mut args, "--pipeline"),
@@ -295,7 +252,6 @@ fn parse_args() -> Options {
                     usage_and_exit("--tolerance must be >= 1.0");
                 }
             }
-            "--compare" => opts.compare = Some(parse(&mut args, "--compare")),
             "--expect-shedding" => opts.expect_shedding = true,
             "--expect-wal" => opts.expect_wal = true,
             "--shutdown" => opts.shutdown = true,
@@ -463,27 +419,6 @@ struct PhaseWalls {
     scale_ms: Option<f64>,
 }
 
-/// A cross-run comparison embedded in the report (`--compare`): this
-/// run's ingest throughput against another report's, e.g. a single-lock
-/// topology measured on the same machine moments before.
-#[derive(Serialize, Deserialize)]
-struct ComparisonReport {
-    against: String,
-    against_ingest_ops_per_sec: f64,
-    this_ingest_ops_per_sec: f64,
-    /// `this / against` — > 1.0 means this run was faster.
-    speedup: f64,
-    /// Pipelined batch-RTT p99s, when both runs measured one (`--pipeline`
-    /// here and in the `--compare` run) — the response-batching A/B.
-    #[serde(default)]
-    against_pipeline_p99_us: Option<f64>,
-    #[serde(default)]
-    this_pipeline_p99_us: Option<f64>,
-    /// `against / this` — > 1.0 means this run's pipelined p99 improved.
-    #[serde(default)]
-    pipeline_p99_speedup: Option<f64>,
-}
-
 #[derive(Serialize, Deserialize)]
 struct BenchReport {
     bench: String,
@@ -494,8 +429,6 @@ struct BenchReport {
     ingest_connections: usize,
     /// Multi-session layout (`--ingest-sessions`); 0 = per-building.
     ingest_sessions: usize,
-    /// Device-draw distribution the ingest sessions used.
-    device_skew: Option<String>,
     /// Cores visible to the *generator* — context for cross-machine
     /// comparisons (a 1-core runner cannot show parallel speedups).
     host_parallelism: usize,
@@ -521,7 +454,6 @@ struct BenchReport {
     /// phase by phase (absent in reports from older generators).
     #[serde(default)]
     phase_wall_ms: Option<PhaseWalls>,
-    comparison: Option<ComparisonReport>,
     server: ServerSide,
     hard_errors: usize,
 }
@@ -818,32 +750,14 @@ fn query_mix(i: usize) -> (SemanticsSelector, Query) {
 
 /// Picks which of a session's devices sends its next batch. `r53` is a
 /// 53-bit uniform draw; only devices with batches left are candidates.
-/// Uniform: every live device equally. Zipf: device `i` (by session
-/// order) weighted `1/(i+1)` — the first devices dominate, the tail
-/// trickles, concentrating traffic on a few translator shards the way a
-/// real deployment's busiest devices do.
-fn draw_device(pending: &[VecDeque<&[RawRecord]>], r53: u64, skew: DeviceSkew) -> usize {
+/// Every live device is equally likely.
+fn draw_device(pending: &[VecDeque<&[RawRecord]>], r53: u64) -> usize {
     let live: Vec<usize> = (0..pending.len())
         .filter(|&i| !pending[i].is_empty())
         .collect();
     assert!(!live.is_empty(), "draw_device called with nothing left");
-    match skew {
-        DeviceSkew::Uniform => {
-            // Multiply-shift, not modulo: unbiased over the live set.
-            live[((u128::from(r53) * live.len() as u128) >> 53) as usize]
-        }
-        DeviceSkew::Zipf => {
-            let total: f64 = live.iter().map(|&i| 1.0 / (i as f64 + 1.0)).sum();
-            let mut u = (r53 as f64 / (1u64 << 53) as f64) * total;
-            for &i in &live {
-                u -= 1.0 / (i as f64 + 1.0);
-                if u <= 0.0 {
-                    return i;
-                }
-            }
-            *live.last().expect("live is non-empty")
-        }
-    }
+    // Multiply-shift, not modulo: unbiased over the live set.
+    live[((u128::from(r53) * live.len() as u128) >> 53) as usize]
 }
 
 /// The legacy ingest layout: one closed-loop connection per building,
@@ -972,21 +886,14 @@ fn main() {
     //    building, device-major batches;
     //  * multi-session (`--ingest-sessions N`): campus devices assigned
     //    sticky round-robin to N sessions, each interleaving its devices'
-    //    batches under the configured skew — the workload the sharded
+    //    batches in a seeded uniform order — the workload the sharded
     //    translator lock is measured on.
     let ingest_connections = if opts.ingest_sessions > 0 {
         opts.ingest_sessions
     } else {
         traffic.len()
     };
-    eprintln!(
-        "server_load: ingesting {records} records over {ingest_connections} connections{}...",
-        if opts.ingest_sessions > 0 {
-            format!(" ({} skew)", opts.skew.name())
-        } else {
-            String::new()
-        }
-    );
+    eprintln!("server_load: ingesting {records} records over {ingest_connections} connections...");
     let ingest_wall = Instant::now();
     let mut ingest_lat = LatencyRecorder::new();
     if opts.ingest_sessions > 0 {
@@ -1005,7 +912,7 @@ fn main() {
                 .map(|(sid, devices)| {
                     let hard_errors = &hard_errors;
                     let addr = opts.addr.as_str();
-                    let (protocol, skew) = (opts.protocol, opts.skew);
+                    let protocol = opts.protocol;
                     s.spawn(move || {
                         let mut recorder = LatencyRecorder::new();
                         let mut client = connect(addr, protocol).expect("connect for ingest");
@@ -1024,7 +931,7 @@ fn main() {
                             lcg = lcg
                                 .wrapping_mul(6364136223846793005)
                                 .wrapping_add(1442695040888963407);
-                            let idx = draw_device(&pending, lcg >> 11, skew);
+                            let idx = draw_device(&pending, lcg >> 11);
                             let batch = pending[idx].pop_front().expect("drawn queue non-empty");
                             remaining -= 1;
                             let t0 = Instant::now();
@@ -1496,31 +1403,6 @@ fn main() {
 
     let hard = hard_errors.load(Ordering::Relaxed);
     let ingest_phase = phase_report(&ingest_lat, ingest_wall);
-    // `--compare`: embed another run's ingest throughput (e.g. the
-    // single-lock topology measured moments earlier) and the speedup.
-    let comparison = opts.compare.as_ref().map(|path| {
-        let against = load_report(path);
-        let speedup = if against.ingest.ops_per_sec > 0.0 {
-            ingest_phase.ops_per_sec / against.ingest.ops_per_sec
-        } else {
-            0.0
-        };
-        let against_pipe = against.pipeline.as_ref().map(|p| p.batch_rtt.p99_us);
-        let this_pipe = pipeline.as_ref().map(|p| p.batch_rtt.p99_us);
-        let pipe_speedup = match (against_pipe, this_pipe) {
-            (Some(a), Some(t)) if t > 0.0 => Some(a / t),
-            _ => None,
-        };
-        ComparisonReport {
-            against: path.clone(),
-            against_ingest_ops_per_sec: against.ingest.ops_per_sec,
-            this_ingest_ops_per_sec: ingest_phase.ops_per_sec,
-            speedup,
-            against_pipeline_p99_us: against_pipe,
-            this_pipeline_p99_us: this_pipe,
-            pipeline_p99_speedup: pipe_speedup,
-        }
-    });
     // The overhead A/B runs in-process after the wire phases (it needs no
     // server, and running it earlier would contend with them for cores).
     let overhead = (opts.rules_overhead > 0)
@@ -1548,7 +1430,6 @@ fn main() {
         protocol: opts.protocol,
         ingest_connections,
         ingest_sessions: opts.ingest_sessions,
-        device_skew: (opts.ingest_sessions > 0).then(|| opts.skew.name().to_string()),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         records,
         ingest: ingest_phase,
@@ -1568,7 +1449,6 @@ fn main() {
             overload_ms: overload_wall_ms,
             scale_ms: scale_wall_ms,
         }),
-        comparison,
         server: server_side,
         hard_errors: hard,
     };
@@ -1661,22 +1541,6 @@ fn main() {
                 .map_or(String::new(), |m| format!(", scale {m:.0} ms")),
         );
     }
-    if let Some(c) = &report.comparison {
-        println!(
-            "server_load: vs {} -> ingest {:.0} req/s against {:.0} req/s ({:.2}x)",
-            c.against, c.this_ingest_ops_per_sec, c.against_ingest_ops_per_sec, c.speedup
-        );
-        if let (Some(t), Some(a), Some(s)) = (
-            c.this_pipeline_p99_us,
-            c.against_pipeline_p99_us,
-            c.pipeline_p99_speedup,
-        ) {
-            println!(
-                "server_load: vs {} -> pipelined batch p99 {t:.0} us against {a:.0} us ({s:.2}x)",
-                c.against
-            );
-        }
-    }
     println!("report written to {}", opts.out);
 
     if hard > 0 {
@@ -1768,7 +1632,7 @@ fn main() {
     }
 }
 
-/// Reads a prior `server_load` report (`--baseline` / `--compare`).
+/// Reads a prior `server_load` report (`--baseline`).
 fn load_report(path: &str) -> BenchReport {
     let raw = std::fs::read_to_string(path)
         .unwrap_or_else(|e| usage_and_exit(&format!("cannot read report {path}: {e}")));

@@ -1,17 +1,17 @@
 //! Shared harness for the TRIPS evaluation: dataset builders, ground-truth
 //! training, assessment shortcuts, and an aligned table printer.
 //!
-//! Every table and figure of the paper maps to one binary in `src/bin/` (a
-//! printable reproduction) and one criterion bench in `benches/` (the timing
-//! side). See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! recorded results.
+//! Every table and figure of the paper maps to one printable reproduction
+//! binary in `src/bin/`. See DESIGN.md §4 for the experiment index and
+//! EXPERIMENTS.md for recorded results.
 
 use trips_annotate::features::FeatureVector;
 use trips_annotate::EventEditor;
 use trips_core::assess::{self, AssessmentReport};
 use trips_core::TranslationResult;
-use trips_data::RawRecord;
+use trips_data::{RawRecord, Timestamp};
 use trips_engine::PipelineReport;
+use trips_geom::IndoorPoint;
 use trips_sim::{ErrorModel, ScenarioConfig, SimulatedDataset};
 
 /// Standard dataset builder used across experiments.
@@ -98,6 +98,46 @@ pub fn assess_result(ds: &SimulatedDataset, result: &TranslationResult) -> Asses
     assess::aggregate(&reports)
 }
 
+/// Position error of records against a trace's ground truth, pooled over
+/// the records added.
+#[derive(Debug, Clone, Default)]
+pub struct PositionError {
+    squared_m2: f64,
+    floor_misses: usize,
+    records: usize,
+}
+
+impl PositionError {
+    /// Adds the error of a record at `at` against the truth sample in force
+    /// at `ts`; a record before the first truth sample cannot be scored
+    /// and is skipped.
+    pub fn add(&mut self, truth: &[(Timestamp, IndoorPoint)], ts: Timestamp, at: IndoorPoint) {
+        let idx = truth.partition_point(|(t, _)| *t <= ts);
+        if idx == 0 {
+            return;
+        }
+        let tpos = truth[idx - 1].1;
+        self.squared_m2 += tpos.xy.distance(at.xy).powi(2);
+        self.floor_misses += usize::from(tpos.floor != at.floor);
+        self.records += 1;
+    }
+
+    /// Records scored so far.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// Root-mean-square planar error, metres; `None` before any record.
+    pub fn rmse(&self) -> Option<f64> {
+        (self.records > 0).then(|| (self.squared_m2 / self.records as f64).sqrt())
+    }
+
+    /// Share of records on the wrong floor; `None` before any record.
+    pub fn floor_error(&self) -> Option<f64> {
+        (self.records > 0).then(|| self.floor_misses as f64 / self.records as f64)
+    }
+}
+
 /// Aligned plain-text table printer for the experiment binaries.
 pub struct Table {
     header: Vec<String>,
@@ -182,6 +222,13 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
+/// Prints whether this run met an expectation a binary states, with the
+/// numbers compared. A report only: a miss does not change the exit code.
+pub fn report_expectation(expectation: &str, met: bool, compared: &str) {
+    let verdict = if met { "met" } else { "NOT met" };
+    println!("expectation: {expectation} -> {verdict} ({compared})");
+}
+
 /// Milliseconds elapsed by a closure.
 pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
@@ -214,6 +261,32 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".to_string()]);
+    }
+
+    #[test]
+    fn position_error_pools_records_and_skips_those_before_truth() {
+        let truth = [(Timestamp::from_millis(1000), IndoorPoint::new(0.0, 0.0, 0))];
+        let mut e = PositionError::default();
+        assert_eq!((e.rmse(), e.floor_error()), (None, None));
+        e.add(
+            &truth,
+            Timestamp::from_millis(0),
+            IndoorPoint::new(9.0, 9.0, 1),
+        );
+        assert_eq!(e.records(), 0);
+        e.add(
+            &truth,
+            Timestamp::from_millis(1000),
+            IndoorPoint::new(3.0, 4.0, 0),
+        );
+        e.add(
+            &truth,
+            Timestamp::from_millis(2000),
+            IndoorPoint::new(0.0, 0.0, 1),
+        );
+        assert_eq!(e.records(), 2);
+        assert_eq!(e.rmse(), Some(12.5f64.sqrt()));
+        assert_eq!(e.floor_error(), Some(0.5));
     }
 
     #[test]

@@ -5,11 +5,19 @@
 //! (linear scan) at 10 / 100 / 1000 entities. The indexed path must win
 //! from ~100 entities up — the acceptance bar for the index refactor.
 //!
+//! A plain `harness = false` binary: it checks that both paths agree on
+//! every probe, then times each path over a fixed number of rounds and
+//! prints ns per query.
+//!
 //! Run: `cargo bench -p trips-dsm --bench spatial_index`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
 use trips_dsm::{DigitalSpaceModel, Entity, EntityKind, SemanticRegion, SemanticTag};
 use trips_geom::{IndoorPoint, Point, Polygon};
+
+/// Timed passes over the probes (64 queries each) per (entities, path).
+const ROUNDS: usize = 300;
 
 /// `n` shops (entity + region each) laid out on a √n × √n grid, 12 m pitch.
 fn model_with(n: usize, frozen: bool) -> DigitalSpaceModel {
@@ -64,8 +72,32 @@ fn probes(n: usize) -> Vec<IndoorPoint> {
         .collect()
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("spatial_index_nearest_region");
+/// Mean nanoseconds per `nearest_region` call over `ROUNDS` passes, after
+/// `ROUNDS / 10` untimed ones; the id sum keeps the queries observable.
+fn ns_per_query(dsm: &DigitalSpaceModel, queries: &[IndoorPoint]) -> f64 {
+    let pass = || {
+        queries
+            .iter()
+            .filter_map(|p| dsm.nearest_region(black_box(p)))
+            .map(|(r, _)| r.id.0 as u64)
+            .sum::<u64>()
+    };
+    for _ in 0..ROUNDS / 10 {
+        black_box(pass());
+    }
+    let start = Instant::now();
+    for _ in 0..ROUNDS {
+        black_box(pass());
+    }
+    start.elapsed().as_nanos() as f64 / (ROUNDS * queries.len()) as f64
+}
+
+fn main() {
+    println!("spatial_index nearest_region ({ROUNDS} rounds x 64 probes)");
+    println!(
+        "{:>8} {:>20} {:>20}",
+        "entities", "linear ns/query", "indexed ns/query"
+    );
     for &n in &[10usize, 100, 1000] {
         let linear = model_with(n, false);
         let indexed = model_with(n, true);
@@ -76,25 +108,8 @@ fn bench(c: &mut Criterion) {
             let b = indexed.nearest_region(p).map(|(r, d)| (r.id, d));
             assert_eq!(a, b, "index must be result-identical at {p:?}");
         }
-        g.bench_with_input(BenchmarkId::new("linear", n), &queries, |b, qs| {
-            b.iter(|| {
-                qs.iter()
-                    .filter_map(|p| linear.nearest_region(p))
-                    .map(|(r, _)| r.id.0 as u64)
-                    .sum::<u64>()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("indexed", n), &queries, |b, qs| {
-            b.iter(|| {
-                qs.iter()
-                    .filter_map(|p| indexed.nearest_region(p))
-                    .map(|(r, _)| r.id.0 as u64)
-                    .sum::<u64>()
-            })
-        });
+        let lin = ns_per_query(&linear, &queries);
+        let idx = ns_per_query(&indexed, &queries);
+        println!("{n:>8} {lin:>20.0} {idx:>20.0}");
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,9 +1,11 @@
 //! TRIPS pipeline execution engine.
 //!
-//! One reusable execution layer for every fan-out in the system. Before this
-//! crate existed the batch Translator carried two copy-pasted scoped-thread
-//! worker pools and the streaming translator re-wired the same stages a
-//! third time; all of them now run through:
+//! The execution layer of the batch Translator, which runs its stages and
+//! its per-device fan-out through it (it once carried two copy-pasted
+//! scoped-thread worker pools instead). The streaming translator does not:
+//! `StreamingTranslator::finish` translates device by device on the
+//! caller's thread, and the server's event-loop shards schedule their own
+//! work. The crate offers:
 //!
 //! * [`run_indexed`] — ordered fan-out: an atomic work-stealing counter over
 //!   `std::thread::scope`, with results reassembled in **input order** so
