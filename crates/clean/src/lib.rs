@@ -36,8 +36,10 @@
 //!
 //! `clean` copies no input record up front: it keeps each record's place,
 //! time and anchor, and clones only the kept records into the output, which
-//! is already in time order. Every decision, and so every cleaned
-//! sequence, is the one the search gives.
+//! is already in time order. Every speed-check decision is the one the
+//! Dijkstra search gives. An interpolated location lies on a shortest walk
+//! as the node tables order them: where two walks tie, it may lie on
+//! another one than the search's.
 
 mod cleaner;
 mod speed;

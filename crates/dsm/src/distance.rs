@@ -10,25 +10,30 @@
 //! to the nodes the first point may enter the graph through, to a virtual
 //! target joined from the second point's. [`PathQuery::distance`] runs it
 //! without predecessor bookkeeping. The Cleaner's two per-record questions
-//! are answered from node-to-node tables instead, with the search's own
-//! answer:
+//! are answered from node-to-node tables instead:
 //!
 //! * The speed check — is the distance within `dt · limit`? —
 //!   [`PathQuery::within`] answers with one min-plus lookup over the two
 //!   points' eligible nodes in [`Topology::node_distances`]. The table's
 //!   estimate can differ from the search's value in the last bits, so a
 //!   quotient within a few ulps of the limit is re-decided by the search
-//!   (the error argument is on `within`).
-//! * Interpolation needs a point on the route: [`PathQuery::path`] picks
-//!   the node pair of that min-plus lookup, reads the route between them
-//!   from a predecessor table filled by the same per-node searches, and
-//!   adds up its legs in route order, as the search does. This is the
-//!   search's path bit for bit whenever the route is unique within
-//!   `within`'s margin; otherwise (an exact or near tie between two
-//!   routes, at the ends or at any hop) `path` falls back to the search.
-//!   The argument is on `PathQuery::table_route`. The route is read into a
-//!   fixed array, so [`PathQuery::point_at_fraction`], which needs one
-//!   point of it, allocates nothing unless it falls back.
+//!   (the error argument is on `within`): every decision is the search's.
+//! * Interpolation needs a point on the route. Where there are tables,
+//!   their own order defines the route: [`PathQuery::path`] takes the
+//!   first node pair of least term in that min-plus lookup, reads the
+//!   route between them from a predecessor table filled by the same
+//!   per-node searches, and adds up its legs in route order. Its length is
+//!   the search's within `within`'s margin; where routes tie, it may be
+//!   another of the equally short ones (see `PathQuery::table_route`).
+//!   The route is read into a fixed array, so
+//!   [`PathQuery::point_at_fraction`], which needs one point of it,
+//!   allocates nothing.
+//!
+//! The search runs for [`PathQuery::distance`], for `within`'s quotients
+//! inside the margin, for graphs above [`crate::topology::MAX_TABLE_NODES`]
+//! nodes (they get no tables), for a route of more than `ROUTE_CAP` nodes,
+//! and in [`PathQuery::path_by_search`], the reference `path` is tested
+//! against.
 //!
 //! Every query starts from the points' [`Anchor`]s. An anchor carries its
 //! area's dense slot, so the area's graph nodes
@@ -37,16 +42,14 @@
 //! The tables are built on the first query that needs them (one Dijkstra
 //! per node, about 1–2 ms on the 98-node, 7-floor benchmark mall), not at
 //! `freeze()`, and are then shared by every `PathQuery` of that frozen
-//! model, across threads. Graphs above
-//! [`crate::topology::MAX_TABLE_NODES`] nodes get no tables and search
-//! instead.
+//! model, across threads.
 
 use crate::entity::EntityId;
 use crate::model::{DigitalSpaceModel, DsmError};
 use crate::topology::{stair_cost, NodeTables, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use trips_geom::{IndoorPoint, Polyline};
+use trips_geom::IndoorPoint;
 
 /// Target legs [`PathQuery::within`] keeps on the stack; an area with more
 /// graph nodes spills them to the heap.
@@ -62,11 +65,6 @@ pub struct WalkPath {
 }
 
 impl WalkPath {
-    /// The planar projection of the path on a single floor (for rendering).
-    pub fn planar_polyline(&self) -> Polyline {
-        Polyline::new(self.points.iter().map(|p| p.xy).collect())
-    }
-
     /// Point at the given fraction of total walking distance, with the floor
     /// of the path leg it falls on. Used by location interpolation.
     pub fn point_at_fraction(&self, fraction: f64) -> IndoorPoint {
@@ -156,7 +154,7 @@ pub struct Anchor {
 }
 
 /// Most graph nodes a route read from the node tables may pass through; a
-/// longer route is left to the search, which finds the same one.
+/// longer route is left to the search.
 const ROUTE_CAP: usize = 64;
 
 /// A route read from the node tables: its graph nodes, last first (none
@@ -183,43 +181,15 @@ enum Route {
     Searched(WalkPath),
 }
 
-/// What lets the search that backs up [`PathQuery::table_route`] skip the
-/// part of the graph no shortest route passes through.
-///
-/// The search skips a relaxation that would give graph node `x` the
-/// distance `d` when `d + rest(x) > limit`, where `rest(x)` is the table's
-/// least `D[x][v] + w_b(v)` over the target's eligible nodes and `limit` is
-/// `L·(1 + 2δ)` for the table's estimate `L` ([`PathQuery::pair_min`]) and
-/// `within`'s margin `δ`.
-///
-/// Why the result is the unpruned search's, bit for bit: for a node `x` on
-/// the route `R` that search returns, with the distance `d` it ends at, `d`
-/// is `R`'s rounded prefix and `rest(x)` at most the table's rounded sum of
-/// `R`'s suffix, so `d + rest(x)` is within the rounding `γ` (see `within`)
-/// of `R`'s real length — which is within `2γ` of the real shortest
-/// distance, itself within `γ` of `L`. `2δ` exceeds those few `γ`, so no
-/// relaxation that sets a node of `R` to its final distance is skipped.
-/// A skipped relaxation can only leave some node's distance higher, never
-/// lower, so every node of `R` reaches the same final distance, first set
-/// by the same predecessor in the same `(distance, node)` pop order, and
-/// the target is settled as before.
-#[derive(Clone, Copy)]
-struct Prune<'t> {
-    tables: &'t NodeTables,
-    /// `L·(1 + 2δ)`; `INFINITY` when the estimate cannot bound the search.
-    limit: f64,
-}
-
-/// The result of [`PathQuery::pair_min`]: the least term, its node pair
-/// and legs, the least term of every other pair, and whether any term was
-/// NaN (which no comparison picks).
+/// The result of [`PathQuery::pair_min`]: the first least term in its
+/// iteration order, that term's node pair and legs, and whether any term
+/// was NaN (which no comparison picks).
 struct PairMin {
     length: f64,
     u: usize,
     v: usize,
     wa: f64,
     wb: f64,
-    runner_up: f64,
     nan: bool,
 }
 
@@ -266,9 +236,10 @@ impl<'a> PathQuery<'a> {
 
     /// [`path`](Self::path) given the points' own [`anchor`](Self::anchor)s.
     ///
-    /// A cross-area pair is routed from the node tables when its route is
-    /// unique (see the module docs) and by the Dijkstra search otherwise;
-    /// both give the same points and the same `distance` bits.
+    /// A cross-area pair is routed from the node tables in their own order
+    /// (see `table_route`); only a graph without tables, or a route of more
+    /// than `ROUTE_CAP` nodes, is routed by the Dijkstra search. Where
+    /// routes tie, the two may pick different ones of equal length.
     pub fn path_anchored(
         &self,
         a: &IndoorPoint,
@@ -280,7 +251,9 @@ impl<'a> PathQuery<'a> {
     }
 
     /// The path the Dijkstra search finds, without the node tables: the
-    /// reference [`path`](Self::path) must reproduce exactly.
+    /// reference [`path`](Self::path) is tested against. Its distance is
+    /// [`distance`](Self::distance)'s; `path`'s is within `within`'s
+    /// rounding margin of it.
     pub fn path_by_search(&self, a: &IndoorPoint, b: &IndoorPoint) -> Option<WalkPath> {
         let (anchor_a, anchor_b) = (self.anchor(a)?, self.anchor(b)?);
         self.path_using(None, a, anchor_a, b, anchor_b)
@@ -308,10 +281,11 @@ impl<'a> PathQuery<'a> {
     /// The point at `fraction` of the walking distance along the path from
     /// `a` to `b`, given the points' own [`anchor`](Self::anchor)s: exactly
     /// `path_anchored(a, anchor_a, b, anchor_b).map(|p| p.point_at_fraction(fraction))`,
-    /// the same float operations in the same order. Location interpolation
-    /// asks this once per repaired record. A same-area pair or a route read
-    /// from the node tables builds no path; only the search's fallback
-    /// does.
+    /// the same float operations in the same order, so the same route.
+    /// Location interpolation asks this once per repaired record. A
+    /// same-area pair or a route read from the node tables builds no path;
+    /// only the search does, where it routes (see
+    /// [`path_anchored`](Self::path_anchored)).
     pub fn point_at_fraction(
         &self,
         a: &IndoorPoint,
@@ -334,8 +308,7 @@ impl<'a> PathQuery<'a> {
     }
 
     /// The path from `a` to `b`: the straight line inside one area, else
-    /// the route read from `tables` when they vouch for it, else the
-    /// search's path (pruned by the tables' bound when there are tables).
+    /// the route read from `tables`, else (no tables) the search's path.
     fn route(
         &self,
         tables: Option<&NodeTables>,
@@ -351,15 +324,12 @@ impl<'a> PathQuery<'a> {
                 distance,
             }));
         }
-        let prune = match tables {
-            Some(tables) => match self.table_route(tables, a, anchor_a, b, anchor_b) {
-                Ok(route) => return Some(Route::Read(route)),
-                Err(limit) => Some(Prune { tables, limit }),
-            },
-            None => None,
-        };
-        self.searched_path(a, anchor_a, b, anchor_b, prune)
-            .map(Route::Searched)
+        match tables {
+            Some(tables) => self.table_route(tables, a, anchor_a, b, anchor_b),
+            None => self
+                .searched_path(a, anchor_a, b, anchor_b)
+                .map(Route::Searched),
+        }
     }
 
     /// Point `i` of the path from `a` along `route` to `b`: `a`, then the
@@ -386,11 +356,10 @@ impl<'a> PathQuery<'a> {
         anchor_a: Anchor,
         b: &IndoorPoint,
         anchor_b: Anchor,
-        prune: Option<Prune<'_>>,
     ) -> Option<WalkPath> {
         let n = self.topo.nodes.len();
         let mut prev: Vec<Option<usize>> = vec![None; n + 2];
-        let distance = self.search(a, anchor_a, b, anchor_b, Some(prev.as_mut_slice()), prune)?;
+        let distance = self.search(a, anchor_a, b, anchor_b, Some(prev.as_mut_slice()))?;
 
         // Reconstruct waypoints; `n` is the virtual source, `n + 1` the
         // virtual target.
@@ -419,32 +388,23 @@ impl<'a> PathQuery<'a> {
         }
     }
 
-    /// The search's path read from the node tables, or `None` when the
-    /// tables cannot vouch for it (the caller then searches).
+    /// The route the node tables define from `a` to `b`, or `None` when no
+    /// eligible node pair is connected or a term is NaN (only a NaN
+    /// coordinate gives one, and then no leg is finite, so the search finds
+    /// no route either).
     ///
-    /// The candidate is the eligible pair `(u, v)` minimising
-    /// `(w_a(u) + D[u][v]) + w_b(v)` ([`pair_min`](Self::pair_min)), with
-    /// the interior route
-    /// read back through row `u` of the predecessor table. It is the
-    /// search's route when it is *unique within the margin* `δ` of
-    /// [`within`](Self::within), relative to its length `L`:
-    ///
-    /// * every other pair's estimate exceeds `L·(1 + δ)`, and
-    /// * at every hop `y → x` of the interior route, every other neighbour
-    ///   `z` of `x` reaches it longer: `D[u][z] + w(z, x) > D[u][x] + δ·L`
-    ///   (the graph is undirected, so `x`'s edges are its in-edges too).
-    ///
-    /// Any other route then either leaves through another pair or leaves
-    /// the interior route at some hop, and in both cases is longer than `L`
-    /// by more than the two computations' rounding (the argument on
-    /// `within`). The search returns the route minimising its own rounded
-    /// sum, so it returns this one, and its distance is that sum:
-    /// `w_a(u)`, then each hop's edge weight, then `w_b(v)`, added in route
-    /// order — which is how it is recomputed here, bit for bit. A tie, a
-    /// non-finite estimate, an unreachable pair or a route of more than
-    /// [`ROUTE_CAP`] nodes falls back to the search: the error is the
-    /// [`Prune::limit`] that search may use. The route is read into a fixed
-    /// array: nothing is allocated.
+    /// The route runs through the eligible pair `(u, v)` whose term
+    /// `(w_a(u) + D[u][v]) + w_b(v)` comes first among the least in
+    /// [`pair_min`](Self::pair_min)'s iteration, with the interior read
+    /// back through row `u` of the predecessor table. Its distance is its
+    /// legs added in route order: `w_a(u)`, then each hop's edge weight,
+    /// then `w_b(v)`, as the search adds them. So where the route is the
+    /// search's, the distance is the search's bit for bit; where another
+    /// route ties with it, both lie within the rounding `within` bounds of
+    /// the real shortest distance, and either is a shortest walk. A route
+    /// of more than [`ROUTE_CAP`] nodes is the search's: the one exception
+    /// to the tables' order. Otherwise it is read into a fixed array and
+    /// nothing is allocated.
     fn table_route(
         &self,
         tables: &NodeTables,
@@ -452,7 +412,7 @@ impl<'a> PathQuery<'a> {
         anchor_a: Anchor,
         b: &IndoorPoint,
         anchor_b: Anchor,
-    ) -> Result<TableRoute, f64> {
+    ) -> Option<Route> {
         let n = self.topo.nodes.len();
         let PairMin {
             length,
@@ -460,19 +420,11 @@ impl<'a> PathQuery<'a> {
             v,
             wa,
             wb,
-            runner_up,
             nan,
         } = self.pair_min(tables, a, anchor_a, b, anchor_b);
-        let slack = length * self.margin();
-        let limit = if nan {
-            f64::INFINITY
-        } else {
-            length + 2.0 * slack
-        };
-        if nan || !length.is_finite() || runner_up <= length + slack {
-            return Err(limit);
+        if nan || length == f64::INFINITY {
+            return None;
         }
-        let row = &tables.dist[u * n..(u + 1) * n];
         let pred = &tables.pred[u * n..(u + 1) * n];
         // The interior route, from `v` back to `u`.
         let mut route = TableRoute {
@@ -483,20 +435,18 @@ impl<'a> PathQuery<'a> {
         route.reversed[0] = v as u16;
         let mut x = v;
         while x != u {
-            let y = pred[x] as usize;
-            let unique = self.topo.edges[x]
-                .iter()
-                .all(|e| e.to == y || row[e.to] + e.weight > row[x] + slack);
-            if !unique || route.len == ROUTE_CAP {
-                return Err(limit);
+            if route.len == ROUTE_CAP {
+                return self
+                    .searched_path(a, anchor_a, b, anchor_b)
+                    .map(Route::Searched);
             }
-            route.reversed[route.len] = y as u16;
+            x = pred[x] as usize;
+            route.reversed[route.len] = x as u16;
             route.len += 1;
-            x = y;
         }
         for j in 1..route.len {
             let (from, to) = (route.node(j - 1), route.node(j));
-            // Parallel edges: the search's relaxation keeps the lightest.
+            // Parallel edges: the tables' relaxation keeps the lightest.
             route.distance += self.topo.edges[from]
                 .iter()
                 .filter(|e| e.to == to)
@@ -504,12 +454,12 @@ impl<'a> PathQuery<'a> {
                 .fold(f64::INFINITY, f64::min);
         }
         route.distance += wb;
-        Ok(route)
+        Some(Route::Read(route))
     }
 
     /// Whether `b` is reachable from `a` within `dt` seconds at `limit` m/s:
     /// the same decision as
-    /// `path(a, b).is_some_and(|p| p.distance / dt <= limit)`, given the
+    /// `distance(a, b).is_some_and(|d| d / dt <= limit)`, given the
     /// points' own [`anchor`](Self::anchor)s, without a graph search in
     /// all but a vanishing share of calls.
     ///
@@ -613,8 +563,9 @@ impl<'a> PathQuery<'a> {
     }
 
     /// `min over (u, v)` of `(w_a(u) + D[u][v]) + w_b(v)` over the eligible
-    /// nodes of the two points' areas, with its pair and legs; `INFINITY`
-    /// when no eligible node pair is connected.
+    /// nodes of the two points' areas, `u` in `a`'s node list order and,
+    /// for each, `v` in `b`'s, with the first pair of least term and its
+    /// legs; `INFINITY` when no eligible node pair is connected.
     fn pair_min(
         &self,
         tables: &NodeTables,
@@ -630,7 +581,6 @@ impl<'a> PathQuery<'a> {
             v: 0,
             wa: 0.0,
             wb: 0.0,
-            runner_up: f64::INFINITY,
             nan: false,
         };
         let (src, dst) = (self.area_nodes(anchor_a), self.area_nodes(anchor_b));
@@ -663,11 +613,8 @@ impl<'a> PathQuery<'a> {
                         v,
                         wa,
                         wb,
-                        runner_up: min.length,
                         nan: min.nan,
                     };
-                } else if t < min.runner_up {
-                    min.runner_up = t;
                 }
             }
         }
@@ -726,15 +673,12 @@ impl<'a> PathQuery<'a> {
         anchor_b: Anchor,
     ) -> Option<f64> {
         same_area_distance(a, anchor_a, b, anchor_b)
-            .or_else(|| self.search(a, anchor_a, b, anchor_b, None, None))
+            .or_else(|| self.search(a, anchor_a, b, anchor_b, None))
     }
 
     /// Dijkstra over the door graph plus a virtual source (node `n`)
     /// joined to `a`'s eligible nodes and a virtual target (node `n + 1`)
     /// joined from `b`'s. Records predecessors only when `prev` is given.
-    /// With `prune`, a node is not reached through a relaxation that no
-    /// route within [`Prune::limit`] continues; the distance and the
-    /// predecessors along the returned route are the unpruned search's.
     fn search(
         &self,
         a: &IndoorPoint,
@@ -742,7 +686,6 @@ impl<'a> PathQuery<'a> {
         b: &IndoorPoint,
         anchor_b: Anchor,
         mut prev: Option<&mut [Option<usize>]>,
-        prune: Option<Prune<'_>>,
     ) -> Option<f64> {
         let n = self.topo.nodes.len();
         if n == 0 {
@@ -757,18 +700,6 @@ impl<'a> PathQuery<'a> {
         let src = n;
         let dst = n + 1;
         dist[src] = 0.0;
-        // With `prune`: the target legs, and per graph node the table's
-        // least distance on to the target (`NAN` until first needed).
-        let (legs_b, mut rest) = match prune {
-            Some(_) => (
-                dst_nodes
-                    .iter()
-                    .map(|&v| self.leg(b, anchor_b, v).unwrap_or(f64::INFINITY))
-                    .collect(),
-                vec![f64::NAN; n],
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
 
         let mut heap = BinaryHeap::new();
         heap.push(HeapEntry {
@@ -778,19 +709,6 @@ impl<'a> PathQuery<'a> {
         let mut relax =
             |heap: &mut BinaryHeap<HeapEntry>, dist: &mut [f64], v: usize, nd: f64, u| {
                 if nd < dist[v] {
-                    if let Some(prune) = prune.filter(|_| v < n) {
-                        if rest[v].is_nan() {
-                            let row = &prune.tables.dist[v * n..(v + 1) * n];
-                            rest[v] = dst_nodes
-                                .iter()
-                                .zip(&legs_b)
-                                .map(|(&x, &wb)| row[x] + wb)
-                                .fold(f64::INFINITY, f64::min);
-                        }
-                        if nd + rest[v] > prune.limit {
-                            return;
-                        }
-                    }
                     dist[v] = nd;
                     if let Some(prev) = prev.as_deref_mut() {
                         prev[v] = Some(u);
@@ -827,14 +745,6 @@ impl<'a> PathQuery<'a> {
         }
 
         dist[dst].is_finite().then_some(dist[dst])
-    }
-
-    /// Maximum feasible walking speed check helper: the minimum time (s)
-    /// needed to get from `a` to `b` at `max_speed` (m/s); `None` when
-    /// unreachable.
-    pub fn min_travel_time(&self, a: &IndoorPoint, b: &IndoorPoint, max_speed: f64) -> Option<f64> {
-        assert!(max_speed > 0.0, "max_speed must be positive");
-        self.distance(a, b).map(|d| d / max_speed)
     }
 }
 
@@ -1041,16 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn min_travel_time() {
-        let dsm = model();
-        let q = PathQuery::new(&dsm).unwrap();
-        let a = IndoorPoint::new(5.0, 5.0, 0);
-        let b = IndoorPoint::new(25.0, 5.0, 0);
-        let t = q.min_travel_time(&a, &b, 2.0).unwrap();
-        assert!((t - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_dsm_has_no_paths() {
         let mut dsm = DigitalSpaceModel::new("empty");
         dsm.freeze();
@@ -1205,6 +1105,51 @@ mod tests {
             })
             .collect();
         assert_point_at_fraction_matches_path(&mall, &pts);
+    }
+
+    /// `rooms` rooms of 2 × 2 m in a row, each joined to the next by a door
+    /// on the midline: a route from room 0 to room `k` passes `k` doors.
+    fn row_model(rooms: usize) -> DigitalSpaceModel {
+        let mut dsm = DigitalSpaceModel::new("row");
+        for k in 0..rooms {
+            let id = dsm.next_entity_id();
+            let x = 2.0 * k as f64;
+            dsm.add_entity(Entity::area(
+                id,
+                EntityKind::Room,
+                0,
+                "r",
+                sq(x, 0.0, 2.0, 2.0),
+            ))
+            .unwrap();
+            if k > 0 {
+                let door = dsm.next_entity_id();
+                dsm.add_entity(Entity::door(door, 0, "d", Point::new(x, 1.0), 1.0))
+                    .unwrap();
+            }
+        }
+        dsm.freeze();
+        dsm
+    }
+
+    #[test]
+    fn routes_up_to_the_cap_are_read_and_longer_ones_searched() {
+        let dsm = row_model(ROUTE_CAP + 8);
+        let q = PathQuery::new(&dsm).unwrap();
+        let tables = dsm.topology().unwrap().tables().unwrap();
+        let a = IndoorPoint::new(1.0, 1.0, 0);
+        for doors in [ROUTE_CAP - 1, ROUTE_CAP, ROUTE_CAP + 1, ROUTE_CAP + 6] {
+            let b = IndoorPoint::new(2.0 * doors as f64 + 1.0, 1.0, 0);
+            let (aa, ab) = (q.anchor(&a).unwrap(), q.anchor(&b).unwrap());
+            let read = matches!(q.table_route(tables, &a, aa, &b, ab), Some(Route::Read(_)));
+            assert_eq!(read, doors <= ROUTE_CAP, "{doors} doors");
+            // One route, so the tables' and the search's are the same.
+            let path = q.path(&a, &b).unwrap();
+            assert_eq!(path.points.len(), doors + 2);
+            assert_eq!(path.distance, 2.0 * doors as f64);
+            assert_eq!(Some(path), q.path_by_search(&a, &b));
+            assert_point_at_fraction_matches_path(&dsm, &[a, b]);
+        }
     }
 
     #[test]

@@ -1,18 +1,29 @@
-//! `PathQuery::path` reads most routes from the node tables; it must return
-//! exactly what the Dijkstra search returns: the same waypoints and a
-//! bitwise-equal `distance`. `PathQuery::within`, which decides the speed
-//! check from the tables, must make the search's decision. The random
-//! models are those of `index_equivalence.rs` (free and lattice-snapped
-//! rectangles, L-shaped rooms, nested areas, multi-floor staircases) with
-//! doors added on entity edges, so lattice-snapped models have many
-//! equal-length routes. Two symmetric models add routes that tie exactly:
-//! a mirror-symmetric one (ties between node pairs, and inside one pair's
-//! route with equal legs) and a half-turn-symmetric one (ties inside one
-//! pair's route whose legs come in a different order, so the search's sums
-//! may break the tie).
+//! `PathQuery::path` reads most routes from the node tables, in the
+//! tables' own order; the Dijkstra search (`PathQuery::path_by_search`) is
+//! the reference. Where routes tie, the two may return different routes of
+//! equal length, so a path is checked against what makes it a shortest
+//! walk, not against the search's waypoints:
+//!
+//! * its distance is within `within`'s margin `δ·L` of the search's;
+//! * its waypoints start at `a`, end at `b` and step along graph edges;
+//! * its distance is its legs added in route order, bit for bit;
+//! * it is the same route on a repeated call and on a cloned model, and
+//!   `point_at_fraction` follows it.
+//!
+//! `PathQuery::within`, which decides the speed check from the tables, must
+//! make the search's decision. The random models are those of
+//! `index_equivalence.rs` (free and lattice-snapped rectangles, L-shaped
+//! rooms, nested areas, multi-floor staircases) with doors added on entity
+//! edges, so lattice-snapped models have many equal-length routes. Three
+//! models add routes that tie exactly: a mirror-symmetric one (ties between
+//! node pairs, and inside one pair's route with equal legs), a
+//! half-turn-symmetric one (ties inside one pair's route whose legs come in
+//! a different order) and a mall whose staircase cells reach ports on every
+//! floor.
 
 use proptest::prelude::*;
-use trips_dsm::{DigitalSpaceModel, Entity, EntityKind, PathQuery, WalkPath};
+use trips_dsm::builder::MallBuilder;
+use trips_dsm::{Anchor, DigitalSpaceModel, Entity, EntityKind, PathQuery, WalkPath};
 use trips_geom::{IndoorPoint, Point, Polygon};
 
 /// Raw material for one random entity: position, size, floor, kind tag,
@@ -138,24 +149,110 @@ fn key(path: Option<WalkPath>) -> Option<(Vec<IndoorPoint>, u64)> {
     path.map(|p| (p.points, p.distance.to_bits()))
 }
 
-/// Asserts `path` equals the search on every ordered pair of `points`, and
-/// that `within` makes the search's speed decision, at times around the
+/// The walking cost of the floors between `a` and `b`, as the DSM adds it.
+fn stair_cost(dsm: &DigitalSpaceModel, a: i16, b: i16) -> f64 {
+    (i32::from(a) - i32::from(b)).abs() as f64 * dsm.floor_height * 3.0
+}
+
+/// The leg between `p`, anchored at `anchor`, and the graph node at `node`.
+fn leg(dsm: &DigitalSpaceModel, p: &IndoorPoint, anchor: Anchor, node: &IndoorPoint) -> f64 {
+    anchor.snap + p.xy.distance(node.xy) + stair_cost(dsm, node.floor, p.floor)
+}
+
+/// The lightest graph edge between nodes at waypoints `p` and `q`;
+/// `INFINITY` when no edge joins them.
+fn edge_weight(dsm: &DigitalSpaceModel, p: &IndoorPoint, q: &IndoorPoint) -> f64 {
+    let topo = dsm.topology().unwrap();
+    let at =
+        |w: &IndoorPoint, i: usize| topo.nodes[i].point == w.xy && topo.nodes[i].floor == w.floor;
+    (0..topo.nodes.len())
+        .filter(|&i| at(p, i))
+        .flat_map(|i| &topo.edges[i])
+        .filter(|e| at(q, e.to))
+        .map(|e| e.weight)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Asserts that `path` is a shortest walk from `a` to `b`: within `margin`
+/// of the search's distance, from `a` to `b` along graph edges, and with
+/// its legs adding up to its distance in route order, bit for bit.
+fn assert_shortest_walk(
+    dsm: &DigitalSpaceModel,
+    q: &PathQuery<'_>,
+    a: &IndoorPoint,
+    b: &IndoorPoint,
+    path: &WalkPath,
+    searched: f64,
+    margin: f64,
+) {
+    let ctx = format!("{a:?} -> {b:?}: {path:?}");
+    assert!(
+        (path.distance - searched).abs() <= margin * searched,
+        "{ctx}: not within the margin of the search's {searched}"
+    );
+    let pts = &path.points;
+    assert!(pts.len() >= 2, "{ctx}");
+    assert_eq!((&pts[0], &pts[pts.len() - 1]), (a, b), "{ctx}");
+    let (aa, ab) = (q.anchor(a).unwrap(), q.anchor(b).unwrap());
+    let distance = if pts.len() == 2 {
+        a.xy.distance(b.xy) + aa.snap + ab.snap
+    } else {
+        let interior = &pts[1..pts.len() - 1];
+        let mut sum = leg(dsm, a, aa, &interior[0]);
+        for w in interior.windows(2) {
+            let weight = edge_weight(dsm, &w[0], &w[1]);
+            assert!(
+                weight.is_finite(),
+                "{ctx}: no edge {:?} -> {:?}",
+                w[0],
+                w[1]
+            );
+            sum += weight;
+        }
+        sum + leg(dsm, b, ab, &interior[interior.len() - 1])
+    };
+    assert_eq!(
+        path.distance.to_bits(),
+        distance.to_bits(),
+        "{ctx}: legs add up to {distance}"
+    );
+}
+
+/// Asserts on every ordered pair of `points` that `path` is a shortest
+/// walk (see the module docs), the same route on a repeated call and on a
+/// clone of `dsm`, and the route `point_at_fraction` follows; and that
+/// `within` makes the search's speed decision, at times around the
 /// search's own threshold too.
 fn assert_routes_equal(dsm: &DigitalSpaceModel, points: &[IndoorPoint]) {
-    let q = PathQuery::new(dsm).unwrap();
+    let twin = dsm.clone();
+    let (q, q_twin) = (PathQuery::new(dsm).unwrap(), PathQuery::new(&twin).unwrap());
+    let margin = (dsm.topology().unwrap().nodes.len() + 8) as f64 * 4.0 * f64::EPSILON;
+    let bits = |p: IndoorPoint| (p.xy.x.to_bits(), p.xy.y.to_bits(), p.floor);
     let limit = 3.0;
     for a in points {
         for b in points {
-            let searched = q.path_by_search(a, b);
-            let distance = searched.as_ref().map(|p| p.distance);
+            let path = q.path(a, b);
+            let distance = q.path_by_search(a, b).map(|p| p.distance);
             assert_eq!(
-                key(q.path(a, b)),
-                key(searched),
-                "path diverged from the search: {a:?} -> {b:?}"
+                path.is_some(),
+                distance.is_some(),
+                "reachability diverged from the search: {a:?} -> {b:?}"
             );
+            assert_eq!(key(q.path(a, b)), key(path.clone()), "{a:?} -> {b:?}");
+            assert_eq!(key(q_twin.path(a, b)), key(path.clone()), "{a:?} -> {b:?}");
             let (Some(aa), Some(ab)) = (q.anchor(a), q.anchor(b)) else {
                 continue;
             };
+            if let (Some(path), Some(searched)) = (&path, distance) {
+                assert_shortest_walk(dsm, &q, a, b, path, searched, margin);
+                for f in [0.0, 0.1, 0.5, 0.9, 1.0] {
+                    assert_eq!(
+                        q_twin.point_at_fraction(a, aa, b, ab, f).map(bits),
+                        Some(bits(path.point_at_fraction(f))),
+                        "{a:?} -> {b:?} at {f}"
+                    );
+                }
+            }
             let at_limit = distance.map_or(1.0, |d| d / limit);
             // Times within a few ulps of the threshold, where a table
             // estimate a bit off the search's sum would decide wrongly.
@@ -177,7 +274,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn table_routes_equal_search_routes(
+    fn table_routes_are_shortest_walks(
         raw in arb_entities(),
         points in proptest::collection::vec(arb_point(), 1..24),
     ) {
@@ -255,7 +352,8 @@ fn mirror_model() -> DigitalSpaceModel {
 /// the doors: the route `u → y1 → v` walks `√101` then `√149`, the route
 /// `u → y2 → v` the same two legs in the other order. The tables see one
 /// exact tie; the search, which adds the legs onto the walk from the
-/// source point, may see either route shorter by an ulp.
+/// source point, may see either route shorter by an ulp, so the two may
+/// pick different routes.
 ///
 /// ```text
 ///   +----+------y1------+----+
@@ -285,7 +383,7 @@ fn half_turn_model() -> DigitalSpaceModel {
 }
 
 #[test]
-fn half_turn_ties_inside_one_route_equal_search_routes() {
+fn half_turn_ties_inside_one_route_give_shortest_walks() {
     let dsm = half_turn_model();
     let mut points = Vec::new();
     for i in 0..40 {
@@ -303,7 +401,7 @@ fn half_turn_ties_inside_one_route_equal_search_routes() {
 }
 
 #[test]
-fn mirrored_routes_tie_and_still_equal_search_routes() {
+fn mirrored_routes_tie_and_give_shortest_walks() {
     let dsm = mirror_model();
     // Mirror-image pairs of points, on and off the axis, in every area,
     // on both floors.
@@ -343,6 +441,41 @@ fn mirrored_routes_tie_and_still_equal_search_routes() {
         stops.windows(2).map(|w| leg(w[0], w[1])).sum::<f64>()
     };
     assert_eq!(via(10.0), via(-10.0));
+}
+
+/// A fix in a staircase cell may enter the graph at the cell's port on any
+/// floor, at the stair cost. So its leg to a port on another floor, and
+/// its leg to the port on its own floor plus the stair edge, are routes of
+/// equal length. The search may take either.
+#[test]
+fn staircase_cells_tie_across_floors_and_give_shortest_walks() {
+    let dsm = MallBuilder::new().floors(3).shops_per_row(4).build();
+    let q = PathQuery::new(&dsm).unwrap();
+    // Fixes in the west and east staircase cells on every floor, and
+    // destinations in shops and the hallway on every floor.
+    let mut points = Vec::new();
+    for floor in 0..3 {
+        for i in 0..4 {
+            let t = f64::from(i);
+            let (dx, dy) = ((t * 0.731).rem_euclid(2.0), (t * 1.913).rem_euclid(4.0));
+            points.push(IndoorPoint::new(1.0 + dx, 9.0 + dy, floor));
+            points.push(IndoorPoint::new(37.0 + dx, 9.0 + dy, floor));
+        }
+        for (x, y) in [(5.0, 4.0), (15.0, 18.0), (25.0, 11.0), (35.0, 3.0)] {
+            points.push(IndoorPoint::new(x, y, floor));
+        }
+    }
+    let a = points[0];
+    let anchor = q.anchor(&a).unwrap();
+    assert_eq!(dsm.entity(anchor.area).unwrap().kind, EntityKind::Staircase);
+    assert_routes_equal(&dsm, &points);
+
+    // The tie is real: from the west cell on floor 0 to a shop on floor 1,
+    // the tables and the search pick different routes of one length.
+    let b = IndoorPoint::new(5.0, 4.0, 1);
+    let (path, searched) = (q.path(&a, &b).unwrap(), q.path_by_search(&a, &b).unwrap());
+    assert_ne!(path.points, searched.points);
+    assert_eq!(path.distance.to_bits(), searched.distance.to_bits());
 }
 
 /// Two rooms joined by one door, and pairs of points on straight lines

@@ -129,9 +129,14 @@ impl Polygon {
     /// runs first: the boundary pass (one `sqrt` per edge) only has to decide
     /// points the crossing test leaves outside.
     pub fn contains(&self, p: Point) -> bool {
-        if !self.bbox().inflated(EPSILON).contains(p) {
-            return false;
-        }
+        // Boundary pass: positioning records snapped onto a wall belong to
+        // the room.
+        self.bbox().inflated(EPSILON).contains(p)
+            && (self.crossing_parity(p) || self.edges().any(|e| e.distance_to_point(p) <= 1e-9))
+    }
+
+    /// Whether a ray from `p` crosses the boundary an odd number of times.
+    fn crossing_parity(&self, p: Point) -> bool {
         let mut inside = false;
         let n = self.vertices.len();
         let mut j = n - 1;
@@ -145,9 +150,7 @@ impl Polygon {
             }
             j = i;
         }
-        // Boundary pass: positioning records snapped onto a wall belong to
-        // the room.
-        inside || self.edges().any(|e| e.distance_to_point(p) <= 1e-9)
+        inside
     }
 
     /// Distance from `p` to the polygon boundary (0 if on the boundary;
@@ -159,12 +162,20 @@ impl Polygon {
     }
 
     /// Distance from `p` to the polygon as a region: 0 inside, boundary
-    /// distance outside.
+    /// distance outside. The same as `if self.contains(p) { 0.0 } else {
+    /// self.distance_to_boundary(p) }`, with one walk over the edges: the
+    /// least edge distance is both `contains`' boundary test and the
+    /// answer.
     pub fn distance_to_point(&self, p: Point) -> f64 {
-        if self.contains(p) {
+        let in_box = self.bbox().inflated(EPSILON).contains(p);
+        if in_box && self.crossing_parity(p) {
+            return 0.0;
+        }
+        let d = self.distance_to_boundary(p);
+        if in_box && d <= 1e-9 {
             0.0
         } else {
-            self.distance_to_boundary(p)
+            d
         }
     }
 
@@ -415,6 +426,53 @@ mod tests {
             sq.distance_to_boundary(Point::new(0.5, 0.5)),
             0.5
         ));
+    }
+
+    #[test]
+    fn distance_to_point_is_contains_then_boundary_distance() {
+        let old = |poly: &Polygon, p: Point| {
+            if poly.contains(p) {
+                0.0
+            } else {
+                poly.distance_to_boundary(p)
+            }
+        };
+        for poly in [unit_square(), l_shape()] {
+            let b = poly.bbox();
+            let mut probes = vec![
+                // Interior, on an edge, on a vertex.
+                poly.interior_point(),
+                Point::new(0.5, 0.0),
+                Point::new(0.0, 0.5),
+                Point::new(0.0, 0.0),
+                Point::new(1.0, 1.0),
+                // The L's notch, and far away.
+                Point::new(1.5, 1.5),
+                Point::new(-40.0, 7.0),
+                Point::new(1e6, -1e6),
+            ];
+            // Just inside and just outside the bbox, at and beyond the
+            // boundary tolerance, on every side and corner.
+            for off in [0.0, 5e-10, 1e-9, 2e-9, 1e-6] {
+                for (x, y) in [
+                    (b.min.x - off, 0.5),
+                    (b.max.x + off, 0.5),
+                    (0.5, b.min.y - off),
+                    (0.5, b.max.y + off),
+                    (b.min.x - off, b.min.y - off),
+                    (b.max.x + off, b.max.y + off),
+                ] {
+                    probes.push(Point::new(x, y));
+                }
+            }
+            for p in probes {
+                assert_eq!(
+                    poly.distance_to_point(p).to_bits(),
+                    old(&poly, p).to_bits(),
+                    "{p:?}"
+                );
+            }
+        }
     }
 
     #[test]
