@@ -19,6 +19,8 @@
 //! against: SMoT-style stop/move annotation (ref \[12\]) and threshold-based
 //! trajectory reconstruction (ref \[10\]).
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod editor;
 pub mod features;

@@ -5,6 +5,8 @@
 //! binary in `src/bin/`. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for recorded results.
 
+#![forbid(unsafe_code)]
+
 use trips_annotate::features::FeatureVector;
 use trips_annotate::EventEditor;
 use trips_core::assess::{self, AssessmentReport};

@@ -41,6 +41,8 @@
 //! as the node tables order them: where two walks tie, it may lie on
 //! another one than the search's.
 
+#![forbid(unsafe_code)]
+
 mod cleaner;
 mod speed;
 

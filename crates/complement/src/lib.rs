@@ -16,6 +16,8 @@
 //!
 //! [`Complementor`] packages both stages behind the Translator-facing API.
 
+#![forbid(unsafe_code)]
+
 pub mod infer;
 pub mod knowledge;
 

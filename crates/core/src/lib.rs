@@ -25,6 +25,8 @@
 //! * [`system`] — the [`system::Trips`] facade running the five-step
 //!   workflow end to end and exposing the live store of the last run.
 
+#![forbid(unsafe_code)]
+
 pub mod analytics;
 pub mod assess;
 pub mod config;

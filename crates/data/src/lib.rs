@@ -6,6 +6,8 @@
 //! ingestion the Configurator supports (text files, tables, stream APIs), and
 //! the rule-based [`selector`] that picks the sequences of interest.
 
+#![forbid(unsafe_code)]
+
 pub mod io;
 pub mod selector;
 

@@ -26,6 +26,8 @@
 //!
 //! The DSM round-trips through JSON ([`json`]) exactly as the paper stores it.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod canvas;
 pub mod distance;

@@ -18,6 +18,8 @@
 //! The crate is deliberately free of TRIPS domain types so any layer
 //! (core, bench, future services) can depend on it without cycles.
 
+#![forbid(unsafe_code)]
+
 mod executor;
 mod pipeline;
 

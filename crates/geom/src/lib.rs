@@ -20,6 +20,8 @@
 //! assert_eq!(shop.area(), 60.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bbox;
 mod circle;
 mod point;

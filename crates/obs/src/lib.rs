@@ -34,6 +34,8 @@
 //! relaxed atomic load and skips its clock reads — the delta is CI-gated
 //! under 5% of ingest throughput (`server_load --obs-overhead`).
 
+#![forbid(unsafe_code)]
+
 mod latency;
 mod metrics;
 pub mod stage;

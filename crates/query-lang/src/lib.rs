@@ -75,6 +75,8 @@
 //! assert_eq!(parse(&stmt.to_string()).unwrap(), stmt);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 mod error;
 mod lexer;

@@ -2,17 +2,17 @@
 //!
 //! Each loop shard multiplexes its connections (plus a wake-up channel)
 //! on one thread, so ten thousand mostly idle device streams cost ten
-//! thousand registered fds — not ten thousand parked threads with 8 MiB
-//! stacks. The workspace builds offline without the `libc` crate, so the
+//! thousand poll-set entries — not ten thousand parked threads with
+//! 8 MiB stacks. The workspace builds offline without the `libc` crate, so the
 //! one syscall, `poll(2)`, is declared directly; the constants are the
 //! values shared by Linux and the BSDs.
 //!
-//! [`Poller`] is level-triggered `poll(2)`: the poll set is rebuilt from
-//! the registry on every wait, so a wakeup costs O(registered fds) in
-//! the kernel — and the loop shard services every connection each lap
-//! anyway, so its userspace side is O(connections) too. It runs
-//! anywhere with `poll.h` semantics; on non-unix targets it degrades
-//! further to a bounded sleep that reports everything ready.
+//! The poll set is the loop shard's only readiness state: each lap it is
+//! built afresh from the connection table (see `LoopShard::run`), handed
+//! to [`poll_fds`], and its `revents` decide which connections the lap
+//! services. [`poll_fds`] runs anywhere with `poll.h` semantics; on
+//! non-unix targets it degrades to a bounded sleep that reports every
+//! fd ready at its interest bits.
 //!
 //! The [`Waker`] is a loopback UDP socket pair (no `pipe(2)` FFI needed,
 //! sends never block), each side connected to the other so the kernel
@@ -27,7 +27,7 @@ pub const POLLOUT: i16 = 0x4;
 pub const POLLERR: i16 = 0x8;
 pub const POLLHUP: i16 = 0x10;
 
-/// One registered fd: `fd` + interest `events` in, readiness `revents` out.
+/// One poll-set entry: `fd` + interest `events` in, readiness `revents` out.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
 pub struct PollFd {
@@ -53,6 +53,7 @@ impl PollFd {
 }
 
 #[cfg(unix)]
+#[allow(unsafe_code)]
 mod sys {
     use super::PollFd;
     use std::io;
@@ -118,104 +119,12 @@ pub fn fd_of<T>(_sock: &T) -> i32 {
     -1
 }
 
-/// One readiness event reported by [`Poller::wait`]. `token` is whatever
-/// the caller registered the fd under. Error/hangup conditions are folded
-/// into both directions — "go do I/O and discover the truth".
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    pub token: u64,
-    pub readable: bool,
-    pub writable: bool,
-}
-
-/// The level-triggered `poll(2)` readiness set owned by one loop shard:
-/// a registry of token → (fd, interest), rebuilt into a poll set on
-/// every [`Poller::wait`].
-#[derive(Debug, Default)]
-pub struct Poller {
-    slots: std::collections::BTreeMap<u64, (i32, i16)>,
-}
-
-fn interest(readable: bool, writable: bool) -> i16 {
-    let mut events = 0i16;
-    if readable {
-        events |= POLLIN;
-    }
-    if writable {
-        events |= POLLOUT;
-    }
-    events
-}
-
-impl Poller {
-    pub fn new() -> Poller {
-        Poller::default()
-    }
-
-    /// Registers an fd under `token` with the given interest. Interest is
-    /// level-triggered: an armed direction is reported on every wait while
-    /// it holds, so the caller disarms what it has already seen through
-    /// [`Poller::set_interest`].
-    pub fn register(&mut self, fd: i32, token: u64, readable: bool, writable: bool) {
-        self.slots.insert(token, (fd, interest(readable, writable)));
-    }
-
-    /// Replaces the interest of the fd registered under `token`.
-    pub fn set_interest(&mut self, token: u64, readable: bool, writable: bool) {
-        if let Some((_, events)) = self.slots.get_mut(&token) {
-            *events = interest(readable, writable);
-        }
-    }
-
-    /// Removes `token`'s fd. Must be called before the fd is closed —
-    /// poll would report a stale (or reused) fd.
-    pub fn deregister(&mut self, token: u64) {
-        self.slots.remove(&token);
-    }
-
-    /// Waits up to `timeout_ms` (0 = just poll, negative = forever) and
-    /// appends readiness events to `out` (cleared first).
-    pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
-        out.clear();
-        let mut fds = Vec::with_capacity(self.slots.len());
-        let mut tokens = Vec::with_capacity(self.slots.len());
-        for (&token, &(fd, events)) in &self.slots {
-            if events != 0 {
-                fds.push(PollFd::new(fd, events));
-                tokens.push(token);
-            }
-        }
-        if fds.is_empty() {
-            // Nothing armed: still honor the timeout so the loop can't spin.
-            if timeout_ms != 0 {
-                let ms = if timeout_ms < 0 { 10 } else { timeout_ms };
-                std::thread::sleep(std::time::Duration::from_millis(ms as u64));
-            }
-            return Ok(());
-        }
-        poll_fds(&mut fds, timeout_ms)?;
-        for (fd, token) in fds.iter().zip(tokens) {
-            let err = fd.revents & (POLLERR | POLLHUP) != 0;
-            let readable = fd.revents & POLLIN != 0 || err;
-            let writable = fd.revents & POLLOUT != 0 || err;
-            if readable || writable {
-                out.push(Event {
-                    token,
-                    readable,
-                    writable,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Wakes a sleeping [`Poller::wait`] from another thread.
+/// Wakes a loop shard sleeping in [`poll_fds`] from another thread.
 ///
 /// A loopback UDP socket pair: portable, sends never block, and a receive
 /// buffer's worth of wakes coalesce. `rx` is connected to `tx`, so the
 /// kernel drops datagrams from every other local sender instead of
-/// letting them wake the loop. Register [`Waker::fd`] for read interest;
+/// letting them wake the loop. Poll [`Waker::fd`] for `POLLIN`;
 /// [`Waker::wake`] fires it; [`Waker::drain`] clears every pending wake.
 pub struct Waker {
     rx: UdpSocket,
@@ -233,7 +142,7 @@ impl Waker {
         Ok(Waker { rx, tx })
     }
 
-    /// The fd to register for read interest in the poll set.
+    /// The fd to poll for `POLLIN`.
     pub fn fd(&self) -> i32 {
         fd_of(&self.rx)
     }
@@ -319,82 +228,5 @@ mod tests {
         waker.wake();
         poll_fds(&mut fds, 1000).unwrap();
         assert!(fds[0].is_ready(), "the waker's own wake still lands");
-    }
-
-    /// The waker's fd registered under a token: wake → wait reports that
-    /// token readable, drain → a zero-timeout wait reports nothing, and a
-    /// deregistered fd reports nothing even when woken.
-    #[test]
-    fn waker_roundtrip() {
-        let mut poller = Poller::new();
-        let waker = Waker::new().unwrap();
-        const TOKEN: u64 = 7;
-        poller.register(waker.fd(), TOKEN, true, false);
-
-        let mut events = Vec::new();
-        waker.wake();
-        waker.wake(); // coalesces
-        poller.wait(1000, &mut events).unwrap();
-        assert!(
-            events.iter().any(|e| e.token == TOKEN && e.readable),
-            "wake surfaced as a readable event"
-        );
-
-        waker.drain();
-        #[cfg(unix)]
-        {
-            poller.wait(0, &mut events).unwrap();
-            assert!(
-                events.iter().all(|e| e.token != TOKEN),
-                "drain cleared pending wakes"
-            );
-        }
-
-        poller.deregister(TOKEN);
-        waker.wake();
-        poller.wait(0, &mut events).unwrap();
-        assert!(events.is_empty(), "deregistered fd reports nothing");
-    }
-
-    /// Interest is the only thing that keeps a level-triggered loop from
-    /// re-reporting known readiness: a disarmed direction stays silent
-    /// even while the socket is ready in it.
-    #[test]
-    #[cfg(unix)]
-    fn set_interest_arms_and_disarms_directions() {
-        use std::io::Write;
-        use std::net::{TcpListener, TcpStream};
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (sock, _) = listener.accept().unwrap();
-        const TOKEN: u64 = 3;
-        let mut poller = Poller::new();
-        let mut events = Vec::new();
-
-        poller.register(fd_of(&sock), TOKEN, false, true);
-        poller.wait(1000, &mut events).unwrap();
-        assert!(
-            events.iter().any(|e| e.token == TOKEN && e.writable),
-            "an empty send buffer is writable while write interest is armed"
-        );
-
-        poller.set_interest(TOKEN, false, false);
-        poller.wait(0, &mut events).unwrap();
-        assert!(events.is_empty(), "no interest, no events: {events:?}");
-
-        peer.write_all(b"fix").unwrap();
-        poller.set_interest(TOKEN, true, false);
-        poller.wait(1000, &mut events).unwrap();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.token == TOKEN && e.readable && !e.writable),
-            "pending bytes are readable once read interest is armed: {events:?}"
-        );
-
-        poller.deregister(TOKEN);
-        poller.wait(0, &mut events).unwrap();
-        assert!(events.is_empty(), "deregistered fd reports nothing");
     }
 }

@@ -24,8 +24,9 @@
 //!   ([`decode_request_frame_ref`] / [`RawRecordRef`]) that parses v2
 //!   ingest batches as borrowed views straight out of the connection
 //!   read buffer;
-//! * [`event`] — level-triggered `poll(2)` readiness multiplexing and
-//!   the cross-thread [`event::Waker`] (a connected loopback UDP pair)
+//! * [`event`] — the raw `poll(2)` call each loop shard waits in, over a
+//!   poll set it rebuilds every lap, and the cross-thread
+//!   [`event::Waker`] (a connected loopback UDP pair)
 //!   that wakes a loop shard for alert pushes, adoption and shutdown;
 //! * [`admission`] — the server-wide bounded count of admitted requests
 //!   that sheds load ([`ServerError::Overloaded`]) instead of growing;
@@ -54,6 +55,8 @@
 //!
 //! See the repository README ("Serving" and "Wire protocol") for a wire
 //! transcript, the framing layout, and the overload semantics.
+
+#![deny(unsafe_code)]
 
 pub mod admission;
 pub mod bootstrap;

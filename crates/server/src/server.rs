@@ -14,15 +14,17 @@
 //!   least-loaded loop shard;
 //! * **N event-loop shards** (`ServerConfig::loop_shards`, default
 //!   `min(cores, 4)`) each own their connections' fds, buffers, and a
-//!   wake-up channel, multiplexed by [`crate::event::Poller`]
-//!   (level-triggered `poll(2)`). Connections are nonblocking sockets
-//!   with per-connection read/write buffers and cached readiness
-//!   (`can_read`/`can_write`, cleared only on `WouldBlock`; only
-//!   exhausted directions are armed in the poll set, so known readiness
-//!   never spins the loop), so ten thousand idle device streams cost fds
-//!   and buffers, not parked threads. A wakeup is O(connections): each
-//!   lap services every connection and refreshes its interest, then
-//!   `poll(2)` scans the whole set.
+//!   wake-up channel, multiplexed by level-triggered `poll(2)`.
+//!   Connections are nonblocking sockets with per-connection read/write
+//!   buffers, so ten thousand idle device streams cost fds and buffers,
+//!   not parked threads.
+//!
+//! The poll set is a shard's only readiness state. Each lap builds it
+//! from the connection table: the waker, then every connection that
+//! wants bytes (`POLLIN`) or holds queued output (`POLLOUT`). The lap
+//! then services only what the wait reported, plus the parked
+//! connections (below): building the set still walks the table, but
+//! reads, parsing and writes go only to connections that can use them.
 //!
 //! A lap on a shard reads every ready connection and parses complete
 //! messages (NDJSON v1 lines or binary v2 frames, detected per message by
@@ -35,8 +37,9 @@
 //! buffers + `SemanticsStore`, encode, queue the reply bytes. There is no
 //! worker pool and no per-request thread hand-off; replies leave in
 //! request order because a connection's requests run one after another on
-//! one thread. A lap does not sleep in `poll` while a connection may hold
-//! another complete request in its read buffer.
+//! one thread. A connection whose parsing stopped at a work request is
+//! *parked*: the next lap services it whatever the wait reports, and does
+//! not sleep in `poll` while its read buffer may hold another request.
 //!
 //! Only three things cross threads into a shard, through its `pushes`
 //! list, its `incoming` list and its waker: alert pushes caused by
@@ -114,7 +117,7 @@
 
 use crate::admission::Admission;
 use crate::codec::{self, FrameError, RequestFrameRef, FRAME_MAGIC, HEADER_LEN, MAX_FRAME_PAYLOAD};
-use crate::event::{fd_of, poll_fds, Event, PollFd, Poller, Waker, POLLIN};
+use crate::event::{fd_of, poll_fds, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::metrics;
 use crate::protocol::{
     HealthReport, Request, RequestEnvelope, Response, ResponseEnvelope, ServerError,
@@ -139,12 +142,13 @@ use trips_store::{DurabilityConfig, RecoveryReport, SemanticsStore};
 const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Per-connection read-buffer cap: one maximal v2 frame. Reads pause
-/// (readiness is cached, the fill loop stops) until the buffer drains
-/// below this, so a pipelining client cannot balloon server memory.
+/// (the connection leaves `POLLIN` out of its interest) until the buffer
+/// drains below this, so a pipelining client cannot balloon server memory.
 const MAX_READ_BUF: usize = MAX_FRAME_PAYLOAD + HEADER_LEN;
 
-/// Bytes read per readiness event before a connection yields back to its
-/// loop shard, so one firehose connection cannot starve the rest.
+/// Bytes read per lap before a connection yields back to its loop shard,
+/// so one firehose connection cannot starve the rest (`poll` reports the
+/// rest at once on the next lap).
 pub const DEFAULT_READ_BUDGET: usize = 256 * 1024;
 
 /// Event-loop wait timeout — the latency of noticing a drain when no fd
@@ -199,9 +203,6 @@ const _: () = assert!(
     ST_REPLY_WRITE + 1 == STAGE_COUNT,
     "stage indices track STAGES"
 );
-
-/// The registration token reserved for each shard's waker fd.
-const WAKER_TOKEN: u64 = u64::MAX;
 
 /// Cap on per-connection interned device ids (zero-copy decode path) —
 /// bounds memory against a client that invents a new id per record.
@@ -989,14 +990,10 @@ struct Conn {
     /// Last time the connection read bytes or was answered a work
     /// request — the idle-reap clock.
     last_activity: Instant,
-    /// Cached readiness: assumed ready at registration, cleared only on
-    /// `WouldBlock`/EOF, set again by the poller's events. Only a cleared
-    /// direction is armed in the poll set (see `LoopShard::run`).
-    can_read: bool,
-    can_write: bool,
     /// Parsing stopped this lap at a work request, so the read buffer may
-    /// hold further complete requests: the next lap resumes parsing, and
-    /// the shard does not sleep in `poll` meanwhile.
+    /// hold further complete requests: the next lap services the
+    /// connection whatever the wait reports, and does not sleep in `poll`
+    /// while the buffer holds bytes.
     parked: bool,
     /// Devices this session ingested (refcounted in `Shared::sessions`).
     devices: BTreeSet<DeviceId>,
@@ -1013,9 +1010,6 @@ struct Conn {
     /// Acceptor hand-off → shard adoption, µs; consumed by (attributed
     /// to) the connection's first span.
     accept_us: u64,
-    /// When the connection was last serviced — the epoch of the next
-    /// request's `loop_ready` stage. `None` while observability is off.
-    ready_at: Option<Instant>,
 }
 
 impl Conn {
@@ -1027,8 +1021,6 @@ impl Conn {
             interned: BTreeMap::new(),
             batches: 0,
             last_activity: Instant::now(),
-            can_read: true,
-            can_write: true,
             parked: false,
             devices: BTreeSet::new(),
             rule_ids: Vec::new(),
@@ -1036,7 +1028,6 @@ impl Conn {
             closing: false,
             dead: false,
             accept_us,
-            ready_at: None,
         }
     }
 
@@ -1059,18 +1050,18 @@ impl Conn {
         !self.read_closed && !self.closing && !self.dead && self.read_buf.len() < MAX_READ_BUF
     }
 
-    /// Whether this connection can make progress right now without an
-    /// event (the loop shard re-waits with timeout 0 while any can — a
-    /// read-budget or buffer-cap pause must not sleep on the poller,
-    /// because a direction with cached readiness is not armed, so no
-    /// event would come for it; nor may a parked request buffer).
-    fn actionable(&self) -> bool {
-        if self.dead {
-            return false;
+    /// The directions this connection asks `poll` for: `POLLIN` while it
+    /// wants bytes, `POLLOUT` while its write queue holds some. A dead
+    /// connection asks for nothing.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if self.wants_read() {
+            events |= POLLIN;
         }
-        (self.can_read && self.wants_read())
-            || (self.can_write && !self.write_q.is_empty())
-            || (self.parked && !self.closing && !self.read_buf.is_empty())
+        if !self.dead && !self.write_q.is_empty() {
+            events |= POLLOUT;
+        }
+        events
     }
 
     fn queue_response(&mut self, wire: Wire, env: &ResponseEnvelope) {
@@ -1092,10 +1083,7 @@ impl Conn {
                     return;
                 }
                 Ok(n) => self.write_q.consume(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.can_write = false;
-                    return;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.dead = true;
@@ -1105,10 +1093,8 @@ impl Conn {
         }
     }
 
-    /// Reads up to `budget` bytes into the read buffer. `can_read` clears
-    /// **only** on `WouldBlock`/EOF — a budget or buffer-cap stop leaves
-    /// it set, so the loop shard comes right back instead of sleeping on
-    /// a direction it has not armed.
+    /// Reads up to `budget` bytes into the read buffer, stopping early at
+    /// `WouldBlock`, EOF or the buffer cap.
     fn fill_read(&mut self, budget: usize) {
         let mut budget = budget.max(1);
         let mut chunk = [0u8; 16 * 1024];
@@ -1116,17 +1102,13 @@ impl Conn {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.read_closed = true;
-                    self.can_read = false;
                     return;
                 }
                 Ok(n) => {
                     self.read_buf.extend_from_slice(&chunk[..n]);
                     budget = budget.saturating_sub(n);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.can_read = false;
-                    return;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.dead = true;
@@ -1190,10 +1172,21 @@ struct LoopShard<'shared, 'env> {
     shared: &'shared Shared<'env>,
     id: usize,
     conns: BTreeMap<u64, Conn>,
-    poller: Poller,
     /// Work requests taken this lap, at most one per connection, in parse
     /// order (kept across laps for its allocation).
     ready: Vec<Job>,
+    /// This lap's poll set: the waker first, then every connection that
+    /// asks `poll` for a direction; `tokens` names the connection of each
+    /// entry past the waker. Rebuilt every lap into the same allocations.
+    fds: Vec<PollFd>,
+    tokens: Vec<u64>,
+    /// The connections this lap services, each once, with the `revents`
+    /// the wait reported for it (0 for a parked connection it did not).
+    serviced: Vec<(u64, i16)>,
+    /// When this lap's wait returned — the epoch of the `loop_ready`
+    /// stage of every request parsed this lap. `None` while observability
+    /// is off.
+    woke: Option<Instant>,
 }
 
 impl<'shared, 'env> LoopShard<'shared, 'env> {
@@ -1363,16 +1356,13 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             return;
         };
         // Span epochs for this request: the amortized accept cost (first
-        // request only — `take` zeroes it) and the readiness-to-parse gap.
-        let (accept_us, loop_ready_us) = if trips_obs::enabled() {
-            (
+        // request only — `take` zeroes it) and the wakeup-to-parse gap.
+        let (accept_us, loop_ready_us) = match self.woke {
+            Some(woke) => (
                 std::mem::take(&mut conn.accept_us),
-                conn.ready_at
-                    .map(|t| t.elapsed().as_micros() as u64)
-                    .unwrap_or(0),
-            )
-        } else {
-            (0, 0)
+                woke.elapsed().as_micros() as u64,
+            ),
+            None => (0, 0),
         };
         let at = Inline {
             shard: self.id,
@@ -1411,7 +1401,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                 at.reply(conn, Response::ShuttingDown);
                 conn.closing = true;
                 shared.shutdown.store(true, Ordering::Relaxed);
-                // The other shards are likely asleep in their pollers;
+                // The other shards are likely asleep in `poll`;
                 // wake them so the drain starts everywhere at once.
                 for state in &shared.shards {
                     state.wake();
@@ -1471,9 +1461,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                 continue;
             }
             let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-            // Both directions; the per-lap `set_interest` refresh takes
-            // over before the first wait.
-            self.poller.register(fd_of(&stream), token, true, true);
             let accept_us = if trips_obs::enabled() {
                 handed_off.elapsed().as_micros() as u64
             } else {
@@ -1513,9 +1500,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             match self.conns.get_mut(&push.token) {
                 Some(conn) if conn.write_q.len() <= ALERT_BUF_MAX => {
                     conn.write_q.push(Chunk::Shared(push.bytes));
-                    if conn.can_write {
-                        conn.flush_write();
-                    }
+                    conn.flush_write();
                 }
                 _ => {
                     self.shared
@@ -1543,9 +1528,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                     conn,
                     Response::Error(ServerError::Overloaded { queue_capacity }),
                 );
-                if conn.can_write {
-                    conn.flush_write();
-                }
+                conn.flush_write();
             }
             false
         });
@@ -1602,9 +1585,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         }
         at.reply(conn, resp);
         conn.last_activity = Instant::now();
-        if conn.can_write {
-            conn.flush_write();
-        }
+        conn.flush_write();
         if let Some((parsed, mut record, replying)) = span {
             record.stages_us[ST_REPLY_WRITE] = replying.elapsed().as_micros() as u64;
             record.total_us = parsed.elapsed().as_micros() as u64;
@@ -1613,22 +1594,18 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         }
     }
 
-    /// One I/O pass over a connection, driven by its cached readiness.
-    fn service(&mut self, token: u64) {
+    /// One I/O pass over a connection the lap services: write what is
+    /// queued (a blocked socket just answers `EAGAIN`), read only if the
+    /// wait reported the connection readable or failed, then parse.
+    fn service(&mut self, token: u64, revents: i16) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         if conn.dead {
             return;
         }
-        if trips_obs::enabled() {
-            // The epoch of the next parsed request's `loop_ready` stage.
-            conn.ready_at = Some(Instant::now());
-        }
-        if conn.can_write && !conn.write_q.is_empty() {
-            conn.flush_write();
-        }
-        if conn.can_read && conn.wants_read() {
+        conn.flush_write();
+        if revents & (POLLIN | POLLERR | POLLHUP) != 0 && conn.wants_read() {
             let before = conn.read_buf.len();
             conn.fill_read(DEFAULT_READ_BUDGET);
             let gained = conn.read_buf.len() - before;
@@ -1641,9 +1618,7 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         }
         self.pump(token);
         if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.can_write && !conn.write_q.is_empty() {
-                conn.flush_write();
-            }
+            conn.flush_write();
         }
     }
 
@@ -1654,7 +1629,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        self.poller.deregister(token);
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
         self.shared.shards[self.id]
             .connections
@@ -1700,15 +1674,67 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
         !self.conns.is_empty()
     }
 
-    /// The shard's loop: adopt → service (read, parse, answer admin,
-    /// take work) → admit and run the taken work → sweep → apply alert
-    /// pushes → wait. Returns when the server drains (or on a poller
+    /// Builds this lap's poll set from the connection table — the waker
+    /// first, then each connection at its [`Conn::interest`] — and lists
+    /// the parked connections for servicing. Returns the wait's timeout:
+    /// 0 while a parked connection holds a buffered request.
+    fn build_poll_set(&mut self) -> i32 {
+        self.fds.clear();
+        self.tokens.clear();
+        self.serviced.clear();
+        let waker = &self.shared.shards[self.id].waker;
+        self.fds.push(PollFd::new(waker.fd(), POLLIN));
+        let mut timeout = LOOP_WAIT_MS;
+        for (&token, conn) in &self.conns {
+            let events = conn.interest();
+            // `poll` reports POLLHUP/POLLERR even for an empty mask, so a
+            // connection that wants neither direction stays out of the
+            // set: a peer that hung up must not cut short the wait for a
+            // connection with nothing to read or write.
+            if events != 0 {
+                self.fds.push(PollFd::new(fd_of(&conn.stream), events));
+                self.tokens.push(token);
+            }
+            if conn.parked {
+                self.serviced.push((token, 0));
+                if !conn.closing && !conn.read_buf.is_empty() {
+                    timeout = 0;
+                }
+            }
+        }
+        timeout
+    }
+
+    /// Adds the connections the wait reported to the parked ones, in
+    /// token order, each once with its `revents`; then starts the list
+    /// `lap` places further on, so the requests admitted first under
+    /// overload rotate among the connections.
+    fn collect_serviced(&mut self, lap: usize) {
+        for (fd, &token) in self.fds[1..].iter().zip(&self.tokens) {
+            if fd.revents != 0 {
+                self.serviced.push((token, fd.revents));
+            }
+        }
+        self.serviced.sort_unstable_by_key(|&(token, _)| token);
+        self.serviced.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 |= later.1;
+            }
+            same
+        });
+        let start = lap % self.serviced.len().max(1);
+        self.serviced.rotate_left(start);
+    }
+
+    /// The shard's loop: build the poll set → wait → adopt → service
+    /// what the wait reported and the parked connections (read, parse,
+    /// answer admin, take work) → admit and run the taken work → sweep →
+    /// apply alert pushes. Returns when the server drains (or on a poll
     /// error).
     fn run(&mut self) -> io::Result<()> {
         let state = &self.shared.shards[self.id];
         LOOP_SHARD.set(state.addr());
-        self.poller
-            .register(state.waker.fd(), WAKER_TOKEN, true, false);
         // Idle reaping cadence: a quarter of the timeout (floored) keeps
         // the worst-case overshoot at ~25%. A shard whose fds are all
         // silent still laps at least every `LOOP_WAIT_MS`, so the sweep
@@ -1719,24 +1745,26 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
             .map(|t| (t / 4).max(Duration::from_millis(100)));
         let mut next_reap = reap_period.map(|p| Instant::now() + p);
         let mut drain_deadline: Option<Instant> = None;
-        let mut events: Vec<Event> = Vec::new();
         let mut lap = 0usize;
         loop {
+            let timeout = self.build_poll_set();
+            poll_fds(&mut self.fds, timeout)?;
+            self.woke = trips_obs::enabled().then(Instant::now);
             // Drain the waker *before* reading the work it signals, so a
-            // signal arriving mid-iteration leaves a wake pending rather
-            // than being swallowed.
-            state.waker.drain();
+            // signal arriving mid-lap leaves a wake pending rather than
+            // being swallowed.
+            if self.fds[0].is_ready() {
+                state.waker.drain();
+            }
             self.adopt_incoming();
 
-            // Each lap starts its reads one connection further on, so the
-            // requests admitted first under overload rotate among them.
-            let mut tokens: Vec<u64> = self.conns.keys().copied().collect();
-            let start = lap % tokens.len().max(1);
-            tokens.rotate_left(start);
+            self.collect_serviced(lap);
             lap = lap.wrapping_add(1);
-            for token in tokens {
-                self.service(token);
+            let serviced = std::mem::take(&mut self.serviced);
+            for &(token, revents) in &serviced {
+                self.service(token, revents);
             }
+            self.serviced = serviced;
             self.run_ready();
             if let (Some(timeout), Some(due)) = (self.shared.idle_timeout, next_reap) {
                 if Instant::now() >= due {
@@ -1765,37 +1793,6 @@ impl<'shared, 'env> LoopShard<'shared, 'env> {
                         self.teardown(token);
                     }
                     break;
-                }
-            }
-
-            // A connection paused by its read budget (or waiting to retry
-            // a write, or parked with more buffered) can progress without
-            // an event — do not sleep on it.
-            let timeout = if self.conns.values().any(|c| c.actionable()) {
-                0
-            } else {
-                LOOP_WAIT_MS
-            };
-            // Refresh interest: only directions whose cached readiness is
-            // *exhausted* are armed, so level-triggered poll cannot spin
-            // on known state.
-            for (&token, conn) in &self.conns {
-                let read = conn.wants_read() && !conn.can_read;
-                let write = !conn.write_q.is_empty() && !conn.can_write && !conn.dead;
-                self.poller.set_interest(token, read, write);
-            }
-            self.poller.wait(timeout, &mut events)?;
-            for ev in &events {
-                if ev.token == WAKER_TOKEN {
-                    continue;
-                }
-                if let Some(conn) = self.conns.get_mut(&ev.token) {
-                    if ev.readable {
-                        conn.can_read = true;
-                    }
-                    if ev.writable {
-                        conn.can_write = true;
-                    }
                 }
             }
         }
@@ -2053,12 +2050,10 @@ impl TripsServer {
         let loop_shards = self.loop_shards();
 
         // Build every fallible resource before any thread starts: one
-        // poller + waker per loop shard, and the translator core (the
-        // event model is trained once per serve).
-        let mut pollers = Vec::with_capacity(loop_shards);
+        // waker per loop shard, and the translator core (the event model
+        // is trained once per serve).
         let mut shard_states = Vec::with_capacity(loop_shards);
         for _ in 0..loop_shards {
-            pollers.push(Poller::new());
             shard_states.push(Arc::new(ShardState {
                 pushes: parking_lot::Mutex::new(Vec::new()),
                 waker: Waker::new()?,
@@ -2126,15 +2121,18 @@ impl TripsServer {
                 scope.spawn(move || run_metrics_http(shared, metrics_listener));
             }
             let mut loop_handles = Vec::with_capacity(loop_shards);
-            for (id, poller) in pollers.into_iter().enumerate() {
+            for id in 0..loop_shards {
                 let shared = &shared;
                 loop_handles.push(scope.spawn(move || {
                     let mut shard = LoopShard {
                         shared,
                         id,
                         conns: BTreeMap::new(),
-                        poller,
                         ready: Vec::new(),
+                        fds: Vec::new(),
+                        tokens: Vec::new(),
+                        serviced: Vec::new(),
+                        woke: None,
                     };
                     let result = shard.run();
                     if result.is_err() {
@@ -2345,7 +2343,6 @@ mod tests {
         // Nobody reads yet: the first flush fills the socket and blocks.
         conn.flush_write();
         assert!(!conn.dead);
-        assert!(!conn.can_write, "the socket buffers filled up");
         assert!(!conn.write_q.is_empty());
 
         let reader = std::thread::spawn(move || {
@@ -2354,10 +2351,9 @@ mod tests {
             got
         });
         while !conn.write_q.is_empty() {
-            conn.can_write = true;
             conn.flush_write();
             assert!(!conn.dead);
-            if !conn.can_write {
+            if !conn.write_q.is_empty() {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
@@ -2365,6 +2361,40 @@ mod tests {
         let got = reader.join().unwrap();
         assert_eq!(got.len(), want.len());
         assert!(got == want, "bytes arrive in order, none lost or repeated");
+    }
+
+    /// A connection asks `poll` for what it can use: `POLLIN` while it
+    /// wants bytes, `POLLOUT` while output is queued, nothing once dead.
+    #[test]
+    fn interest_follows_the_connection_state() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sock = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let _peer = listener.accept().unwrap();
+        let mut conn = Conn::new(sock, 0);
+        assert_eq!(
+            conn.interest(),
+            POLLIN,
+            "a fresh connection waits for bytes"
+        );
+        conn.queue_response(Wire::V1, &ResponseEnvelope::new(0, Response::Pong));
+        assert_eq!(
+            conn.interest(),
+            POLLIN | POLLOUT,
+            "queued bytes add POLLOUT"
+        );
+
+        conn.read_closed = true;
+        assert_eq!(conn.interest(), POLLOUT, "EOF drops POLLIN");
+        conn.read_closed = false;
+        conn.closing = true;
+        assert_eq!(conn.interest(), POLLOUT, "closing drops POLLIN");
+        conn.closing = false;
+        conn.read_buf = vec![0; MAX_READ_BUF];
+        assert_eq!(conn.interest(), POLLOUT, "a full read buffer drops POLLIN");
+        conn.read_buf.clear();
+        assert_eq!(conn.interest(), POLLIN | POLLOUT);
+        conn.dead = true;
+        assert_eq!(conn.interest(), 0, "a dead connection asks for nothing");
     }
 
     #[test]

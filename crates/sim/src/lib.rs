@@ -14,6 +14,8 @@
 //! 3. [`scenario`] — end-to-end dataset assembly: N devices over D days in a
 //!    multi-floor mall, anonymized MAC-style device ids.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod mobility;
 pub mod rng;

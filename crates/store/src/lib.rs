@@ -107,6 +107,8 @@
 //! store. See the [`durability`] module docs for the record payloads,
 //! lock ordering, and crash-safety argument.
 
+#![forbid(unsafe_code)]
+
 pub mod durability;
 mod query;
 pub mod rules;

@@ -19,6 +19,8 @@
 //! * [`ascii`] — a terminal renderer for quick inspection;
 //! * [`animate`] — the animated, semantics-enriched playback.
 
+#![forbid(unsafe_code)]
+
 pub mod animate;
 pub mod ascii;
 pub mod entry;

@@ -65,6 +65,8 @@
 //! assert!(result.total_semantics() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use trips_annotate as annotate;
 pub use trips_clean as clean;
 pub use trips_complement as complement;

@@ -231,3 +231,173 @@ fn facade_durable_server_checkpoints_and_restarts_with_identical_answers() {
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One v2 write of ~1 MiB — four times the bytes a loop shard reads per
+/// lap — of pings with ingest batches mixed in. Every request is answered,
+/// in order, without the client writing again: the shard keeps coming
+/// back for the bytes still in the socket and for the requests still in
+/// its read buffer.
+#[test]
+fn one_write_larger_than_the_read_budget_is_answered_in_full() {
+    let boot = bootstrap_scenario(
+        1,
+        2,
+        &ScenarioConfig {
+            devices: 2,
+            days: 1,
+            seed: 0xFACE,
+            ..ScenarioConfig::default()
+        },
+    );
+    let traffic = trips::sim::scenario::generate(
+        1,
+        2,
+        &ScenarioConfig {
+            devices: 2,
+            days: 1,
+            seed: 0xD00D,
+            ..ScenarioConfig::default()
+        },
+    );
+    let records = relabel(traffic.traces[0].raw.records(), "big-write");
+    let server = TripsServer::new(boot.dsm, boot.editor, ServerConfig::default()).unwrap();
+    let handle = server.spawn("127.0.0.1:0").unwrap();
+
+    let mut reqs = Vec::new();
+    let mut batches = records.chunks(50).cycle();
+    let mut wire_bytes = 0;
+    while wire_bytes < 4 * trips::server::server::DEFAULT_READ_BUDGET {
+        let req = if reqs.len() % 500 == 499 {
+            Request::Ingest {
+                records: batches.next().unwrap().to_vec(),
+            }
+        } else {
+            Request::Ping
+        };
+        wire_bytes += trips::server::codec::encode_request_frame(&trips::server::RequestEnvelope {
+            v: 2,
+            id: 1,
+            req: req.clone(),
+        })
+        .len();
+        reqs.push(req);
+    }
+
+    let mut client = Client::connect_v2(handle.addr()).unwrap();
+    client
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let replies = client.call_pipelined(reqs.clone()).unwrap();
+    assert_eq!(replies.len(), reqs.len());
+    for (i, (req, reply)) in reqs.iter().zip(&replies).enumerate() {
+        match (req, reply) {
+            (Request::Ping, Response::Pong) => {}
+            (
+                Request::Ingest { records },
+                Response::Ingested {
+                    accepted, rejected, ..
+                },
+            ) => {
+                assert_eq!((*accepted, *rejected), (records.len(), 0), "reply {i}")
+            }
+            other => panic!("reply {i} does not answer its request: {other:?}"),
+        }
+    }
+    drop(client);
+    let report = handle.shutdown().unwrap();
+    assert_eq!((report.bad_requests, report.shed), (0, 0));
+}
+
+/// On a single loop shard, a client pipelines queries whose replies
+/// overflow the socket buffers and reads nothing. The shard must not
+/// stall on that blocked socket: another client's ping is answered within
+/// a second. Afterwards the first client reads every reply, in order.
+#[test]
+fn a_client_that_stops_reading_does_not_stall_its_loop_shard() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+    use trips::server::codec;
+
+    let boot = bootstrap_scenario(
+        1,
+        2,
+        &ScenarioConfig {
+            devices: 2,
+            days: 1,
+            seed: 0xFACE,
+            ..ScenarioConfig::default()
+        },
+    );
+    let config = ServerConfig {
+        loop_shards: 1,
+        ..ServerConfig::default()
+    };
+    let server = TripsServer::new(boot.dsm, boot.editor, config).unwrap();
+    let store = server.store();
+    let device = DeviceId::new("hoarder");
+    let sems: Vec<MobilitySemantics> = (0..10_000i64)
+        .map(|i| MobilitySemantics {
+            device: device.clone(),
+            event: "stay".into(),
+            region: RegionId((i % 7) as u32),
+            region_name: format!("R{}", i % 7).into(),
+            start: Timestamp::from_millis(i * 60_000),
+            end: Timestamp::from_millis(i * 60_000 + 30_000),
+            inferred: false,
+            display_point: None,
+        })
+        .collect();
+    store.ingest(&device, &sems);
+    let handle = server.spawn("127.0.0.1:0").unwrap();
+
+    // 48 queries of 10,000 semantics each: tens of MiB of replies, far
+    // more than the socket buffers on both ends hold.
+    const QUERIES: u64 = 48;
+    let mut hoarder = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut wire = Vec::new();
+    for id in 1..=QUERIES {
+        wire.extend(codec::encode_request_frame(
+            &trips::server::RequestEnvelope {
+                v: 2,
+                id,
+                req: Request::Query {
+                    request: QueryRequest::new(SemanticsSelector::all(), Query::Semantics),
+                },
+            },
+        ));
+    }
+    hoarder.write_all(&wire).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+
+    let mut pinger = Client::connect_v2(handle.addr()).unwrap();
+    let started = Instant::now();
+    assert_eq!(pinger.ping().unwrap(), Response::Pong);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a ping waited {:?} behind a client that stopped reading",
+        started.elapsed()
+    );
+
+    hoarder
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for want in 1..=QUERIES {
+        let mut header = [0u8; codec::HEADER_LEN];
+        hoarder.read_exact(&mut header).unwrap();
+        let (len, crc) = codec::parse_header(&header).unwrap().unwrap();
+        let mut payload = vec![0u8; len];
+        hoarder.read_exact(&mut payload).unwrap();
+        codec::check_crc(&payload, crc).unwrap();
+        let env = codec::decode_response_payload(&payload).unwrap();
+        assert_eq!(env.id, want, "replies arrive in request order");
+        match env.resp {
+            Response::Query {
+                result: QueryResult::Semantics(got),
+            } => assert_eq!(got.len(), sems.len()),
+            other => panic!("reply {want} is not the query's answer: {other:?}"),
+        }
+    }
+    drop((hoarder, pinger));
+    let report = handle.shutdown().unwrap();
+    assert_eq!((report.bad_requests, report.shed), (0, 0));
+}
